@@ -12,7 +12,7 @@ from .bundle import ModelBundle, fit_bundle, load_bundle, save_bundle
 from .cluster import (ClusterChain, StationaryDistribution, build_chain,
                       build_rate_matrix, horizontal_transition_probs,
                       solve_stationary, stationary_distribution,
-                      transient_distribution, vertical_transition_probs)
+                      vertical_transition_probs)
 from .config import (METRIC_CONCURRENCY, METRIC_KINDS, METRIC_RPS,
                      AutoscalerConfig, PredictionRequest, ProfilingTrace,
                      TraceRow, load_autoscaler_config, parse_trace,
@@ -29,7 +29,7 @@ from .output import (ResponseTimeFunction, StateContribution,
                      SteadyStateReport, fit_rtf, steady_state_report)
 from .simulator import (WORKLOAD_INFINITE_SERVER, WORKLOAD_PROCESSOR_SHARING,
                         SimulationConfig, SimulationReport, WorkloadModel,
-                        emit_profiling_trace, profile_trace, simulate)
+                        profile_trace, simulate)
 
 __version__ = "0.1.0"
 
@@ -38,8 +38,7 @@ __all__ = [
     "ModelBundle", "fit_bundle", "load_bundle", "save_bundle",
     "ClusterChain", "StationaryDistribution", "build_chain",
     "build_rate_matrix", "horizontal_transition_probs", "solve_stationary",
-    "stationary_distribution", "transient_distribution",
-    "vertical_transition_probs",
+    "stationary_distribution", "vertical_transition_probs",
     "METRIC_CONCURRENCY", "METRIC_KINDS", "METRIC_RPS",
     "AutoscalerConfig", "PredictionRequest", "ProfilingTrace", "TraceRow",
     "load_autoscaler_config", "parse_trace", "save_autoscaler_config",
@@ -54,6 +53,6 @@ __all__ = [
     "fit_rtf", "steady_state_report",
     "WORKLOAD_INFINITE_SERVER", "WORKLOAD_PROCESSOR_SHARING",
     "SimulationConfig", "SimulationReport", "WorkloadModel",
-    "emit_profiling_trace", "profile_trace", "simulate",
+    "profile_trace", "simulate",
     "__version__",
 ]

@@ -1,7 +1,8 @@
 """Backend selection for the hot kernels.
 
-Kernels (the event loop in ``_kernels`` and the uniformization loop in
-``cluster``) are compiled with numba by default.  Setting the environment
+Kernels (the event loop in ``_kernels`` and the random streams in
+``_rng``) are compiled with numba when it is installed (the ``jit`` extra);
+without it they run as plain Python.  Setting the environment
 variable ``REPLICAST_DISABLE_JIT=1`` before import selects a pure-Python
 fallback that runs the identical source, so results are bit-for-bit the
 same on both paths, just slower.  ``fastmath`` stays off on purpose: the

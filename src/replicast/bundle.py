@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .config import ProfilingTrace
+from .config import ProfilingTrace, load_json
 from .errors import ValidationError
 from .metric_model import MetricModel, fit_metric_model
 from .output import ResponseTimeFunction, fit_rtf
@@ -59,9 +59,4 @@ def save_bundle(bundle: ModelBundle, path) -> None:
 
 
 def load_bundle(path) -> ModelBundle:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
-    return ModelBundle.from_dict(data)
+    return ModelBundle.from_dict(load_json(path))

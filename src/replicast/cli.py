@@ -18,17 +18,17 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 from scipy import stats
 
-from .bundle import ModelBundle, fit_bundle, load_bundle, save_bundle
+from .bundle import (SCHEMA_VERSION, ModelBundle, fit_bundle, load_bundle,
+                     save_bundle)
 from .cluster import build_chain, build_rate_matrix, stationary_distribution
 from .config import (AutoscalerConfig, PredictionRequest,
-                     load_autoscaler_config, parse_trace)
+                     load_autoscaler_config, load_json, parse_trace,
+                     write_trace)
 from .errors import (ConfigMismatchError, InsufficientDataError,
                      NonErgodicError, NumericalError, ReplicastError,
                      ValidationError)
 from .output import steady_state_report
-from .simulator import SimulationConfig, emit_profiling_trace, simulate
-
-SCHEMA_VERSION = 1
+from .simulator import SimulationConfig, simulate
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -60,14 +60,6 @@ def _dump_json(payload: dict, out_path) -> str:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     return text
-
-
-def _load_json(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
 
 
 def _parallel_map(fn, items):
@@ -132,7 +124,7 @@ def cmd_predict(args) -> int:
 
 
 def _load_sweep_spec(path):
-    data = _load_json(path)
+    data = load_json(path)
     if not isinstance(data, dict):
         raise ValidationError(f"{path}: sweep spec must be a JSON object")
     unknown = sorted(set(data) - {"lambdas", "target_values", "fixed"})
@@ -211,11 +203,11 @@ def cmd_simulate(args) -> int:
     if args.seeds < 1:
         raise ValidationError(f"--seeds must be >= 1, got {args.seeds}")
     sim_cfg = SimulationConfig.from_dict(
-        _load_json(_require_flag(args.config, "--config", "simulate")))
+        load_json(_require_flag(args.config, "--config", "simulate")))
     variants = _seed_variants(sim_cfg, args.seed, args.seeds)
     reports = _parallel_map(simulate, variants)
     if args.trace_out:
-        emit_profiling_trace(reports[0], args.trace_out)
+        write_trace(reports[0].trace, args.trace_out)
     if len(reports) == 1:
         payload = {"schema_version": SCHEMA_VERSION,
                    **reports[0].to_dict(include_series=args.series)}
@@ -239,7 +231,7 @@ def cmd_compare(args) -> int:
         raise ValidationError(f"--tolerance must be a finite number >= 0, got {args.tolerance}")
     bundle = load_bundle(_require_flag(args.model, "--model", "compare"))
     sim_cfg = SimulationConfig.from_dict(
-        _load_json(_require_flag(args.sim_config, "--sim-config", "compare")))
+        load_json(_require_flag(args.sim_config, "--sim-config", "compare")))
     if args.config:
         explicit = load_autoscaler_config(args.config)
         if explicit != sim_cfg.autoscaler:

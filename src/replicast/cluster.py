@@ -15,23 +15,20 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, identity, vstack
 from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
-from ._jit import maybe_jit
 from .config import AutoscalerConfig
 from .errors import (ChainStructureWarning, NonErgodicError, NumericalError,
                      ValidationError)
 from .evaluator import order_probabilities
 from .metric_model import GaussianDist, MetricModel, observed_value_distribution
 
-# Direct dense solve up to this many states, power iteration beyond.
-_DIRECT_SOLVE_LIMIT = 400
 _TRUNCATE_BELOW = 1e-15
-_UNIFORMIZATION_TOL = 1e-12
 
 
 def _check_target(i_target: int, n_max: int) -> int:
@@ -66,68 +63,43 @@ def build_rate_matrix(i_target: int, cfg: AutoscalerConfig) -> np.ndarray:
     return q
 
 
-@maybe_jit
-def _uniformized_transient(q, j0, t, tol):
-    n = q.shape[0]
-    v = np.zeros(n)
-    v[j0] = 1.0
-    rate = 0.0
-    for k in range(n):
-        if -q[k, k] > rate:
-            rate = -q[k, k]
-    a = rate * t
-    if a <= 0.0:
-        return v
-    p_mat = np.eye(n) + q / rate
-    # Poisson(a)-weighted powers of the uniformized DTMC.  The running
-    # weight underflows to 0 for a > ~745; the steady-state break below
-    # then assigns all mass to the converged power, which is the correct
-    # limit because the chain has long since mixed at that many steps.
-    weight = math.exp(-a)
-    cum = weight
-    out = weight * v
-    k_max = int(a + 12.0 * math.sqrt(a) + 60.0)
-    for k in range(1, k_max + 1):
-        v_new = np.dot(v, p_mat)
-        diff = 0.0
-        for m in range(n):
-            diff += abs(v_new[m] - v[m])
-        v = v_new
-        weight *= a / k
-        out = out + weight * v
-        cum += weight
-        if cum >= 1.0 - tol or diff <= 1e-15:
-            break
-    # Remaining Poisson mass rides on the last (converged) power, which
-    # keeps the result a probability vector instead of dropping the tail.
-    out = out + (1.0 - cum) * v
-    return out
+def _binomial_rows(k_max: int, success: float, failure: float) -> np.ndarray:
+    """Row k holds the Binomial(k, success) pmf over 0..k, by Pascal's rule.
 
-
-def transient_distribution(q: np.ndarray, j_start: int, t: float) -> np.ndarray:
-    """Row j_start of exp(q t), by uniformization.
-
-    j_start indexes ready counts from 1.  Nonnegativity and unit sum are
-    guaranteed by construction; truncation error is below 1e-12.
+    failure is passed separately from success so that neither is formed
+    as 1 - the other, which would cancel when one of them is tiny.
     """
-    q = np.ascontiguousarray(q, dtype=np.float64)
-    if q.ndim != 2 or q.shape[0] != q.shape[1]:
-        raise ValidationError(f"rate matrix must be square, got shape {q.shape}")
-    n = q.shape[0]
-    j_start = _check_target(j_start, n)
-    if not (isinstance(t, (int, float)) and math.isfinite(t) and t >= 0):
-        raise ValidationError(f"t must be finite and >= 0, got {t!r}")
-    with np.errstate(over="ignore"):
-        return _uniformized_transient(q, j_start - 1, float(t), _UNIFORMIZATION_TOL)
+    rows = np.zeros((k_max + 1, k_max + 1), dtype=np.float64)
+    rows[0, 0] = 1.0
+    for k in range(1, k_max + 1):
+        rows[k, :k] = failure * rows[k - 1, :k]
+        rows[k, 1:k + 1] += success * rows[k - 1, :k]
+    return rows
 
 
 def vertical_transition_probs(i_target: int, cfg: AutoscalerConfig) -> np.ndarray:
-    """Matrix of P[ready j -> j'] over one evaluation period at order i_target."""
+    """Matrix of P[ready j -> j'] over one evaluation period at order i_target.
+
+    This is exp(Q t_eva) for Q = build_rate_matrix(i_target, cfg), in
+    closed form.  The rates are linear in the deficit, so every pending
+    container provisions, and every surplus container drains,
+    independently of the others.  Over one period the number that become
+    ready from j < i_target is Binomial(i_target - j, 1 - e^(-mu_pro t)),
+    and the number still draining from j > i_target is
+    Binomial(j - i_target, e^(-mu_dep t)).
+    """
     i_target = _check_target(i_target, cfg.n_max)
-    q = build_rate_matrix(i_target, cfg)
-    out = np.empty((cfg.n_max, cfg.n_max), dtype=np.float64)
-    for j in range(1, cfg.n_max + 1):
-        out[j - 1] = transient_distribution(q, j, cfg.t_eva_s)
+    n, t = cfg.n_max, cfg.t_eva_s
+    arrive = _binomial_rows(i_target - 1, -math.expm1(-cfg.mu_pro * t),
+                            math.exp(-cfg.mu_pro * t))
+    stay = _binomial_rows(n - i_target, math.exp(-cfg.mu_dep * t),
+                          -math.expm1(-cfg.mu_dep * t))
+    out = np.zeros((n, n), dtype=np.float64)
+    for j in range(1, i_target):
+        out[j - 1, j - 1:i_target] = arrive[i_target - j, :i_target - j + 1]
+    out[i_target - 1, i_target - 1] = 1.0
+    for j in range(i_target + 1, n + 1):
+        out[j - 1, i_target - 1:j] = stay[j - i_target, :j - i_target + 1]
     return out
 
 
@@ -153,15 +125,20 @@ def horizontal_transition_probs(j: int, arrival_rate: float, model: MetricModel,
 
 @dataclass(frozen=True)
 class ClusterChain:
-    """Assembled DTMC over states s(i, j) = (i-1)*n_max + (j-1)."""
+    """Assembled DTMC over states s(i, j) = (i-1)*n_max + (j-1).
+
+    The arrays are copied and frozen, except when build_chain hands over
+    arrays it has just built and owns (_owned), which are frozen in place.
+    """
 
     n_max: int
     arrival_rate: float
     transition_matrix: np.ndarray
     horizontal: np.ndarray  # [j-1, i'-1]
     vertical: np.ndarray    # [i-1, j-1, j'-1]
+    _owned: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _owned):
         n = self.n_max
         p = np.asarray(self.transition_matrix, dtype=np.float64)
         if p.shape != (n * n, n * n):
@@ -172,7 +149,9 @@ class ClusterChain:
         if row_err > 1e-10:
             raise ValidationError(f"transition matrix rows must sum to 1 (max error {row_err:.3e})")
         for name in ("transition_matrix", "horizontal", "vertical"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64).copy()
+            arr = np.asarray(getattr(self, name), dtype=np.float64)
+            if not _owned:
+                arr = arr.copy()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -213,100 +192,91 @@ def build_chain(arrival_rate: float, model: MetricModel, cfg: AutoscalerConfig) 
             p[(i - 1) * n + (j - 1)] = row
     p[p < _TRUNCATE_BELOW] = 0.0
     p /= p.sum(axis=1, keepdims=True)
-    return ClusterChain(n_max=n, arrival_rate=float(arrival_rate),
-                        transition_matrix=p, horizontal=horizontal, vertical=vertical)
+    return ClusterChain(n_max=n, arrival_rate=float(arrival_rate), transition_matrix=p,
+                        horizontal=horizontal, vertical=vertical, _owned=True)
 
 
-def _recurrence_structure(p: np.ndarray):
+def _recurrence_structure(graph: csr_matrix):
     """Strongly connected components split into recurrent and transient."""
-    n_comp, labels = connected_components(csr_matrix(p > 0.0), directed=True,
-                                          connection="strong")
+    n_comp, labels = connected_components(graph, directed=True, connection="strong")
     has_exit = np.zeros(n_comp, dtype=bool)
-    src, dst = np.nonzero(p > 0.0)
-    leaving = labels[src] != labels[dst]
-    has_exit[labels[src[leaving]]] = True
+    edges = graph.tocoo()
+    leaving = labels[edges.row] != labels[edges.col]
+    has_exit[labels[edges.row[leaving]]] = True
     recurrent = [np.flatnonzero(labels == c) for c in range(n_comp) if not has_exit[c]]
     transient = np.flatnonzero(has_exit[labels])
     return recurrent, transient
 
 
-def _power_iteration(p: np.ndarray, start: np.ndarray, max_iter: int = 500_000,
-                     tol: float = 1e-14) -> np.ndarray:
-    # The half-lazy update has the same stationary vector but cannot
-    # stall on a periodic chain.
-    v = start / start.sum()
-    for _ in range(max_iter):
-        v_new = 0.5 * (v + v @ p)
-        if float(np.max(np.abs(v_new - v))) < tol:
-            return v_new
-        v = v_new
-    return v
+def _solve_single_class(p: np.ndarray, state_name) -> tuple:
+    """Stationary vector of a checked row-stochastic p, and its transient count.
 
-
-def solve_stationary(p: np.ndarray, method: str = "auto") -> np.ndarray:
-    """Stationary row vector of a row-stochastic matrix.
-
-    Direct method: replace one equation of the balance system (p^T - I)
-    with the normalization row and solve by LU with partial pivoting.
-    Chains above _DIRECT_SOLVE_LIMIT states, or method="power", use
-    half-lazy power iteration instead.  Multiple recurrent classes make
-    the stationary vector non-unique and raise NonErgodicError; transient
-    states only warn, since they legitimately carry zero mass.
+    The transition graph is analysed once.  More than one recurrent class
+    raises NonErgodicError, listing each class through state_name;
+    transient states warn and get zero mass.  On the single recurrent
+    class R the balance system (P_RR^T - I) pi = 0, with its first
+    equation replaced by sum(pi) = 1, is solved by sparse LU.
     """
-    if method not in ("auto", "direct", "power"):
-        raise ValidationError(f"unknown method {method!r}")
-    p = np.ascontiguousarray(p, dtype=np.float64)
-    if p.ndim != 2 or p.shape[0] != p.shape[1]:
-        raise ValidationError(f"transition matrix must be square, got shape {p.shape}")
+    # Sparse form with rounding noise below zero clamped; it stays
+    # O(nonzeros) instead of copying the dense matrix.
+    graph = csr_matrix(p)
+    np.maximum(graph.data, 0.0, out=graph.data)
+    graph.eliminate_zeros()
     m = p.shape[0]
-    if np.any(p < -1e-14) or not np.all(np.isfinite(p)):
-        raise ValidationError("transition matrix entries must be finite and >= -1e-14")
-    p = np.where(p < 0.0, 0.0, p)
-    row_err = float(np.max(np.abs(p.sum(axis=1) - 1.0)))
-    if row_err > 1e-9:
-        raise ValidationError(f"rows must sum to 1 (max error {row_err:.3e})")
-
-    recurrent, transient = _recurrence_structure(p)
+    recurrent, transient = _recurrence_structure(graph)
     if len(recurrent) > 1:
-        classes = [cls.tolist() for cls in recurrent]
+        classes = [[state_name(s) for s in cls.tolist()] for cls in recurrent]
         raise NonErgodicError(
             f"chain has {len(classes)} recurrent classes {classes}; "
             "stationary distribution is not unique", recurrent_classes=classes)
     if transient.size:
         warnings.warn(
-            f"{transient.size} of {m} states are transient and receive zero "
-            "stationary mass", ChainStructureWarning, stacklevel=2)
+            f"{transient.size} of {m} chain states are transient and receive zero "
+            "stationary mass", ChainStructureWarning, stacklevel=3)
 
-    pi = None
-    if method != "power" and m <= _DIRECT_SOLVE_LIMIT:
-        a = p.T - np.eye(m)
-        a[0, :] = 1.0
-        b = np.zeros(m)
-        b[0] = 1.0
-        try:
-            candidate = np.linalg.solve(a, b)
-        except np.linalg.LinAlgError:
-            candidate = None
-        if candidate is not None and np.all(np.isfinite(candidate)):
-            pi = candidate
-    if pi is None:
-        pi = _power_iteration(p, np.full(m, 1.0 / m))
-
-    pi = np.where(pi < 0.0, 0.0, pi)
+    states = recurrent[0]
+    r = states.size
+    balance = graph[states][:, states].T - identity(r, format="csr")
+    a = vstack([np.ones((1, r)), balance[1:]], format="csc")
+    b = np.zeros(r)
+    b[0] = 1.0
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", MatrixRankWarning)
+            x = spsolve(a, b)
+    except MatrixRankWarning as exc:
+        raise NumericalError(f"stationary solve failed on the {r}-state recurrent class: "
+                             f"{exc}") from exc
+    pi = np.zeros(m)
+    pi[states] = np.where(x < 0.0, 0.0, x)
     total = float(pi.sum())
     if not math.isfinite(total) or total <= 0:
         raise NumericalError("stationary solve produced a degenerate vector")
     pi /= total
-    residual = float(np.max(np.abs(pi @ p - pi)))
-    if residual > 1e-10:
-        # One refinement pass; direct solves very rarely need it.
-        pi = _power_iteration(p, pi)
-        pi = np.where(pi < 0.0, 0.0, pi)
-        pi /= pi.sum()
-        residual = float(np.max(np.abs(pi @ p - pi)))
-        if residual > 1e-10:
-            raise NumericalError(
-                f"stationary residual {residual:.3e} exceeds 1e-10 after refinement")
+    residual = float(np.max(np.abs(graph.T @ pi - pi)))
+    if not residual <= 1e-10:
+        raise NumericalError(f"stationary residual {residual:.3e} exceeds 1e-10")
+    return pi, int(transient.size)
+
+
+def solve_stationary(p: np.ndarray) -> np.ndarray:
+    """Stationary row vector of a row-stochastic matrix.
+
+    Entries down to -1e-14 are taken as rounding noise and read as zero.
+    Multiple recurrent classes make the stationary vector non-unique and
+    raise NonErgodicError; transient states only warn, since they
+    legitimately carry zero mass.  A singular, degenerate or inaccurate
+    solve (residual above 1e-10) raises NumericalError.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    if p.ndim != 2 or p.shape[0] != p.shape[1]:
+        raise ValidationError(f"transition matrix must be square, got shape {p.shape}")
+    if np.any(p < -1e-14) or not np.all(np.isfinite(p)):
+        raise ValidationError("transition matrix entries must be finite and >= -1e-14")
+    row_err = float(np.max(np.abs(p.sum(axis=1) - 1.0)))
+    if row_err > 1e-9:
+        raise ValidationError(f"rows must sum to 1 (max error {row_err:.3e})")
+    pi, _ = _solve_single_class(p, int)
     return pi
 
 
@@ -325,22 +295,8 @@ class StationaryDistribution:
             object.__setattr__(self, name, arr)
 
 
-def stationary_distribution(chain: ClusterChain, method: str = "auto") -> StationaryDistribution:
-    p = chain.transition_matrix
-    recurrent, transient = _recurrence_structure(p)
-    if len(recurrent) > 1:
-        named = [[chain.state_of(s) for s in cls.tolist()] for cls in recurrent]
-        raise NonErgodicError(
-            f"chain has {len(named)} recurrent classes over (order, ready) states: "
-            f"{named}", recurrent_classes=named)
-    with warnings.catch_warnings():
-        # solve_stationary re-detects structure; one warning here is enough.
-        warnings.simplefilter("ignore", ChainStructureWarning)
-        pi = solve_stationary(p, method=method)
-    if transient.size:
-        warnings.warn(
-            f"{transient.size} of {chain.n_states} chain states are transient "
-            "and receive zero stationary mass", ChainStructureWarning, stacklevel=2)
+def stationary_distribution(chain: ClusterChain) -> StationaryDistribution:
+    """Solve the chain; non-unique answers name their (order, ready) states."""
+    pi, n_transient = _solve_single_class(chain.transition_matrix, chain.state_of)
     marginal = pi.reshape(chain.n_max, chain.n_max).sum(axis=0)
-    return StationaryDistribution(pi=pi, marginal_ready=marginal,
-                                  n_transient=int(transient.size))
+    return StationaryDistribution(pi=pi, marginal_ready=marginal, n_transient=n_transient)

@@ -107,14 +107,18 @@ class AutoscalerConfig:
         return cls(**data)
 
 
-def load_autoscaler_config(path) -> AutoscalerConfig:
-    """Read an AutoscalerConfig from a JSON file."""
+def load_json(path):
+    """Parse a JSON file; malformed JSON is a ValidationError naming the path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
-    return AutoscalerConfig.from_dict(data)
+
+
+def load_autoscaler_config(path) -> AutoscalerConfig:
+    """Read an AutoscalerConfig from a JSON file."""
+    return AutoscalerConfig.from_dict(load_json(path))
 
 
 def save_autoscaler_config(cfg: AutoscalerConfig, path) -> None:

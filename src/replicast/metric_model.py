@@ -187,11 +187,9 @@ def fit_polynomial_terms(design: np.ndarray, y: np.ndarray, n_forced: int) -> np
     return coef_out
 
 
-def _fit_quadratic_through_origin(rates: np.ndarray, y: np.ndarray, rho_max: float):
-    u = rates / rho_max
-    design = np.column_stack([u, u * u])
-    coef = fit_polynomial_terms(design, y, n_forced=1)
-    residuals = y - design @ coef
+def fit_quality(y: np.ndarray, fitted: np.ndarray) -> tuple:
+    """(mse, r2) of a fit.  With constant y, r2 is 1 for an exact fit, else 0."""
+    residuals = y - fitted
     mse = float(np.mean(residuals ** 2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     ss_res = float(np.sum(residuals ** 2))
@@ -199,6 +197,14 @@ def _fit_quadratic_through_origin(rates: np.ndarray, y: np.ndarray, rho_max: flo
         r2 = 1.0 - ss_res / ss_tot
     else:
         r2 = 1.0 if ss_res <= 1e-12 * max(1.0, float(np.sum(y ** 2))) else 0.0
+    return mse, r2
+
+
+def _fit_quadratic_through_origin(rates: np.ndarray, y: np.ndarray, rho_max: float):
+    u = rates / rho_max
+    design = np.column_stack([u, u * u])
+    coef = fit_polynomial_terms(design, y, n_forced=1)
+    mse, r2 = fit_quality(y, design @ coef)
     return coef[0] / rho_max, coef[1] / (rho_max * rho_max), mse, r2
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from .config import AutoscalerConfig, ProfilingTrace
 from .cluster import ClusterChain, StationaryDistribution
 from .errors import FitRejectedError, InsufficientDataError, ValidationError
-from .metric_model import (MetricModel, fit_polynomial_terms,
+from .metric_model import (MetricModel, fit_polynomial_terms, fit_quality,
                            mean_of_positive_part, observed_value_distribution)
 
 
@@ -91,14 +91,7 @@ def fit_rtf(trace: ProfilingTrace) -> ResponseTimeFunction:
     u = rates / rho_max
     design = np.column_stack([np.ones_like(u), u, u * u])
     coef = fit_polynomial_terms(design, y, n_forced=1)
-    residuals = y - design @ coef
-    mse = float(np.mean(residuals ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    ss_res = float(np.sum(residuals ** 2))
-    if ss_tot > 0:
-        r2 = 1.0 - ss_res / ss_tot
-    else:
-        r2 = 1.0 if ss_res <= 1e-12 * max(1.0, float(np.sum(y ** 2))) else 0.0
+    mse, r2 = fit_quality(y, design @ coef)
     c0 = float(coef[0])
     c1 = float(coef[1]) / rho_max
     c2 = float(coef[2]) / (rho_max * rho_max)

@@ -15,7 +15,7 @@ import numpy as np
 from . import _kernels
 from ._rng import make_streams
 from .config import (METRIC_CONCURRENCY, METRIC_KINDS, AutoscalerConfig,
-                     ProfilingTrace, trace_from_arrays, write_trace)
+                     ProfilingTrace, trace_from_arrays)
 from .errors import ValidationError
 
 WORKLOAD_INFINITE_SERVER = "infinite_server"
@@ -267,11 +267,6 @@ def simulate(sim_cfg: SimulationConfig) -> SimulationReport:
         carried=carried,
         trace=trace,
     )
-
-
-def emit_profiling_trace(report: SimulationReport, path) -> None:
-    """Write the report's post-warmup per-second rows as a trace CSV."""
-    write_trace(report.trace, path)
 
 
 def profile_trace(workload: WorkloadModel, arrival_rates, metric_kind: str = METRIC_CONCURRENCY,

@@ -2,8 +2,8 @@
 
 Everything here deliberately avoids the code paths under test:
 the matrix exponential is Taylor series with repeated squaring (the
-package uses uniformization), the stationary oracle is plain power
-iteration (the package solves a linear system), the order-probability
+package uses the closed-form binomial law), the stationary oracle is
+plain power iteration (the package solves a linear system), the order-probability
 oracle is Monte Carlo, and the positive-part expectation is adaptive
 quadrature (the package uses the closed form).
 """
@@ -61,18 +61,6 @@ def quad_positive_mean(mean: float, std: float) -> float:
 
     val, _ = quad(integrand, 0.0, np.inf, epsabs=1e-12, epsrel=1e-12)
     return val
-
-
-def random_birth_death_generator(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Random tridiagonal generator matrix with zero row sums."""
-    q = np.zeros((n, n))
-    for j in range(n):
-        if j + 1 < n:
-            q[j, j + 1] = rng.uniform(0.05, 3.0)
-        if j - 1 >= 0:
-            q[j, j - 1] = rng.uniform(0.05, 3.0)
-        q[j, j] = -q[j].sum()
-    return q
 
 
 def random_stochastic_matrix(rng: np.random.Generator, n: int) -> np.ndarray:

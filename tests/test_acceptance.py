@@ -17,8 +17,7 @@ import pytest
 import replicast as rc
 from replicast import cli
 from conftest import REF_MEAN_SERVICE_S
-from oracles import power_iteration_pi, random_birth_death_generator, \
-    random_stochastic_matrix, taylor_expm
+from oracles import power_iteration_pi, random_stochastic_matrix, taylor_expm
 
 GRID_LAMBDAS = (5.0, 20.0, 50.0)
 GRID_TARGETS = (2.0, 5.0, 10.0)
@@ -67,23 +66,25 @@ def grid_compare(ref_bundle, ref_workload, tmp_path_factory):
 
 
 def test_criterion_1_transient_solver_oracle(criterion):
-    # closed form within 1e-8, and random birth-death generators up to
-    # 20 states against a scaling-and-squaring Taylor exponential; < 1 s
+    # closed form within 1e-8, and the vertical matrices of random
+    # lifecycles up to 20 states against a scaling-and-squaring Taylor
+    # exponential of their rate matrices; < 1 s
     t0 = time.perf_counter()
-    q2 = rc.build_rate_matrix(2, rc.AutoscalerConfig(metric_kind="cc",
-                                                     target_value=1.0, n_max=2))
-    got2 = rc.transient_distribution(q2, 1, 2.0)
+    cfg2 = rc.AutoscalerConfig(metric_kind="cc", target_value=1.0, n_max=2)
+    got2 = rc.vertical_transition_probs(2, cfg2)[0]
     closed = np.array([math.exp(-2.0), 1.0 - math.exp(-2.0)])
     worst = float(np.max(np.abs(got2 - closed)))
 
     rng = np.random.default_rng(2026)
     for _ in range(8):
         n = int(rng.integers(2, 21))
-        q = random_birth_death_generator(rng, n)
-        j = int(rng.integers(1, n + 1))
+        i = int(rng.integers(1, n + 1))
+        mu_pro, mu_dep = (float(x) for x in rng.uniform(0.05, 3.0, size=2))
         for t in (0.5, 3.0, 12.0):
-            got = rc.transient_distribution(q, j, t)
-            want = taylor_expm(q, t)[j - 1]
+            cfg = rc.AutoscalerConfig(metric_kind="cc", target_value=1.0, n_max=n,
+                                      mu_pro=mu_pro, mu_dep=mu_dep, t_eva_s=t)
+            got = rc.vertical_transition_probs(i, cfg)
+            want = taylor_expm(rc.build_rate_matrix(i, cfg), t)
             worst = max(worst, float(np.max(np.abs(got - want))))
     elapsed = time.perf_counter() - t0
 

@@ -1,19 +1,15 @@
-"""Replica-state chain: rate matrices, transients, assembly, stationary solve."""
+"""Replica-state chain: rate matrices, vertical moves, assembly, stationary solve."""
 
 import math
 import warnings
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import MatrixRankWarning
 from scipy.stats import norm
 
 import replicast as rc
-from oracles import (
-    power_iteration_pi,
-    random_birth_death_generator,
-    random_stochastic_matrix,
-    taylor_expm,
-)
+from oracles import power_iteration_pi, random_stochastic_matrix, taylor_expm
 
 
 def make_cfg(n_max=3, target_value=1.0, **overrides):
@@ -65,56 +61,61 @@ class TestRateMatrix:
             rc.build_rate_matrix(0, make_cfg(n_max=3))
 
 
+# (n_max, mu_pro, mu_dep, t_eva_s): defaults, slow and fast lifecycles,
+# and mu * t in the hundreds, where every row absorbs at the target
+VERTICAL_SETTINGS = [
+    (40, 1.0, 2.0, 2.0),
+    (40, 0.05, 0.1, 0.7),
+    (25, 3.0, 0.4, 11.0),
+    (33, 0.6, 5.0, 0.3),
+    (12, 50.0, 80.0, 10.0),
+    (40, 30.0, 30.0, 9.0),
+]
+
+
 class TestTransientDistribution:
+    """The vertical matrix is the provisioning process's law over one
+    evaluation period, exp(Q t_eva), computed in closed form."""
+
     def test_zero_time_is_identity(self):
-        q = rc.build_rate_matrix(3, make_cfg(n_max=4))
-        for j in range(1, 5):
-            v = rc.transient_distribution(q, j, 0.0)
-            expected = np.zeros(4)
-            expected[j - 1] = 1.0
-            assert np.array_equal(v, expected)
+        # t_eva_s must be > 0; as it shrinks the matrix tends to the identity
+        cfg = make_cfg(n_max=4, t_eva_s=1e-14)
+        for i in range(1, 5):
+            v = rc.vertical_transition_probs(i, cfg)
+            assert np.allclose(v, np.eye(4), rtol=0.0, atol=1e-12)
 
     def test_two_state_closed_form(self):
-        q = rc.build_rate_matrix(2, make_cfg(n_max=2))
-        v = rc.transient_distribution(q, 1, 2.0)
-        assert v[0] == pytest.approx(math.exp(-2.0), abs=1e-8)
-        assert v[1] == pytest.approx(1.0 - math.exp(-2.0), abs=1e-8)
+        # the surplus container drains at mu_dep = 2 over t = 1
+        v = rc.vertical_transition_probs(1, make_cfg(n_max=2, t_eva_s=1.0))
+        assert v[1, 0] == pytest.approx(1.0 - math.exp(-2.0), abs=1e-8)
+        assert v[1, 1] == pytest.approx(math.exp(-2.0), abs=1e-8)
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_matches_taylor_expm(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 21))
-        q = random_birth_death_generator(rng, n)
-        j = int(rng.integers(1, n + 1))
-        for t in (0.3, 2.0, 11.0):
-            got = rc.transient_distribution(q, j, t)
-            want = taylor_expm(q, t)[j - 1]
-            assert np.allclose(got, want, atol=1e-8)
+    @pytest.mark.parametrize("setting", range(len(VERTICAL_SETTINGS)))
+    def test_matches_taylor_expm(self, setting):
+        n_max, mu_pro, mu_dep, t_eva_s = VERTICAL_SETTINGS[setting]
+        cfg = make_cfg(n_max=n_max, mu_pro=mu_pro, mu_dep=mu_dep, t_eva_s=t_eva_s)
+        for i in range(1, n_max + 1):
+            got = rc.vertical_transition_probs(i, cfg)
+            want = taylor_expm(rc.build_rate_matrix(i, cfg), t_eva_s)
+            assert np.allclose(got, want, rtol=0.0, atol=1e-8)
 
     def test_conserves_probability_at_extreme_horizons(self):
-        cfg = make_cfg(n_max=5)
-        q = rc.build_rate_matrix(4, cfg)
-        for t in (1.0, 1e3, 1e6 * cfg.t_eva_s):
-            v = rc.transient_distribution(q, 1, t)
-            assert np.all(v >= 0.0)
-            assert abs(v.sum() - 1.0) <= 1e-10
+        for t in (1.0, 1e3, 1e6):
+            cfg = make_cfg(n_max=5, t_eva_s=t)
+            for i in range(1, 6):
+                v = rc.vertical_transition_probs(i, cfg)
+                assert np.all(v >= 0.0)
+                assert np.max(np.abs(v.sum(axis=1) - 1.0)) <= 1e-10
 
     def test_absorbs_at_target_for_large_t(self):
-        q = rc.build_rate_matrix(4, make_cfg(n_max=5))
-        v = rc.transient_distribution(q, 1, 1e6)
-        assert v[3] == pytest.approx(1.0, abs=1e-9)
+        v = rc.vertical_transition_probs(4, make_cfg(n_max=5, t_eva_s=1e6))
+        assert np.allclose(v[:, 3], 1.0, rtol=0.0, atol=1e-9)
 
     def test_invalid_start_rejected(self):
-        q = rc.build_rate_matrix(2, make_cfg(n_max=3))
-        with pytest.raises(rc.ValidationError):
-            rc.transient_distribution(q, 0, 1.0)
-        with pytest.raises(rc.ValidationError):
-            rc.transient_distribution(q, 4, 1.0)
-
-    def test_negative_time_rejected(self):
-        q = rc.build_rate_matrix(2, make_cfg(n_max=3))
-        with pytest.raises(rc.ValidationError):
-            rc.transient_distribution(q, 1, -0.5)
+        cfg = make_cfg(n_max=3)
+        for bad in (0, 4, -1, 2.0, True):
+            with pytest.raises(rc.ValidationError):
+                rc.vertical_transition_probs(bad, cfg)
 
 
 class TestVerticalProbs:
@@ -230,6 +231,21 @@ class TestChainAssembly:
                         expected[s, sp] = h[j][ip - 1] * v[i][j - 1, jp - 1]
         assert np.allclose(chain.transition_matrix, expected, atol=1e-10)
 
+    def test_caller_arrays_are_copied_and_frozen(self):
+        p = np.full((4, 4), 0.25)
+        h = np.full((2, 2), 0.5)
+        v = np.full((2, 2, 2), 0.5)
+        chain = rc.ClusterChain(n_max=2, arrival_rate=1.0, transition_matrix=p,
+                                horizontal=h, vertical=v)
+        p[0] = [1.0, 0.0, 0.0, 0.0]
+        h[0, 0] = v[0, 0, 0] = 0.0
+        assert np.all(chain.transition_matrix == 0.25)
+        assert np.all(chain.horizontal == 0.5) and np.all(chain.vertical == 0.5)
+        built = rc.build_chain(5.0, make_mm(), make_cfg(n_max=2))
+        for arr in (chain.transition_matrix, chain.horizontal, chain.vertical,
+                    built.transition_matrix, built.horizontal, built.vertical):
+            assert not arr.flags.writeable
+
     def test_factorization_invariant(self):
         cfg = make_cfg(n_max=5, target_value=2.0)
         chain = rc.build_chain(18.0, make_mm(0.2, 0.001, 0.1, 0.02), cfg)
@@ -268,12 +284,23 @@ class TestStationarySolve:
         want = power_iteration_pi(p, steps=100_000)
         assert np.allclose(pi, want, atol=1e-9)
 
-    def test_power_method_agrees_with_direct(self):
-        rng = np.random.default_rng(5)
-        p = random_stochastic_matrix(rng, 12)
-        direct = rc.solve_stationary(p, method="direct")
-        power = rc.solve_stationary(p, method="power")
-        assert np.allclose(direct, power, atol=1e-10)
+    def test_structure_analysed_once(self, monkeypatch):
+        calls = []
+        original = rc.cluster._recurrence_structure
+
+        def counting(graph):
+            calls.append(graph.shape)
+            return original(graph)
+
+        monkeypatch.setattr(rc.cluster, "_recurrence_structure", counting)
+        # the eight-transient-state chain of the test below
+        chain = rc.build_chain(15.0, make_mm(0.2), make_cfg(n_max=3, target_value=1.9))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc.stationary_distribution(chain)
+        assert calls == [(9, 9)]
+        structure = [w for w in caught if issubclass(w.category, rc.ChainStructureWarning)]
+        assert len(structure) == 1
 
     def test_pi_reproduced_by_matrix_powers(self):
         cfg = make_cfg(n_max=4, target_value=2.0)
@@ -335,6 +362,22 @@ class TestStationarySolve:
             st = rc.stationary_distribution(chain)
         grid = st.pi.reshape(3, 3)
         assert np.allclose(st.marginal_ready, grid.sum(axis=0), atol=1e-15)
+
+    def test_inaccurate_solve_raises_without_retry(self, monkeypatch):
+        p = random_stochastic_matrix(np.random.default_rng(3), 6)
+        monkeypatch.setattr(rc.cluster, "spsolve", lambda a, b: np.ones(b.size))
+        with pytest.raises(rc.NumericalError, match="residual"):
+            rc.solve_stationary(p)
+
+    def test_singular_solve_raises(self, monkeypatch):
+        def singular(a, b):
+            warnings.warn("Matrix is exactly singular", MatrixRankWarning)
+            return np.full(b.size, np.nan)
+
+        monkeypatch.setattr(rc.cluster, "spsolve", singular)
+        p = random_stochastic_matrix(np.random.default_rng(3), 6)
+        with pytest.raises(rc.NumericalError, match="singular"):
+            rc.solve_stationary(p)
 
     def test_rejects_non_stochastic_matrix(self):
         with pytest.raises(rc.ValidationError):

@@ -202,7 +202,7 @@ class TestTraceEmission:
         rep = run(is_exp(0.2), arrival_rate=20.0, duration_s=600.0,
                   warmup_s=300.0, cfg=cfg, seed=43)
         path = tmp_path / "trace.csv"
-        rc.emit_profiling_trace(rep, path)
+        rc.write_trace(rep.trace, path)
         trace = rc.parse_trace(path)
         assert len(trace.rows) == 300
         assert np.allclose(trace.rates, rep.trace.rates)
