@@ -14,9 +14,9 @@ from .cluster import (ClusterChain, StationaryDistribution, build_chain,
                       solve_stationary, stationary_distribution,
                       vertical_transition_probs)
 from .config import (METRIC_CONCURRENCY, METRIC_KINDS, METRIC_RPS,
-                     AutoscalerConfig, PredictionRequest, ProfilingTrace,
-                     TraceRow, load_autoscaler_config, parse_trace,
-                     save_autoscaler_config, trace_from_arrays, write_trace)
+                     AutoscalerConfig, ProfilingTrace, load_autoscaler_config,
+                     parse_trace, save_autoscaler_config, trace_from_arrays,
+                     write_trace)
 from .errors import (ChainStructureWarning, ConfigMismatchError,
                      FitRejectedError, InsufficientDataError, NonErgodicError,
                      NumericalError, ReplicastError, TraceParseError,
@@ -40,7 +40,7 @@ __all__ = [
     "build_rate_matrix", "horizontal_transition_probs", "solve_stationary",
     "stationary_distribution", "vertical_transition_probs",
     "METRIC_CONCURRENCY", "METRIC_KINDS", "METRIC_RPS",
-    "AutoscalerConfig", "PredictionRequest", "ProfilingTrace", "TraceRow",
+    "AutoscalerConfig", "ProfilingTrace",
     "load_autoscaler_config", "parse_trace", "save_autoscaler_config",
     "trace_from_arrays", "write_trace",
     "ChainStructureWarning", "ConfigMismatchError", "FitRejectedError",

@@ -1,12 +1,13 @@
-"""Backend selection for the hot kernels.
+"""Backend selection for the simulator's event loop.
 
-Kernels (the event loop in ``_kernels`` and the random streams in
-``_rng``) are compiled with numba when it is installed (the ``jit`` extra);
-without it they run as plain Python.  Setting the environment
-variable ``REPLICAST_DISABLE_JIT=1`` before import selects a pure-Python
-fallback that runs the identical source, so results are bit-for-bit the
-same on both paths, just slower.  ``fastmath`` stays off on purpose: the
-two backends must agree exactly.
+The event loop in ``_kernels`` is compiled with numba when it is
+installed (the ``jit`` extra); without it, or with the environment
+variable ``REPLICAST_DISABLE_JIT=1`` set before import, the identical
+source runs as plain Python.  The kernel sticks to numba's nopython
+subset (numpy Generator arguments, lists, tuples and ``heapq``) so that
+it can compile, but the compiled path is untested: the suite has only
+run without numba.  ``fastmath`` stays off so that a compiled kernel
+does the same floating-point operations.
 """
 
 from __future__ import annotations

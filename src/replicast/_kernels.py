@@ -1,22 +1,27 @@
 """Event loop of the discrete-event simulator.
 
-Everything here is plain scalars and preallocated numpy arrays so the
-same source compiles under numba and runs unmodified in pure Python
-(REPLICAST_DISABLE_JIT=1).  No Python objects, no dicts, no closures.
+The loop keeps its state in Python lists and a ``heapq`` of pending
+completions, all made inside the kernel, and draws its random numbers
+in fixed-size float64 blocks from three numpy Generators: arrivals,
+service and provisioning.  A block draw yields the same values as the
+same number of scalar draws, so the block size only bounds memory.  The
+source stays inside numba's nopython subset (Generator arguments, lists
+of scalars and tuples, ``heapq``), so it compiles when numba is
+installed; otherwise it runs as plain Python.
 
 Event kinds at equal timestamps fire in the fixed priority
 departure < monitor < evaluation < provisioning < arrival, which makes
-runs bit-reproducible for a given seed on either backend.
+runs bit-reproducible for a given seed.
 """
 
 from __future__ import annotations
 
 import math
+from heapq import heappop, heappush
 
 import numpy as np
 
 from ._jit import maybe_jit
-from ._rng import draw_exponential, uniform01
 
 # Workload encodings for the kernel.
 WL_INFINITE_EXP = 0
@@ -27,102 +32,59 @@ WL_SHARING_EXP = 2
 MT_CONCURRENCY = 0
 MT_RPS = 1
 
+# Random numbers drawn per Generator call.
+_BLOCK = 4096
+
 _INF = math.inf
-
-
-@maybe_jit
-def _heap_push(h_time, h_slot, h_arr, h_n, t, slot, arr):
-    i = h_n
-    h_time[i] = t
-    h_slot[i] = slot
-    h_arr[i] = arr
-    while i > 0:
-        parent = (i - 1) // 2
-        if h_time[parent] <= h_time[i]:
-            break
-        h_time[parent], h_time[i] = h_time[i], h_time[parent]
-        h_slot[parent], h_slot[i] = h_slot[i], h_slot[parent]
-        h_arr[parent], h_arr[i] = h_arr[i], h_arr[parent]
-        i = parent
-    return h_n + 1
-
-
-@maybe_jit
-def _heap_pop(h_time, h_slot, h_arr, h_n):
-    t0 = h_time[0]
-    s0 = h_slot[0]
-    a0 = h_arr[0]
-    n = h_n - 1
-    h_time[0] = h_time[n]
-    h_slot[0] = h_slot[n]
-    h_arr[0] = h_arr[n]
-    i = 0
-    while True:
-        left = 2 * i + 1
-        right = left + 1
-        smallest = i
-        if left < n and h_time[left] < h_time[smallest]:
-            smallest = left
-        if right < n and h_time[right] < h_time[smallest]:
-            smallest = right
-        if smallest == i:
-            break
-        h_time[smallest], h_time[i] = h_time[i], h_time[smallest]
-        h_slot[smallest], h_slot[i] = h_slot[i], h_slot[smallest]
-        h_arr[smallest], h_arr[i] = h_arr[i], h_arr[smallest]
-        i = smallest
-    return t0, s0, a0, n
 
 
 @maybe_jit
 def run_simulation(metric_kind, tv, n_max, t_eva, window_len, mu_pro, mu_dep,
                    wl_kind, wl_mean, lam, duration, warmup, init_replicas,
-                   streams):
-    arr_rng = streams[0]
-    svc_rng = streams[1]
-    prov_rng = streams[2]
+                   arr_rng, svc_rng, prov_rng):
+    sharing = wl_kind == WL_SHARING_EXP
+
+    # Random blocks: a stream refills when its index reaches _BLOCK, so
+    # the service and provisioning streams draw nothing until first used.
+    arr_exp = arr_rng.standard_exponential(_BLOCK)
+    svc_exp = np.empty(0, dtype=np.float64)
+    svc_i = _BLOCK
+    svc_uni = np.empty(0, dtype=np.float64)
+    svc_u = _BLOCK
+    prov_exp = np.empty(0, dtype=np.float64)
+    prov_i = _BLOCK
 
     # Container slots.  state: 0 free, 1 ready, 2 draining.  A slot's
     # index doubles as the container id for dispatch tie-breaks; birth
-    # order decides which container a scale-down removes.
-    cap = n_max + 8
-    state = np.zeros(cap, dtype=np.uint8)
-    conc = np.zeros(cap, dtype=np.int64)
-    arr_count = np.zeros(cap, dtype=np.int64)
-    birth = np.full(cap, -1, dtype=np.int64)
-
-    # Per-slot arrival times of in-flight jobs (processor sharing only).
-    ps_cols = 8
-    ps_times = np.zeros((cap, ps_cols), dtype=np.float64)
+    # order decides which container a scale-down removes.  A provisioned
+    # container takes the lowest free slot, or a new one at the end.
+    state = [1] * init_replicas
+    conc = [0] * init_replicas
+    arr_count = [0] * init_replicas
+    birth = list(range(init_replicas))
+    # Arrival times of each slot's in-flight jobs (processor sharing only).
+    # ``[x] * 0`` is an empty list whose element type numba can infer.
+    ps_times = [[0.0] * 0 for _ in range(init_replicas)]
     busy = 0
-
-    # Pending completions (infinite server only), a manual binary heap.
-    heap_cap = 1024
-    h_time = np.zeros(heap_cap, dtype=np.float64)
-    h_slot = np.zeros(heap_cap, dtype=np.int64)
-    h_arr = np.zeros(heap_cap, dtype=np.float64)
-    h_n = 0
-
-    for k in range(init_replicas):
-        state[k] = 1
-        birth[k] = k
     birth_seq = init_replicas
     j_ready = init_replicas
     order = init_replicas
 
+    # Pending completions (infinite server only): (time, slot, arrival
+    # time).  The sentinel never fires, so heap[0] always exists.
+    heap = [(_INF, -1, 0.0)]
+
     # Stable window of per-second samples of the aggregate metric over
     # ready containers (in-flight sum for cc, arrival count for rps).
-    wbuf = np.zeros(window_len, dtype=np.float64)
+    wbuf = [0.0] * window_len
     w_count = 0
     w_idx = 0
     ov = 0.0
 
-    n_tick_cap = int(duration) + 1
-    tick_ready = np.zeros(n_tick_cap, dtype=np.int64)
-    tick_ov = np.zeros(n_tick_cap, dtype=np.float64)
-    tick_rt = np.zeros(n_tick_cap, dtype=np.float64)
-    tick_carried = np.zeros(n_tick_cap, dtype=np.uint8)
-    n_ticks = 0
+    tick_ready = [0] * 0
+    tick_ov = [0.0] * 0
+    tick_rt = [0.0] * 0
+    tick_carried = [0] * 0
 
     arrivals = 0
     completions = 0
@@ -134,50 +96,56 @@ def run_simulation(metric_kind, tv, n_max, t_eva, window_len, mu_pro, mu_dep,
     area_replica = 0.0
     j_since = 0.0
 
-    t_arrival = draw_exponential(arr_rng, lam)
+    t_arrival = float(arr_exp[0]) / lam
+    arr_i = 1
     t_monitor = 1.0
     t_eval = t_eva
     t_prov = _INF
     t_ps_dep = _INF
+    # Earliest of the three control events, kept current by the branch
+    # that moves any of them.
+    t_ctrl = min(t_monitor, t_eval)
 
     while True:
-        if wl_kind == WL_SHARING_EXP:
+        if sharing:
             t_dep = t_ps_dep
-        elif h_n > 0:
-            t_dep = h_time[0]
         else:
-            t_dep = _INF
-        t_next = min(t_dep, t_monitor, t_eval, t_prov, t_arrival)
-        if t_next > duration:
-            break
+            t_dep = heap[0][0]
 
-        if t_dep <= t_next:
+        if t_dep <= t_ctrl and t_dep <= t_arrival:
             # --- departure ---
             t = t_dep
-            if wl_kind == WL_SHARING_EXP:
+            if t > duration:
+                break
+            if sharing:
                 # Pick the departing container uniformly among busy ones,
                 # then the finishing job uniformly within it: exponential
                 # demands make every busy container equally likely to
                 # produce the next departure regardless of its job count.
-                u = uniform01(svc_rng)
-                pick = int(u * busy)
+                if svc_u + 2 > _BLOCK:
+                    svc_uni = svc_rng.random(_BLOCK)
+                    svc_u = 0
+                pick = int(float(svc_uni[svc_u]) * busy)
+                idx_u = float(svc_uni[svc_u + 1])
+                svc_u += 2
                 if pick >= busy:
                     pick = busy - 1
                 slot = -1
                 seen = 0
-                for k in range(cap):
+                for k in range(len(conc)):
                     if conc[k] > 0:
                         if seen == pick:
                             slot = k
                             break
                         seen += 1
+                jobs = ps_times[slot]
                 c = conc[slot]
-                u2 = uniform01(svc_rng)
-                idx = int(u2 * c)
+                idx = int(idx_u * c)
                 if idx >= c:
                     idx = c - 1
-                rt = t - ps_times[slot, idx]
-                ps_times[slot, idx] = ps_times[slot, c - 1]
+                rt = t - jobs[idx]
+                jobs[idx] = jobs[c - 1]
+                jobs.pop()
                 conc[slot] = c - 1
                 if c == 1:
                     busy -= 1
@@ -186,14 +154,20 @@ def run_simulation(metric_kind, tv, n_max, t_eva, window_len, mu_pro, mu_dep,
                         birth[slot] = -1
                         arr_count[slot] = 0
                 if busy > 0:
-                    t_ps_dep = t + draw_exponential(svc_rng, busy / wl_mean)
+                    if svc_i == _BLOCK:
+                        svc_exp = svc_rng.standard_exponential(_BLOCK)
+                        svc_i = 0
+                    t_ps_dep = t + float(svc_exp[svc_i]) * wl_mean / busy
+                    svc_i += 1
                 else:
                     t_ps_dep = _INF
             else:
-                t0, slot, arr_t, h_n = _heap_pop(h_time, h_slot, h_arr, h_n)
-                rt = t0 - arr_t
-                conc[slot] -= 1
-                if conc[slot] == 0 and state[slot] == 2:
+                done = heappop(heap)
+                slot = done[1]
+                rt = t - done[2]
+                c = conc[slot] - 1
+                conc[slot] = c
+                if c == 0 and state[slot] == 2:
                     state[slot] = 0
                     birth[slot] = -1
                     arr_count[slot] = 0
@@ -204,172 +178,162 @@ def run_simulation(metric_kind, tv, n_max, t_eva, window_len, mu_pro, mu_dep,
                 rt_sum_pw += rt
                 completions_pw += 1
 
-        elif t_monitor <= t_next:
-            # --- per-second monitor ---
-            sample = 0.0
-            for k in range(cap):
-                if state[k] == 1:
-                    if metric_kind == MT_RPS:
-                        sample += arr_count[k]
+        elif t_ctrl <= t_arrival:
+            if t_ctrl > duration:
+                break
+            t_from = -1.0
+            if t_monitor <= t_ctrl:
+                # --- per-second monitor ---
+                sample = 0.0
+                for k in range(len(state)):
+                    if state[k] == 1:
+                        if metric_kind == MT_RPS:
+                            sample += arr_count[k]
+                        else:
+                            sample += conc[k]
+                    arr_count[k] = 0
+                wbuf[w_idx] = sample
+                if w_count < window_len:
+                    w_count += 1
+                w_idx += 1
+                if w_idx == window_len:
+                    w_idx = 0
+                # Full re-sum: 60 adds per simulated second buys exactness.
+                w_sum = 0.0
+                for k in range(w_count):
+                    w_sum += wbuf[k]
+                ov = w_sum / w_count
+
+                tick_ready.append(j_ready)
+                # Reported per container: the aggregate window over the
+                # current ready count.
+                tick_ov.append(ov / j_ready)
+                if n_sec > 0:
+                    last_rt = rt_sum_sec / n_sec
+                    tick_carried.append(0)
+                else:
+                    tick_carried.append(1)
+                tick_rt.append(last_rt)
+                rt_sum_sec = 0.0
+                n_sec = 0
+                t_monitor += 1.0
+
+            elif t_eval <= t_ctrl:
+                # --- scale evaluator ---
+                # Knative's KPA: the aggregate windowed metric over the
+                # per-container target, clamped to [1, n_max].
+                desired = int(math.ceil(ov / tv))
+                if desired < 1:
+                    desired = 1
+                if desired > n_max:
+                    desired = n_max
+                if desired != order:
+                    order = desired
+                    t_from = t_eval
+                t_eval += t_eva
+
+            else:
+                # --- provisioning engine: one container becomes ready or leaves ---
+                t = t_prov
+                if t > warmup:
+                    lo = j_since if j_since > warmup else warmup
+                    area_replica += j_ready * (t - lo)
+                j_since = t
+                if j_ready < order:
+                    slot = -1
+                    for k in range(len(state)):
+                        if state[k] == 0:
+                            slot = k
+                            break
+                    if slot == -1:
+                        slot = len(state)
+                        state.append(1)
+                        conc.append(0)
+                        arr_count.append(0)
+                        birth.append(birth_seq)
+                        ps_times.append([0.0] * 0)
                     else:
-                        sample += conc[k]
-            if w_count < window_len:
-                wbuf[w_idx] = sample
-                w_count += 1
-            else:
-                wbuf[w_idx] = sample
-            w_idx += 1
-            if w_idx == window_len:
-                w_idx = 0
-            # Full re-sum: 60 adds per simulated second buys exactness.
-            w_sum = 0.0
-            for k in range(w_count):
-                w_sum += wbuf[k]
-            ov = w_sum / w_count
+                        # A free slot already holds no jobs and no arrivals.
+                        state[slot] = 1
+                        birth[slot] = birth_seq
+                    birth_seq += 1
+                    j_ready += 1
+                else:
+                    # Graceful scale-down of the newest ready container: it
+                    # finishes in-flight requests but gets no new ones.
+                    slot = -1
+                    newest = -1
+                    for k in range(len(state)):
+                        if state[k] == 1 and birth[k] > newest:
+                            newest = birth[k]
+                            slot = k
+                    if conc[slot] == 0:
+                        state[slot] = 0
+                        birth[slot] = -1
+                        arr_count[slot] = 0
+                    else:
+                        state[slot] = 2
+                    j_ready -= 1
+                t_from = t
 
-            tick_ready[n_ticks] = j_ready
-            # Reported per container: the aggregate window over the
-            # current ready count.
-            tick_ov[n_ticks] = ov / j_ready
-            if n_sec > 0:
-                last_rt = rt_sum_sec / n_sec
-                tick_rt[n_ticks] = last_rt
-                tick_carried[n_ticks] = 0
-            else:
-                tick_rt[n_ticks] = last_rt
-                tick_carried[n_ticks] = 1
-            n_ticks += 1
-            rt_sum_sec = 0.0
-            n_sec = 0
-            for k in range(cap):
-                arr_count[k] = 0
-            t_monitor += 1.0
-
-        elif t_eval <= t_next:
-            # --- scale evaluator ---
-            # Knative's KPA: the aggregate windowed metric over the
-            # per-container target, clamped to [1, n_max].
-            desired = int(math.ceil(ov / tv))
-            if desired < 1:
-                desired = 1
-            if desired > n_max:
-                desired = n_max
-            if desired != order:
-                order = desired
+            if t_from >= 0.0:
+                # Next provisioning event after a new order or a finished
+                # one: each missing container provisions at mu_pro, each
+                # surplus one leaves at mu_dep.
                 if j_ready == order:
                     t_prov = _INF
-                elif j_ready < order:
-                    t_prov = t_eval + draw_exponential(
-                        prov_rng, (order - j_ready) * mu_pro)
                 else:
-                    t_prov = t_eval + draw_exponential(
-                        prov_rng, (j_ready - order) * mu_dep)
-            t_eval += t_eva
-
-        elif t_prov <= t_next:
-            # --- provisioning engine: one container becomes ready or leaves ---
-            t = t_prov
-            if t > warmup:
-                lo = j_since if j_since > warmup else warmup
-                area_replica += j_ready * (t - lo)
-            j_since = t
-            if j_ready < order:
-                slot = -1
-                for k in range(cap):
-                    if state[k] == 0:
-                        slot = k
-                        break
-                if slot == -1:
-                    new_cap = cap * 2
-                    ns = np.zeros(new_cap, dtype=np.uint8)
-                    ns[:cap] = state
-                    state = ns
-                    nc = np.zeros(new_cap, dtype=np.int64)
-                    nc[:cap] = conc
-                    conc = nc
-                    na = np.zeros(new_cap, dtype=np.int64)
-                    na[:cap] = arr_count
-                    arr_count = na
-                    nb = np.full(new_cap, -1, dtype=np.int64)
-                    nb[:cap] = birth
-                    birth = nb
-                    np2 = np.zeros((new_cap, ps_cols), dtype=np.float64)
-                    np2[:cap] = ps_times
-                    ps_times = np2
-                    slot = cap
-                    cap = new_cap
-                state[slot] = 1
-                conc[slot] = 0
-                arr_count[slot] = 0
-                birth[slot] = birth_seq
-                birth_seq += 1
-                j_ready += 1
-            else:
-                # Graceful scale-down of the newest ready container: it
-                # finishes in-flight requests but gets no new ones.
-                slot = -1
-                newest = -1
-                for k in range(cap):
-                    if state[k] == 1 and birth[k] > newest:
-                        newest = birth[k]
-                        slot = k
-                if conc[slot] == 0:
-                    state[slot] = 0
-                    birth[slot] = -1
-                    arr_count[slot] = 0
-                else:
-                    state[slot] = 2
-                j_ready -= 1
-            if j_ready == order:
-                t_prov = _INF
-            elif j_ready < order:
-                t_prov = t + draw_exponential(prov_rng, (order - j_ready) * mu_pro)
-            else:
-                t_prov = t + draw_exponential(prov_rng, (j_ready - order) * mu_dep)
+                    if prov_i == _BLOCK:
+                        prov_exp = prov_rng.standard_exponential(_BLOCK)
+                        prov_i = 0
+                    if j_ready < order:
+                        rate = (order - j_ready) * mu_pro
+                    else:
+                        rate = (j_ready - order) * mu_dep
+                    t_prov = t_from + float(prov_exp[prov_i]) / rate
+                    prov_i += 1
+            t_ctrl = min(t_monitor, t_eval, t_prov)
 
         else:
-            # --- arrival ---
+            # --- arrival: to the least-loaded ready container ---
             t = t_arrival
+            if t > duration:
+                break
             best = -1
-            for k in range(cap):
+            best_c = 0
+            for k in range(len(state)):
                 if state[k] == 1:
-                    if best == -1 or conc[k] < conc[best]:
+                    c = conc[k]
+                    if best == -1 or c < best_c:
                         best = k
+                        best_c = c
             arrivals += 1
             arr_count[best] += 1
-            if wl_kind == WL_SHARING_EXP:
-                c = conc[best]
-                if c >= ps_cols:
-                    new_cols = ps_cols * 2
-                    np2 = np.zeros((cap, new_cols), dtype=np.float64)
-                    np2[:, :ps_cols] = ps_times
-                    ps_times = np2
-                    ps_cols = new_cols
-                ps_times[best, c] = t
-                conc[best] = c + 1
-                if c == 0:
+            conc[best] = best_c + 1
+            if sharing:
+                ps_times[best].append(t)
+                if best_c == 0:
                     busy += 1
-                    t_ps_dep = t + draw_exponential(svc_rng, busy / wl_mean)
+                    if svc_i == _BLOCK:
+                        svc_exp = svc_rng.standard_exponential(_BLOCK)
+                        svc_i = 0
+                    t_ps_dep = t + float(svc_exp[svc_i]) * wl_mean / busy
+                    svc_i += 1
             else:
                 if wl_kind == WL_INFINITE_DET:
                     svc = wl_mean
                 else:
-                    svc = draw_exponential(svc_rng, 1.0 / wl_mean)
-                conc[best] += 1
-                if h_n == heap_cap:
-                    new_cap = heap_cap * 2
-                    nt = np.zeros(new_cap, dtype=np.float64)
-                    nt[:heap_cap] = h_time
-                    h_time = nt
-                    nsl = np.zeros(new_cap, dtype=np.int64)
-                    nsl[:heap_cap] = h_slot
-                    h_slot = nsl
-                    na2 = np.zeros(new_cap, dtype=np.float64)
-                    na2[:heap_cap] = h_arr
-                    h_arr = na2
-                    heap_cap = new_cap
-                h_n = _heap_push(h_time, h_slot, h_arr, h_n, t + svc, best, t)
-            t_arrival = t + draw_exponential(arr_rng, lam)
+                    if svc_i == _BLOCK:
+                        svc_exp = svc_rng.standard_exponential(_BLOCK)
+                        svc_i = 0
+                    svc = float(svc_exp[svc_i]) * wl_mean
+                    svc_i += 1
+                heappush(heap, (t + svc, best, t))
+            if arr_i == _BLOCK:
+                arr_exp = arr_rng.standard_exponential(_BLOCK)
+                arr_i = 0
+            t_arrival = t + float(arr_exp[arr_i]) / lam
+            arr_i += 1
 
     # Close the replica-count integral at the horizon.
     if duration > warmup:
@@ -378,9 +342,9 @@ def run_simulation(metric_kind, tv, n_max, t_eva, window_len, mu_pro, mu_dep,
             area_replica += j_ready * (duration - lo)
 
     in_flight = 0
-    for k in range(cap):
+    for k in range(len(conc)):
         in_flight += conc[k]
 
-    return (n_ticks, tick_ready, tick_ov, tick_rt, tick_carried,
+    return (tick_ready, tick_ov, tick_rt, tick_carried,
             area_replica, rt_sum_pw, completions_pw,
             arrivals, completions, in_flight)

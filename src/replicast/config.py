@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
-from typing import Iterable, Sequence
+from dataclasses import dataclass, fields
+from typing import Sequence
 
 import numpy as np
 
@@ -127,96 +127,107 @@ def save_autoscaler_config(cfg: AutoscalerConfig, path) -> None:
         fh.write("\n")
 
 
-@dataclass(frozen=True)
-class PredictionRequest:
-    """A single what-if query against a fitted model."""
-
-    arrival_rate: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "arrival_rate", _finite_number(self.arrival_rate, "arrival_rate"))
-        _require(self.arrival_rate > 0, f"arrival_rate must be > 0, got {self.arrival_rate}")
+_TRACE_COLUMNS = tuple(TRACE_HEADER.split(","))
+_TRACE_ROW_FMT = ",".join([_TRACE_FMT] * len(_TRACE_COLUMNS)) + "\n"
 
 
-@dataclass(frozen=True)
-class TraceRow:
-    """One measurement second.
+def _trace_column(values, name: str) -> np.ndarray:
+    try:
+        col = np.array(values)
+    except ValueError as exc:
+        raise ValidationError(f"{name} must be a one-dimensional numeric column: {exc}") from None
+    if col.ndim != 1 or (col.size and col.dtype.kind not in "iuf"):
+        raise ValidationError(
+            f"{name} must be a one-dimensional numeric column, got shape {col.shape} "
+            f"of {col.dtype}")
+    return col.astype(np.float64, copy=False)
 
-    per_container_rate is the offered request rate divided by the number
-    of ready containers during that second; observed_metric is the value
-    the autoscaler's stable window reported (concurrency or rps,
-    depending on the deployment); mean_response_time_s averages the
-    requests that completed in that second.
+
+def _first_invalid_row(rates, observed, response_times):
+    """(index, message) of the first row that breaks a trace rule, or None.
+
+    Every value must be finite, the rate and the metric >= 0, and the
+    mean response time > 0 whenever the rate is; within a row the rules
+    are checked in that order.
+    """
+    columns = (rates, observed, response_times)
+    rules = [(~np.isfinite(col), k, "must be finite") for k, col in enumerate(columns)]
+    rules += [
+        (rates < 0, 0, "must be >= 0"),
+        (observed < 0, 1, "must be >= 0"),
+        ((rates > 0) & ~(response_times > 0), 2, "must be > 0 when per_container_rate > 0"),
+    ]
+    bad = np.logical_or.reduce([mask for mask, _, _ in rules])
+    if not bad.any():
+        return None
+    row = int(np.argmax(bad))
+    k, rule = next((k, rule) for mask, k, rule in rules if mask[row])
+    return row, f"{_TRACE_COLUMNS[k]} {rule}, got {float(columns[k][row])!r}"
+
+
+@dataclass(frozen=True, eq=False)
+class ProfilingTrace:
+    """A profiling trace as three aligned, read-only float64 columns.
+
+    Row k is one measurement second: ``rates[k]`` is the offered request
+    rate divided by the number of ready containers, ``observed[k]`` the
+    value the autoscaler's stable window reported (concurrency or rps,
+    depending on the deployment) and ``response_times[k]`` the mean over
+    the requests that completed in that second.  The columns are copied
+    and validated once, on construction.
     """
 
-    per_container_rate: float
-    observed_metric: float
-    mean_response_time_s: float
+    rates: np.ndarray = ()
+    observed: np.ndarray = ()
+    response_times: np.ndarray = ()
 
     def __post_init__(self):
-        for name in ("per_container_rate", "observed_metric", "mean_response_time_s"):
-            object.__setattr__(self, name, _finite_number(getattr(self, name), name))
-        _require(self.per_container_rate >= 0,
-                 f"per_container_rate must be >= 0, got {self.per_container_rate}")
-        _require(self.observed_metric >= 0,
-                 f"observed_metric must be >= 0, got {self.observed_metric}")
-        if self.per_container_rate > 0:
-            _require(self.mean_response_time_s > 0,
-                     "mean_response_time_s must be > 0 when per_container_rate > 0, "
-                     f"got {self.mean_response_time_s}")
+        columns = [_trace_column(getattr(self, f.name), name)
+                   for f, name in zip(fields(self), _TRACE_COLUMNS)]
+        if len({col.size for col in columns}) > 1:
+            raise ValidationError("trace column lengths differ")
+        bad = _first_invalid_row(*columns)
+        if bad is not None:
+            raise ValidationError(f"trace row {bad[0] + 1}: {bad[1]}")
+        self._freeze(columns)
 
+    def _freeze(self, columns) -> None:
+        for f, col in zip(fields(self), columns):
+            col.flags.writeable = False
+            object.__setattr__(self, f.name, col)
 
-@dataclass(frozen=True)
-class ProfilingTrace:
-    """An ordered collection of TraceRows plus array views for fitting."""
-
-    rows: tuple = field(default=())
-
-    def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(self.rows))
-        for row in self.rows:
-            if not isinstance(row, TraceRow):
-                raise ValidationError(f"trace rows must be TraceRow, got {type(row).__name__}")
+    @classmethod
+    def _from_valid(cls, columns) -> "ProfilingTrace":
+        """Wrap columns that already passed the trace rules."""
+        trace = object.__new__(cls)
+        trace._freeze(columns)
+        return trace
 
     def __len__(self) -> int:
-        return len(self.rows)
-
-    @property
-    def rates(self) -> np.ndarray:
-        return np.array([r.per_container_rate for r in self.rows], dtype=np.float64)
-
-    @property
-    def observed(self) -> np.ndarray:
-        return np.array([r.observed_metric for r in self.rows], dtype=np.float64)
-
-    @property
-    def response_times(self) -> np.ndarray:
-        return np.array([r.mean_response_time_s for r in self.rows], dtype=np.float64)
+        return self.rates.size
 
     @property
     def n_distinct_rates(self) -> int:
-        return len({r.per_container_rate for r in self.rows})
+        return int(np.unique(self.rates).size)
 
     def extend(self, other: "ProfilingTrace") -> "ProfilingTrace":
-        return ProfilingTrace(self.rows + other.rows)
+        return ProfilingTrace._from_valid([
+            np.concatenate((getattr(self, f.name), getattr(other, f.name)))
+            for f in fields(self)])
 
 
 def trace_from_arrays(rates: Sequence[float], observed: Sequence[float],
                       response_times: Sequence[float]) -> ProfilingTrace:
-    if not (len(rates) == len(observed) == len(response_times)):
-        raise ValidationError("trace column lengths differ")
-    return ProfilingTrace(tuple(
-        TraceRow(float(a), float(b), float(c))
-        for a, b, c in zip(rates, observed, response_times)
-    ))
+    return ProfilingTrace(rates, observed, response_times)
 
 
 def parse_trace(path) -> ProfilingTrace:
     """Read a profiling trace CSV.
 
-    Raises TraceParseError (with a line number) for malformed content and
-    InsufficientDataError when fewer than two distinct per-container
-    rates are present, since no downstream fit can use such a trace.
+    Raises TraceParseError naming the first bad line for malformed
+    content, and InsufficientDataError when fewer than two distinct
+    per-container rates are present, since no downstream fit can use
+    such a trace.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().split("\n")
@@ -226,25 +237,35 @@ def parse_trace(path) -> ProfilingTrace:
         raise TraceParseError(f"{path}: empty file, expected header {TRACE_HEADER!r}")
     if lines[0].strip() != TRACE_HEADER:
         raise TraceParseError(f"{path}: line 1: expected header {TRACE_HEADER!r}, got {lines[0]!r}")
-    rows = []
+    values = []
+
+    def checked_columns():
+        # Row k sits on line k + 2; a rule broken on an earlier line than
+        # a format error is the first bad line.
+        columns = list(np.array(values, dtype=np.float64).reshape(-1, 3).T.copy())
+        bad = _first_invalid_row(*columns)
+        if bad is not None:
+            raise TraceParseError(f"{path}: line {bad[0] + 2}: {bad[1]}")
+        return columns
+
+    def fail(lineno, message):
+        checked_columns()
+        raise TraceParseError(f"{path}: line {lineno}: {message}")
+
     for lineno, line in enumerate(lines[1:], start=2):
         if line.strip() == "":
-            raise TraceParseError(f"{path}: line {lineno}: blank row")
+            fail(lineno, "blank row")
         parts = line.split(",")
         if len(parts) != 3:
-            raise TraceParseError(f"{path}: line {lineno}: expected 3 fields, got {len(parts)}")
-        values = []
-        for token, name in zip(parts, TRACE_HEADER.split(",")):
+            fail(lineno, f"expected 3 fields, got {len(parts)}")
+        row = []
+        for token, name in zip(parts, _TRACE_COLUMNS):
             try:
-                values.append(float(token))
+                row.append(float(token))
             except ValueError:
-                raise TraceParseError(
-                    f"{path}: line {lineno}: {name} is not a number: {token!r}") from None
-        try:
-            rows.append(TraceRow(*values))
-        except ValidationError as exc:
-            raise TraceParseError(f"{path}: line {lineno}: {exc}") from None
-    trace = ProfilingTrace(tuple(rows))
+                fail(lineno, f"{name} is not a number: {token!r}")
+        values.append(row)
+    trace = ProfilingTrace._from_valid(checked_columns())
     if trace.n_distinct_rates < 2:
         raise InsufficientDataError(
             f"{path}: trace has {trace.n_distinct_rates} distinct per-container rate(s); "
@@ -254,12 +275,7 @@ def parse_trace(path) -> ProfilingTrace:
 
 def write_trace(trace: ProfilingTrace, path) -> None:
     """Write the canonical 3-column CSV (UTF-8, LF, 12 significant digits)."""
+    rows = zip(trace.rates.tolist(), trace.observed.tolist(), trace.response_times.tolist())
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(TRACE_HEADER + "\n")
-        for row in trace.rows:
-            fh.write(_TRACE_FMT % row.per_container_rate)
-            fh.write(",")
-            fh.write(_TRACE_FMT % row.observed_metric)
-            fh.write(",")
-            fh.write(_TRACE_FMT % row.mean_response_time_s)
-            fh.write("\n")
+        fh.writelines(_TRACE_ROW_FMT % row for row in rows)

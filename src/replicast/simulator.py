@@ -13,7 +13,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import _kernels
-from ._rng import make_streams
 from .config import (METRIC_CONCURRENCY, METRIC_KINDS, AutoscalerConfig,
                      ProfilingTrace, trace_from_arrays)
 from .errors import ValidationError
@@ -24,6 +23,8 @@ _WORKLOAD_KINDS = (WORKLOAD_INFINITE_SERVER, WORKLOAD_PROCESSOR_SHARING)
 
 _DIST_EXPONENTIAL = "exponential"
 _DIST_DETERMINISTIC = "deterministic"
+
+_SEED_MASK = 0xFFFF_FFFF_FFFF_FFFF
 
 
 @dataclass(frozen=True)
@@ -219,31 +220,35 @@ class SimulationReport:
 def simulate(sim_cfg: SimulationConfig) -> SimulationReport:
     """Run one deterministic simulation.
 
-    Identical config and seed produce identical reports on either
-    backend; events at equal timestamps fire departure first, then
-    monitor, evaluation, provisioning, arrival.
+    Identical config and seed produce identical reports, in process or in
+    a fresh interpreter; events at equal timestamps fire departure first,
+    then monitor, evaluation, provisioning, arrival.  Seeds are taken
+    modulo 2**64, so ``seed`` and ``seed + 2**64`` give the same run.
     """
     cfg = sim_cfg.autoscaler
-    streams = make_streams(sim_cfg.seed)
+    # Independent substreams for arrivals, service and provisioning, so a
+    # change to one process does not perturb the others.  Masking keeps
+    # every integer seed valid: SeedSequence rejects negative ones.
+    seeds = np.random.SeedSequence(sim_cfg.seed & _SEED_MASK).spawn(3)
+    arr_rng, svc_rng, prov_rng = (np.random.default_rng(s) for s in seeds)
     metric_code = (_kernels.MT_RPS if cfg.metric_kind != METRIC_CONCURRENCY
                    else _kernels.MT_CONCURRENCY)
-    with np.errstate(over="ignore"):
-        (n_ticks, tick_ready, tick_ov, tick_rt, tick_carried,
-         area_replica, rt_sum_pw, completions_pw,
-         arrivals, completions, in_flight) = _kernels.run_simulation(
-            metric_code, cfg.target_value, cfg.n_max, cfg.t_eva_s,
-            cfg.window_length, cfg.mu_pro, cfg.mu_dep,
-            sim_cfg.workload._kernel_kind, sim_cfg.workload.mean_s,
-            sim_cfg.arrival_rate, sim_cfg.duration_s, sim_cfg.warmup_s,
-            sim_cfg.initial_replicas, streams)
+    (tick_ready, tick_ov, tick_rt, tick_carried,
+     area_replica, rt_sum_pw, completions_pw,
+     arrivals, completions, in_flight) = _kernels.run_simulation(
+        metric_code, cfg.target_value, cfg.n_max, cfg.t_eva_s,
+        cfg.window_length, cfg.mu_pro, cfg.mu_dep,
+        sim_cfg.workload._kernel_kind, sim_cfg.workload.mean_s,
+        sim_cfg.arrival_rate, sim_cfg.duration_s, sim_cfg.warmup_s,
+        sim_cfg.initial_replicas, arr_rng, svc_rng, prov_rng)
 
-    times = np.arange(1, n_ticks + 1, dtype=np.float64)
+    times = np.arange(1, len(tick_ready) + 1, dtype=np.float64)
     mask = times > sim_cfg.warmup_s
     times = times[mask]
-    ready = tick_ready[:n_ticks][mask]
-    ov = tick_ov[:n_ticks][mask]
-    rts = tick_rt[:n_ticks][mask]
-    carried = tick_carried[:n_ticks][mask]
+    ready = np.array(tick_ready, dtype=np.int64)[mask]
+    ov = np.array(tick_ov, dtype=np.float64)[mask]
+    rts = np.array(tick_rt, dtype=np.float64)[mask]
+    carried = np.array(tick_carried, dtype=np.uint8)[mask]
 
     span = sim_cfg.duration_s - sim_cfg.warmup_s
     avg_replicas = area_replica / span

@@ -115,6 +115,15 @@ class TestPredict:
         assert set(explain["order_distributions"]) == {"1", "2", "3"}
         assert set(explain["rate_matrices"]) == {"1", "2", "3"}
 
+    @pytest.mark.parametrize("rate", ["0", "-1", "nan"])
+    def test_nonpositive_or_nan_arrival_rate_exits_one(self, tmp_path, bundle_path,
+                                                       capsys, rate):
+        cfg = autoscaler_file(tmp_path, target_value=2.0, n_max=3)
+        code = cli.main(["predict", "--model", bundle_path, "--config", cfg,
+                         "--arrival-rate", rate])
+        assert code == 1
+        assert "arrival_rate must be finite and > 0" in capsys.readouterr().err
+
     def test_numerical_failures_exit_two(self, tmp_path, bundle_path, capsys,
                                          monkeypatch):
         def boom(*args, **kwargs):
@@ -235,13 +244,19 @@ class TestSimulate:
         trace_out = tmp_path / "trace.csv"
         code = cli.main(["simulate", "--config", cfg, "--trace-out", str(trace_out)])
         assert code == 0
-        assert len(rc.parse_trace(trace_out).rows) == 600
+        assert len(rc.parse_trace(trace_out)) == 600
 
     def test_seed_override(self, tmp_path, capsys):
         cfg = sim_config_file(tmp_path, duration_s=400.0, warmup_s=100.0, seed=1)
         code = cli.main(["simulate", "--config", cfg, "--seed", "99"])
         assert code == 0
         assert json.loads(capsys.readouterr().out)["seed"] == 99
+
+    def test_negative_seed_override(self, tmp_path, capsys):
+        cfg = sim_config_file(tmp_path, duration_s=400.0, warmup_s=100.0, seed=1)
+        code = cli.main(["simulate", "--config", cfg, "--seed", "-3"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == -3
 
 
 class TestCompare:

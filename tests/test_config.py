@@ -1,7 +1,9 @@
 """Configuration and trace I/O contract tests."""
 
+import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -86,28 +88,65 @@ class TestAutoscalerConfig:
             cfg.n_max = 7
 
 
-class TestPredictionRequest:
-    def test_positive_rate_ok(self):
-        assert rc.PredictionRequest(3.5).arrival_rate == 3.5
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
-    def test_nonpositive_rate_rejected(self, bad):
-        with pytest.raises(rc.ValidationError):
-            rc.PredictionRequest(bad)
-
-
 class TestTraceRows:
     def test_row_fields_validated(self):
-        with pytest.raises(rc.ValidationError, match="per_container_rate"):
-            rc.TraceRow(-1.0, 0.5, 0.2)
-        with pytest.raises(rc.ValidationError, match="observed_metric"):
-            rc.TraceRow(1.0, -0.5, 0.2)
-        with pytest.raises(rc.ValidationError, match="mean_response_time_s"):
-            rc.TraceRow(1.0, 0.5, 0.0)
+        with pytest.raises(rc.ValidationError, match="row 1: per_container_rate must be >= 0"):
+            rc.trace_from_arrays([-1.0], [0.5], [0.2])
+        with pytest.raises(rc.ValidationError, match="row 2: observed_metric must be >= 0"):
+            rc.trace_from_arrays([1.0, 1.0], [0.5, -0.5], [0.2, 0.2])
+        with pytest.raises(rc.ValidationError, match="mean_response_time_s must be > 0"):
+            rc.trace_from_arrays([1.0], [0.5], [0.0])
+        with pytest.raises(rc.ValidationError, match="observed_metric must be finite"):
+            rc.trace_from_arrays([1.0], [math.nan], [0.2])
+        with pytest.raises(rc.ValidationError, match="numeric column"):
+            rc.trace_from_arrays([True], [0.5], [0.2])
+        with pytest.raises(rc.ValidationError, match="lengths differ"):
+            rc.trace_from_arrays([1.0, 2.0], [0.5], [0.2])
+
+    def test_first_bad_row_and_first_rule_are_named(self):
+        # row 2 breaks two rules and row 3 a third; the report names the
+        # earliest row, and within it the rule checked first
+        with pytest.raises(rc.ValidationError,
+                           match=r"row 2: per_container_rate must be finite, got inf"):
+            rc.trace_from_arrays([1.0, math.inf, -1.0], [0.5, -1.0, 0.5],
+                                 [0.2, 0.2, 0.2])
+
+    def test_vectorised_rules_match_row_by_row_reference(self):
+        # every single row over values on each side of every rule, and
+        # every pair of rows over a smaller set, against a scalar check
+        names = TRACE_HEADER.split(",")
+
+        def first_invalid(rows):
+            for i, (rate, obs, rt) in enumerate(rows):
+                for name, v in zip(names, (rate, obs, rt)):
+                    if not math.isfinite(v):
+                        return i, f"{name} must be finite, got {v!r}"
+                if rate < 0:
+                    return i, f"per_container_rate must be >= 0, got {rate!r}"
+                if obs < 0:
+                    return i, f"observed_metric must be >= 0, got {obs!r}"
+                if rate > 0 and not rt > 0:
+                    return i, ("mean_response_time_s must be > 0 when "
+                               f"per_container_rate > 0, got {rt!r}")
+            return None
+
+        wide = (0.0, -0.0, 0.5, -0.5, math.inf, -math.inf, math.nan)
+        narrow = (0.0, 0.5, -0.5, math.nan)
+        cases = [[row] for row in itertools.product(wide, repeat=3)]
+        rows = list(itertools.product(narrow, repeat=3))
+        cases += [list(pair) for pair in itertools.product(rows, repeat=2)]
+        for case in cases:
+            want = first_invalid(case)
+            if want is None:
+                assert len(rc.trace_from_arrays(*zip(*case))) == len(case)
+                continue
+            with pytest.raises(rc.ValidationError) as exc:
+                rc.trace_from_arrays(*zip(*case))
+            assert str(exc.value) == f"trace row {want[0] + 1}: {want[1]}", case
 
     def test_zero_rate_row_allows_zero_rt(self):
-        row = rc.TraceRow(0.0, 0.0, 0.0)
-        assert row.per_container_rate == 0.0
+        trace = rc.trace_from_arrays([0.0], [0.0], [0.0])
+        assert trace.rates.tolist() == [0.0]
 
     def test_trace_from_arrays_and_accessors(self):
         trace = rc.trace_from_arrays([1.0, 2.0], [0.2, 0.4], [0.21, 0.2])
@@ -115,6 +154,18 @@ class TestTraceRows:
         assert trace.n_distinct_rates == 2
         assert trace.rates.tolist() == [1.0, 2.0]
         assert trace.observed.tolist() == [0.2, 0.4]
+        assert trace.response_times.tolist() == [0.21, 0.2]
+        assert trace.rates.dtype == np.float64
+
+    def test_columns_are_copied_and_read_only(self):
+        rates = np.array([1.0, 2.0])
+        trace = rc.trace_from_arrays(rates, [0.2, 0.4], [0.21, 0.2])
+        rates[0] = 5.0
+        assert trace.rates.tolist() == [1.0, 2.0]
+        with pytest.raises(ValueError):
+            trace.observed[0] = 1.0
+        with pytest.raises(Exception):
+            trace.rates = np.array([3.0])
 
     def test_extend_concatenates(self):
         a = rc.trace_from_arrays([1.0], [0.2], [0.2])
@@ -122,6 +173,8 @@ class TestTraceRows:
         joined = a.extend(b)
         assert len(joined) == 2
         assert joined.n_distinct_rates == 2
+        assert joined.rates.tolist() == [1.0, 2.0]
+        assert not joined.response_times.flags.writeable
 
 
 class TestTraceFileFormat:
@@ -130,7 +183,7 @@ class TestTraceFileFormat:
         path.write_text(f"{TRACE_HEADER}\n1.0,0.21,0.205\n5.0,1.1,0.22\n")
         trace = rc.parse_trace(path)
         assert len(trace) == 2
-        assert trace.rows[1].observed_metric == 1.1
+        assert trace.observed[1] == 1.1
 
     def test_header_only_file_is_insufficient(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -162,6 +215,17 @@ class TestTraceFileFormat:
         with pytest.raises(rc.TraceParseError, match="line 2"):
             rc.parse_trace(path)
 
+    @pytest.mark.parametrize("body, line, rule", [
+        ("1.0,0.2,0.2\n2.0,0.4,0.2\n3.0,-0.1,0.2\n", 4, "observed_metric must be >= 0"),
+        ("1.0,0.2,0.2\n2.0,0.4,0.0\nabc,1,1\n", 3, "mean_response_time_s must be > 0"),
+        ("1.0,0.2,0.2\n2.0,abc,1\n-1.0,0.2,0.2\n", 3, "observed_metric is not a number"),
+    ])
+    def test_first_bad_line_is_named(self, tmp_path, body, line, rule):
+        path = tmp_path / "t.csv"
+        path.write_text(f"{TRACE_HEADER}\n{body}")
+        with pytest.raises(rc.TraceParseError, match=f"line {line}: {rule}"):
+            rc.parse_trace(path)
+
     def test_single_distinct_rate_is_insufficient(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text(f"{TRACE_HEADER}\n1.0,0.2,0.2\n1.0,0.25,0.21\n")
@@ -179,7 +243,8 @@ class TestTraceFileFormat:
         path = tmp_path / "t.csv"
         rc.write_trace(trace, path)
         back = rc.parse_trace(path)
-        assert back.rows == trace.rows
+        for name in ("rates", "observed", "response_times"):
+            assert np.array_equal(getattr(back, name), getattr(trace, name))
 
     @given(st.lists(
         st.tuples(
@@ -190,7 +255,7 @@ class TestTraceFileFormat:
         min_size=2, max_size=12,
     ))
     def test_round_trip_lossless_at_12_significant_digits(self, tmp_path_factory, rows):
-        trace = rc.ProfilingTrace(tuple(rc.TraceRow(*r) for r in rows))
+        trace = rc.trace_from_arrays(*zip(*rows))
         path = tmp_path_factory.mktemp("trace") / "t.csv"
         rc.write_trace(trace, path)
         try:
@@ -198,7 +263,6 @@ class TestTraceFileFormat:
         except rc.InsufficientDataError:
             assert trace.n_distinct_rates < 2
             return
-        for orig, rt in zip(trace.rows, back.rows):
-            for name in ("per_container_rate", "observed_metric", "mean_response_time_s"):
-                a, b = getattr(orig, name), getattr(rt, name)
+        for name in ("rates", "observed", "response_times"):
+            for a, b in zip(getattr(trace, name), getattr(back, name)):
                 assert "%.12g" % a == "%.12g" % b
