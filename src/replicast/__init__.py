@@ -17,10 +17,9 @@ from .config import (METRIC_CONCURRENCY, METRIC_KINDS, METRIC_RPS,
                      AutoscalerConfig, ProfilingTrace, load_autoscaler_config,
                      parse_trace, save_autoscaler_config, trace_from_arrays,
                      write_trace)
-from .errors import (ChainStructureWarning, ConfigMismatchError,
-                     FitRejectedError, InsufficientDataError, NonErgodicError,
-                     NumericalError, ReplicastError, TraceParseError,
-                     ValidationError)
+from .errors import (ConfigMismatchError, FitRejectedError,
+                     InsufficientDataError, NonErgodicError, NumericalError,
+                     ReplicastError, TraceParseError, ValidationError)
 from .evaluator import OrderDistribution, order_probabilities
 from .metric_model import (STD_FLOOR, GaussianDist, MetricModel,
                            fit_metric_model, mean_of_positive_part,
@@ -43,7 +42,7 @@ __all__ = [
     "AutoscalerConfig", "ProfilingTrace",
     "load_autoscaler_config", "parse_trace", "save_autoscaler_config",
     "trace_from_arrays", "write_trace",
-    "ChainStructureWarning", "ConfigMismatchError", "FitRejectedError",
+    "ConfigMismatchError", "FitRejectedError",
     "InsufficientDataError", "NonErgodicError", "NumericalError",
     "ReplicastError", "TraceParseError", "ValidationError",
     "OrderDistribution", "order_probabilities",

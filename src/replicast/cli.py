@@ -13,7 +13,6 @@ import dataclasses
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.special import stdtrit
@@ -61,25 +60,8 @@ def _dump_json(payload: dict, out_path) -> str:
     return text
 
 
-def _parallel_map(fn, items):
-    items = list(items)
-    if len(items) <= 1:
-        return [fn(x) for x in items]
-    # Results in input order.  Threads overlap only where the work drops
-    # the GIL: numpy and scipy inside the chain solve, and the simulator
-    # kernel when numba compiles it (nogil).  In plain Python the
-    # simulations take turns on the GIL: eight 3600 s runs took no less
-    # wall time threaded than serial, and 6-25% more CPU time.
-    with ThreadPoolExecutor(max_workers=min(8, len(items))) as pool:
-        return list(pool.map(fn, items))
-
-
 def _analytic_report(bundle: ModelBundle, cfg: AutoscalerConfig, arrival_rate: float,
                      window_s: float = 3600.0):
-    if bundle.metric.metric_kind != cfg.metric_kind:
-        raise ConfigMismatchError(
-            f"model bundle was fitted for metric {bundle.metric.metric_kind!r} but the "
-            f"config declares {cfg.metric_kind!r}")
     chain = build_chain(arrival_rate, bundle.metric, cfg)
     stationary = stationary_distribution(chain)
     report = steady_state_report(stationary, chain, bundle.metric,
@@ -106,7 +88,8 @@ def cmd_predict(args) -> int:
     arrival_rate = _require_flag(args.arrival_rate, "--arrival-rate", "predict")
     chain, stationary, report = _analytic_report(bundle, cfg, arrival_rate,
                                                  window_s=args.window)
-    payload = {"schema_version": SCHEMA_VERSION, **report.to_dict()}
+    payload = {"schema_version": SCHEMA_VERSION,
+               **report.to_dict(include_states=args.explain)}
     if args.explain:
         payload["explain"] = {
             "transition_matrix": chain.transition_matrix.tolist(),
@@ -166,7 +149,7 @@ def cmd_sweep(args) -> int:
         except (ReplicastError,) as exc:
             return (lam, tv, "", "", "", str(exc))
 
-    rows = _parallel_map(run_point, points)
+    rows = [run_point(point) for point in points]
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["lambda", "target_value", "avg_replicas",
@@ -207,7 +190,7 @@ def cmd_simulate(args) -> int:
     sim_cfg = SimulationConfig.from_dict(
         load_json(_require_flag(args.config, "--config", "simulate")))
     variants = _seed_variants(sim_cfg, args.seed, args.seeds)
-    reports = _parallel_map(simulate, variants)
+    reports = [simulate(variant) for variant in variants]
     if args.trace_out:
         write_trace(reports[0].trace, args.trace_out)
     if len(reports) == 1:
@@ -241,7 +224,8 @@ def cmd_compare(args) -> int:
                 "--config disagrees with the autoscaler embedded in --sim-config; "
                 "the model and the simulation must describe the same deployment")
     _, _, analytic = _analytic_report(bundle, sim_cfg.autoscaler, sim_cfg.arrival_rate)
-    reports = _parallel_map(simulate, _seed_variants(sim_cfg, args.seed, args.seeds))
+    reports = [simulate(variant)
+               for variant in _seed_variants(sim_cfg, args.seed, args.seeds)]
     sim_mean, sim_ci = _aggregate(reports)
 
     analytic_vals = {
@@ -288,7 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--tolerance", type=float, default=0.15,
                         help="max relative error for compare (default 0.15)")
     shared.add_argument("--explain", action="store_true",
-                        help="include chain internals in predict output")
+                        help="include per-state values and chain internals in "
+                             "predict output")
 
     parser = _Parser(prog="replicast",
                      description="Steady-state prediction for metric-based autoscaling, "

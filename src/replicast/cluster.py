@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 from scipy.sparse import csr_matrix, identity, vstack
@@ -23,8 +23,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
 from .config import AutoscalerConfig
-from .errors import (ChainStructureWarning, NonErgodicError, NumericalError,
-                     ValidationError)
+from .errors import NonErgodicError, NumericalError, ValidationError
 from .evaluator import order_probabilities
 from .metric_model import GaussianDist, MetricModel, observed_value_distribution
 
@@ -123,37 +122,79 @@ def horizontal_transition_probs(j: int, arrival_rate: float, model: MetricModel,
     return order_probabilities(aggregate, cfg.target_value, cfg.n_max).probs.copy()
 
 
+def _check_stochastic(name: str, arr: np.ndarray, shape: tuple) -> None:
+    if arr.shape != shape:
+        raise ValidationError(f"{name} must have shape {shape}, got {arr.shape}")
+    if np.any(arr < 0) or not np.all(np.isfinite(arr)):
+        raise ValidationError(f"{name} entries must be finite and >= 0")
+    row_err = float(np.max(np.abs(arr.sum(axis=-1) - 1.0)))
+    if row_err > 1e-10:
+        raise ValidationError(f"{name} rows must sum to 1 (max error {row_err:.3e})")
+
+
+def _assemble(horizontal: np.ndarray, vertical: np.ndarray) -> csr_matrix:
+    """Sparse P[(i,j),(i',j')] = h[j,i'] * V[i,j,j'], truncated and renormalised.
+
+    Products below _TRUNCATE_BELOW are dropped and each row rescaled to
+    sum to one.  Only factor entries at or above the threshold can give
+    a product above it, since both factors are probabilities, so the
+    outer products per ready count j run over those entries alone.
+    """
+    n = horizontal.shape[0]
+    rows, cols, vals = [], [], []
+    for j in range(n):
+        # int32 state indices are what scipy stores for n_max^2 < 2^31, so
+        # the index arrays reach the CSR matrix without an int64 copy
+        orders = np.flatnonzero(horizontal[j] >= _TRUNCATE_BELOW).astype(np.int32)
+        i, jp = (a.astype(np.int32) for a in np.nonzero(vertical[:, j, :] >= _TRUNCATE_BELOW))
+        prod = np.multiply.outer(vertical[i, j, jp], horizontal[j, orders])
+        keep = prod >= _TRUNCATE_BELOW
+        rows.append(np.broadcast_to((i * n + j)[:, None], prod.shape)[keep])
+        cols.append((orders[None, :] * n + jp[:, None])[keep])
+        vals.append(prod[keep])
+    rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
+    vals /= np.bincount(rows, weights=vals, minlength=n * n)[rows]
+    return csr_matrix((vals, (rows, cols)), shape=(n * n, n * n))
+
+
 @dataclass(frozen=True)
 class ClusterChain:
-    """Assembled DTMC over states s(i, j) = (i-1)*n_max + (j-1).
+    """DTMC over states s(i, j) = (i-1)*n_max + (j-1), made from its factors.
 
-    The arrays are copied and frozen, except when build_chain hands over
-    arrays it has just built and owns (_owned), which are frozen in place.
+    The row of state (i, j) is the outer product of the order vector
+    horizontal[j-1] and the vertical row vertical[i-1, j-1].  The factors
+    are checked once and frozen (copied first, except when build_chain
+    hands over arrays it has just built and owns, _owned); the sparse
+    transition matrix is assembled from them once.
     """
 
     n_max: int
     arrival_rate: float
-    transition_matrix: np.ndarray
     horizontal: np.ndarray  # [j-1, i'-1]
     vertical: np.ndarray    # [i-1, j-1, j'-1]
     _owned: InitVar[bool] = False
+    sparse_matrix: csr_matrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, _owned):
         n = self.n_max
-        p = np.asarray(self.transition_matrix, dtype=np.float64)
-        if p.shape != (n * n, n * n):
-            raise ValidationError(f"transition matrix must be {n * n}x{n * n}, got {p.shape}")
-        if np.any(p < 0) or not np.all(np.isfinite(p)):
-            raise ValidationError("transition matrix entries must be finite and >= 0")
-        row_err = float(np.max(np.abs(p.sum(axis=1) - 1.0)))
-        if row_err > 1e-10:
-            raise ValidationError(f"transition matrix rows must sum to 1 (max error {row_err:.3e})")
-        for name in ("transition_matrix", "horizontal", "vertical"):
+        for name, shape in (("horizontal", (n, n)), ("vertical", (n, n, n))):
             arr = np.asarray(getattr(self, name), dtype=np.float64)
+            _check_stochastic(name, arr, shape)
             if not _owned:
                 arr = arr.copy()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+        p = _assemble(self.horizontal, self.vertical)
+        for arr in (p.data, p.indices, p.indptr):
+            arr.flags.writeable = False
+        object.__setattr__(self, "sparse_matrix", p)
+
+    @property
+    def transition_matrix(self) -> np.ndarray:
+        """The dense n_max^2 x n_max^2 matrix, built on each access."""
+        p = self.sparse_matrix.toarray()
+        p.flags.writeable = False
+        return p
 
     @property
     def n_states(self) -> int:
@@ -171,12 +212,8 @@ class ClusterChain:
 
 
 def build_chain(arrival_rate: float, model: MetricModel, cfg: AutoscalerConfig) -> ClusterChain:
-    """Assemble the full chain from cached per-coordinate factors.
-
-    The n_max horizontal vectors and n_max vertical matrices are each
-    computed once; rows of the product chain are outer products, so
-    assembly is quadratic in the state count rather than cubic.
-    """
+    """The chain at arrival_rate, from its n_max horizontal vectors and
+    n_max vertical matrices, each computed once."""
     n = cfg.n_max
     horizontal = np.empty((n, n), dtype=np.float64)
     for j in range(1, n + 1):
@@ -184,16 +221,8 @@ def build_chain(arrival_rate: float, model: MetricModel, cfg: AutoscalerConfig) 
     vertical = np.empty((n, n, n), dtype=np.float64)
     for i in range(1, n + 1):
         vertical[i - 1] = vertical_transition_probs(i, cfg)
-    m = n * n
-    p = np.empty((m, m), dtype=np.float64)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            row = np.kron(horizontal[j - 1], vertical[i - 1, j - 1])
-            p[(i - 1) * n + (j - 1)] = row
-    p[p < _TRUNCATE_BELOW] = 0.0
-    p /= p.sum(axis=1, keepdims=True)
-    return ClusterChain(n_max=n, arrival_rate=float(arrival_rate), transition_matrix=p,
-                        horizontal=horizontal, vertical=vertical, _owned=True)
+    return ClusterChain(n_max=n, arrival_rate=float(arrival_rate), horizontal=horizontal,
+                        vertical=vertical, _owned=True)
 
 
 def _recurrence_structure(graph: csr_matrix):
@@ -208,31 +237,24 @@ def _recurrence_structure(graph: csr_matrix):
     return recurrent, transient
 
 
-def _solve_single_class(p: np.ndarray, state_name) -> tuple:
-    """Stationary vector of a checked row-stochastic p, and its transient count.
+def _solve_single_class(graph: csr_matrix, state_name) -> tuple:
+    """Stationary vector of a checked row-stochastic sparse matrix, and its
+    transient count.
 
-    The transition graph is analysed once.  More than one recurrent class
-    raises NonErgodicError, listing each class through state_name;
-    transient states warn and get zero mass.  On the single recurrent
-    class R the balance system (P_RR^T - I) pi = 0, with its first
-    equation replaced by sum(pi) = 1, is solved by sparse LU.
+    graph stores no zeros and no negative entries.  The transition graph
+    is analysed once.  More than one recurrent class raises
+    NonErgodicError, listing each class through state_name; transient
+    states get zero mass.  On the single recurrent class R the balance
+    system (P_RR^T - I) pi = 0, with its first equation replaced by
+    sum(pi) = 1, is solved by sparse LU.
     """
-    # Sparse form with rounding noise below zero clamped; it stays
-    # O(nonzeros) instead of copying the dense matrix.
-    graph = csr_matrix(p)
-    np.maximum(graph.data, 0.0, out=graph.data)
-    graph.eliminate_zeros()
-    m = p.shape[0]
+    m = graph.shape[0]
     recurrent, transient = _recurrence_structure(graph)
     if len(recurrent) > 1:
         classes = [[state_name(s) for s in cls.tolist()] for cls in recurrent]
         raise NonErgodicError(
             f"chain has {len(classes)} recurrent classes {classes}; "
             "stationary distribution is not unique", recurrent_classes=classes)
-    if transient.size:
-        warnings.warn(
-            f"{transient.size} of {m} chain states are transient and receive zero "
-            "stationary mass", ChainStructureWarning, stacklevel=3)
 
     states = recurrent[0]
     r = states.size
@@ -264,9 +286,9 @@ def solve_stationary(p: np.ndarray) -> np.ndarray:
 
     Entries down to -1e-14 are taken as rounding noise and read as zero.
     Multiple recurrent classes make the stationary vector non-unique and
-    raise NonErgodicError; transient states only warn, since they
-    legitimately carry zero mass.  A singular, degenerate or inaccurate
-    solve (residual above 1e-10) raises NumericalError.
+    raise NonErgodicError; transient states get zero mass.  A singular,
+    degenerate or inaccurate solve (residual above 1e-10) raises
+    NumericalError.
     """
     p = np.asarray(p, dtype=np.float64)
     if p.ndim != 2 or p.shape[0] != p.shape[1]:
@@ -276,7 +298,12 @@ def solve_stationary(p: np.ndarray) -> np.ndarray:
     row_err = float(np.max(np.abs(p.sum(axis=1) - 1.0)))
     if row_err > 1e-9:
         raise ValidationError(f"rows must sum to 1 (max error {row_err:.3e})")
-    pi, _ = _solve_single_class(p, int)
+    # Sparse form with rounding noise below zero clamped; it stays
+    # O(nonzeros) instead of copying the dense matrix.
+    graph = csr_matrix(p)
+    np.maximum(graph.data, 0.0, out=graph.data)
+    graph.eliminate_zeros()
+    pi, _ = _solve_single_class(graph, int)
     return pi
 
 
@@ -294,9 +321,14 @@ class StationaryDistribution:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
+    @property
+    def recurrent_states(self) -> int:
+        """Size of the single recurrent class: every state not transient."""
+        return self.pi.size - self.n_transient
+
 
 def stationary_distribution(chain: ClusterChain) -> StationaryDistribution:
     """Solve the chain; non-unique answers name their (order, ready) states."""
-    pi, n_transient = _solve_single_class(chain.transition_matrix, chain.state_of)
+    pi, n_transient = _solve_single_class(chain.sparse_matrix, chain.state_of)
     marginal = pi.reshape(chain.n_max, chain.n_max).sum(axis=0)
     return StationaryDistribution(pi=pi, marginal_ready=marginal, n_transient=n_transient)

@@ -42,7 +42,3 @@ class NonErgodicError(ReplicastError):
 
 class NumericalError(ReplicastError):
     """A solver failed to reach its accuracy target."""
-
-
-class ChainStructureWarning(UserWarning):
-    """Transient states detected; they get zero stationary mass."""

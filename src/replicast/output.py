@@ -1,9 +1,9 @@
 """Steady-state deliverables: response time, replica count, concurrency.
 
-The stationary distribution weights a per-state table: in state (i, j)
-the deployment serves the full arrival rate with j containers, so each
-container sees rate lambda/j, responds in RTF(lambda/j) on average, and
-carries the positive part of the fitted metric Gaussian at that rate.
+The stationary distribution weights a per-ready-count table: in state
+(i, j) the deployment serves the full arrival rate with j containers, so
+each container sees rate lambda/j, responds in RTF(lambda/j) on average,
+and carries the positive part of the fitted metric Gaussian at that rate.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ import numpy as np
 
 from .config import AutoscalerConfig, ProfilingTrace
 from .cluster import ClusterChain, StationaryDistribution
-from .errors import FitRejectedError, InsufficientDataError, ValidationError
+from .errors import (ConfigMismatchError, FitRejectedError, InsufficientDataError,
+                     ValidationError)
 from .metric_model import (MetricModel, fit_polynomial_terms, fit_quality,
                            mean_of_positive_part, observed_value_distribution)
 
@@ -131,22 +132,47 @@ class StateContribution:
 
 @dataclass(frozen=True)
 class SteadyStateReport:
-    """The three headline predictions plus their per-state decomposition."""
+    """The three headline predictions plus their per-state decomposition.
+
+    Every per-state value but the probability depends on the ready count
+    alone, so the report keeps one table per ready count (index j-1) and
+    the stationary distribution, and builds per_state only when it is read.
+    """
 
     arrival_rate: float
     avg_response_time_s: float
     avg_replica_count: float
     avg_concurrency: float
-    per_state: tuple
-    marginal_ready: np.ndarray
     extrapolated_mass: float
     window_s: float
     requests_in_window: float
+    stationary: StationaryDistribution
+    ready_concurrency: np.ndarray
+    ready_response_time_s: np.ndarray
+    ready_extrapolated: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.marginal_ready, dtype=np.float64).copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "marginal_ready", arr)
+        for name in ("ready_concurrency", "ready_response_time_s", "ready_extrapolated"):
+            arr = np.array(getattr(self, name))
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
+    @property
+    def marginal_ready(self) -> np.ndarray:
+        return self.stationary.marginal_ready
+
+    @property
+    def per_state(self) -> tuple:
+        n = self.marginal_ready.size
+        pi = self.stationary.pi
+        return tuple(
+            StateContribution(
+                order=s // n + 1, ready=s % n + 1, probability=float(pi[s]),
+                per_container_rate=self.arrival_rate / (s % n + 1),
+                concurrency=float(self.ready_concurrency[s % n]),
+                response_time_s=float(self.ready_response_time_s[s % n]),
+                extrapolated=bool(self.ready_extrapolated[s % n]))
+            for s in range(pi.size))
 
     def to_dict(self, include_states: bool = True) -> dict:
         out = {
@@ -157,6 +183,8 @@ class SteadyStateReport:
             "marginal_ready": self.marginal_ready.tolist(),
             "diagnostics": {
                 "extrapolated_mass": self.extrapolated_mass,
+                "n_transient": self.stationary.n_transient,
+                "recurrent_states": self.stationary.recurrent_states,
             },
             "window_s": self.window_s,
             "requests_in_window": self.requests_in_window,
@@ -169,49 +197,39 @@ class SteadyStateReport:
 def steady_state_report(stationary: StationaryDistribution, chain: ClusterChain,
                         model: MetricModel, rtf: ResponseTimeFunction,
                         cfg: AutoscalerConfig, window_s: float = 3600.0) -> SteadyStateReport:
-    """Weight the per-state table by the stationary distribution.
+    """Weight the per-ready-count table by the ready-count marginal.
 
-    States whose per-container rate exceeds either fitted range are still
-    evaluated (the fitted maps are smooth) but their combined stationary
-    mass is reported so callers can judge how far the prediction leans on
-    extrapolation.
+    With j containers ready each sees rate lambda/j, whatever the order,
+    so the response time, concurrency and extrapolation flag are
+    evaluated once per j.  Ready counts whose per-container rate exceeds
+    either fitted range are still evaluated (the fitted maps are smooth)
+    but their combined stationary mass is reported so callers can judge
+    how far the prediction leans on extrapolation.
     """
     lam = chain.arrival_rate
     if model.metric_kind != cfg.metric_kind:
-        raise ValidationError(
-            f"metric model is for {model.metric_kind!r} but config declares "
-            f"{cfg.metric_kind!r}")
+        raise ConfigMismatchError(
+            f"metric model was fitted for {model.metric_kind!r} but the config "
+            f"declares {cfg.metric_kind!r}")
     if not (math.isfinite(window_s) and window_s > 0):
         raise ValidationError(f"window_s must be > 0, got {window_s!r}")
     fitted_reach = min(model.rho_max, rtf.rho_max)
-    states = []
-    rt_sum = 0.0
-    n_sum = 0.0
-    c_sum = 0.0
-    extrapolated_mass = 0.0
-    for s in range(chain.n_states):
-        i, j = chain.state_of(s)
-        prob = float(stationary.pi[s])
-        rho = lam / j
-        rt = rtf.at(rho)
-        conc = mean_of_positive_part(observed_value_distribution(model, rho))
-        extrapolated = rho > fitted_reach * (1.0 + 1e-12)
-        rt_sum += prob * rt
-        n_sum += prob * j
-        c_sum += prob * conc
-        if extrapolated:
-            extrapolated_mass += prob
-        states.append(StateContribution(
-            order=i, ready=j, probability=prob, per_container_rate=rho,
-            concurrency=conc, response_time_s=rt, extrapolated=extrapolated))
+    rates = [lam / j for j in range(1, chain.n_max + 1)]
+    rt = np.array([rtf.at(rho) for rho in rates])
+    conc = np.array([mean_of_positive_part(observed_value_distribution(model, rho))
+                     for rho in rates])
+    extrapolated = np.array([rho > fitted_reach * (1.0 + 1e-12) for rho in rates])
+    marginal = stationary.marginal_ready
     return SteadyStateReport(
         arrival_rate=lam,
-        avg_response_time_s=rt_sum,
-        avg_replica_count=n_sum,
-        avg_concurrency=c_sum,
-        per_state=tuple(states),
-        marginal_ready=stationary.marginal_ready,
-        extrapolated_mass=extrapolated_mass,
+        avg_response_time_s=float(marginal @ rt),
+        avg_replica_count=float(marginal @ np.arange(1.0, chain.n_max + 1)),
+        avg_concurrency=float(marginal @ conc),
+        extrapolated_mass=float(marginal[extrapolated].sum()),
         window_s=float(window_s),
         requests_in_window=lam * float(window_s),
+        stationary=stationary,
+        ready_concurrency=conc,
+        ready_response_time_s=rt,
+        ready_extrapolated=extrapolated,
     )

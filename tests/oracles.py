@@ -4,8 +4,10 @@ Everything here deliberately avoids the code paths under test:
 the matrix exponential is Taylor series with repeated squaring (the
 package uses the closed-form binomial law), the stationary oracle is
 plain power iteration (the package solves a linear system), the order-probability
-oracle is Monte Carlo, and the positive-part expectation is adaptive
-quadrature (the package uses the closed form).
+oracle is Monte Carlo, the positive-part expectation is adaptive
+quadrature (the package uses the closed form), and the chain's matrix is
+assembled densely, one Kronecker row per state (the package assembles a
+sparse matrix from the factors' nonzeros).
 """
 
 import math
@@ -66,4 +68,17 @@ def quad_positive_mean(mean: float, std: float) -> float:
 def random_stochastic_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
     """Dense random row-stochastic matrix (strictly positive, ergodic)."""
     p = rng.uniform(0.01, 1.0, size=(n, n))
+    return p / p.sum(axis=1, keepdims=True)
+
+
+def dense_chain_matrix(horizontal: np.ndarray, vertical: np.ndarray,
+                       truncate_below: float = 1e-15) -> np.ndarray:
+    """Row (i, j) = kron(horizontal[j], vertical[i, j]), entries below
+    truncate_below zeroed, each row rescaled to sum to one."""
+    n = horizontal.shape[0]
+    p = np.empty((n * n, n * n))
+    for i in range(n):
+        for j in range(n):
+            p[i * n + j] = np.kron(horizontal[j], vertical[i, j])
+    p[p < truncate_below] = 0.0
     return p / p.sum(axis=1, keepdims=True)

@@ -9,7 +9,6 @@ being papered over.
 import json
 import math
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -53,11 +52,9 @@ def grid_compare(ref_bundle, ref_workload, tmp_path_factory):
             cfg_path = root / f"sim_{idx}.json"
             cfg_path.write_text(json.dumps(sim_cfg.to_dict()), encoding="utf-8")
             out_path = root / f"cmp_{idx}.json"
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", rc.ChainStructureWarning)
-                code = cli.main(["compare", "--model", str(bundle_path),
-                                 "--sim-config", str(cfg_path),
-                                 "--seeds", "10", "--out", str(out_path)])
+            code = cli.main(["compare", "--model", str(bundle_path),
+                             "--sim-config", str(cfg_path),
+                             "--seeds", "10", "--out", str(out_path)])
             payload = json.loads(out_path.read_text(encoding="utf-8"))
             points.append({"lam": lam, "tv": tv, "exit_code": code,
                            "payload": payload})
@@ -103,9 +100,7 @@ def test_criterion_2_stationary_solver_oracle(ref_bundle, criterion):
     for lam in GRID_LAMBDAS:
         for tv in GRID_TARGETS:
             chain = rc.build_chain(lam, ref_bundle.metric, grid_autoscaler(tv))
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", rc.ChainStructureWarning)
-                st = rc.stationary_distribution(chain)
+            st = rc.stationary_distribution(chain)
             residual = float(np.max(np.abs(st.pi @ chain.transition_matrix - st.pi)))
             worst_residual = max(worst_residual, residual)
             worst_mass = max(worst_mass, abs(float(st.pi.sum()) - 1.0))
@@ -228,9 +223,7 @@ def test_criterion_6_monotone_trends_and_compare_verdicts(ref_bundle, grid_compa
     for tv in targets:
         cfg = grid_autoscaler(tv)
         chain = rc.build_chain(20.0, ref_bundle.metric, cfg)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", rc.ChainStructureWarning)
-            st = rc.stationary_distribution(chain)
+        st = rc.stationary_distribution(chain)
         rep = rc.steady_state_report(st, chain, ref_bundle.metric,
                                      ref_bundle.response_time, cfg)
         replicas.append(rep.avg_replica_count)

@@ -104,13 +104,29 @@ class TestPredict:
         stdout = capsys.readouterr().out
         assert out.read_text(encoding="utf-8") == stdout
 
+    def test_diagnostics_without_per_state(self, tmp_path, bundle_path, capsys):
+        cfg = autoscaler_file(tmp_path, target_value=2.0, n_max=3)
+        code = cli.main(["predict", "--model", bundle_path, "--config", cfg,
+                         "--arrival-rate", "10"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert "per_state" not in payload and "explain" not in payload
+        diagnostics = payload["diagnostics"]
+        assert diagnostics["n_transient"] + diagnostics["recurrent_states"] == 9
+        assert diagnostics["recurrent_states"] >= 1
+
     def test_explain_includes_chain_internals(self, tmp_path, bundle_path, capsys):
         cfg = autoscaler_file(tmp_path, target_value=2.0, n_max=3)
         code = cli.main(["predict", "--model", bundle_path, "--config", cfg,
                          "--arrival-rate", "10", "--explain"])
         assert code == 0
-        explain = json.loads(capsys.readouterr().out)["explain"]
+        payload = json.loads(capsys.readouterr().out)
+        assert len(payload["per_state"]) == 9
+        assert sum(s["probability"] for s in payload["per_state"]) == pytest.approx(1.0)
+        explain = payload["explain"]
         assert len(explain["transition_matrix"]) == 9
+        assert all(len(row) == 9 for row in explain["transition_matrix"])
+        assert explain["n_transient_states"] == payload["diagnostics"]["n_transient"]
         assert len(explain["stationary"]) == 9
         assert set(explain["order_distributions"]) == {"1", "2", "3"}
         assert set(explain["rate_matrices"]) == {"1", "2", "3"}
@@ -123,6 +139,16 @@ class TestPredict:
                          "--arrival-rate", rate])
         assert code == 1
         assert "arrival_rate must be finite and > 0" in capsys.readouterr().err
+
+    def test_metric_kind_mismatch_exits_one(self, tmp_path, bundle_path, capsys):
+        cfg = tmp_path / "rps.json"
+        rc.save_autoscaler_config(
+            rc.AutoscalerConfig(metric_kind="rps", target_value=2.0, n_max=3), cfg)
+        code = cli.main(["predict", "--model", bundle_path, "--config", str(cfg),
+                         "--arrival-rate", "10"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "'cc'" in err and "'rps'" in err
 
     def test_numerical_failures_exit_two(self, tmp_path, bundle_path, capsys,
                                          monkeypatch):

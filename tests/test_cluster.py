@@ -1,6 +1,7 @@
 """Replica-state chain: rate matrices, vertical moves, assembly, stationary solve."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,7 +10,8 @@ from scipy.sparse.linalg import MatrixRankWarning
 from scipy.stats import norm
 
 import replicast as rc
-from oracles import power_iteration_pi, random_stochastic_matrix, taylor_expm
+from oracles import (dense_chain_matrix, power_iteration_pi,
+                     random_stochastic_matrix, taylor_expm)
 
 
 def make_cfg(n_max=3, target_value=1.0, **overrides):
@@ -177,9 +179,7 @@ class TestAggregateControlLaw:
         # than two spreads from the thresholds 6 and 8
         cfg = make_cfg(n_max=10, target_value=2.0)
         chain = rc.build_chain(35.0, make_mm(0.2, 0.0, 0.05, 0.02), cfg)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", rc.ChainStructureWarning)
-            st = rc.stationary_distribution(chain)
+        st = rc.stationary_distribution(chain)
         assert st.marginal_ready.argmax() == 3
         assert float(st.marginal_ready @ np.arange(1, 11)) == pytest.approx(4.0, abs=0.1)
 
@@ -232,19 +232,58 @@ class TestChainAssembly:
         assert np.allclose(chain.transition_matrix, expected, atol=1e-10)
 
     def test_caller_arrays_are_copied_and_frozen(self):
-        p = np.full((4, 4), 0.25)
         h = np.full((2, 2), 0.5)
         v = np.full((2, 2, 2), 0.5)
-        chain = rc.ClusterChain(n_max=2, arrival_rate=1.0, transition_matrix=p,
-                                horizontal=h, vertical=v)
-        p[0] = [1.0, 0.0, 0.0, 0.0]
+        chain = rc.ClusterChain(n_max=2, arrival_rate=1.0, horizontal=h, vertical=v)
         h[0, 0] = v[0, 0, 0] = 0.0
         assert np.all(chain.transition_matrix == 0.25)
         assert np.all(chain.horizontal == 0.5) and np.all(chain.vertical == 0.5)
         built = rc.build_chain(5.0, make_mm(), make_cfg(n_max=2))
-        for arr in (chain.transition_matrix, chain.horizontal, chain.vertical,
-                    built.transition_matrix, built.horizontal, built.vertical):
-            assert not arr.flags.writeable
+        for c in (chain, built):
+            sparse = c.sparse_matrix
+            for arr in (c.transition_matrix, c.horizontal, c.vertical,
+                        sparse.data, sparse.indices, sparse.indptr):
+                assert not arr.flags.writeable
+
+    @pytest.mark.parametrize("bad", [
+        {"horizontal": np.full((2, 3), 0.5)},
+        {"vertical": np.full((2, 2, 3), 0.5)},
+        {"horizontal": np.array([[1.5, -0.5], [0.5, 0.5]])},
+        {"vertical": np.full((2, 2, 2), np.nan)},
+        {"horizontal": np.array([[0.5, 0.6], [0.5, 0.5]])},
+    ])
+    def test_factors_checked_once(self, bad):
+        factors = {"horizontal": np.full((2, 2), 0.5), "vertical": np.full((2, 2, 2), 0.5)}
+        factors.update(bad)
+        with pytest.raises(rc.ValidationError):
+            rc.ClusterChain(n_max=2, arrival_rate=1.0, **factors)
+
+    @pytest.mark.parametrize("lifecycle", [(1.0, 2.0, 2.0), (0.05, 0.1, 0.7),
+                                           (30.0, 30.0, 9.0)])
+    @pytest.mark.parametrize("n_max", [1, 2, 5, 12])
+    def test_sparse_assembly_matches_dense_reference(self, n_max, lifecycle):
+        mu_pro, mu_dep, t_eva_s = lifecycle
+        cfg = make_cfg(n_max=n_max, target_value=2.0, mu_pro=mu_pro, mu_dep=mu_dep,
+                       t_eva_s=t_eva_s)
+        chain = rc.build_chain(3.0 * n_max, make_mm(0.2, 0.001, 0.1, 0.02), cfg)
+        want = dense_chain_matrix(chain.horizontal, chain.vertical)
+        got = chain.transition_matrix
+        assert np.max(np.abs(got - want)) <= 1e-15
+        # the same entries survive truncation
+        assert np.array_equal(got > 0.0, want > 0.0)
+
+    def test_assembly_never_builds_the_dense_matrix(self):
+        # at n_max 50 the dense matrix alone is 2500^2 doubles, 50 MB
+        cfg = make_cfg(n_max=50, target_value=2.0)
+        mm = make_mm(0.2, 0.0, 0.1, 0.02)
+        tracemalloc.start()
+        try:
+            st = rc.stationary_distribution(rc.build_chain(200.0, mm, cfg))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert st.pi.size == 2500
+        assert peak < 25e6
 
     def test_factorization_invariant(self):
         cfg = make_cfg(n_max=5, target_value=2.0)
@@ -295,22 +334,18 @@ class TestStationarySolve:
         monkeypatch.setattr(rc.cluster, "_recurrence_structure", counting)
         # the eight-transient-state chain of the test below
         chain = rc.build_chain(15.0, make_mm(0.2), make_cfg(n_max=3, target_value=1.9))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            rc.stationary_distribution(chain)
+        st = rc.stationary_distribution(chain)
         assert calls == [(9, 9)]
-        structure = [w for w in caught if issubclass(w.category, rc.ChainStructureWarning)]
-        assert len(structure) == 1
+        assert st.n_transient == 8
 
     def test_pi_reproduced_by_matrix_powers(self):
         cfg = make_cfg(n_max=4, target_value=2.0)
         chain = rc.build_chain(16.0, make_mm(0.2, 0.0, 0.2, 0.01), cfg)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", rc.ChainStructureWarning)
-            st = rc.stationary_distribution(chain)
+        st = rc.stationary_distribution(chain)
+        p = chain.transition_matrix
         v = st.pi.copy()
         for _ in range(100):
-            v = v @ chain.transition_matrix
+            v = v @ p
         assert np.allclose(v, st.pi, atol=1e-9)
 
     def test_multiple_recurrent_classes_rejected(self):
@@ -325,30 +360,26 @@ class TestStationarySolve:
         assert len(exc.value.recurrent_classes) == 2
 
     def test_non_ergodic_chain_names_order_ready_states(self):
-        p = np.array([
-            [0.5, 0.5, 0.0, 0.0],
-            [0.5, 0.5, 0.0, 0.0],
-            [0.0, 0.0, 0.5, 0.5],
-            [0.0, 0.0, 0.5, 0.5],
-        ])
-        dummy_h = np.full((2, 2), 0.5)
-        dummy_v = np.full((2, 2, 2), 0.5)
-        chain = rc.ClusterChain(n_max=2, arrival_rate=1.0, transition_matrix=p,
-                                horizontal=dummy_h, vertical=dummy_v)
+        # every order repeats the ready count and nothing provisions, so
+        # (i, j) moves to (j, j): (1, 1) and (2, 2) both absorb
+        chain = rc.ClusterChain(n_max=2, arrival_rate=1.0, horizontal=np.eye(2),
+                                vertical=np.stack([np.eye(2), np.eye(2)]))
         with pytest.raises(rc.NonErgodicError) as exc:
             rc.stationary_distribution(chain)
         assert "(1, 1)" in str(exc.value)
         assert "(2, 2)" in str(exc.value)
 
-    def test_transient_states_warn_and_carry_zero_mass(self):
+    def test_transient_states_counted_and_carry_zero_mass(self):
         # degenerate sigma makes the order deterministic: the aggregate
         # 0.2 * 15 = 3.0 orders ceil(3.0 / 1.9) = 2 from every j, so (2,2)
         # absorbs and the other eight states are transient
         cfg = make_cfg(n_max=3, target_value=1.9)
         chain = rc.build_chain(15.0, make_mm(0.2), cfg)
-        with pytest.warns(rc.ChainStructureWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             st = rc.stationary_distribution(chain)
         assert st.n_transient == 8
+        assert st.recurrent_states == 1
         assert st.pi[chain.state_index(2, 2)] == pytest.approx(1.0, abs=1e-12)
         for j in range(1, 4):
             assert st.pi[chain.state_index(1, j)] == pytest.approx(0.0, abs=1e-15)
@@ -357,9 +388,7 @@ class TestStationarySolve:
     def test_marginal_ready_sums_over_orders(self):
         cfg = make_cfg(n_max=3, target_value=2.0)
         chain = rc.build_chain(10.0, make_mm(0.2, 0.0, 0.3, 0.01), cfg)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", rc.ChainStructureWarning)
-            st = rc.stationary_distribution(chain)
+        st = rc.stationary_distribution(chain)
         grid = st.pi.reshape(3, 3)
         assert np.allclose(st.marginal_ready, grid.sum(axis=0), atol=1e-15)
 

@@ -1,7 +1,7 @@
 """Response-time fit and the stationary-weighted steady-state report."""
 
 import json
-import warnings
+import math
 
 import numpy as np
 import pytest
@@ -120,9 +120,7 @@ class TestSteadyStateReport:
         mm = make_mm(0.2, 0.001, 0.1, 0.02)
         rtf = make_rtf()
         chain = rc.build_chain(18.0, mm, cfg)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", rc.ChainStructureWarning)
-            st = rc.stationary_distribution(chain)
+        st = rc.stationary_distribution(chain)
         rep = rc.steady_state_report(st, chain, mm, rtf, cfg)
         from_marginal = float(np.dot(rep.marginal_ready, np.arange(1, 7)))
         assert rep.avg_replica_count == pytest.approx(from_marginal, abs=1e-12)
@@ -132,9 +130,7 @@ class TestSteadyStateReport:
     def _report_at(self, bundle, lam, tv, n_max=10):
         cfg = rc.AutoscalerConfig(metric_kind="cc", target_value=tv, n_max=n_max)
         chain = rc.build_chain(lam, bundle.metric, cfg)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", rc.ChainStructureWarning)
-            st = rc.stationary_distribution(chain)
+        st = rc.stationary_distribution(chain)
         return rc.steady_state_report(st, chain, bundle.metric,
                                       bundle.response_time, cfg)
 
@@ -151,25 +147,55 @@ class TestSteadyStateReport:
         for lo, hi in zip(cs[:-1], cs[1:]):
             assert hi >= lo - 1e-9
 
+    def test_per_ready_report_matches_per_state_loop(self, ref_bundle):
+        # the report weights one value per ready count by the marginal;
+        # the reference walks every (order, ready) state with its own
+        # probability, as a per-state table does
+        cfg = rc.AutoscalerConfig(metric_kind="cc", target_value=2.0, n_max=8)
+        mm, rtf = ref_bundle.metric, ref_bundle.response_time
+        chain = rc.build_chain(60.0, mm, cfg)
+        st = rc.stationary_distribution(chain)
+        rep = rc.steady_state_report(st, chain, mm, rtf, cfg)
+        reach = min(mm.rho_max, rtf.rho_max)
+        want = []
+        for s in range(chain.n_states):
+            i, j = chain.state_of(s)
+            rho = chain.arrival_rate / j
+            want.append(rc.StateContribution(
+                order=i, ready=j, probability=float(st.pi[s]), per_container_rate=rho,
+                concurrency=rc.mean_of_positive_part(rc.observed_value_distribution(mm, rho)),
+                response_time_s=rtf.at(rho), extrapolated=rho > reach * (1.0 + 1e-12)))
+        assert rep.per_state == tuple(want)
+        for name, value in (
+                ("avg_response_time_s", math.fsum(w.probability * w.response_time_s
+                                                  for w in want)),
+                ("avg_replica_count", math.fsum(w.probability * w.ready for w in want)),
+                ("avg_concurrency", math.fsum(w.probability * w.concurrency for w in want)),
+                ("extrapolated_mass", math.fsum(w.probability for w in want
+                                                if w.extrapolated))):
+            assert getattr(rep, name) == pytest.approx(value, rel=1e-12, abs=1e-15)
+        assert rep.to_dict()["per_state"] == [w.to_dict() for w in want]
+        diagnostics = rep.to_dict()["diagnostics"]
+        assert diagnostics["n_transient"] == st.n_transient
+        assert diagnostics["recurrent_states"] == chain.n_states - st.n_transient
+
     def test_metric_kind_mismatch_rejected(self):
         cfg = rc.AutoscalerConfig(metric_kind="rps", target_value=2.0, n_max=2)
         mm = make_mm()
-        chain = rc.ClusterChain(
-            n_max=2, arrival_rate=1.0,
-            transition_matrix=np.full((4, 4), 0.25),
-            horizontal=np.full((2, 2), 0.5), vertical=np.full((2, 2, 2), 0.5))
+        chain = rc.ClusterChain(n_max=2, arrival_rate=1.0, horizontal=np.full((2, 2), 0.5),
+                                vertical=np.full((2, 2, 2), 0.5))
         st = _point_distribution(chain, {(1, 1): 1.0})
-        with pytest.raises(rc.ValidationError):
+        with pytest.raises(rc.ValidationError) as exc:
             rc.steady_state_report(st, chain, mm, make_rtf(), cfg)
+        assert isinstance(exc.value, rc.ConfigMismatchError)
+        assert "'cc'" in str(exc.value) and "'rps'" in str(exc.value)
 
     def test_extrapolation_mass_accounting(self):
         cfg = rc.AutoscalerConfig(metric_kind="cc", target_value=4.0, n_max=4)
         mm = make_mm(rho_max=5.0)
         rtf = make_rtf(rho_max=5.0)
         chain = rc.build_chain(40.0, mm, cfg)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", rc.ChainStructureWarning)
-            st = rc.stationary_distribution(chain)
+        st = rc.stationary_distribution(chain)
         rep = rc.steady_state_report(st, chain, mm, rtf, cfg)
         # every reachable per-container rate is 40/j >= 10 > fitted 5
         assert rep.extrapolated_mass == pytest.approx(1.0, abs=1e-12)
