@@ -10,9 +10,8 @@ A built-in discrete-event simulator provides ground truth and traces.
 from ._jit import JIT_ENABLED
 from .bundle import ModelBundle, fit_bundle, load_bundle, save_bundle
 from .cluster import (ClusterChain, StationaryDistribution, build_chain,
-                      build_rate_matrix, horizontal_transition_probs,
-                      solve_stationary, stationary_distribution,
-                      vertical_transition_probs)
+                      horizontal_transition_probs, solve_stationary,
+                      stationary_distribution, vertical_transition_probs)
 from .config import (METRIC_CONCURRENCY, METRIC_KINDS, METRIC_RPS,
                      AutoscalerConfig, ProfilingTrace, load_autoscaler_config,
                      parse_trace, save_autoscaler_config, trace_from_arrays,
@@ -36,7 +35,7 @@ __all__ = [
     "JIT_ENABLED",
     "ModelBundle", "fit_bundle", "load_bundle", "save_bundle",
     "ClusterChain", "StationaryDistribution", "build_chain",
-    "build_rate_matrix", "horizontal_transition_probs", "solve_stationary",
+    "horizontal_transition_probs", "solve_stationary",
     "stationary_distribution", "vertical_transition_probs",
     "METRIC_CONCURRENCY", "METRIC_KINDS", "METRIC_RPS",
     "AutoscalerConfig", "ProfilingTrace",

@@ -15,11 +15,10 @@ import math
 import sys
 
 import numpy as np
-from scipy.special import stdtrit
 
 from .bundle import (SCHEMA_VERSION, ModelBundle, fit_bundle, load_bundle,
                      save_bundle)
-from .cluster import build_chain, build_rate_matrix, stationary_distribution
+from .cluster import build_chain, stationary_distribution
 from .config import (AutoscalerConfig, load_autoscaler_config, load_json,
                      parse_trace, write_trace)
 from .errors import (ConfigMismatchError, InsufficientDataError,
@@ -92,16 +91,13 @@ def cmd_predict(args) -> int:
                **report.to_dict(include_states=args.explain)}
     if args.explain:
         payload["explain"] = {
+            "states": chain.states.tolist(),
             "transition_matrix": chain.transition_matrix.tolist(),
             "stationary": stationary.pi.tolist(),
             "n_transient_states": stationary.n_transient,
             "order_distributions": {
                 str(j): chain.horizontal[j - 1].tolist()
                 for j in range(1, cfg.n_max + 1)
-            },
-            "rate_matrices": {
-                str(i): build_rate_matrix(i, cfg).tolist()
-                for i in range(1, cfg.n_max + 1)
             },
         }
     print(_dump_json(payload, args.out))
@@ -169,6 +165,47 @@ def _seed_variants(sim_cfg: SimulationConfig, seed_override, n_seeds: int):
     return [dataclasses.replace(sim_cfg, seed=base + k) for k in range(n_seeds)]
 
 
+def _t_quantile(p: float, df: int) -> float:
+    """Quantile of Student's t distribution with an integer df >= 1.
+
+    df 1 and 2 have closed forms.  Otherwise Newton's method runs on
+    P(|T| <= t), a finite series in theta = atan(t / sqrt(df))
+    (Abramowitz & Stegun 26.7.3 for odd df, 26.7.4 for even df), with
+    the density from lgamma.  That probability is concave in t >= 0, so
+    Newton's method from t = 0 climbs to the root without overshooting.
+    """
+    if p < 0.5:
+        return -_t_quantile(1.0 - p, df)
+    if df == 1:
+        return math.tan(math.pi * (p - 0.5))
+    if df == 2:
+        return (2.0 * p - 1.0) * math.sqrt(2.0 / (4.0 * p * (1.0 - p)))
+    log_scale = (math.lgamma((df + 1) / 2.0) - math.lgamma(df / 2.0)
+                 - 0.5 * math.log(df * math.pi))
+    t = 0.0
+    for _ in range(200):
+        theta = math.atan(t / math.sqrt(df))
+        cos2 = math.cos(theta) ** 2
+        if df % 2:
+            term = total = math.cos(theta)
+            for r in range(1, (df - 1) // 2):
+                term *= cos2 * (2 * r) / (2 * r + 1)
+                total += term
+            inside = 2.0 / math.pi * (theta + math.sin(theta) * total)
+        else:
+            term = total = 1.0
+            for r in range(1, df // 2):
+                term *= cos2 * (2 * r - 1) / (2 * r)
+                total += term
+            inside = math.sin(theta) * total
+        density = math.exp(log_scale - 0.5 * (df + 1) * math.log1p(t * t / df))
+        step = (inside - (2.0 * p - 1.0)) / (2.0 * density)
+        t -= step
+        if abs(step) <= 1e-15 * t:
+            break
+    return t
+
+
 def _aggregate(reports):
     mean = {}
     ci95 = {}
@@ -177,7 +214,7 @@ def _aggregate(reports):
         vals = np.array([getattr(r, name) for r in reports], dtype=np.float64)
         mean[name] = float(vals.mean())
         if n > 1:
-            half = float(stdtrit(n - 1, 0.975) * vals.std(ddof=1) / math.sqrt(n))
+            half = float(_t_quantile(0.975, n - 1) * vals.std(ddof=1) / math.sqrt(n))
         else:
             half = 0.0
         ci95[name] = half

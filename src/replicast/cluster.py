@@ -7,8 +7,10 @@ the last order (the vertical coordinate, a birth-death process observed
 at evaluation instants).
 The two moves are independent given the current state, so each row of
 the chain's transition matrix is an outer product of a horizontal vector
-and a vertical row.  The stationary distribution of this chain carries
-all steady-state answers.
+and a vertical row.  Nearly all of the n_max^2 states are transient, so
+the chain is built and solved only on the closed set it can never leave.
+The stationary distribution of this chain carries all steady-state
+answers.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
 from .config import AutoscalerConfig
-from .errors import NonErgodicError, NumericalError, ValidationError
+from .errors import (ConfigMismatchError, NonErgodicError, NumericalError,
+                     ValidationError)
 from .evaluator import order_probabilities
 from .metric_model import GaussianDist, MetricModel, observed_value_distribution
 
@@ -37,29 +40,6 @@ def _check_target(i_target: int, n_max: int) -> int:
     if not 1 <= i_target <= n_max:
         raise ValidationError(f"target ready count must be in [1, {n_max}], got {i_target}")
     return i_target
-
-
-def build_rate_matrix(i_target: int, cfg: AutoscalerConfig) -> np.ndarray:
-    """Generator of the provisioning process while the order is i_target.
-
-    States are ready counts 1..n_max.  Below target, the (i_target - j)
-    pending containers provision in parallel at mu_pro each; above
-    target, the (j - i_target) surplus containers drain at mu_dep each.
-    The target itself is absorbing.
-    """
-    i_target = _check_target(i_target, cfg.n_max)
-    n = cfg.n_max
-    q = np.zeros((n, n), dtype=np.float64)
-    for j in range(1, n + 1):
-        if j < i_target:
-            rate = (i_target - j) * cfg.mu_pro
-            q[j - 1, j] = rate
-            q[j - 1, j - 1] -= rate
-        elif j > i_target:
-            rate = (j - i_target) * cfg.mu_dep
-            q[j - 1, j - 2] = rate
-            q[j - 1, j - 1] -= rate
-    return q
 
 
 def _binomial_rows(k_max: int, success: float, failure: float) -> np.ndarray:
@@ -76,29 +56,52 @@ def _binomial_rows(k_max: int, success: float, failure: float) -> np.ndarray:
     return rows
 
 
+def _vertical_law(cfg: AutoscalerConfig) -> tuple:
+    """The two binomial tables behind every vertical move, (arrive, stay).
+
+    The provisioning rates are linear in the deficit, so every pending
+    container provisions, and every surplus container drains,
+    independently of the others.  Over one evaluation period, of k
+    pending containers Binomial(k, 1 - e^(-mu_pro t)) become ready
+    (arrive[k]), and of k surplus containers Binomial(k, e^(-mu_dep t))
+    are still draining (stay[k]).  Both tables run over k < n_max, the
+    largest gap between an order and a ready count.
+    """
+    n, t = cfg.n_max, cfg.t_eva_s
+    arrive = _binomial_rows(n - 1, -math.expm1(-cfg.mu_pro * t), math.exp(-cfg.mu_pro * t))
+    stay = _binomial_rows(n - 1, math.exp(-cfg.mu_dep * t), -math.expm1(-cfg.mu_dep * t))
+    return arrive, stay
+
+
+def _vertical_rows(orders: np.ndarray, ready, arrive: np.ndarray, stay: np.ndarray,
+                   width: int) -> tuple:
+    """Vertical rows V[i, j, lo + m] for m < width, per (order i, ready j) pair.
+
+    The ready count moves from j toward i and stops between them, so the
+    row starts at lo = min(i, j): from below it is arrive[i - j], from
+    above stay[j - i], and at i = j the unit row stay[0].
+    """
+    k = np.abs(orders - ready)
+    rows = np.where((orders > ready)[:, None], arrive[k, :width], stay[k, :width])
+    return np.minimum(orders, ready), rows
+
+
 def vertical_transition_probs(i_target: int, cfg: AutoscalerConfig) -> np.ndarray:
     """Matrix of P[ready j -> j'] over one evaluation period at order i_target.
 
-    This is exp(Q t_eva) for Q = build_rate_matrix(i_target, cfg), in
-    closed form.  The rates are linear in the deficit, so every pending
-    container provisions, and every surplus container drains,
-    independently of the others.  Over one period the number that become
-    ready from j < i_target is Binomial(i_target - j, 1 - e^(-mu_pro t)),
-    and the number still draining from j > i_target is
-    Binomial(j - i_target, e^(-mu_dep t)).
+    This is exp(Q t_eva) for the birth-death generator Q of the
+    provisioning process (the (i_target - j) pending containers arrive at
+    mu_pro each, the (j - i_target) surplus ones drain at mu_dep each),
+    in closed form: the shifted binomial rows of _vertical_law.
     """
     i_target = _check_target(i_target, cfg.n_max)
-    n, t = cfg.n_max, cfg.t_eva_s
-    arrive = _binomial_rows(i_target - 1, -math.expm1(-cfg.mu_pro * t),
-                            math.exp(-cfg.mu_pro * t))
-    stay = _binomial_rows(n - i_target, math.exp(-cfg.mu_dep * t),
-                          -math.expm1(-cfg.mu_dep * t))
+    n = cfg.n_max
+    ready = np.arange(1, n + 1)
+    lo, rows = _vertical_rows(np.full(n, i_target), ready, *_vertical_law(cfg), n)
     out = np.zeros((n, n), dtype=np.float64)
-    for j in range(1, i_target):
-        out[j - 1, j - 1:i_target] = arrive[i_target - j, :i_target - j + 1]
-    out[i_target - 1, i_target - 1] = 1.0
-    for j in range(i_target + 1, n + 1):
-        out[j - 1, i_target - 1:j] = stay[j - i_target, :j - i_target + 1]
+    for j in range(1, n + 1):
+        k = abs(i_target - j)
+        out[j - 1, lo[j - 1] - 1:lo[j - 1] + k] = rows[j - 1, :k + 1]
     return out
 
 
@@ -132,114 +135,176 @@ def _check_stochastic(name: str, arr: np.ndarray, shape: tuple) -> None:
         raise ValidationError(f"{name} rows must sum to 1 (max error {row_err:.3e})")
 
 
-def _assemble(horizontal: np.ndarray, vertical: np.ndarray) -> csr_matrix:
-    """Sparse P[(i,j),(i',j')] = h[j,i'] * V[i,j,j'], truncated and renormalised.
+def _trapping_ready_counts(horizontal: np.ndarray, arrive: np.ndarray, stay: np.ndarray,
+                           lo: int, hi: int) -> np.ndarray:
+    """Ready counts j outside [lo, hi] from which no truncated row moves.
 
-    Products below _TRUNCATE_BELOW are dropped and each row rescaled to
-    sum to one.  Only factor entries at or above the threshold can give
-    a product above it, since both factors are probabilities, so the
-    outer products per ready count j run over those entries alone.
+    The row of (i, j) moves j when some product h[j, i'] * V[i, j, j'],
+    j' != j, reaches _TRUNCATE_BELOW, that is when max(h[j]) times the
+    largest moving entry of V[i, j] does.  j traps when no order i that
+    h[j] can pick moves it.
     """
     n = horizontal.shape[0]
+    # the largest chance that some of k pending containers arrive, or
+    # that some of k surplus containers leave
+    moves_up = np.max(arrive[:, 1:], axis=1, initial=0.0)
+    moves_down = np.max(np.tril(stay, -1), axis=1)
+    ready, order = np.nonzero(horizontal >= _TRUNCATE_BELOW)
+    outside = (ready + 1 < lo) | (ready + 1 > hi)
+    ready, order = ready[outside], order[outside]
+    k = np.abs(order - ready)
+    moving = np.where(order > ready, moves_up[k], moves_down[k])
+    moving *= np.max(horizontal, axis=1)[ready]
+    trapped = np.ones(n, dtype=bool)
+    trapped[lo - 1:hi] = False
+    trapped[ready[moving >= _TRUNCATE_BELOW]] = False
+    return np.flatnonzero(trapped) + 1
+
+
+def _assemble(horizontal: np.ndarray, arrive: np.ndarray, stay: np.ndarray) -> tuple:
+    """The closed states (order, ready) and the sparse chain on them.
+
+    P[(i,j),(i',j')] = h[j,i'] * V[i,j,j'], products below _TRUNCATE_BELOW
+    dropped and each row rescaled to sum to one.  Every transition lands
+    on an order in O, the orders some h[j] reaches, and the ready count
+    stays between j and the current order, so S = O x [min O, max O] is
+    closed.  Outside S, orders not in O leave in one step and ready
+    counts only move toward the range, so those states are transient
+    unless a ready count traps (_trapping_ready_counts): then its orders
+    form a closed set of their own, kept beside S so that the structure
+    analysis names it.  Only factor entries at or above the threshold can
+    give a product above it, since both factors are probabilities, so the
+    outer products per ready count run over those entries alone.
+    """
+    n = horizontal.shape[0]
+    support = horizontal >= _TRUNCATE_BELOW
+    orders = np.flatnonzero(support.any(axis=0)) + 1
+    lo, hi = int(orders[0]), int(orders[-1])
+    groups = [(j, orders) for j in range(lo, hi + 1)]
+    groups += [(int(j), np.flatnonzero(support[j - 1]) + 1)
+               for j in _trapping_ready_counts(horizontal, arrive, stay, lo, hi)]
+    # a state's key is its index (i-1)*n + (j-1) in the full chain, so
+    # sorted keys list the closed states by (order, ready)
+    keys = np.sort(np.concatenate([(src - 1) * n + (j - 1) for j, src in groups]))
     rows, cols, vals = [], [], []
-    for j in range(n):
-        # int32 state indices are what scipy stores for n_max^2 < 2^31, so
-        # the index arrays reach the CSR matrix without an int64 copy
-        orders = np.flatnonzero(horizontal[j] >= _TRUNCATE_BELOW).astype(np.int32)
-        i, jp = (a.astype(np.int32) for a in np.nonzero(vertical[:, j, :] >= _TRUNCATE_BELOW))
-        prod = np.multiply.outer(vertical[i, j, jp], horizontal[j, orders])
+    for j, src in groups:
+        targets = np.flatnonzero(support[j - 1])
+        start, v = _vertical_rows(src, j, arrive, stay, int(np.abs(src - j).max()) + 1)
+        s, m = np.nonzero(v >= _TRUNCATE_BELOW)
+        prod = np.multiply.outer(v[s, m], horizontal[j - 1, targets])
         keep = prod >= _TRUNCATE_BELOW
-        rows.append(np.broadcast_to((i * n + j)[:, None], prod.shape)[keep])
-        cols.append((orders[None, :] * n + jp[:, None])[keep])
+        rows.append(np.broadcast_to(((src[s] - 1) * n + (j - 1))[:, None], prod.shape)[keep])
+        cols.append((targets[None, :] * n + (start[s] + m - 1)[:, None])[keep])
         vals.append(prod[keep])
-    rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
-    vals /= np.bincount(rows, weights=vals, minlength=n * n)[rows]
-    return csr_matrix((vals, (rows, cols)), shape=(n * n, n * n))
+    rows, cols = (np.searchsorted(keys, np.concatenate(a)) for a in (rows, cols))
+    vals = np.concatenate(vals)
+    vals /= np.bincount(rows, weights=vals, minlength=keys.size)[rows]
+    states = np.column_stack([keys // n + 1, keys % n + 1])
+    return states, csr_matrix((vals, (rows, cols)), shape=(keys.size, keys.size))
 
 
 @dataclass(frozen=True)
 class ClusterChain:
-    """DTMC over states s(i, j) = (i-1)*n_max + (j-1), made from its factors.
+    """DTMC over (order, ready) states, made from its factors and kept on
+    the closed set of states it can never leave.
 
     The row of state (i, j) is the outer product of the order vector
-    horizontal[j-1] and the vertical row vertical[i-1, j-1].  The factors
-    are checked once and frozen (copied first, except when build_chain
-    hands over arrays it has just built and owns, _owned); the sparse
-    transition matrix is assembled from them once.
+    horizontal[j-1] and the vertical row of j toward i, drawn from the
+    binomial tables arrive[k] (of k pending containers, how many become
+    ready) and stay[k] (of k surplus containers, how many still drain).
+    The factors are checked once and frozen (copied first, except when
+    build_chain hands over arrays it has just built and owns, _owned).
+    The sparse transition matrix is assembled once, on the closed states
+    listed in states (see _assemble): every other state is transient.
     """
 
     n_max: int
     arrival_rate: float
     horizontal: np.ndarray  # [j-1, i'-1]
-    vertical: np.ndarray    # [i-1, j-1, j'-1]
+    arrive: np.ndarray      # [k, m]
+    stay: np.ndarray        # [k, m]
     _owned: InitVar[bool] = False
+    states: np.ndarray = field(init=False, repr=False, compare=False)  # [s] = (order, ready)
     sparse_matrix: csr_matrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, _owned):
         n = self.n_max
-        for name, shape in (("horizontal", (n, n)), ("vertical", (n, n, n))):
+        for name in ("horizontal", "arrive", "stay"):
             arr = np.asarray(getattr(self, name), dtype=np.float64)
-            _check_stochastic(name, arr, shape)
+            _check_stochastic(name, arr, (n, n))
+            if name != "horizontal" and np.any(np.triu(arr, 1)):
+                raise ValidationError(f"{name} row k must have no mass beyond k")
             if not _owned:
                 arr = arr.copy()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        p = _assemble(self.horizontal, self.vertical)
-        for arr in (p.data, p.indices, p.indptr):
+        states, p = _assemble(self.horizontal, self.arrive, self.stay)
+        for arr in (states, p.data, p.indices, p.indptr):
             arr.flags.writeable = False
+        object.__setattr__(self, "states", states)
         object.__setattr__(self, "sparse_matrix", p)
 
     @property
     def transition_matrix(self) -> np.ndarray:
-        """The dense n_max^2 x n_max^2 matrix, built on each access."""
+        """The dense block on the closed states, built on each access."""
         p = self.sparse_matrix.toarray()
         p.flags.writeable = False
         return p
 
     @property
     def n_states(self) -> int:
-        return self.n_max * self.n_max
+        """Number of closed states."""
+        return self.states.shape[0]
 
     def state_index(self, i: int, j: int) -> int:
-        if not (1 <= i <= self.n_max and 1 <= j <= self.n_max):
-            raise ValidationError(f"state ({i}, {j}) out of range for n_max={self.n_max}")
-        return (i - 1) * self.n_max + (j - 1)
+        """Position of the closed state (order i, ready j)."""
+        keys = (self.states[:, 0] - 1) * self.n_max + (self.states[:, 1] - 1)
+        s = int(np.searchsorted(keys, (i - 1) * self.n_max + (j - 1)))
+        if not (1 <= i <= self.n_max and 1 <= j <= self.n_max
+                and s < keys.size and tuple(self.states[s]) == (i, j)):
+            raise ValidationError(f"state ({i}, {j}) is not a closed state of the chain")
+        return s
 
     def state_of(self, s: int) -> tuple:
         if not 0 <= s < self.n_states:
             raise ValidationError(f"state index {s} out of range")
-        return s // self.n_max + 1, s % self.n_max + 1
+        i, j = self.states[s].tolist()
+        return i, j
 
 
 def build_chain(arrival_rate: float, model: MetricModel, cfg: AutoscalerConfig) -> ClusterChain:
     """The chain at arrival_rate, from its n_max horizontal vectors and
-    n_max vertical matrices, each computed once."""
+    the two binomial tables of its vertical moves.
+
+    A model fitted for another metric than the config's is rejected
+    first, before any chain work.
+    """
+    if model.metric_kind != cfg.metric_kind:
+        raise ConfigMismatchError(
+            f"metric model was fitted for {model.metric_kind!r} but the config "
+            f"declares {cfg.metric_kind!r}")
     n = cfg.n_max
     horizontal = np.empty((n, n), dtype=np.float64)
     for j in range(1, n + 1):
         horizontal[j - 1] = horizontal_transition_probs(j, arrival_rate, model, cfg)
-    vertical = np.empty((n, n, n), dtype=np.float64)
-    for i in range(1, n + 1):
-        vertical[i - 1] = vertical_transition_probs(i, cfg)
+    arrive, stay = _vertical_law(cfg)
     return ClusterChain(n_max=n, arrival_rate=float(arrival_rate), horizontal=horizontal,
-                        vertical=vertical, _owned=True)
+                        arrive=arrive, stay=stay, _owned=True)
 
 
-def _recurrence_structure(graph: csr_matrix):
-    """Strongly connected components split into recurrent and transient."""
+def _recurrence_structure(graph: csr_matrix) -> list:
+    """The recurrent classes: strongly connected components no edge leaves."""
     n_comp, labels = connected_components(graph, directed=True, connection="strong")
     has_exit = np.zeros(n_comp, dtype=bool)
     edges = graph.tocoo()
     leaving = labels[edges.row] != labels[edges.col]
     has_exit[labels[edges.row[leaving]]] = True
-    recurrent = [np.flatnonzero(labels == c) for c in range(n_comp) if not has_exit[c]]
-    transient = np.flatnonzero(has_exit[labels])
-    return recurrent, transient
+    return [np.flatnonzero(labels == c) for c in range(n_comp) if not has_exit[c]]
 
 
 def _solve_single_class(graph: csr_matrix, state_name) -> tuple:
-    """Stationary vector of a checked row-stochastic sparse matrix, and its
-    transient count.
+    """Stationary vector of a checked row-stochastic sparse matrix, and the
+    size of its recurrent class.
 
     graph stores no zeros and no negative entries.  The transition graph
     is analysed once.  More than one recurrent class raises
@@ -249,7 +314,7 @@ def _solve_single_class(graph: csr_matrix, state_name) -> tuple:
     sum(pi) = 1, is solved by sparse LU.
     """
     m = graph.shape[0]
-    recurrent, transient = _recurrence_structure(graph)
+    recurrent = _recurrence_structure(graph)
     if len(recurrent) > 1:
         classes = [[state_name(s) for s in cls.tolist()] for cls in recurrent]
         raise NonErgodicError(
@@ -278,7 +343,7 @@ def _solve_single_class(graph: csr_matrix, state_name) -> tuple:
     residual = float(np.max(np.abs(graph.T @ pi - pi)))
     if not residual <= 1e-10:
         raise NumericalError(f"stationary residual {residual:.3e} exceeds 1e-10")
-    return pi, int(transient.size)
+    return pi, int(states.size)
 
 
 def solve_stationary(p: np.ndarray) -> np.ndarray:
@@ -309,26 +374,39 @@ def solve_stationary(p: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StationaryDistribution:
-    """Stationary mass per chain state plus the ready-count marginal."""
+    """Stationary mass per closed chain state plus the ready-count marginal.
+
+    pi[s] is the mass of the state states[s] = (order, ready); the states
+    outside the chain's closed set are transient and carry none.
+    n_transient counts every transient state of the full n_max^2 chain.
+    """
 
     pi: np.ndarray
+    states: np.ndarray
     marginal_ready: np.ndarray
     n_transient: int
 
     def __post_init__(self):
-        for name in ("pi", "marginal_ready"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64).copy()
+        for name, dtype in (("pi", np.float64), ("states", np.int64),
+                            ("marginal_ready", np.float64)):
+            arr = np.array(getattr(self, name), dtype=dtype)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
     @property
+    def closed_states(self) -> int:
+        """Size of the closed set the chain was solved on."""
+        return self.pi.size
+
+    @property
     def recurrent_states(self) -> int:
         """Size of the single recurrent class: every state not transient."""
-        return self.pi.size - self.n_transient
+        return self.marginal_ready.size ** 2 - self.n_transient
 
 
 def stationary_distribution(chain: ClusterChain) -> StationaryDistribution:
     """Solve the chain; non-unique answers name their (order, ready) states."""
-    pi, n_transient = _solve_single_class(chain.sparse_matrix, chain.state_of)
-    marginal = pi.reshape(chain.n_max, chain.n_max).sum(axis=0)
-    return StationaryDistribution(pi=pi, marginal_ready=marginal, n_transient=n_transient)
+    pi, n_recurrent = _solve_single_class(chain.sparse_matrix, chain.state_of)
+    marginal = np.bincount(chain.states[:, 1] - 1, weights=pi, minlength=chain.n_max)
+    return StationaryDistribution(pi=pi, states=chain.states, marginal_ready=marginal,
+                                  n_transient=chain.n_max ** 2 - n_recurrent)

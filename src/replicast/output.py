@@ -15,8 +15,7 @@ import numpy as np
 
 from .config import AutoscalerConfig, ProfilingTrace
 from .cluster import ClusterChain, StationaryDistribution
-from .errors import (ConfigMismatchError, FitRejectedError, InsufficientDataError,
-                     ValidationError)
+from .errors import FitRejectedError, InsufficientDataError, ValidationError
 from .metric_model import (MetricModel, fit_polynomial_terms, fit_quality,
                            mean_of_positive_part, observed_value_distribution)
 
@@ -136,7 +135,9 @@ class SteadyStateReport:
 
     Every per-state value but the probability depends on the ready count
     alone, so the report keeps one table per ready count (index j-1) and
-    the stationary distribution, and builds per_state only when it is read.
+    the stationary distribution, and builds per_state, one record per
+    closed chain state, only when it is read.  The states outside the
+    closed set carry zero mass by construction.
     """
 
     arrival_rate: float
@@ -163,16 +164,15 @@ class SteadyStateReport:
 
     @property
     def per_state(self) -> tuple:
-        n = self.marginal_ready.size
-        pi = self.stationary.pi
+        st = self.stationary
         return tuple(
             StateContribution(
-                order=s // n + 1, ready=s % n + 1, probability=float(pi[s]),
-                per_container_rate=self.arrival_rate / (s % n + 1),
-                concurrency=float(self.ready_concurrency[s % n]),
-                response_time_s=float(self.ready_response_time_s[s % n]),
-                extrapolated=bool(self.ready_extrapolated[s % n]))
-            for s in range(pi.size))
+                order=i, ready=j, probability=p,
+                per_container_rate=self.arrival_rate / j,
+                concurrency=float(self.ready_concurrency[j - 1]),
+                response_time_s=float(self.ready_response_time_s[j - 1]),
+                extrapolated=bool(self.ready_extrapolated[j - 1]))
+            for (i, j), p in zip(st.states.tolist(), st.pi.tolist()))
 
     def to_dict(self, include_states: bool = True) -> dict:
         out = {
@@ -185,6 +185,7 @@ class SteadyStateReport:
                 "extrapolated_mass": self.extrapolated_mass,
                 "n_transient": self.stationary.n_transient,
                 "recurrent_states": self.stationary.recurrent_states,
+                "closed_states": self.stationary.closed_states,
             },
             "window_s": self.window_s,
             "requests_in_window": self.requests_in_window,
@@ -207,10 +208,6 @@ def steady_state_report(stationary: StationaryDistribution, chain: ClusterChain,
     how far the prediction leans on extrapolation.
     """
     lam = chain.arrival_rate
-    if model.metric_kind != cfg.metric_kind:
-        raise ConfigMismatchError(
-            f"metric model was fitted for {model.metric_kind!r} but the config "
-            f"declares {cfg.metric_kind!r}")
     if not (math.isfinite(window_s) and window_s > 0):
         raise ValidationError(f"window_s must be > 0, got {window_s!r}")
     fitted_reach = min(model.rho_max, rtf.rho_max)

@@ -1,19 +1,48 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here deliberately avoids the code paths under test:
-the matrix exponential is Taylor series with repeated squaring (the
-package uses the closed-form binomial law), the stationary oracle is
-plain power iteration (the package solves a linear system), the order-probability
-oracle is Monte Carlo, the positive-part expectation is adaptive
-quadrature (the package uses the closed form), and the chain's matrix is
-assembled densely, one Kronecker row per state (the package assembles a
-sparse matrix from the factors' nonzeros).
+the matrix exponential is Taylor series with repeated squaring of the
+provisioning process's rate matrix (the package uses the closed-form
+binomial law), the stationary oracle is plain power iteration (the
+package solves a linear system), the order-probability oracle is Monte
+Carlo, the positive-part expectation is adaptive quadrature (the package
+uses the closed form), and the chain's matrix is assembled densely over
+all n_max^2 states, one Kronecker row per state (the package assembles a
+sparse matrix on the closed set of states from the factors' nonzeros).
 """
 
 import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
+
+from replicast.errors import ValidationError
+
+
+def build_rate_matrix(i_target: int, cfg) -> np.ndarray:
+    """Generator of the provisioning process while the order is i_target.
+
+    States are ready counts 1..n_max.  Below target, the (i_target - j)
+    pending containers provision in parallel at mu_pro each; above
+    target, the (j - i_target) surplus containers drain at mu_dep each.
+    The target itself is absorbing.
+    """
+    n = cfg.n_max
+    if not 1 <= i_target <= n:
+        raise ValidationError(f"target ready count must be in [1, {n}], got {i_target}")
+    q = np.zeros((n, n), dtype=np.float64)
+    for j in range(1, n + 1):
+        if j < i_target:
+            rate = (i_target - j) * cfg.mu_pro
+            q[j - 1, j] = rate
+            q[j - 1, j - 1] -= rate
+        elif j > i_target:
+            rate = (j - i_target) * cfg.mu_dep
+            q[j - 1, j - 2] = rate
+            q[j - 1, j - 1] -= rate
+    return q
 
 
 def taylor_expm(a: np.ndarray, t: float) -> np.ndarray:
@@ -82,3 +111,12 @@ def dense_chain_matrix(horizontal: np.ndarray, vertical: np.ndarray,
             p[i * n + j] = np.kron(horizontal[j], vertical[i, j])
     p[p < truncate_below] = 0.0
     return p / p.sum(axis=1, keepdims=True)
+
+
+def recurrent_state_count(p: np.ndarray) -> int:
+    """States in a closed strongly connected component of p's graph."""
+    graph = csr_matrix(p > 0.0)
+    _, labels = connected_components(graph, directed=True, connection="strong")
+    rows, cols = graph.nonzero()
+    leaves = np.unique(labels[rows[labels[rows] != labels[cols]]])
+    return int(np.count_nonzero(~np.isin(labels, leaves)))

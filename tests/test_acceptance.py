@@ -16,7 +16,8 @@ import pytest
 import replicast as rc
 from replicast import cli
 from conftest import REF_MEAN_SERVICE_S
-from oracles import power_iteration_pi, random_stochastic_matrix, taylor_expm
+from oracles import (build_rate_matrix, power_iteration_pi, random_stochastic_matrix,
+                     taylor_expm)
 
 GRID_LAMBDAS = (5.0, 20.0, 50.0)
 GRID_TARGETS = (2.0, 5.0, 10.0)
@@ -81,7 +82,7 @@ def test_criterion_1_transient_solver_oracle(criterion):
             cfg = rc.AutoscalerConfig(metric_kind="cc", target_value=1.0, n_max=n,
                                       mu_pro=mu_pro, mu_dep=mu_dep, t_eva_s=t)
             got = rc.vertical_transition_probs(i, cfg)
-            want = taylor_expm(rc.build_rate_matrix(i, cfg), t)
+            want = taylor_expm(build_rate_matrix(i, cfg), t)
             worst = max(worst, float(np.max(np.abs(got - want))))
     elapsed = time.perf_counter() - t0
 

@@ -2,8 +2,11 @@
 
 import csv
 import json
+import math
+import statistics
 
 import pytest
+from scipy.special import stdtrit
 
 import replicast as rc
 from replicast import cli
@@ -113,7 +116,7 @@ class TestPredict:
         assert "per_state" not in payload and "explain" not in payload
         diagnostics = payload["diagnostics"]
         assert diagnostics["n_transient"] + diagnostics["recurrent_states"] == 9
-        assert diagnostics["recurrent_states"] >= 1
+        assert 1 <= diagnostics["recurrent_states"] <= diagnostics["closed_states"] <= 9
 
     def test_explain_includes_chain_internals(self, tmp_path, bundle_path, capsys):
         cfg = autoscaler_file(tmp_path, target_value=2.0, n_max=3)
@@ -121,15 +124,19 @@ class TestPredict:
                          "--arrival-rate", "10", "--explain"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
-        assert len(payload["per_state"]) == 9
-        assert sum(s["probability"] for s in payload["per_state"]) == pytest.approx(1.0)
+        # per_state, the matrix and the stationary vector cover the closed
+        # states, labelled (order, ready); every other state is transient
         explain = payload["explain"]
-        assert len(explain["transition_matrix"]) == 9
-        assert all(len(row) == 9 for row in explain["transition_matrix"])
+        closed = payload["diagnostics"]["closed_states"]
+        assert len(explain["states"]) == closed
+        assert [[s["order"], s["ready"]] for s in payload["per_state"]] == explain["states"]
+        assert sum(s["probability"] for s in payload["per_state"]) == pytest.approx(1.0)
+        assert len(explain["transition_matrix"]) == closed
+        assert all(len(row) == closed for row in explain["transition_matrix"])
         assert explain["n_transient_states"] == payload["diagnostics"]["n_transient"]
-        assert len(explain["stationary"]) == 9
+        assert len(explain["stationary"]) == closed
         assert set(explain["order_distributions"]) == {"1", "2", "3"}
-        assert set(explain["rate_matrices"]) == {"1", "2", "3"}
+        assert "rate_matrices" not in explain
 
     @pytest.mark.parametrize("rate", ["0", "-1", "nan"])
     def test_nonpositive_or_nan_arrival_rate_exits_one(self, tmp_path, bundle_path,
@@ -149,6 +156,19 @@ class TestPredict:
         assert code == 1
         err = capsys.readouterr().err
         assert "'cc'" in err and "'rps'" in err
+
+    def test_metric_kind_mismatch_rejected_before_chain_work(self, tmp_path, bundle_path,
+                                                             capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(rc.cluster, "horizontal_transition_probs",
+                            lambda *args: calls.append(args))
+        cfg = tmp_path / "rps.json"
+        rc.save_autoscaler_config(
+            rc.AutoscalerConfig(metric_kind="rps", target_value=2.0, n_max=200), cfg)
+        code = cli.main(["predict", "--model", bundle_path, "--config", str(cfg),
+                         "--arrival-rate", "10"])
+        assert code == 1
+        assert calls == []
 
     def test_numerical_failures_exit_two(self, tmp_path, bundle_path, capsys,
                                          monkeypatch):
@@ -254,6 +274,18 @@ class TestSimulate:
         assert set(payload["mean"]) == {"avg_replica_count", "avg_concurrency",
                                         "avg_response_time_s"}
         assert set(payload["ci95_half_width"]) == set(payload["mean"])
+        # the half-width is the t quantile with seeds - 1 degrees of freedom
+        # times the standard error
+        vals = [r["avg_replica_count"] for r in payload["per_seed"]]
+        want = stdtrit(2, 0.975) * statistics.stdev(vals) / math.sqrt(3)
+        assert payload["ci95_half_width"]["avg_replica_count"] == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("p", [0.9, 0.975, 0.995])
+    def test_t_quantile_matches_scipy(self, p):
+        for df in range(1, 200):
+            want = stdtrit(df, p)
+            assert cli._t_quantile(p, df) == pytest.approx(want, rel=1e-12, abs=0.0)
+            assert cli._t_quantile(1.0 - p, df) == pytest.approx(-want, rel=1e-12, abs=0.0)
 
     def test_replica_count_ci_is_tight_at_reference_point(self, tmp_path, capsys):
         cfg = sim_config_file(tmp_path, arrival_rate=20.0, target_value=5.0,

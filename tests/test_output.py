@@ -82,13 +82,12 @@ class TestFitRtf:
 
 
 def _point_distribution(chain, states_probs):
-    pi = np.zeros(chain.n_states)
-    for (i, j), p in states_probs.items():
-        pi[chain.state_index(i, j)] = p
+    states = sorted(states_probs)
     marginal = np.zeros(chain.n_max)
     for (_, j), p in states_probs.items():
         marginal[j - 1] += p
-    return rc.StationaryDistribution(pi=pi, marginal_ready=marginal, n_transient=0)
+    return rc.StationaryDistribution(pi=[states_probs[s] for s in states], states=states,
+                                     marginal_ready=marginal, n_transient=0)
 
 
 class TestSteadyStateReport:
@@ -177,16 +176,14 @@ class TestSteadyStateReport:
         assert rep.to_dict()["per_state"] == [w.to_dict() for w in want]
         diagnostics = rep.to_dict()["diagnostics"]
         assert diagnostics["n_transient"] == st.n_transient
-        assert diagnostics["recurrent_states"] == chain.n_states - st.n_transient
+        assert diagnostics["recurrent_states"] == cfg.n_max ** 2 - st.n_transient
+        assert diagnostics["closed_states"] == chain.n_states
 
     def test_metric_kind_mismatch_rejected(self):
+        # the one check runs in build_chain, before any chain work
         cfg = rc.AutoscalerConfig(metric_kind="rps", target_value=2.0, n_max=2)
-        mm = make_mm()
-        chain = rc.ClusterChain(n_max=2, arrival_rate=1.0, horizontal=np.full((2, 2), 0.5),
-                                vertical=np.full((2, 2, 2), 0.5))
-        st = _point_distribution(chain, {(1, 1): 1.0})
         with pytest.raises(rc.ValidationError) as exc:
-            rc.steady_state_report(st, chain, mm, make_rtf(), cfg)
+            rc.build_chain(1.0, make_mm(), cfg)
         assert isinstance(exc.value, rc.ConfigMismatchError)
         assert "'cc'" in str(exc.value) and "'rps'" in str(exc.value)
 
