@@ -7,7 +7,6 @@ replica count and per-container concurrency at any arrival rate.
 A built-in discrete-event simulator provides ground truth and traces.
 """
 
-from ._jit import JIT_ENABLED
 from .bundle import ModelBundle, fit_bundle, load_bundle, save_bundle
 from .cluster import (ClusterChain, StationaryDistribution, build_chain,
                       horizontal_transition_probs, solve_stationary,
@@ -30,6 +29,9 @@ from .simulator import (WORKLOAD_INFINITE_SERVER, WORKLOAD_PROCESSOR_SHARING,
                         profile_trace, simulate)
 
 __version__ = "0.1.0"
+
+# The simulator has one plain-Python event loop; perfbench's worker reads this name.
+JIT_ENABLED = False
 
 __all__ = [
     "JIT_ENABLED",

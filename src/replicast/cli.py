@@ -64,7 +64,7 @@ def _analytic_report(bundle: ModelBundle, cfg: AutoscalerConfig, arrival_rate: f
     chain = build_chain(arrival_rate, bundle.metric, cfg)
     stationary = stationary_distribution(chain)
     report = steady_state_report(stationary, chain, bundle.metric,
-                                 bundle.response_time, cfg, window_s=window_s)
+                                 bundle.response_time, window_s=window_s)
     return chain, stationary, report
 
 

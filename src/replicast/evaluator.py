@@ -63,7 +63,11 @@ def order_probabilities(dist: GaussianDist, target_value: float, n_max: int) -> 
     if n_max == 1:
         return OrderDistribution(np.ones(1))
     probs = np.empty(n_max, dtype=np.float64)
-    cdf_vals = np.array([dist.cdf(i * target_value) for i in range(1, n_max)])
+    # F(i tv) for i in 1..n_max-1: the erfc arguments in one numpy pass,
+    # each the same correctly rounded operations as GaussianDist.cdf, so
+    # the values match it bit for bit.
+    z = (dist.mean - np.arange(1, n_max) * target_value) / (dist.std * math.sqrt(2.0))
+    cdf_vals = 0.5 * np.array([math.erfc(v) for v in z.tolist()])
     probs[0] = cdf_vals[0]
     probs[1:-1] = np.diff(cdf_vals)
     probs[-1] = 1.0 - cdf_vals[-1]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import AutoscalerConfig, ProfilingTrace
+from .config import ProfilingTrace
 from .cluster import ClusterChain, StationaryDistribution
 from .errors import FitRejectedError, InsufficientDataError, ValidationError
 from .metric_model import (MetricModel, fit_polynomial_terms, fit_quality,
@@ -197,7 +197,7 @@ class SteadyStateReport:
 
 def steady_state_report(stationary: StationaryDistribution, chain: ClusterChain,
                         model: MetricModel, rtf: ResponseTimeFunction,
-                        cfg: AutoscalerConfig, window_s: float = 3600.0) -> SteadyStateReport:
+                        window_s: float = 3600.0) -> SteadyStateReport:
     """Weight the per-ready-count table by the ready-count marginal.
 
     With j containers ready each sees rate lambda/j, whatever the order,

@@ -9,16 +9,25 @@ Carlo, the positive-part expectation is adaptive quadrature (the package
 uses the closed form), and the chain's matrix is assembled densely over
 all n_max^2 states, one Kronecker row per state (the package assembles a
 sparse matrix on the closed set of states from the factors' nonzeros).
+The reference event loop scans every container slot and reads its
+random numbers one numpy scalar at a time (the package keeps a list of
+ready slots, a running window sum and random blocks as Python lists).
 """
 
 import math
+from heapq import heappop, heappush
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
+from replicast._kernels import MT_RPS, WL_INFINITE_DET, WL_SHARING_EXP
 from replicast.errors import ValidationError
+
+# The reference event loop's random block size and sentinel.
+_BLOCK = 4096
+_INF = math.inf
 
 
 def build_rate_matrix(i_target: int, cfg) -> np.ndarray:
@@ -120,3 +129,318 @@ def recurrent_state_count(p: np.ndarray) -> int:
     rows, cols = graph.nonzero()
     leaves = np.unique(labels[rows[labels[rows] != labels[cols]]])
     return int(np.count_nonzero(~np.isin(labels, leaves)))
+
+
+def reference_run_simulation(metric_kind, tv, n_max, t_eva, window_len, mu_pro,
+                             mu_dep, wl_kind, wl_mean, lam, duration, warmup,
+                             init_replicas, arr_rng, svc_rng, prov_rng):
+    """The event loop as first written: every slot scanned for routing,
+    scale-down and the monitor, the window re-summed each second, and
+    random numbers read one numpy scalar at a time.  The package's
+    ``_kernels.run_simulation`` must return exactly the same tuple."""
+    sharing = wl_kind == WL_SHARING_EXP
+
+    # Random blocks: a stream refills when its index reaches _BLOCK, so
+    # the service and provisioning streams draw nothing until first used.
+    arr_exp = arr_rng.standard_exponential(_BLOCK)
+    svc_exp = np.empty(0, dtype=np.float64)
+    svc_i = _BLOCK
+    svc_uni = np.empty(0, dtype=np.float64)
+    svc_u = _BLOCK
+    prov_exp = np.empty(0, dtype=np.float64)
+    prov_i = _BLOCK
+
+    # Container slots.  state: 0 free, 1 ready, 2 draining.  A slot's
+    # index doubles as the container id for dispatch tie-breaks; birth
+    # order decides which container a scale-down removes.  A provisioned
+    # container takes the lowest free slot, or a new one at the end.
+    state = [1] * init_replicas
+    conc = [0] * init_replicas
+    arr_count = [0] * init_replicas
+    birth = list(range(init_replicas))
+    # Arrival times of each slot's in-flight jobs (processor sharing only).
+    # ``[x] * 0`` is an empty list whose element type numba can infer.
+    ps_times = [[0.0] * 0 for _ in range(init_replicas)]
+    busy = 0
+    birth_seq = init_replicas
+    j_ready = init_replicas
+    order = init_replicas
+
+    # Pending completions (infinite server only): (time, slot, arrival
+    # time).  The sentinel never fires, so heap[0] always exists.
+    heap = [(_INF, -1, 0.0)]
+
+    # Stable window of per-second samples of the aggregate metric over
+    # ready containers (in-flight sum for cc, arrival count for rps).
+    wbuf = [0.0] * window_len
+    w_count = 0
+    w_idx = 0
+    ov = 0.0
+
+    tick_ready = [0] * 0
+    tick_ov = [0.0] * 0
+    tick_rt = [0.0] * 0
+    tick_carried = [0] * 0
+
+    arrivals = 0
+    completions = 0
+    rt_sum_pw = 0.0
+    completions_pw = 0
+    rt_sum_sec = 0.0
+    n_sec = 0
+    last_rt = wl_mean  # gap-fill seed until the first completion
+    area_replica = 0.0
+    j_since = 0.0
+
+    t_arrival = float(arr_exp[0]) / lam
+    arr_i = 1
+    t_monitor = 1.0
+    t_eval = t_eva
+    t_prov = _INF
+    t_ps_dep = _INF
+    # Earliest of the three control events, kept current by the branch
+    # that moves any of them.
+    t_ctrl = min(t_monitor, t_eval)
+
+    while True:
+        if sharing:
+            t_dep = t_ps_dep
+        else:
+            t_dep = heap[0][0]
+
+        if t_dep <= t_ctrl and t_dep <= t_arrival:
+            # --- departure ---
+            t = t_dep
+            if t > duration:
+                break
+            if sharing:
+                # Pick the departing container uniformly among busy ones,
+                # then the finishing job uniformly within it: exponential
+                # demands make every busy container equally likely to
+                # produce the next departure regardless of its job count.
+                if svc_u + 2 > _BLOCK:
+                    svc_uni = svc_rng.random(_BLOCK)
+                    svc_u = 0
+                pick = int(float(svc_uni[svc_u]) * busy)
+                idx_u = float(svc_uni[svc_u + 1])
+                svc_u += 2
+                if pick >= busy:
+                    pick = busy - 1
+                slot = -1
+                seen = 0
+                for k in range(len(conc)):
+                    if conc[k] > 0:
+                        if seen == pick:
+                            slot = k
+                            break
+                        seen += 1
+                jobs = ps_times[slot]
+                c = conc[slot]
+                idx = int(idx_u * c)
+                if idx >= c:
+                    idx = c - 1
+                rt = t - jobs[idx]
+                jobs[idx] = jobs[c - 1]
+                jobs.pop()
+                conc[slot] = c - 1
+                if c == 1:
+                    busy -= 1
+                    if state[slot] == 2:
+                        state[slot] = 0
+                        birth[slot] = -1
+                        arr_count[slot] = 0
+                if busy > 0:
+                    if svc_i == _BLOCK:
+                        svc_exp = svc_rng.standard_exponential(_BLOCK)
+                        svc_i = 0
+                    t_ps_dep = t + float(svc_exp[svc_i]) * wl_mean / busy
+                    svc_i += 1
+                else:
+                    t_ps_dep = _INF
+            else:
+                done = heappop(heap)
+                slot = done[1]
+                rt = t - done[2]
+                c = conc[slot] - 1
+                conc[slot] = c
+                if c == 0 and state[slot] == 2:
+                    state[slot] = 0
+                    birth[slot] = -1
+                    arr_count[slot] = 0
+            completions += 1
+            rt_sum_sec += rt
+            n_sec += 1
+            if t > warmup:
+                rt_sum_pw += rt
+                completions_pw += 1
+
+        elif t_ctrl <= t_arrival:
+            if t_ctrl > duration:
+                break
+            t_from = -1.0
+            if t_monitor <= t_ctrl:
+                # --- per-second monitor ---
+                sample = 0.0
+                for k in range(len(state)):
+                    if state[k] == 1:
+                        if metric_kind == MT_RPS:
+                            sample += arr_count[k]
+                        else:
+                            sample += conc[k]
+                    arr_count[k] = 0
+                wbuf[w_idx] = sample
+                if w_count < window_len:
+                    w_count += 1
+                w_idx += 1
+                if w_idx == window_len:
+                    w_idx = 0
+                # Full re-sum: 60 adds per simulated second buys exactness.
+                w_sum = 0.0
+                for k in range(w_count):
+                    w_sum += wbuf[k]
+                ov = w_sum / w_count
+
+                tick_ready.append(j_ready)
+                # Reported per container: the aggregate window over the
+                # current ready count.
+                tick_ov.append(ov / j_ready)
+                if n_sec > 0:
+                    last_rt = rt_sum_sec / n_sec
+                    tick_carried.append(0)
+                else:
+                    tick_carried.append(1)
+                tick_rt.append(last_rt)
+                rt_sum_sec = 0.0
+                n_sec = 0
+                t_monitor += 1.0
+
+            elif t_eval <= t_ctrl:
+                # --- scale evaluator ---
+                # Knative's KPA: the aggregate windowed metric over the
+                # per-container target, clamped to [1, n_max].
+                desired = int(math.ceil(ov / tv))
+                if desired < 1:
+                    desired = 1
+                if desired > n_max:
+                    desired = n_max
+                if desired != order:
+                    order = desired
+                    t_from = t_eval
+                t_eval += t_eva
+
+            else:
+                # --- provisioning engine: one container becomes ready or leaves ---
+                t = t_prov
+                if t > warmup:
+                    lo = j_since if j_since > warmup else warmup
+                    area_replica += j_ready * (t - lo)
+                j_since = t
+                if j_ready < order:
+                    slot = -1
+                    for k in range(len(state)):
+                        if state[k] == 0:
+                            slot = k
+                            break
+                    if slot == -1:
+                        slot = len(state)
+                        state.append(1)
+                        conc.append(0)
+                        arr_count.append(0)
+                        birth.append(birth_seq)
+                        ps_times.append([0.0] * 0)
+                    else:
+                        # A free slot already holds no jobs and no arrivals.
+                        state[slot] = 1
+                        birth[slot] = birth_seq
+                    birth_seq += 1
+                    j_ready += 1
+                else:
+                    # Graceful scale-down of the newest ready container: it
+                    # finishes in-flight requests but gets no new ones.
+                    slot = -1
+                    newest = -1
+                    for k in range(len(state)):
+                        if state[k] == 1 and birth[k] > newest:
+                            newest = birth[k]
+                            slot = k
+                    if conc[slot] == 0:
+                        state[slot] = 0
+                        birth[slot] = -1
+                        arr_count[slot] = 0
+                    else:
+                        state[slot] = 2
+                    j_ready -= 1
+                t_from = t
+
+            if t_from >= 0.0:
+                # Next provisioning event after a new order or a finished
+                # one: each missing container provisions at mu_pro, each
+                # surplus one leaves at mu_dep.
+                if j_ready == order:
+                    t_prov = _INF
+                else:
+                    if prov_i == _BLOCK:
+                        prov_exp = prov_rng.standard_exponential(_BLOCK)
+                        prov_i = 0
+                    if j_ready < order:
+                        rate = (order - j_ready) * mu_pro
+                    else:
+                        rate = (j_ready - order) * mu_dep
+                    t_prov = t_from + float(prov_exp[prov_i]) / rate
+                    prov_i += 1
+            t_ctrl = min(t_monitor, t_eval, t_prov)
+
+        else:
+            # --- arrival: to the least-loaded ready container ---
+            t = t_arrival
+            if t > duration:
+                break
+            best = -1
+            best_c = 0
+            for k in range(len(state)):
+                if state[k] == 1:
+                    c = conc[k]
+                    if best == -1 or c < best_c:
+                        best = k
+                        best_c = c
+            arrivals += 1
+            arr_count[best] += 1
+            conc[best] = best_c + 1
+            if sharing:
+                ps_times[best].append(t)
+                if best_c == 0:
+                    busy += 1
+                    if svc_i == _BLOCK:
+                        svc_exp = svc_rng.standard_exponential(_BLOCK)
+                        svc_i = 0
+                    t_ps_dep = t + float(svc_exp[svc_i]) * wl_mean / busy
+                    svc_i += 1
+            else:
+                if wl_kind == WL_INFINITE_DET:
+                    svc = wl_mean
+                else:
+                    if svc_i == _BLOCK:
+                        svc_exp = svc_rng.standard_exponential(_BLOCK)
+                        svc_i = 0
+                    svc = float(svc_exp[svc_i]) * wl_mean
+                    svc_i += 1
+                heappush(heap, (t + svc, best, t))
+            if arr_i == _BLOCK:
+                arr_exp = arr_rng.standard_exponential(_BLOCK)
+                arr_i = 0
+            t_arrival = t + float(arr_exp[arr_i]) / lam
+            arr_i += 1
+
+    # Close the replica-count integral at the horizon.
+    if duration > warmup:
+        lo = j_since if j_since > warmup else warmup
+        if duration > lo:
+            area_replica += j_ready * (duration - lo)
+
+    in_flight = 0
+    for k in range(len(conc)):
+        in_flight += conc[k]
+
+    return (tick_ready, tick_ov, tick_rt, tick_carried,
+            area_replica, rt_sum_pw, completions_pw,
+            arrivals, completions, in_flight)

@@ -226,7 +226,7 @@ def test_criterion_6_monotone_trends_and_compare_verdicts(ref_bundle, grid_compa
         chain = rc.build_chain(20.0, ref_bundle.metric, cfg)
         st = rc.stationary_distribution(chain)
         rep = rc.steady_state_report(st, chain, ref_bundle.metric,
-                                     ref_bundle.response_time, cfg)
+                                     ref_bundle.response_time)
         replicas.append(rep.avg_replica_count)
         rts.append(rep.avg_response_time_s)
     replicas_ok = all(b <= a + 1e-9 for a, b in zip(replicas, replicas[1:]))

@@ -108,3 +108,36 @@ class TestMonteCarloAgreement:
         phat = mc_order_probs(mean, std, tv, n_max, n, seed)
         se = np.sqrt(np.maximum(p * (1.0 - p), 1e-12) / n)
         assert np.all(np.abs(phat - p) <= 3.0 * se + 1e-9)
+
+
+def scalar_cdf_probs(dist, tv, n_max):
+    """order_probabilities with one scalar GaussianDist.cdf call per order."""
+    cdf = np.array([dist.cdf(i * tv) for i in range(1, n_max)])
+    p = np.empty(n_max)
+    p[0] = cdf[0]
+    p[1:-1] = np.diff(cdf)
+    p[-1] = 1.0 - cdf[-1]
+    np.clip(p, 0.0, None, out=p)
+    return p / p.sum()
+
+
+class TestVectorCdf:
+    """The CDF values computed in one pass equal the scalar loop bit for bit."""
+
+    @given(st.floats(-1e4, 1e4), st.floats(rc.STD_FLOOR, 1e3), st.floats(0.01, 50.0),
+           st.integers(2, 400))
+    def test_matches_scalar_cdf_loop(self, mean, std, tv, n_max):
+        dist = rc.GaussianDist(mean, std)
+        got = rc.order_probabilities(dist, tv, n_max).probs
+        assert np.array_equal(got, scalar_cdf_probs(dist, tv, n_max))
+
+    @pytest.mark.parametrize("mean,std,tv,n_max", [
+        (0.0, 1.0, 1.0, 60),          # upper tail: F rounds to 1.0 from 6 sigma on
+        (1000.0, 1.0, 1.0, 1000),     # lower tail: F a subnormal, then 0
+        (500.0, 30.0, 2.0, 1000),     # both tails at n_max 1000
+        (-3.0, 1e-6, 0.5, 5),         # point mass below the first threshold
+    ])
+    def test_deep_tails(self, mean, std, tv, n_max):
+        dist = rc.GaussianDist(mean, std)
+        got = rc.order_probabilities(dist, tv, n_max).probs
+        assert np.array_equal(got, scalar_cdf_probs(dist, tv, n_max))

@@ -97,7 +97,7 @@ class TestSteadyStateReport:
         rtf = make_rtf(0.2, 0.01, 0.001)
         chain = rc.build_chain(20.0, mm, cfg)
         st = _point_distribution(chain, {(4, 4): 1.0})
-        rep = rc.steady_state_report(st, chain, mm, rtf, cfg)
+        rep = rc.steady_state_report(st, chain, mm, rtf)
         assert rep.avg_replica_count == pytest.approx(4.0, abs=1e-12)
         assert rep.avg_response_time_s == pytest.approx(rtf.at(5.0), abs=1e-12)
         want_c = quad_positive_mean(0.2 * 5.0, 0.1)
@@ -109,7 +109,7 @@ class TestSteadyStateReport:
         rtf = make_rtf(0.2, 0.05, 0.002)
         chain = rc.build_chain(2.0, mm, cfg)
         st = _point_distribution(chain, {(1, 1): 0.5, (2, 2): 0.5})
-        rep = rc.steady_state_report(st, chain, mm, rtf, cfg)
+        rep = rc.steady_state_report(st, chain, mm, rtf)
         assert rep.avg_replica_count == pytest.approx(1.5, abs=1e-12)
         want_rt = 0.5 * (rtf.at(2.0) + rtf.at(1.0))
         assert rep.avg_response_time_s == pytest.approx(want_rt, abs=1e-12)
@@ -120,7 +120,7 @@ class TestSteadyStateReport:
         rtf = make_rtf()
         chain = rc.build_chain(18.0, mm, cfg)
         st = rc.stationary_distribution(chain)
-        rep = rc.steady_state_report(st, chain, mm, rtf, cfg)
+        rep = rc.steady_state_report(st, chain, mm, rtf)
         from_marginal = float(np.dot(rep.marginal_ready, np.arange(1, 7)))
         assert rep.avg_replica_count == pytest.approx(from_marginal, abs=1e-12)
         probs = np.array([s.probability for s in rep.per_state])
@@ -131,7 +131,7 @@ class TestSteadyStateReport:
         chain = rc.build_chain(lam, bundle.metric, cfg)
         st = rc.stationary_distribution(chain)
         return rc.steady_state_report(st, chain, bundle.metric,
-                                      bundle.response_time, cfg)
+                                      bundle.response_time)
 
     def test_replicas_nonincreasing_in_target(self, ref_bundle):
         targets = [1.0, 2.0, 3.0, 5.0, 8.0]
@@ -154,7 +154,7 @@ class TestSteadyStateReport:
         mm, rtf = ref_bundle.metric, ref_bundle.response_time
         chain = rc.build_chain(60.0, mm, cfg)
         st = rc.stationary_distribution(chain)
-        rep = rc.steady_state_report(st, chain, mm, rtf, cfg)
+        rep = rc.steady_state_report(st, chain, mm, rtf)
         reach = min(mm.rho_max, rtf.rho_max)
         want = []
         for s in range(chain.n_states):
@@ -193,13 +193,13 @@ class TestSteadyStateReport:
         rtf = make_rtf(rho_max=5.0)
         chain = rc.build_chain(40.0, mm, cfg)
         st = rc.stationary_distribution(chain)
-        rep = rc.steady_state_report(st, chain, mm, rtf, cfg)
+        rep = rc.steady_state_report(st, chain, mm, rtf)
         # every reachable per-container rate is 40/j >= 10 > fitted 5
         assert rep.extrapolated_mass == pytest.approx(1.0, abs=1e-12)
         assert all(s.extrapolated for s in rep.per_state if s.probability > 0)
         low = rc.steady_state_report(
             _point_distribution(chain, {(1, 1): 1.0}), chain, make_mm(rho_max=50.0),
-            make_rtf(rho_max=50.0), cfg)
+            make_rtf(rho_max=50.0))
         assert low.extrapolated_mass == 0.0
 
     def test_window_accounting_and_serialization(self):
@@ -207,11 +207,11 @@ class TestSteadyStateReport:
         mm = make_mm()
         chain = rc.build_chain(2.0, mm, cfg)
         st = _point_distribution(chain, {(1, 1): 1.0})
-        rep = rc.steady_state_report(st, chain, mm, make_rtf(), cfg, window_s=600.0)
+        rep = rc.steady_state_report(st, chain, mm, make_rtf(), window_s=600.0)
         assert rep.requests_in_window == pytest.approx(1200.0)
         payload = rep.to_dict()
         assert json.loads(json.dumps(payload)) == payload
         slim = rep.to_dict(include_states=False)
         assert "per_state" not in slim
         with pytest.raises(rc.ValidationError):
-            rc.steady_state_report(st, chain, mm, make_rtf(), cfg, window_s=0.0)
+            rc.steady_state_report(st, chain, mm, make_rtf(), window_s=0.0)

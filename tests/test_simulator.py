@@ -2,7 +2,6 @@
 
 import json
 import math
-import os
 import subprocess
 import sys
 
@@ -11,6 +10,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import replicast as rc
+from oracles import reference_run_simulation
+from replicast import _kernels
 
 
 def is_exp(mean_s=0.2):
@@ -231,6 +232,46 @@ class TestKernelProperties:
         assert report_dump(rep) == report_dump(rc.simulate(sim_cfg))
 
 
+class TestKernelOracle:
+    """The event loop returns exactly what the loop as first written does.
+
+    Same random streams in, so every draw, event order and floating-point
+    operation must agree for reports to stay byte-identical.
+    """
+
+    @given(data=st.data(),
+           workload=st.sampled_from(WORKLOADS),
+           metric=st.sampled_from(rc.METRIC_KINDS),
+           lam=st.floats(min_value=0.1, max_value=40.0),
+           target=st.floats(min_value=0.5, max_value=10.0),
+           n_max=st.integers(min_value=1, max_value=12),
+           t_eva=st.sampled_from([0.5, 2.0]),
+           window=st.sampled_from([6.0, 60.0]),
+           duration=st.floats(min_value=2.0, max_value=300.0),
+           warmup_share=st.floats(min_value=0.0, max_value=1.0),
+           seed=st.integers(min_value=-2**70, max_value=2**70))
+    def test_same_result_as_reference_loop(self, data, workload, metric, lam, target,
+                                           n_max, t_eva, window, duration,
+                                           warmup_share, seed):
+        init = data.draw(st.integers(min_value=1, max_value=n_max), label="initial")
+        cfg = rc.AutoscalerConfig(metric_kind=metric, target_value=target, n_max=n_max,
+                                  t_eva_s=t_eva, stable_window_s=window)
+        metric_code = _kernels.MT_RPS if metric == "rps" else _kernels.MT_CONCURRENCY
+        warmup = warmup_share * (math.floor(duration) - 1.0)
+        args = (metric_code, cfg.target_value, n_max, cfg.t_eva_s, cfg.window_length,
+                cfg.mu_pro, cfg.mu_dep, workload._kernel_kind, workload.mean_s, lam,
+                duration, warmup, init)
+
+        def streams():
+            seeds = np.random.SeedSequence(seed % 2**64).spawn(3)
+            return [np.random.default_rng(s) for s in seeds]
+
+        got = _kernels.run_simulation(*args, *streams())
+        want = reference_run_simulation(*args, *streams())
+        # repr is exact for floats and tells 1 from 1.0 and 0.0 from -0.0
+        assert repr(got) == repr(want)
+
+
 class TestAggregateControlLaw:
     """The evaluator orders ceil(aggregate windowed metric / target).
 
@@ -284,23 +325,22 @@ class TestTraceEmission:
 
 class TestBackendEquivalence:
     def test_pure_python_path_matches_jit_path(self, tmp_path):
+        # a report made in this process equals one made in a fresh interpreter
         sim_cfg = rc.SimulationConfig(
             autoscaler=autoscaler(target_value=2.0, n_max=4), workload=is_exp(0.2),
             arrival_rate=9.0, duration_s=220.0, warmup_s=20.0, seed=53)
-        jit_dump = json.dumps(rc.simulate(sim_cfg).to_dict(include_series=True),
-                              sort_keys=True)
+        dump = json.dumps(rc.simulate(sim_cfg).to_dict(include_series=True),
+                          sort_keys=True)
         cfg_path = tmp_path / "sim.json"
         cfg_path.write_text(json.dumps(sim_cfg.to_dict()), encoding="utf-8")
         script = (
             "import json, sys\n"
             "import replicast as rc\n"
-            "assert not rc.JIT_ENABLED\n"
             "cfg = rc.SimulationConfig.from_dict(json.load(open(sys.argv[1])))\n"
             "rep = rc.simulate(cfg)\n"
             "print(json.dumps(rep.to_dict(include_series=True), sort_keys=True))\n"
         )
-        env = dict(os.environ, REPLICAST_DISABLE_JIT="1")
         proc = subprocess.run([sys.executable, "-c", script, str(cfg_path)],
-                              capture_output=True, text=True, env=env, timeout=300)
+                              capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == jit_dump
+        assert proc.stdout.strip() == dump
