@@ -9,6 +9,27 @@ the scalar expression.  A block draw yields the same values as the same
 number of scalar draws, and each stream refills at the same points as
 it would one draw at a time, so the block size only bounds memory.
 
+Arrival times are computed a block at a time: the gaps' cumulative sum,
+with the last arrival time of the previous block added to the first
+gap.  ``np.cumsum`` adds left to right, one rounding per element, so
+each time has the same bits as the running ``t + gap`` of a scalar loop.
+
+Under infinite-server service a job's departure is fixed when the
+block is drawn: ``d = a + s`` (``a + mean`` for deterministic service)
+and its response time ``d - a``, again one rounding each.  The
+departures still pending and the new block's are merged into one
+time-ordered queue of (time, response time, slot) lists, and each
+arriving job writes the slot it is routed to into its queue position,
+so the departure branch reads the queue head and no per-job tuple or
+heap exists.  The queue holds the jobs in flight plus one block, and is
+rebuilt, dropping departed jobs, at each arrival-block refill.  Equal
+departure times leave in the order (slot, arrival time), the order a
+heap of (time, slot, arrival time) tuples pops them: the stable merge
+keeps each run of equal times in arrival order, so jobs not yet
+arrived (slot -1) come last and the head of a run is moved to the
+lowest slot among the arrived.  A job whose service time rounds to
+zero departs right after its own arrival, never before it.
+
 An inner loop runs arrivals and infinite-server departures (or the next
 processor-sharing departure) up to the next control event: the
 per-second monitor, the scale evaluator or the provisioning engine.
@@ -27,7 +48,8 @@ from __future__ import annotations
 
 import math
 from bisect import insort
-from heapq import heappop, heappush
+
+import numpy as np
 
 # Workload encodings for the kernel.
 WL_INFINITE_EXP = 0
@@ -44,6 +66,44 @@ _BLOCK = 4096
 _INF = math.inf
 
 
+def _arrival_times(arr_rng, lam, block, t_last):
+    """The next block of arrival times after t_last."""
+    a = arr_rng.standard_exponential(block) / lam
+    a[0] += t_last
+    return np.cumsum(a, out=a)
+
+
+def _merge_departures(q_time, q_rt, q_slot, qh, arr, svc_rng, wl_mean, deterministic):
+    """Departure queue of the pending jobs q_*[qh:-1] and the block of
+    arrivals arr, the queue position of each of those arrivals, and
+    whether any two departure times in the queue are equal.
+
+    The block's jobs get slot -1 until they arrive.  Each list ends with
+    a sentinel whose time never fires.
+    """
+    if deterministic:
+        dep = arr + wl_mean
+    else:
+        dep = arr + svc_rng.standard_exponential(arr.size) * wl_mean
+    n_pend = len(q_time) - 1 - qh
+    times = np.concatenate((q_time[qh:-1], dep))
+    order = np.argsort(times, kind="stable")
+    pos = np.empty_like(order)
+    pos[order] = np.arange(order.size)
+    rts = np.concatenate((q_rt[qh:-1], dep - arr))[order]
+    slots = np.concatenate((np.array(q_slot[qh:-1], dtype=np.int64),
+                            np.full(arr.size, -1, dtype=np.int64)))[order]
+    times = times[order]
+    ties = bool(np.any(times[1:] == times[:-1]))
+    q_time = times.tolist()
+    q_time.append(_INF)
+    q_rt = rts.tolist()
+    q_rt.append(0.0)
+    q_slot = slots.tolist()
+    q_slot.append(-1)
+    return q_time, q_rt, q_slot, pos[n_pend:].tolist(), ties
+
+
 def run_simulation(metric_kind, tv, n_max, t_eva, window_len, mu_pro, mu_dep,
                    wl_kind, wl_mean, lam, duration, warmup, init_replicas,
                    arr_rng, svc_rng, prov_rng):
@@ -51,13 +111,13 @@ def run_simulation(metric_kind, tv, n_max, t_eva, window_len, mu_pro, mu_dep,
     deterministic = wl_kind == WL_INFINITE_DET
     rps = metric_kind == MT_RPS
     block = _BLOCK
-    push = heappush
-    pop = heappop
 
     # Random blocks: a stream refills when its index reaches the block
-    # size, so the service and provisioning streams draw nothing until
-    # first used.  Service times are pre-multiplied by the mean.
-    gaps = (arr_rng.standard_exponential(block) / lam).tolist()
+    # size, so the processor-sharing service and the provisioning
+    # streams draw nothing until first used.  Service times are
+    # pre-multiplied by the mean.
+    arr_block = _arrival_times(arr_rng, lam, block, 0.0)
+    arr_t = arr_block.tolist()
     svc = []
     svc_i = block
     uni = []
@@ -84,9 +144,19 @@ def run_simulation(metric_kind, tv, n_max, t_eva, window_len, mu_pro, mu_dep,
     j_ready = init_replicas
     order = init_replicas
 
-    # Pending completions (infinite server only): (time, slot, arrival
-    # time).  The sentinel never fires, so heap[0] always exists.
-    heap = [(_INF, -1, 0.0)]
+    # Departure queue (infinite server only): time, response time and
+    # slot of each pending job from its head qh on; q_pos[i] is the
+    # queue position of the block's arrival i; q_ties is false when no
+    # two queued times are equal, which spares the tie check.
+    q_time = [_INF]
+    q_rt = [0.0]
+    q_slot = [-1]
+    q_pos = []
+    q_ties = False
+    qh = 0
+    if not sharing:
+        q_time, q_rt, q_slot, q_pos, q_ties = _merge_departures(
+            q_time, q_rt, q_slot, qh, arr_block, svc_rng, wl_mean, deterministic)
 
     # Stable window of per-second samples of the aggregate metric over
     # ready containers (in-flight sum for cc, arrival count for rps).
@@ -101,8 +171,9 @@ def run_simulation(metric_kind, tv, n_max, t_eva, window_len, mu_pro, mu_dep,
     tick_rt = []
     tick_carried = []
 
-    arrivals = 0
-    completions = 0
+    # Arrivals before the current block; every job that has not left is
+    # still counted in conc, so completions follow at the end.
+    arr_base = 0
     rt_sum_pw = 0.0
     completions_pw = 0
     rt_sum_sec = 0.0
@@ -111,11 +182,11 @@ def run_simulation(metric_kind, tv, n_max, t_eva, window_len, mu_pro, mu_dep,
     area_replica = 0.0
     j_since = 0.0
 
-    t_arrival = gaps[0]
-    arr_i = 1
-    # Next departure: heap[0][0] under infinite server, the next
+    arr_i = 0
+    t_arrival = arr_t[0]
+    # Next departure: the queue head under infinite server, the next
     # completion of the processor-sharing containers otherwise.
-    t_dep = _INF
+    t_dep = q_time[0]
     t_monitor = 1.0
     t_eval = t_eva
     t_prov = _INF
@@ -134,7 +205,9 @@ def run_simulation(metric_kind, tv, n_max, t_eva, window_len, mu_pro, mu_dep,
             arr_stop = math.nextafter(duration, _INF)
 
         while True:
-            if t_dep <= t_arrival:
+            # At equal times the departure fires first, unless the queue
+            # head is the job arriving then (service rounded to zero).
+            if t_dep < t_arrival or (t_dep == t_arrival and (sharing or q_slot[qh] >= 0)):
                 if t_dep > dep_stop:
                     break
                 # --- departure ---
@@ -180,14 +253,26 @@ def run_simulation(metric_kind, tv, n_max, t_eva, window_len, mu_pro, mu_dep,
                     else:
                         t_dep = _INF
                 else:
-                    _, slot, t_in = pop(heap)
-                    t_dep = heap[0][0]
-                    rt = t - t_in
+                    if q_ties and q_time[qh + 1] == t:
+                        # A run of equal times: the first arrived job on
+                        # the lowest slot leaves first.
+                        m = qh
+                        k = qh + 1
+                        while q_time[k] == t and q_slot[k] >= 0:
+                            if q_slot[k] < q_slot[m]:
+                                m = k
+                            k += 1
+                        if m > qh:
+                            q_slot.insert(qh, q_slot.pop(m))
+                            q_rt.insert(qh, q_rt.pop(m))
+                    slot = q_slot[qh]
+                    rt = q_rt[qh]
+                    qh += 1
+                    t_dep = q_time[qh]
                     c = conc[slot] - 1
                     conc[slot] = c
                     if c == 0 and state[slot] == 2:
                         state[slot] = 0
-                completions += 1
                 rt_sum_sec += rt
                 n_sec += 1
                 if t > warmup:
@@ -206,7 +291,6 @@ def run_simulation(metric_kind, tv, n_max, t_eva, window_len, mu_pro, mu_dep,
                         if c < best_c:
                             best = k
                             best_c = c
-                arrivals += 1
                 if rps:
                     arr_count[best] += 1
                 conc[best] = best_c + 1
@@ -220,20 +304,20 @@ def run_simulation(metric_kind, tv, n_max, t_eva, window_len, mu_pro, mu_dep,
                         t_dep = t + svc[svc_i] / busy
                         svc_i += 1
                 else:
-                    if deterministic:
-                        push(heap, (t + wl_mean, best, t))
-                    else:
-                        if svc_i == block:
-                            svc = (svc_rng.standard_exponential(block) * wl_mean).tolist()
-                            svc_i = 0
-                        push(heap, (t + svc[svc_i], best, t))
-                        svc_i += 1
-                    t_dep = heap[0][0]
-                if arr_i == block:
-                    gaps = (arr_rng.standard_exponential(block) / lam).tolist()
-                    arr_i = 0
-                t_arrival = t + gaps[arr_i]
+                    q_slot[q_pos[arr_i]] = best
                 arr_i += 1
+                if arr_i == block:
+                    arr_block = _arrival_times(arr_rng, lam, block, t)
+                    arr_t = arr_block.tolist()
+                    arr_base += block
+                    arr_i = 0
+                    if not sharing:
+                        q_time, q_rt, q_slot, q_pos, q_ties = _merge_departures(
+                            q_time, q_rt, q_slot, qh, arr_block, svc_rng, wl_mean,
+                            deterministic)
+                        qh = 0
+                        t_dep = q_time[0]
+                t_arrival = arr_t[arr_i]
 
         # The next event is a control event, or nothing is left before
         # the horizon.
@@ -343,6 +427,8 @@ def run_simulation(metric_kind, tv, n_max, t_eva, window_len, mu_pro, mu_dep,
         if duration > lo:
             area_replica += j_ready * (duration - lo)
 
+    arrivals = arr_base + arr_i
+    in_flight = sum(conc)
     return (tick_ready, tick_ov, tick_rt, tick_carried,
             area_replica, rt_sum_pw, completions_pw,
-            arrivals, completions, sum(conc))
+            arrivals, arrivals - in_flight, in_flight)

@@ -303,8 +303,8 @@ def _recurrence_structure(graph: csr_matrix) -> list:
 
 
 def _solve_single_class(graph: csr_matrix, state_name) -> tuple:
-    """Stationary vector of a checked row-stochastic sparse matrix, and the
-    size of its recurrent class.
+    """Stationary vector of a checked row-stochastic sparse matrix, the
+    size of its recurrent class and the residual max |P^T pi - pi|.
 
     graph stores no zeros and no negative entries.  The transition graph
     is analysed once.  More than one recurrent class raises
@@ -343,7 +343,7 @@ def _solve_single_class(graph: csr_matrix, state_name) -> tuple:
     residual = float(np.max(np.abs(graph.T @ pi - pi)))
     if not residual <= 1e-10:
         raise NumericalError(f"stationary residual {residual:.3e} exceeds 1e-10")
-    return pi, int(states.size)
+    return pi, int(states.size), residual
 
 
 def solve_stationary(p: np.ndarray) -> np.ndarray:
@@ -368,7 +368,7 @@ def solve_stationary(p: np.ndarray) -> np.ndarray:
     graph = csr_matrix(p)
     np.maximum(graph.data, 0.0, out=graph.data)
     graph.eliminate_zeros()
-    pi, _ = _solve_single_class(graph, int)
+    pi, _, _ = _solve_single_class(graph, int)
     return pi
 
 
@@ -379,12 +379,14 @@ class StationaryDistribution:
     pi[s] is the mass of the state states[s] = (order, ready); the states
     outside the chain's closed set are transient and carry none.
     n_transient counts every transient state of the full n_max^2 chain.
+    residual is the solver's max |P^T pi - pi| over the closed states.
     """
 
     pi: np.ndarray
     states: np.ndarray
     marginal_ready: np.ndarray
     n_transient: int
+    residual: float
 
     def __post_init__(self):
         for name, dtype in (("pi", np.float64), ("states", np.int64),
@@ -406,7 +408,8 @@ class StationaryDistribution:
 
 def stationary_distribution(chain: ClusterChain) -> StationaryDistribution:
     """Solve the chain; non-unique answers name their (order, ready) states."""
-    pi, n_recurrent = _solve_single_class(chain.sparse_matrix, chain.state_of)
+    pi, n_recurrent, residual = _solve_single_class(chain.sparse_matrix, chain.state_of)
     marginal = np.bincount(chain.states[:, 1] - 1, weights=pi, minlength=chain.n_max)
     return StationaryDistribution(pi=pi, states=chain.states, marginal_ready=marginal,
-                                  n_transient=chain.n_max ** 2 - n_recurrent)
+                                  n_transient=chain.n_max ** 2 - n_recurrent,
+                                  residual=residual)

@@ -186,6 +186,7 @@ class SteadyStateReport:
                 "n_transient": self.stationary.n_transient,
                 "recurrent_states": self.stationary.recurrent_states,
                 "closed_states": self.stationary.closed_states,
+                "residual": self.stationary.residual,
             },
             "window_s": self.window_s,
             "requests_in_window": self.requests_in_window,

@@ -12,6 +12,10 @@ sparse matrix on the closed set of states from the factors' nonzeros).
 The reference event loop scans every container slot and reads its
 random numbers one numpy scalar at a time (the package keeps a list of
 ready slots, a running window sum and random blocks as Python lists).
+It keeps its heap of (departure time, slot, arrival time) tuples on
+purpose: the package computes each arrival block's departures up front
+and merges them into a time-ordered queue, so the heap is the
+independent statement of which job leaves next, ties included.
 """
 
 import math

@@ -117,6 +117,7 @@ class TestPredict:
         diagnostics = payload["diagnostics"]
         assert diagnostics["n_transient"] + diagnostics["recurrent_states"] == 9
         assert 1 <= diagnostics["recurrent_states"] <= diagnostics["closed_states"] <= 9
+        assert 0.0 <= diagnostics["residual"] <= 1e-10
 
     def test_explain_includes_chain_internals(self, tmp_path, bundle_path, capsys):
         cfg = autoscaler_file(tmp_path, target_value=2.0, n_max=3)

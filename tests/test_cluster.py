@@ -434,6 +434,15 @@ class TestStationarySolve:
             v = v @ p
         assert np.allclose(v, st.pi, atol=1e-9)
 
+    @pytest.mark.parametrize("n_max, lam", [(4, 16.0), (12, 60.0)])
+    def test_residual_is_the_solved_chains(self, n_max, lam):
+        chain = rc.build_chain(lam, make_mm(0.2, 0.0, 0.2, 0.01),
+                               make_cfg(n_max=n_max, target_value=2.0))
+        st = rc.stationary_distribution(chain)
+        want = float(np.max(np.abs(st.pi @ chain.transition_matrix - st.pi)))
+        assert math.isfinite(st.residual) and st.residual <= 1e-10
+        assert abs(st.residual - want) <= 1e-15
+
     def test_multiple_recurrent_classes_rejected(self):
         p = np.array([
             [0.5, 0.5, 0.0, 0.0],

@@ -87,7 +87,8 @@ def _point_distribution(chain, states_probs):
     for (_, j), p in states_probs.items():
         marginal[j - 1] += p
     return rc.StationaryDistribution(pi=[states_probs[s] for s in states], states=states,
-                                     marginal_ready=marginal, n_transient=0)
+                                     marginal_ready=marginal, n_transient=0,
+                                     residual=0.0)
 
 
 class TestSteadyStateReport:

@@ -4,11 +4,13 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import oracles
 import replicast as rc
 from oracles import reference_run_simulation
 from replicast import _kernels
@@ -161,6 +163,22 @@ class TestBookkeeping:
         assert rep.times[0] == 301.0
         assert rep.times[-1] == 600.0
 
+    @pytest.mark.parametrize("duration", [1800.0, 14_400.0])
+    def test_departure_queue_memory_does_not_grow_with_the_run(self, duration):
+        # the departure queue holds the jobs in flight plus one arrival
+        # block; per-job lists kept for the whole run would pass 4 MB at
+        # 14,400 s, where 504,000 jobs arrive
+        sim_cfg = rc.SimulationConfig(
+            autoscaler=autoscaler(target_value=2.0, n_max=10), workload=is_exp(0.2),
+            arrival_rate=35.0, duration_s=duration, warmup_s=300.0, seed=7)
+        tracemalloc.start()
+        try:
+            rc.simulate(sim_cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
     def test_faster_evaluation_stays_sane(self):
         cfg_fast = autoscaler(target_value=2.0, n_max=5, t_eva_s=1.0)
         rep = run(is_exp(0.2), arrival_rate=15.0, duration_s=500.0,
@@ -232,6 +250,25 @@ class TestKernelProperties:
         assert report_dump(rep) == report_dump(rc.simulate(sim_cfg))
 
 
+class ScriptedStream:
+    """A Generator stand-in that returns scripted values, then a filler."""
+
+    def __init__(self, values, filler):
+        self.values = list(values)
+        self.filler = filler
+
+    def _next(self, n):
+        out = self.values[:n] + [self.filler] * max(0, n - len(self.values))
+        del self.values[:n]
+        return np.array(out, dtype=np.float64)
+
+    def standard_exponential(self, n):
+        return self._next(n)
+
+    def random(self, n):
+        return self._next(n)
+
+
 class TestKernelOracle:
     """The event loop returns exactly what the loop as first written does.
 
@@ -270,6 +307,74 @@ class TestKernelOracle:
         want = reference_run_simulation(*args, *streams())
         # repr is exact for floats and tells 1 from 1.0 and 0.0 from -0.0
         assert repr(got) == repr(want)
+
+    @staticmethod
+    def scripted_run(gaps, services, wl_kind, wl_mean):
+        """Both loops on scripted random blocks: lam 1 and n_max 2, both
+        containers ready, and no scale evaluation within the 5 s run."""
+        args = (_kernels.MT_CONCURRENCY, 1.0, 2, 100.0, 60, 1.0, 1.0, wl_kind,
+                wl_mean, 1.0, 5.0, 0.0, 2)
+        results = []
+        for loop in (_kernels.run_simulation, reference_run_simulation):
+            streams = (ScriptedStream(gaps, 1e3), ScriptedStream(services, 1.0),
+                       ScriptedStream([], 1.0))
+            results.append(repr(loop(*args, *streams)))
+        return results
+
+    @pytest.mark.parametrize("wl_kind", [_kernels.WL_INFINITE_EXP, _kernels.WL_INFINITE_DET])
+    def test_equal_departures_leave_lowest_slot_first(self, wl_kind):
+        # jobs arrive at 0.876 (slot 0), 0.9057 (slot 1, slot 0 busy) and
+        # one ulp later (slot 0, the tie of loads going to the lower
+        # slot); with 0.6 s service the last two depart at the same
+        # rounded time 1.5057, where the later arrival on slot 0 leaves
+        # first, and the per-second response-time sum depends on it
+        gaps = [0.876, 0.0297, math.ulp(0.9057)]
+        a = np.cumsum(gaps)
+        assert a[1] < a[2] and a[1] + 0.6 == a[2] + 0.6
+        rt = [d - x for d, x in zip(a + 0.6, a)]
+        assert (rt[0] + rt[2]) + rt[1] != (rt[0] + rt[1]) + rt[2]
+        services, mean = ([0.6] * 3, 1.0) if wl_kind == _kernels.WL_INFINITE_EXP else ([], 0.6)
+        got, want = self.scripted_run(gaps, services, wl_kind, mean)
+        assert got == want
+
+    @pytest.mark.parametrize("wl_kind", [_kernels.WL_INFINITE_EXP, _kernels.WL_INFINITE_DET])
+    def test_zero_service_departs_after_its_arrival(self, wl_kind):
+        # under exponential service the first job leaves at 1.0, when the
+        # second arrives with zero service, and so does a third with a
+        # zero gap; the monitor fires at 1.0 between the departure and
+        # the arrivals.  Deterministic service of mean 0 gives every job
+        # a zero service time.
+        gaps = [0.25, 0.75, 0.0, 0.3, 0.2]
+        services = [0.75, 0.0, 0.0, 0.4, 0.0]
+        mean = 1.0 if wl_kind == _kernels.WL_INFINITE_EXP else 0.0
+        got, want = self.scripted_run(gaps, services, wl_kind, mean)
+        assert got == want
+
+    @pytest.mark.parametrize("block", [5, 64])
+    @pytest.mark.parametrize("workload", [is_exp(30.0), is_det(30.0),
+                                          rc.WorkloadModel(kind=rc.WORKLOAD_PROCESSOR_SHARING,
+                                                           mean_s=30.0)])
+    @pytest.mark.parametrize("metric", rc.METRIC_KINDS)
+    @pytest.mark.parametrize("lam", [3.0, 40.0])
+    def test_departures_pending_across_many_blocks(self, monkeypatch, block, workload,
+                                                   metric, lam):
+        # 30 s service keeps up to about 1200 jobs in flight, so pending
+        # departures span many small blocks.  Both loops draw the same
+        # block sizes, because under processor sharing the service
+        # stream interleaves exponential and uniform blocks.
+        monkeypatch.setattr(_kernels, "_BLOCK", block)
+        monkeypatch.setattr(oracles, "_BLOCK", block)
+        cfg = rc.AutoscalerConfig(metric_kind=metric, target_value=5.0, n_max=12,
+                                  t_eva_s=2.0)
+        metric_code = _kernels.MT_RPS if metric == "rps" else _kernels.MT_CONCURRENCY
+        args = (metric_code, cfg.target_value, cfg.n_max, cfg.t_eva_s, cfg.window_length,
+                cfg.mu_pro, cfg.mu_dep, workload._kernel_kind, workload.mean_s, lam,
+                150.0, 20.0, 3)
+        results = []
+        for loop in (_kernels.run_simulation, reference_run_simulation):
+            seeds = np.random.SeedSequence(11).spawn(3)
+            results.append(repr(loop(*args, *(np.random.default_rng(s) for s in seeds))))
+        assert results[0] == results[1]
 
 
 class TestAggregateControlLaw:
