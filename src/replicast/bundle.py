@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .config import ProfilingTrace, load_json
+from .config import ProfilingTrace, _check_keys, load_json
 from .errors import ValidationError
 from .metric_model import MetricModel, fit_metric_model
 from .output import ResponseTimeFunction, fit_rtf
@@ -32,17 +32,11 @@ class ModelBundle:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelBundle":
-        if not isinstance(data, dict):
-            raise ValidationError(f"model bundle must be a JSON object, got {type(data).__name__}")
-        version = data.get("schema_version")
-        if version != SCHEMA_VERSION:
-            raise ValidationError(
-                f"unsupported bundle schema_version {version!r}, expected {SCHEMA_VERSION}")
-        unknown = sorted(set(data) - {"schema_version", "metric_model", "response_time"})
-        if unknown:
-            raise ValidationError(f"unknown bundle keys: {', '.join(unknown)}")
-        if "metric_model" not in data or "response_time" not in data:
-            raise ValidationError("bundle needs metric_model and response_time sections")
+        keys = ("schema_version", "metric_model", "response_time")
+        _check_keys(data, "model bundle", keys, keys)
+        if data["schema_version"] != SCHEMA_VERSION:
+            raise ValidationError(f"unsupported bundle schema_version "
+                                  f"{data['schema_version']!r}, expected {SCHEMA_VERSION}")
         return cls(metric=MetricModel.from_dict(data["metric_model"]),
                    response_time=ResponseTimeFunction.from_dict(data["response_time"]))
 

@@ -19,11 +19,10 @@ import numpy as np
 from .bundle import (SCHEMA_VERSION, ModelBundle, fit_bundle, load_bundle,
                      save_bundle)
 from .cluster import build_chain, stationary_distribution
-from .config import (AutoscalerConfig, load_autoscaler_config, load_json,
-                     parse_trace, write_trace)
-from .errors import (ConfigMismatchError, InsufficientDataError,
-                     NonErgodicError, NumericalError, ReplicastError,
-                     ValidationError)
+from .config import (AutoscalerConfig, _check_keys, load_autoscaler_config,
+                     load_json, parse_trace, write_trace)
+from .errors import (InsufficientDataError, NonErgodicError, NumericalError,
+                     ReplicastError, ValidationError)
 from .output import steady_state_report
 from .simulator import SimulationConfig, simulate
 
@@ -33,22 +32,6 @@ EXIT_NUMERICAL = 2
 EXIT_TOLERANCE = 3
 
 _COMPARED_METRICS = ("avg_replica_count", "avg_concurrency", "avg_response_time_s")
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on usage errors; our protocol reserves 2 for
-    numerical failures, so usage problems exit 1 instead."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"{self.prog}: error: {message}\n")
-        raise SystemExit(EXIT_INPUT)
-
-
-def _require_flag(value, flag: str, command: str):
-    if value is None:
-        raise ValidationError(f"{command} requires {flag}")
-    return value
 
 
 def _dump_json(payload: dict, out_path) -> str:
@@ -69,23 +52,19 @@ def _analytic_report(bundle: ModelBundle, cfg: AutoscalerConfig, arrival_rate: f
 
 
 def cmd_fit(args) -> int:
-    trace_path = _require_flag(args.trace, "--trace", "fit")
-    out_path = _require_flag(args.out, "--out", "fit")
-    trace = parse_trace(trace_path)
-    bundle = fit_bundle(trace, args.metric)
-    save_bundle(bundle, out_path)
+    bundle = fit_bundle(parse_trace(args.trace), args.metric)
+    save_bundle(bundle, args.out)
     m, r = bundle.metric, bundle.response_time
     print(f"metric fit ({m.metric_kind}): mse={m.fit_mse:.6g} r2={m.fit_r2:.6f}")
     print(f"response-time fit: mse={r.fit_mse:.6g} r2={r.fit_r2:.6f}")
-    print(f"wrote model bundle to {out_path}")
+    print(f"wrote model bundle to {args.out}")
     return EXIT_OK
 
 
 def cmd_predict(args) -> int:
-    bundle = load_bundle(_require_flag(args.model, "--model", "predict"))
-    cfg = load_autoscaler_config(_require_flag(args.config, "--config", "predict"))
-    arrival_rate = _require_flag(args.arrival_rate, "--arrival-rate", "predict")
-    chain, stationary, report = _analytic_report(bundle, cfg, arrival_rate,
+    bundle = load_bundle(args.model)
+    cfg = load_autoscaler_config(args.config)
+    chain, stationary, report = _analytic_report(bundle, cfg, args.arrival_rate,
                                                  window_s=args.window)
     payload = {"schema_version": SCHEMA_VERSION,
                **report.to_dict(include_states=args.explain)}
@@ -106,33 +85,25 @@ def cmd_predict(args) -> int:
 
 def _load_sweep_spec(path):
     data = load_json(path)
-    if not isinstance(data, dict):
-        raise ValidationError(f"{path}: sweep spec must be a JSON object")
-    unknown = sorted(set(data) - {"lambdas", "target_values", "fixed"})
-    if unknown:
-        raise ValidationError(f"{path}: unknown sweep spec keys: {', '.join(unknown)}")
-    lambdas = data.get("lambdas")
-    tvs = data.get("target_values")
-    fixed = data.get("fixed")
-    if not isinstance(lambdas, list) or not lambdas:
-        raise ValidationError(f"{path}: lambdas must be a non-empty list")
-    if not isinstance(tvs, list) or not tvs:
-        raise ValidationError(f"{path}: target_values must be a non-empty list")
-    if not isinstance(fixed, dict):
-        raise ValidationError(f"{path}: fixed must be an object of autoscaler fields")
+    keys = ("lambdas", "target_values", "fixed")
+    _check_keys(data, f"{path}: sweep spec", keys, keys)
+    lambdas, tvs, fixed = (data[k] for k in keys)
     for name, vals in (("lambdas", lambdas), ("target_values", tvs)):
+        if not isinstance(vals, list) or not vals:
+            raise ValidationError(f"{path}: {name} must be a non-empty list")
         for v in vals:
             if isinstance(v, bool) or not isinstance(v, (int, float)) or not v > 0:
                 raise ValidationError(f"{path}: {name} entries must be numbers > 0, got {v!r}")
-    if "target_value" in fixed:
-        raise ValidationError(f"{path}: fixed must not set target_value; it is swept")
+    # target_value is swept, so fixed holds every other autoscaler field
+    _check_keys(fixed, f"{path}: fixed",
+                [f.name for f in dataclasses.fields(AutoscalerConfig) if f.name != "target_value"],
+                ("metric_kind", "n_max"))
     return [float(v) for v in lambdas], [float(v) for v in tvs], fixed
 
 
 def cmd_sweep(args) -> int:
-    bundle = load_bundle(_require_flag(args.model, "--model", "sweep"))
-    out_path = _require_flag(args.out, "--out", "sweep")
-    lambdas, tvs, fixed = _load_sweep_spec(_require_flag(args.spec, "--spec", "sweep"))
+    bundle = load_bundle(args.model)
+    lambdas, tvs, fixed = _load_sweep_spec(args.spec)
     points = [(lam, tv) for lam in lambdas for tv in tvs]
 
     def run_point(point):
@@ -146,14 +117,14 @@ def cmd_sweep(args) -> int:
             return (lam, tv, "", "", "", str(exc))
 
     rows = [run_point(point) for point in points]
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
+    with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["lambda", "target_value", "avg_replicas",
                          "avg_concurrency", "avg_rt_s", "error"])
         for row in rows:
             writer.writerow(row)
     n_ok = sum(1 for row in rows if row[5] == "")
-    print(f"wrote {len(rows)} sweep rows ({n_ok} ok, {len(rows) - n_ok} failed) to {out_path}")
+    print(f"wrote {len(rows)} sweep rows ({n_ok} ok, {len(rows) - n_ok} failed) to {args.out}")
     if n_ok == 0:
         print("error: every sweep point failed", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -222,10 +193,7 @@ def _aggregate(reports):
 
 
 def cmd_simulate(args) -> int:
-    if args.seeds < 1:
-        raise ValidationError(f"--seeds must be >= 1, got {args.seeds}")
-    sim_cfg = SimulationConfig.from_dict(
-        load_json(_require_flag(args.config, "--config", "simulate")))
+    sim_cfg = SimulationConfig.from_dict(load_json(args.config))
     variants = _seed_variants(sim_cfg, args.seed, args.seeds)
     reports = [simulate(variant) for variant in variants]
     if args.trace_out:
@@ -247,19 +215,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    if args.seeds < 1:
-        raise ValidationError(f"--seeds must be >= 1, got {args.seeds}")
-    if args.tolerance < 0 or not math.isfinite(args.tolerance):
-        raise ValidationError(f"--tolerance must be a finite number >= 0, got {args.tolerance}")
-    bundle = load_bundle(_require_flag(args.model, "--model", "compare"))
-    sim_cfg = SimulationConfig.from_dict(
-        load_json(_require_flag(args.sim_config, "--sim-config", "compare")))
-    if args.config:
-        explicit = load_autoscaler_config(args.config)
-        if explicit != sim_cfg.autoscaler:
-            raise ConfigMismatchError(
-                "--config disagrees with the autoscaler embedded in --sim-config; "
-                "the model and the simulation must describe the same deployment")
+    bundle = load_bundle(args.model)
+    sim_cfg = SimulationConfig.from_dict(load_json(args.sim_config))
     _, _, analytic = _analytic_report(bundle, sim_cfg.autoscaler, sim_cfg.arrival_rate)
     reports = [simulate(variant)
                for variant in _seed_variants(sim_cfg, args.seed, args.seeds)]
@@ -299,63 +256,96 @@ def cmd_compare(args) -> int:
     return EXIT_OK if ok else EXIT_TOLERANCE
 
 
+def _bounded(convert, ok, rule: str):
+    """An argparse type: ``convert`` the text, then require ``ok(value)``."""
+    def parse(text):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+    return parse
+
+
+_seed_count = _bounded(int, lambda n: n >= 1, "an integer >= 1")
+_tolerance = _bounded(float, lambda x: math.isfinite(x) and x >= 0, "a finite number >= 0")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--config", help="JSON config file (autoscaler or simulation, per command)")
-    shared.add_argument("--out", help="output file path")
-    shared.add_argument("--seed", type=int, help="base RNG seed override")
-    shared.add_argument("--seeds", type=int, default=1,
-                        help="number of consecutive seeds to run (default 1)")
-    shared.add_argument("--tolerance", type=float, default=0.15,
-                        help="max relative error for compare (default 0.15)")
-    shared.add_argument("--explain", action="store_true",
-                        help="include per-state values and chain internals in "
-                             "predict output")
+    """One subparser per command, each declaring only the flags it reads.
 
-    parser = _Parser(prog="replicast",
-                     description="Steady-state prediction for metric-based autoscaling, "
-                                 "with a validating discrete-event simulator.")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    Abbreviations are refused: ``simulate --trace x`` would otherwise be
+    read as ``--trace-out x``.
+    """
+    parser = argparse.ArgumentParser(
+        prog="replicast",
+        description="Steady-state prediction for metric-based autoscaling, "
+                    "with a validating discrete-event simulator.")
+    sub = parser.add_subparsers(dest="command", required=True)
 
-    p_fit = sub.add_parser("fit", parents=[shared],
-                           help="fit metric and response-time models from a trace CSV")
-    p_fit.add_argument("--trace", help="profiling trace CSV path")
+    def command(name, func, help_text):
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        p.set_defaults(func=func)
+        return p
+
+    def add_seeds(p):
+        p.add_argument("--seed", type=int, help="base RNG seed override")
+        p.add_argument("--seeds", type=_seed_count, default=1,
+                       help="number of consecutive seeds to run (default 1)")
+
+    p_fit = command("fit", cmd_fit, "fit metric and response-time models from a trace CSV")
+    p_fit.add_argument("--trace", required=True, help="profiling trace CSV path")
     p_fit.add_argument("--metric", choices=["cc", "rps"], default="cc",
                        help="autoscaling metric the trace observed (default cc)")
-    p_fit.set_defaults(func=cmd_fit)
+    p_fit.add_argument("--out", required=True, help="model bundle JSON to write")
 
-    p_pred = sub.add_parser("predict", parents=[shared],
-                            help="predict steady-state metrics at an arrival rate")
-    p_pred.add_argument("--model", help="model bundle JSON from fit")
-    p_pred.add_argument("--arrival-rate", type=float, help="arrival rate, requests/s")
+    p_pred = command("predict", cmd_predict, "predict steady-state metrics at an arrival rate")
+    p_pred.add_argument("--model", required=True, help="model bundle JSON from fit")
+    p_pred.add_argument("--config", required=True, help="autoscaler config JSON")
+    p_pred.add_argument("--arrival-rate", type=float, required=True,
+                        help="arrival rate, requests/s")
     p_pred.add_argument("--window", type=float, default=3600.0,
                         help="reporting window seconds for request-count estimate (default 3600)")
-    p_pred.set_defaults(func=cmd_predict)
+    p_pred.add_argument("--explain", action="store_true",
+                        help="include per-state values and chain internals")
+    p_pred.add_argument("--out", help="also write the report JSON here")
 
-    p_sweep = sub.add_parser("sweep", parents=[shared],
-                             help="predict over a grid of arrival rates and target values")
-    p_sweep.add_argument("--model", help="model bundle JSON from fit")
-    p_sweep.add_argument("--spec", help="sweep spec JSON: lambdas, target_values, fixed")
-    p_sweep.set_defaults(func=cmd_sweep)
+    p_sweep = command("sweep", cmd_sweep,
+                      "predict over a grid of arrival rates and target values")
+    p_sweep.add_argument("--model", required=True, help="model bundle JSON from fit")
+    p_sweep.add_argument("--spec", required=True,
+                         help="sweep spec JSON: lambdas, target_values, fixed")
+    p_sweep.add_argument("--out", required=True, help="sweep CSV to write")
 
-    p_sim = sub.add_parser("simulate", parents=[shared],
-                           help="run the discrete-event simulator")
-    p_sim.add_argument("--trace-out", help="also write the profiling trace CSV here")
+    p_sim = command("simulate", cmd_simulate, "run the discrete-event simulator")
+    p_sim.add_argument("--config", required=True, help="simulation config JSON")
+    add_seeds(p_sim)
     p_sim.add_argument("--series", action="store_true",
                        help="include the per-second series in the report")
-    p_sim.set_defaults(func=cmd_simulate)
+    p_sim.add_argument("--trace-out", help="also write the profiling trace CSV here")
+    p_sim.add_argument("--out", help="also write the report JSON here")
 
-    p_cmp = sub.add_parser("compare", parents=[shared],
-                           help="compare analytical predictions against simulation")
-    p_cmp.add_argument("--model", help="model bundle JSON from fit")
-    p_cmp.add_argument("--sim-config", help="simulation config JSON")
-    p_cmp.set_defaults(func=cmd_compare)
+    p_cmp = command("compare", cmd_compare,
+                    "compare analytical predictions against simulation")
+    p_cmp.add_argument("--model", required=True, help="model bundle JSON from fit")
+    p_cmp.add_argument("--sim-config", required=True,
+                       help="simulation config JSON; its autoscaler is the one predicted")
+    add_seeds(p_cmp)
+    p_cmp.add_argument("--tolerance", type=_tolerance, default=0.15,
+                       help="max relative error (default 0.15)")
+    p_cmp.add_argument("--out", help="also write the comparison JSON here")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed the usage error (or the help).  Usage errors
+        # are input errors, and returning keeps in-process callers running.
+        return EXIT_INPUT if exc.code else EXIT_OK
     try:
         return args.func(args)
     except (NonErgodicError, NumericalError) as exc:

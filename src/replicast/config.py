@@ -42,6 +42,18 @@ def _finite_number(value, name: str) -> float:
     return out
 
 
+def _check_keys(data, what: str, known, required) -> None:
+    """Require a JSON object whose keys all lie in ``known`` and include ``required``."""
+    if not isinstance(data, dict):
+        raise ValidationError(f"{what} must be a JSON object, got {type(data).__name__}")
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise ValidationError(f"{what}: unknown keys: {', '.join(unknown)}")
+    missing = [k for k in required if k not in data]
+    if missing:
+        raise ValidationError(f"{what}: missing required keys: {', '.join(missing)}")
+
+
 @dataclass(frozen=True)
 class AutoscalerConfig:
     """Static description of one autoscaled deployment.
@@ -95,15 +107,8 @@ class AutoscalerConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "AutoscalerConfig":
-        if not isinstance(data, dict):
-            raise ValidationError(f"autoscaler config must be a JSON object, got {type(data).__name__}")
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ValidationError(f"unknown autoscaler config keys: {', '.join(unknown)}")
-        missing = sorted(k for k in ("metric_kind", "target_value", "n_max") if k not in data)
-        if missing:
-            raise ValidationError(f"missing required autoscaler config keys: {', '.join(missing)}")
+        _check_keys(data, "autoscaler config", [f.name for f in fields(cls)],
+                    ("metric_kind", "target_value", "n_max"))
         return cls(**data)
 
 

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .config import METRIC_KINDS, ProfilingTrace
+from .config import METRIC_KINDS, ProfilingTrace, _finite_number
 from .errors import FitRejectedError, InsufficientDataError, ValidationError
 
 # Degenerate (noise-free) traces would otherwise produce a zero-width
@@ -60,6 +60,16 @@ def mean_of_positive_part(dist: GaussianDist) -> float:
     return dist.mean * big_phi + dist.std * phi
 
 
+def _check_coefficients(model, what: str) -> None:
+    """Store every numeric field of a fitted model as a finite float; rho_max > 0."""
+    for f in fields(model):
+        if f.name != "metric_kind":
+            value = _finite_number(getattr(model, f.name), f"{what} {f.name}")
+            object.__setattr__(model, f.name, value)
+    if not model.rho_max > 0:
+        raise ValidationError(f"{what} rho_max must be > 0, got {model.rho_max!r}")
+
+
 @dataclass(frozen=True)
 class MetricModel:
     """Fitted map from per-container rate to the observed-metric Gaussian."""
@@ -76,6 +86,7 @@ class MetricModel:
     def __post_init__(self):
         if self.metric_kind not in METRIC_KINDS:
             raise ValidationError(f"metric_kind must be one of {METRIC_KINDS}, got {self.metric_kind!r}")
+        _check_coefficients(self, "metric model")
 
     def mean_at(self, rho: float) -> float:
         return self.mean_linear * rho + self.mean_quadratic * rho * rho
@@ -97,13 +108,13 @@ class MetricModel:
         try:
             return cls(
                 metric_kind=data["metric_kind"],
-                mean_linear=float(data["mean_coefficients"]["linear"]),
-                mean_quadratic=float(data["mean_coefficients"]["quadratic"]),
-                std_intercept=float(data["std_coefficients"]["intercept"]),
-                std_slope=float(data["std_coefficients"]["slope"]),
-                rho_max=float(data["rho_max"]),
-                fit_mse=float(data["diagnostics"]["mse"]),
-                fit_r2=float(data["diagnostics"]["r2"]),
+                mean_linear=data["mean_coefficients"]["linear"],
+                mean_quadratic=data["mean_coefficients"]["quadratic"],
+                std_intercept=data["std_coefficients"]["intercept"],
+                std_slope=data["std_coefficients"]["slope"],
+                rho_max=data["rho_max"],
+                fit_mse=data["diagnostics"]["mse"],
+                fit_r2=data["diagnostics"]["r2"],
             )
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"malformed metric model payload: {exc!r}") from exc
@@ -208,17 +219,23 @@ def _fit_quadratic_through_origin(rates: np.ndarray, y: np.ndarray, rho_max: flo
     return coef[0] / rho_max, coef[1] / (rho_max * rho_max), mse, r2
 
 
+def quadratic_min_on_interval(c0: float, c1: float, c2: float, hi: float) -> tuple:
+    """(x, value) of the minimum of c0 + c1*x + c2*x^2 over [0, hi].
+
+    The minimum sits at an endpoint or, for an upward parabola, at the
+    interior vertex.
+    """
+    candidates = [(0.0, c0), (hi, c0 + c1 * hi + c2 * hi * hi)]
+    if c2 > 0:
+        vertex = -c1 / (2.0 * c2)
+        if 0.0 < vertex < hi:
+            candidates.append((vertex, c0 + c1 * vertex + c2 * vertex * vertex))
+    return min(candidates, key=lambda c: c[1])
+
+
 def _check_mean_nonnegative(a1: float, a2: float, rho_max: float, y_scale: float) -> None:
-    # The minimum of the fitted quadratic on [0, rho_max] sits at an
-    # endpoint or at the interior vertex; mean(0) is 0 by construction,
-    # so two candidates suffice.
     tol = 1e-12 * max(1.0, y_scale)
-    candidates = [(rho_max, a1 * rho_max + a2 * rho_max * rho_max)]
-    if a2 > 0.0:
-        vertex = -a1 / (2.0 * a2)
-        if 0.0 < vertex < rho_max:
-            candidates.append((vertex, a1 * vertex + a2 * vertex * vertex))
-    worst_rho, worst_val = min(candidates, key=lambda c: c[1])
+    worst_rho, worst_val = quadratic_min_on_interval(0.0, a1, a2, rho_max)
     if worst_val < -tol:
         raise FitRejectedError(
             f"fitted mean is negative at rho={worst_rho:.6g} "

@@ -16,8 +16,9 @@ import numpy as np
 from .config import ProfilingTrace
 from .cluster import ClusterChain, StationaryDistribution
 from .errors import FitRejectedError, InsufficientDataError, ValidationError
-from .metric_model import (MetricModel, fit_polynomial_terms, fit_quality,
-                           mean_of_positive_part, observed_value_distribution)
+from .metric_model import (MetricModel, _check_coefficients, fit_polynomial_terms,
+                           fit_quality, mean_of_positive_part, observed_value_distribution,
+                           quadratic_min_on_interval)
 
 
 @dataclass(frozen=True)
@@ -32,7 +33,8 @@ class ResponseTimeFunction:
     fit_r2: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.intercept) and self.intercept > 0):
+        _check_coefficients(self, "response-time")
+        if not self.intercept > 0:
             raise ValidationError(
                 f"response-time intercept must be > 0 (base service time), got {self.intercept!r}")
 
@@ -51,24 +53,15 @@ class ResponseTimeFunction:
     def from_dict(cls, data: dict) -> "ResponseTimeFunction":
         try:
             return cls(
-                intercept=float(data["coefficients"]["intercept"]),
-                linear=float(data["coefficients"]["linear"]),
-                quadratic=float(data["coefficients"]["quadratic"]),
-                rho_max=float(data["rho_max"]),
-                fit_mse=float(data["diagnostics"]["mse"]),
-                fit_r2=float(data["diagnostics"]["r2"]),
+                intercept=data["coefficients"]["intercept"],
+                linear=data["coefficients"]["linear"],
+                quadratic=data["coefficients"]["quadratic"],
+                rho_max=data["rho_max"],
+                fit_mse=data["diagnostics"]["mse"],
+                fit_r2=data["diagnostics"]["r2"],
             )
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"malformed response-time payload: {exc!r}") from exc
-
-
-def _quadratic_min_on_interval(c0: float, c1: float, c2: float, hi: float) -> tuple:
-    candidates = [(0.0, c0), (hi, c0 + c1 * hi + c2 * hi * hi)]
-    if c2 > 0:
-        vertex = -c1 / (2.0 * c2)
-        if 0.0 < vertex < hi:
-            candidates.append((vertex, c0 + c1 * vertex + c2 * vertex * vertex))
-    return min(candidates, key=lambda c: c[1])
 
 
 def fit_rtf(trace: ProfilingTrace) -> ResponseTimeFunction:
@@ -95,7 +88,7 @@ def fit_rtf(trace: ProfilingTrace) -> ResponseTimeFunction:
     c0 = float(coef[0])
     c1 = float(coef[1]) / rho_max
     c2 = float(coef[2]) / (rho_max * rho_max)
-    worst_rho, worst_val = _quadratic_min_on_interval(c0, c1, c2, rho_max)
+    worst_rho, worst_val = quadratic_min_on_interval(c0, c1, c2, rho_max)
     tol = 1e-12 * max(1.0, float(np.max(np.abs(y))))
     if worst_val <= tol:
         raise FitRejectedError(

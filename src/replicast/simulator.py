@@ -14,7 +14,7 @@ import numpy as np
 
 from . import _kernels
 from .config import (METRIC_CONCURRENCY, METRIC_KINDS, AutoscalerConfig,
-                     ProfilingTrace, trace_from_arrays)
+                     ProfilingTrace, _check_keys, trace_from_arrays)
 from .errors import ValidationError
 
 WORKLOAD_INFINITE_SERVER = "infinite_server"
@@ -74,18 +74,13 @@ class WorkloadModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "WorkloadModel":
-        if not isinstance(data, dict):
-            raise ValidationError(f"workload must be a JSON object, got {type(data).__name__}")
-        kind = data.get("kind")
+        _check_keys(data, "workload", ("kind", "mean_service_s", "mean_demand_s", "distribution"),
+                    ("kind",))
+        kind = data["kind"]
         if kind not in _WORKLOAD_KINDS:
             raise ValidationError(f"workload kind must be one of {_WORKLOAD_KINDS}, got {kind!r}")
         mean_key = "mean_service_s" if kind == WORKLOAD_INFINITE_SERVER else "mean_demand_s"
-        allowed = {"kind", mean_key, "distribution"}
-        unknown = sorted(set(data) - allowed)
-        if unknown:
-            raise ValidationError(f"unknown workload keys: {', '.join(unknown)}")
-        if mean_key not in data:
-            raise ValidationError(f"workload is missing {mean_key!r}")
+        _check_keys(data, f"{kind} workload", ("kind", mean_key, "distribution"), (mean_key,))
         return cls(kind=kind, mean_s=data[mean_key],
                    distribution=data.get("distribution", _DIST_EXPONENTIAL))
 
@@ -146,16 +141,8 @@ class SimulationConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SimulationConfig":
-        if not isinstance(data, dict):
-            raise ValidationError(f"simulation config must be a JSON object, got {type(data).__name__}")
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ValidationError(f"unknown simulation config keys: {', '.join(unknown)}")
-        missing = sorted(k for k in ("autoscaler", "workload", "arrival_rate", "duration_s")
-                         if k not in data)
-        if missing:
-            raise ValidationError(f"missing simulation config keys: {', '.join(missing)}")
+        _check_keys(data, "simulation config", [f.name for f in fields(cls)],
+                    ("autoscaler", "workload", "arrival_rate", "duration_s"))
         kwargs = dict(data)
         kwargs["autoscaler"] = AutoscalerConfig.from_dict(data["autoscaler"])
         kwargs["workload"] = WorkloadModel.from_dict(data["workload"])

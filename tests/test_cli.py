@@ -1,5 +1,6 @@
 """Command-line protocol: flags, outputs, and the exit-code contract."""
 
+import argparse
 import csv
 import json
 import math
@@ -182,10 +183,30 @@ class TestPredict:
         assert code == 2
         assert "forced structural failure" in capsys.readouterr().err
 
-    def test_unknown_command_exits_one(self):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["calibrate"])
-        assert exc.value.code == 1
+    @pytest.mark.parametrize("section,keys", [
+        ("metric_model", ("rho_max",)),
+        ("response_time", ("coefficients", "linear")),
+    ])
+    def test_non_finite_bundle_exits_one(self, tmp_path, ref_bundle, capsys,
+                                         section, keys):
+        data = ref_bundle.to_dict()
+        holder = data[section]
+        for key in keys[:-1]:
+            holder = holder[key]
+        holder[keys[-1]] = math.nan
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(data), encoding="utf-8")
+        cfg = autoscaler_file(tmp_path, target_value=10.0, n_max=10)
+        code = cli.main(["predict", "--model", str(model), "--config", cfg,
+                         "--arrival-rate", "100"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{keys[-1]} must be finite" in captured.err
+
+    def test_unknown_command_exits_one(self, capsys):
+        assert cli.main(["calibrate"]) == 1
+        assert "invalid choice: 'calibrate'" in capsys.readouterr().err
 
 
 class TestSweep:
@@ -237,6 +258,22 @@ class TestSweep:
         assert len(failed) == 2
         assert all("solver stalled" in row[5] for row in failed)
         assert all(row[2] == "" for row in failed)
+
+    @pytest.mark.parametrize("fixed,named", [
+        ({"metric_kind": "cc", "n_max": 4, "burst": 2}, "burst"),
+        ({"metric_kind": "cc", "n_max": 4, "target_value": 2.0}, "target_value"),
+        ({"metric_kind": "cc"}, "n_max"),
+    ])
+    def test_bad_fixed_block_exits_one(self, tmp_path, bundle_path, capsys, fixed, named):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"lambdas": [5.0], "target_values": [2.0],
+                                    "fixed": fixed}), encoding="utf-8")
+        out = tmp_path / "s.csv"
+        code = cli.main(["sweep", "--model", bundle_path, "--spec", str(path),
+                         "--out", str(out)])
+        assert code == 1
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
     def test_all_points_failing_exits_two(self, tmp_path, bundle_path, capsys,
                                           monkeypatch):
@@ -317,6 +354,13 @@ class TestSimulate:
         assert code == 0
         assert json.loads(capsys.readouterr().out)["seed"] == -3
 
+    def test_zero_seeds_exits_one(self, tmp_path, capsys):
+        cfg = sim_config_file(tmp_path, duration_s=400.0, warmup_s=100.0)
+        assert cli.main(["simulate", "--config", cfg, "--seeds", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--seeds: must be an integer >= 1" in captured.err
+
 
 class TestCompare:
     def test_matched_models_pass_default_tolerance(self, tmp_path, bundle_path,
@@ -341,10 +385,67 @@ class TestCompare:
         assert code == 3
         assert "FAIL" in capsys.readouterr().out
 
-    def test_conflicting_config_rejected(self, tmp_path, bundle_path, capsys):
+    def test_config_flag_is_usage_error(self, tmp_path, bundle_path, capsys):
+        # the autoscaler comes from --sim-config alone
         sim_cfg = sim_config_file(tmp_path, target_value=100.0, n_max=1)
         other = autoscaler_file(tmp_path, target_value=50.0, n_max=1)
         code = cli.main(["compare", "--model", bundle_path, "--sim-config", sim_cfg,
                          "--config", other])
         assert code == 1
-        assert "disagrees" in capsys.readouterr().err
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags,rule", [
+        (["--seeds", "0"], "--seeds: must be an integer >= 1"),
+        (["--tolerance", "-1"], "--tolerance: must be a finite number >= 0"),
+        (["--tolerance", "nan"], "--tolerance: must be a finite number >= 0"),
+    ])
+    def test_out_of_range_flag_exits_one(self, tmp_path, bundle_path, capsys, flags, rule):
+        sim_cfg = sim_config_file(tmp_path, duration_s=400.0, warmup_s=100.0)
+        code = cli.main(["compare", "--model", bundle_path, "--sim-config", sim_cfg,
+                         *flags])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert rule in captured.err
+
+
+# The flags each command reads, and for each the flags it cannot run without.
+COMMAND_FLAGS = {
+    "fit": ({"--trace", "--metric", "--out"}, ["--trace", "t.csv", "--out", "m.json"]),
+    "predict": ({"--model", "--config", "--arrival-rate", "--window", "--explain", "--out"},
+                ["--model", "m.json", "--config", "a.json", "--arrival-rate", "1"]),
+    "sweep": ({"--model", "--spec", "--out"},
+              ["--model", "m.json", "--spec", "s.json", "--out", "s.csv"]),
+    "simulate": ({"--config", "--seed", "--seeds", "--series", "--trace-out", "--out"},
+                 ["--config", "sim.json"]),
+    "compare": ({"--model", "--sim-config", "--seed", "--seeds", "--tolerance", "--out"},
+                ["--model", "m.json", "--sim-config", "sim.json"]),
+}
+ALL_FLAGS = sorted(set().union(*(flags for flags, _ in COMMAND_FLAGS.values())))
+
+
+class TestFlags:
+    def test_each_command_declares_the_flags_it_reads(self):
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        declared = {
+            name: {opt for action in p._actions for opt in action.option_strings
+                   if opt not in ("-h", "--help")}
+            for name, p in sub.choices.items()}
+        assert declared == {name: flags for name, (flags, _) in COMMAND_FLAGS.items()}
+        assert sum(len(flags) for flags in declared.values()) == 24
+
+    @pytest.mark.parametrize("command,flag", [
+        (command, flag) for command, (flags, _) in COMMAND_FLAGS.items()
+        for flag in ALL_FLAGS if flag not in flags])
+    def test_flag_the_command_does_not_read_exits_one(self, capsys, command, flag):
+        required = COMMAND_FLAGS[command][1]
+        assert cli.main([command, *required, flag, "1"]) == 1
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+    def test_missing_required_flag_exits_one(self, capsys, command):
+        required = COMMAND_FLAGS[command][1]
+        assert cli.main([command, *required[2:]]) == 1
+        assert f"required: {required[0]}" in capsys.readouterr().err

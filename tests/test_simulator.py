@@ -428,9 +428,8 @@ class TestTraceEmission:
             rc.profile_trace(is_exp(0.2), [])
 
 
-class TestBackendEquivalence:
-    def test_pure_python_path_matches_jit_path(self, tmp_path):
-        # a report made in this process equals one made in a fresh interpreter
+class TestFreshInterpreter:
+    def test_in_process_report_matches_fresh_interpreter(self, tmp_path):
         sim_cfg = rc.SimulationConfig(
             autoscaler=autoscaler(target_value=2.0, n_max=4), workload=is_exp(0.2),
             arrival_rate=9.0, duration_s=220.0, warmup_s=20.0, seed=53)
