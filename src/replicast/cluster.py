@@ -8,21 +8,20 @@ at evaluation instants).
 The two moves are independent given the current state, so each row of
 the chain's transition matrix is an outer product of a horizontal vector
 and a vertical row.  Nearly all of the n_max^2 states are transient, so
-the chain is built and solved only on the closed set it can never leave.
-The stationary distribution of this chain carries all steady-state
-answers.
+the chain is built and solved only on the closed set it can never leave,
+kept as a flat list of its transitions.  The stationary distribution of
+this chain carries all steady-state answers: its recurrent classes are
+found by reachability over that list, and the single class is solved by
+a dense LU of its balance system, which holds about 16 r^2 bytes for r
+recurrent states.  numpy is the only dependency.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix, identity, vstack
-from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
 from .config import AutoscalerConfig
 from .errors import (ConfigMismatchError, NonErgodicError, NumericalError,
@@ -162,7 +161,8 @@ def _trapping_ready_counts(horizontal: np.ndarray, arrive: np.ndarray, stay: np.
 
 
 def _assemble(horizontal: np.ndarray, arrive: np.ndarray, stay: np.ndarray) -> tuple:
-    """The closed states (order, ready) and the sparse chain on them.
+    """The closed states (order, ready) and the chain's transitions on
+    them, as flat (source, target, probability) arrays.
 
     P[(i,j),(i',j')] = h[j,i'] * V[i,j,j'], products below _TRUNCATE_BELOW
     dropped and each row rescaled to sum to one.  Every transition lands
@@ -174,7 +174,8 @@ def _assemble(horizontal: np.ndarray, arrive: np.ndarray, stay: np.ndarray) -> t
     form a closed set of their own, kept beside S so that the structure
     analysis names it.  Only factor entries at or above the threshold can
     give a product above it, since both factors are probabilities, so the
-    outer products per ready count run over those entries alone.
+    outer products per ready count run over those entries alone.  Each
+    (source, target) pair appears once; the arrays are left unsorted.
     """
     n = horizontal.shape[0]
     support = horizontal >= _TRUNCATE_BELOW
@@ -200,7 +201,7 @@ def _assemble(horizontal: np.ndarray, arrive: np.ndarray, stay: np.ndarray) -> t
     vals = np.concatenate(vals)
     vals /= np.bincount(rows, weights=vals, minlength=keys.size)[rows]
     states = np.column_stack([keys // n + 1, keys % n + 1])
-    return states, csr_matrix((vals, (rows, cols)), shape=(keys.size, keys.size))
+    return states, rows, cols, vals
 
 
 @dataclass(frozen=True)
@@ -214,8 +215,10 @@ class ClusterChain:
     ready) and stay[k] (of k surplus containers, how many still drain).
     The factors are checked once and frozen (copied first, except when
     build_chain hands over arrays it has just built and owns, _owned).
-    The sparse transition matrix is assembled once, on the closed states
-    listed in states (see _assemble): every other state is transient.
+    The transitions are assembled once, on the closed states listed in
+    states (see _assemble): every other state is transient.  They are
+    kept as three frozen flat arrays, each entry a move from state
+    source[e] to state target[e] with chance probability[e].
     """
 
     n_max: int
@@ -225,7 +228,9 @@ class ClusterChain:
     stay: np.ndarray        # [k, m]
     _owned: InitVar[bool] = False
     states: np.ndarray = field(init=False, repr=False, compare=False)  # [s] = (order, ready)
-    sparse_matrix: csr_matrix = field(init=False, repr=False, compare=False)
+    source: np.ndarray = field(init=False, repr=False, compare=False)       # [e]
+    target: np.ndarray = field(init=False, repr=False, compare=False)       # [e]
+    probability: np.ndarray = field(init=False, repr=False, compare=False)  # [e]
 
     def __post_init__(self, _owned):
         n = self.n_max
@@ -238,16 +243,17 @@ class ClusterChain:
                 arr = arr.copy()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        states, p = _assemble(self.horizontal, self.arrive, self.stay)
-        for arr in (states, p.data, p.indices, p.indptr):
+        built = _assemble(self.horizontal, self.arrive, self.stay)
+        for name, arr in zip(("states", "source", "target", "probability"), built):
             arr.flags.writeable = False
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "sparse_matrix", p)
+            object.__setattr__(self, name, arr)
 
     @property
     def transition_matrix(self) -> np.ndarray:
         """The dense block on the closed states, built on each access."""
-        p = self.sparse_matrix.toarray()
+        m = self.n_states
+        p = np.zeros((m, m))
+        p[self.source, self.target] = self.probability
         p.flags.writeable = False
         return p
 
@@ -292,29 +298,64 @@ def build_chain(arrival_rate: float, model: MetricModel, cfg: AutoscalerConfig) 
                         arrive=arrive, stay=stay, _owned=True)
 
 
-def _recurrence_structure(graph: csr_matrix) -> list:
-    """The recurrent classes: strongly connected components no edge leaves."""
-    n_comp, labels = connected_components(graph, directed=True, connection="strong")
-    has_exit = np.zeros(n_comp, dtype=bool)
-    edges = graph.tocoo()
-    leaving = labels[edges.row] != labels[edges.col]
-    has_exit[labels[edges.row[leaving]]] = True
-    return [np.flatnonzero(labels == c) for c in range(n_comp) if not has_exit[c]]
+def _closure(start: int, tail: np.ndarray, head: np.ndarray, n: int) -> np.ndarray:
+    """Mask of the states reachable from start along the edges tail -> head."""
+    reached = np.zeros(n, dtype=bool)
+    reached[start] = True
+    frontier = reached.copy()
+    while True:
+        step = np.zeros(n, dtype=bool)
+        step[head[frontier[tail]]] = True
+        frontier = step & ~reached
+        if not frontier.any():
+            return reached
+        reached |= frontier
 
 
-def _solve_single_class(graph: csr_matrix, state_name) -> tuple:
-    """Stationary vector of a checked row-stochastic sparse matrix, the
-    size of its recurrent class and the residual max |P^T pi - pi|.
+def _recurrence_structure(source: np.ndarray, target: np.ndarray, n: int) -> list:
+    """The recurrent classes of the n-state graph source -> target, each
+    in ascending state order, the classes ordered by their first state.
 
-    graph stores no zeros and no negative entries.  The transition graph
-    is analysed once.  More than one recurrent class raises
-    NonErgodicError, listing each class through state_name; transient
-    states get zero mass.  On the single recurrent class R the balance
-    system (P_RR^T - I) pi = 0, with its first equation replaced by
-    sum(pi) = 1, is solved by sparse LU.
+    From a state v, its forward closure F is a recurrent class when every
+    state of F reaches v back, that is when F lies in v's backward closure
+    B; otherwise the search moves to a state of F outside B, whose forward
+    closure is smaller.  Once a class is found, every state that reaches
+    it (B) is dropped: what is left is closed, so it holds every other
+    recurrent class, and the search repeats on it.
     """
-    m = graph.shape[0]
-    recurrent = _recurrence_structure(graph)
+    classes = []
+    alive = np.ones(n, dtype=bool)
+    while alive.any():
+        keep = alive[source]
+        tail, head = source[keep], target[keep]
+        v = int(np.argmax(alive))
+        while True:
+            forward = _closure(v, tail, head, n)
+            backward = _closure(v, head, tail, n)
+            escaped = forward & ~backward
+            if not escaped.any():
+                break
+            v = int(np.argmax(escaped))
+        classes.append(np.flatnonzero(forward))
+        alive &= ~backward
+    return sorted(classes, key=lambda cls: int(cls[0]))
+
+
+def _solve_single_class(source: np.ndarray, target: np.ndarray, probability: np.ndarray,
+                        n: int, state_name) -> tuple:
+    """Stationary vector of a checked row-stochastic chain on n states,
+    given as its transitions source[e] -> target[e] with positive chance
+    probability[e], each (source, target) pair once; also the size of its
+    recurrent class and the residual max |P^T pi - pi|.
+
+    The transition graph is analysed once.  More than one recurrent class
+    raises NonErgodicError, listing each class through state_name;
+    transient states get zero mass.  On the single recurrent class R the
+    balance system (P_RR^T - I) pi = 0, with its first equation replaced
+    by sum(pi) = 1, is filled densely and solved by LU: about 16 r^2
+    bytes for the r states of R, the matrix and LAPACK's copy of it.
+    """
+    recurrent = _recurrence_structure(source, target, n)
     if len(recurrent) > 1:
         classes = [[state_name(s) for s in cls.tolist()] for cls in recurrent]
         raise NonErgodicError(
@@ -323,27 +364,32 @@ def _solve_single_class(graph: csr_matrix, state_name) -> tuple:
 
     states = recurrent[0]
     r = states.size
-    balance = graph[states][:, states].T - identity(r, format="csr")
-    a = vstack([np.ones((1, r)), balance[1:]], format="csc")
+    position = np.full(n, -1)
+    position[states] = np.arange(r)
+    # R is closed, so a move from R lands in R
+    inside = position[source] >= 0
+    a = np.zeros((r, r))
+    a[position[target[inside]], position[source[inside]]] = probability[inside]
+    a.flat[::r + 1] -= 1.0
+    a[0] = 1.0
     b = np.zeros(r)
     b[0] = 1.0
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", MatrixRankWarning)
-            x = spsolve(a, b)
-    except MatrixRankWarning as exc:
+        x = np.linalg.solve(a, b)
+    except np.linalg.LinAlgError as exc:
         raise NumericalError(f"stationary solve failed on the {r}-state recurrent class: "
-                             f"{exc}") from exc
-    pi = np.zeros(m)
+                             f"{str(exc).lower()}") from exc
+    pi = np.zeros(n)
     pi[states] = np.where(x < 0.0, 0.0, x)
     total = float(pi.sum())
     if not math.isfinite(total) or total <= 0:
         raise NumericalError("stationary solve produced a degenerate vector")
     pi /= total
-    residual = float(np.max(np.abs(graph.T @ pi - pi)))
+    flow = np.bincount(target, weights=probability * pi[source], minlength=n)
+    residual = float(np.max(np.abs(flow - pi)))
     if not residual <= 1e-10:
         raise NumericalError(f"stationary residual {residual:.3e} exceeds 1e-10")
-    return pi, int(states.size), residual
+    return pi, r, residual
 
 
 def solve_stationary(p: np.ndarray) -> np.ndarray:
@@ -363,12 +409,9 @@ def solve_stationary(p: np.ndarray) -> np.ndarray:
     row_err = float(np.max(np.abs(p.sum(axis=1) - 1.0)))
     if row_err > 1e-9:
         raise ValidationError(f"rows must sum to 1 (max error {row_err:.3e})")
-    # Sparse form with rounding noise below zero clamped; it stays
-    # O(nonzeros) instead of copying the dense matrix.
-    graph = csr_matrix(p)
-    np.maximum(graph.data, 0.0, out=graph.data)
-    graph.eliminate_zeros()
-    pi, _, _ = _solve_single_class(graph, int)
+    # rounding noise below zero is no transition
+    source, target = np.nonzero(p > 0.0)
+    pi, _, _ = _solve_single_class(source, target, p[source, target], p.shape[0], int)
     return pi
 
 
@@ -408,7 +451,8 @@ class StationaryDistribution:
 
 def stationary_distribution(chain: ClusterChain) -> StationaryDistribution:
     """Solve the chain; non-unique answers name their (order, ready) states."""
-    pi, n_recurrent, residual = _solve_single_class(chain.sparse_matrix, chain.state_of)
+    pi, n_recurrent, residual = _solve_single_class(
+        chain.source, chain.target, chain.probability, chain.n_states, chain.state_of)
     marginal = np.bincount(chain.states[:, 1] - 1, weights=pi, minlength=chain.n_max)
     return StationaryDistribution(pi=pi, states=chain.states, marginal_ready=marginal,
                                   n_transient=chain.n_max ** 2 - n_recurrent,

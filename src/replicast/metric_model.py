@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .config import METRIC_KINDS, ProfilingTrace, _finite_number
+from .config import METRIC_KINDS, ProfilingTrace, _check_keys, _finite_number
 from .errors import FitRejectedError, InsufficientDataError, ValidationError
 
 # Degenerate (noise-free) traces would otherwise produce a zero-width
@@ -70,6 +70,14 @@ def _check_coefficients(model, what: str) -> None:
         raise ValidationError(f"{what} rho_max must be > 0, got {model.rho_max!r}")
 
 
+def _check_blocks(data, what: str, scalars: tuple, blocks: dict) -> None:
+    """Require a fitted model's JSON object: exactly the keys scalars and
+    blocks, each block an object with exactly the keys it maps to."""
+    _check_keys(data, what, (*scalars, *blocks), (*scalars, *blocks))
+    for name, keys in blocks.items():
+        _check_keys(data[name], f"{what} {name}", keys, keys)
+
+
 @dataclass(frozen=True)
 class MetricModel:
     """Fitted map from per-container rate to the observed-metric Gaussian."""
@@ -105,19 +113,20 @@ class MetricModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "MetricModel":
-        try:
-            return cls(
-                metric_kind=data["metric_kind"],
-                mean_linear=data["mean_coefficients"]["linear"],
-                mean_quadratic=data["mean_coefficients"]["quadratic"],
-                std_intercept=data["std_coefficients"]["intercept"],
-                std_slope=data["std_coefficients"]["slope"],
-                rho_max=data["rho_max"],
-                fit_mse=data["diagnostics"]["mse"],
-                fit_r2=data["diagnostics"]["r2"],
-            )
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(f"malformed metric model payload: {exc!r}") from exc
+        _check_blocks(data, "metric model", ("metric_kind", "rho_max"), {
+            "mean_coefficients": ("linear", "quadratic"),
+            "std_coefficients": ("intercept", "slope"),
+            "diagnostics": ("mse", "r2")})
+        return cls(
+            metric_kind=data["metric_kind"],
+            mean_linear=data["mean_coefficients"]["linear"],
+            mean_quadratic=data["mean_coefficients"]["quadratic"],
+            std_intercept=data["std_coefficients"]["intercept"],
+            std_slope=data["std_coefficients"]["slope"],
+            rho_max=data["rho_max"],
+            fit_mse=data["diagnostics"]["mse"],
+            fit_r2=data["diagnostics"]["r2"],
+        )
 
 
 def observed_value_distribution(model: MetricModel, rho: float) -> GaussianDist:

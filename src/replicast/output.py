@@ -16,9 +16,9 @@ import numpy as np
 from .config import ProfilingTrace
 from .cluster import ClusterChain, StationaryDistribution
 from .errors import FitRejectedError, InsufficientDataError, ValidationError
-from .metric_model import (MetricModel, _check_coefficients, fit_polynomial_terms,
-                           fit_quality, mean_of_positive_part, observed_value_distribution,
-                           quadratic_min_on_interval)
+from .metric_model import (MetricModel, _check_blocks, _check_coefficients,
+                           fit_polynomial_terms, fit_quality, mean_of_positive_part,
+                           observed_value_distribution, quadratic_min_on_interval)
 
 
 @dataclass(frozen=True)
@@ -51,17 +51,17 @@ class ResponseTimeFunction:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ResponseTimeFunction":
-        try:
-            return cls(
-                intercept=data["coefficients"]["intercept"],
-                linear=data["coefficients"]["linear"],
-                quadratic=data["coefficients"]["quadratic"],
-                rho_max=data["rho_max"],
-                fit_mse=data["diagnostics"]["mse"],
-                fit_r2=data["diagnostics"]["r2"],
-            )
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(f"malformed response-time payload: {exc!r}") from exc
+        _check_blocks(data, "response-time function", ("rho_max",), {
+            "coefficients": ("intercept", "linear", "quadratic"),
+            "diagnostics": ("mse", "r2")})
+        return cls(
+            intercept=data["coefficients"]["intercept"],
+            linear=data["coefficients"]["linear"],
+            quadratic=data["coefficients"]["quadratic"],
+            rho_max=data["rho_max"],
+            fit_mse=data["diagnostics"]["mse"],
+            fit_r2=data["diagnostics"]["r2"],
+        )
 
 
 def fit_rtf(trace: ProfilingTrace) -> ResponseTimeFunction:

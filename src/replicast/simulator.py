@@ -14,7 +14,7 @@ import numpy as np
 
 from . import _kernels
 from .config import (METRIC_CONCURRENCY, METRIC_KINDS, AutoscalerConfig,
-                     ProfilingTrace, _check_keys, trace_from_arrays)
+                     ProfilingTrace, _check_keys, _finite_number, trace_from_arrays)
 from .errors import ValidationError
 
 WORKLOAD_INFINITE_SERVER = "infinite_server"
@@ -45,10 +45,10 @@ class WorkloadModel:
     def __post_init__(self):
         if self.kind not in _WORKLOAD_KINDS:
             raise ValidationError(f"workload kind must be one of {_WORKLOAD_KINDS}, got {self.kind!r}")
-        if not (isinstance(self.mean_s, (int, float)) and not isinstance(self.mean_s, bool)
-                and math.isfinite(self.mean_s) and self.mean_s > 0):
-            raise ValidationError(f"workload mean must be a finite number > 0, got {self.mean_s!r}")
-        object.__setattr__(self, "mean_s", float(self.mean_s))
+        mean_s = _finite_number(self.mean_s, "workload mean")
+        if mean_s <= 0:
+            raise ValidationError(f"workload mean must be > 0, got {mean_s}")
+        object.__setattr__(self, "mean_s", mean_s)
         if self.kind == WORKLOAD_INFINITE_SERVER:
             if self.distribution not in (_DIST_EXPONENTIAL, _DIST_DETERMINISTIC):
                 raise ValidationError(
@@ -101,10 +101,7 @@ class SimulationConfig:
         if not isinstance(self.workload, WorkloadModel):
             raise ValidationError("workload must be a WorkloadModel")
         for name in ("arrival_rate", "duration_s", "warmup_s"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
-                raise ValidationError(f"{name} must be a finite number, got {v!r}")
-            object.__setattr__(self, name, float(v))
+            object.__setattr__(self, name, _finite_number(getattr(self, name), name))
         if self.arrival_rate <= 0:
             raise ValidationError(f"arrival_rate must be > 0, got {self.arrival_rate}")
         if self.warmup_s < 0:

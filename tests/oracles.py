@@ -6,9 +6,11 @@ provisioning process's rate matrix (the package uses the closed-form
 binomial law), the stationary oracle is plain power iteration (the
 package solves a linear system), the order-probability oracle is Monte
 Carlo, the positive-part expectation is adaptive quadrature (the package
-uses the closed form), and the chain's matrix is assembled densely over
-all n_max^2 states, one Kronecker row per state (the package assembles a
-sparse matrix on the closed set of states from the factors' nonzeros).
+uses the closed form), the recurrent classes come from scipy's strongly
+connected components (the package searches forward and backward
+closures), and the chain's matrix is assembled densely over all n_max^2
+states, one Kronecker row per state (the package assembles a list of
+transitions on the closed set of states from the factors' nonzeros).
 The reference event loop scans every container slot and reads its
 random numbers one numpy scalar at a time (the package keeps a list of
 ready slots, a running window sum and random blocks as Python lists).
@@ -126,13 +128,20 @@ def dense_chain_matrix(horizontal: np.ndarray, vertical: np.ndarray,
     return p / p.sum(axis=1, keepdims=True)
 
 
+def recurrent_classes(p: np.ndarray) -> list:
+    """The closed strongly connected components of p's graph, each as a
+    sorted list of states, the classes sorted by their first state."""
+    graph = csr_matrix(p > 0.0)
+    n_comp, labels = connected_components(graph, directed=True, connection="strong")
+    rows, cols = graph.nonzero()
+    leaves = set(labels[rows[labels[rows] != labels[cols]]].tolist())
+    return sorted(np.flatnonzero(labels == c).tolist() for c in range(n_comp)
+                  if c not in leaves)
+
+
 def recurrent_state_count(p: np.ndarray) -> int:
     """States in a closed strongly connected component of p's graph."""
-    graph = csr_matrix(p > 0.0)
-    _, labels = connected_components(graph, directed=True, connection="strong")
-    rows, cols = graph.nonzero()
-    leaves = np.unique(labels[rows[labels[rows] != labels[cols]]])
-    return int(np.count_nonzero(~np.isin(labels, leaves)))
+    return sum(len(cls) for cls in recurrent_classes(p))
 
 
 def reference_run_simulation(metric_kind, tv, n_max, t_eva, window_len, mu_pro,

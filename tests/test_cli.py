@@ -4,7 +4,11 @@ import argparse
 import csv
 import json
 import math
+import os
 import statistics
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from scipy.special import stdtrit
@@ -203,6 +207,32 @@ class TestPredict:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"{keys[-1]} must be finite" in captured.err
+
+    @pytest.mark.parametrize("path,key,where", [
+        (("response_time", "coefficients"), "cubic", "response-time function coefficients"),
+        (("response_time", "diagnostics"), "aic", "response-time function diagnostics"),
+        (("response_time",), "rho_min", "response-time function"),
+        (("metric_model", "mean_coefficients"), "cubic", "metric model mean_coefficients"),
+        (("metric_model", "std_coefficients"), "quadratic", "metric model std_coefficients"),
+        (("metric_model", "diagnostics"), "aic", "metric model diagnostics"),
+        (("metric_model",), "window_s", "metric model"),
+    ])
+    def test_unknown_bundle_key_exits_one(self, tmp_path, ref_bundle, capsys, path, key,
+                                          where):
+        data = ref_bundle.to_dict()
+        holder = data
+        for name in path:
+            holder = holder[name]
+        holder[key] = 5.0
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(data), encoding="utf-8")
+        cfg = autoscaler_file(tmp_path, target_value=10.0, n_max=10)
+        code = cli.main(["predict", "--model", str(model), "--config", cfg,
+                         "--arrival-rate", "100"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{where}: unknown keys: {key}" in captured.err
 
     def test_unknown_command_exits_one(self, capsys):
         assert cli.main(["calibrate"]) == 1
@@ -449,3 +479,44 @@ class TestFlags:
         required = COMMAND_FLAGS[command][1]
         assert cli.main([command, *required[2:]]) == 1
         assert f"required: {required[0]}" in capsys.readouterr().err
+
+
+class TestRuntimeImports:
+    def test_commands_load_no_scipy(self, tmp_path, trace_path, bundle_path):
+        # scipy serves the tests' oracles only: a fresh interpreter that
+        # runs every command through cli.main must never import it
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"lambdas": [5.0, 20.0], "target_values": [2.0],
+                                    "fixed": {"metric_kind": "cc", "n_max": 10}}),
+                        encoding="utf-8")
+        sim = sim_config_file(tmp_path, arrival_rate=5.0, target_value=2.0, n_max=4,
+                              duration_s=400.0, warmup_s=100.0)
+        commands = [
+            ["fit", "--trace", trace_path, "--out", str(tmp_path / "fitted.json")],
+            ["predict", "--model", bundle_path, "--arrival-rate", "20",
+             "--config", autoscaler_file(tmp_path, target_value=2.0, n_max=10)],
+            ["sweep", "--model", bundle_path, "--spec", str(spec),
+             "--out", str(tmp_path / "sweep.csv")],
+            ["simulate", "--config", sim],
+            ["compare", "--model", bundle_path, "--sim-config", sim, "--seeds", "2"],
+        ]
+        script = (
+            "import contextlib, io, json, sys\n"
+            "from replicast import cli\n"
+            "codes = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        codes.append(cli.main(argv))\n"
+            "print(json.dumps([codes, sorted(m for m in sys.modules\n"
+            "                                if m == 'scipy' or m.startswith('scipy.'))]))\n"
+        )
+        src = str(Path(rc.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
+                              capture_output=True, text=True, timeout=300, env=env)
+        assert proc.returncode == 0, proc.stderr
+        codes, loaded = json.loads(proc.stdout)
+        # compare's exit code 3 is a verdict (beyond tolerance), not a failure
+        assert codes[:4] == [0, 0, 0, 0] and codes[4] in (0, 3)
+        assert loaded == []

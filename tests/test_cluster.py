@@ -6,12 +6,12 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import MatrixRankWarning
 from scipy.stats import norm
 
 import replicast as rc
 from oracles import (build_rate_matrix, dense_chain_matrix, power_iteration_pi,
-                     random_stochastic_matrix, recurrent_state_count, taylor_expm)
+                     random_stochastic_matrix, recurrent_classes, recurrent_state_count,
+                     taylor_expm)
 
 
 def make_cfg(n_max=3, target_value=1.0, **overrides):
@@ -288,9 +288,8 @@ class TestChainAssembly:
         assert np.all(row == 0.25)
         built = rc.build_chain(5.0, make_mm(), make_cfg(n_max=2))
         for c in (chain, built):
-            sparse = c.sparse_matrix
             for arr in (c.transition_matrix, c.horizontal, c.arrive, c.stay, c.states,
-                        sparse.data, sparse.indices, sparse.indptr):
+                        c.source, c.target, c.probability):
                 assert not arr.flags.writeable
 
     @pytest.mark.parametrize("bad", [
@@ -389,6 +388,85 @@ class TestChainAssembly:
                 assert ratios.max() - ratios.min() <= 1e-12
 
 
+def random_digraph(seed: int) -> np.ndarray:
+    """Adjacency of a seeded random digraph on 1-60 states, every state
+    with an edge out.
+
+    Seeds cycle through three shapes: closed classes (a cycle each, plus
+    random edges inside; a one-state class is absorbing) fed by a
+    transient part that may loop but always leaks, as a shuffle of
+    labels; the same with the transient states labelled first, in chain
+    order, so that a search starting from the lowest state walks the
+    chain; and a sparse random digraph with one to three edges per state.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 61))
+    adj = np.zeros((n, n), dtype=bool)
+    if seed % 3 == 2:
+        for v in range(n):
+            adj[v, rng.choice(n, size=int(rng.integers(1, 4)))] = True
+        return adj
+    n_closed = int(rng.integers(1, n + 1))
+    labels = np.arange(n) if seed % 3 == 1 else rng.permutation(n)
+    transient, closed = labels[:n - n_closed], labels[n - n_closed:]
+    cuts = rng.choice(np.arange(1, n_closed), replace=False,
+                      size=min(n_closed - 1, int(rng.integers(0, 8))))
+    for cls in np.split(closed, np.sort(cuts)):
+        adj[cls, np.roll(cls, -1)] = True
+        adj[np.ix_(cls, cls)] |= rng.random((cls.size, cls.size)) < 0.15
+    if transient.size:
+        # each transient state leads to the next, the last to a closed one
+        adj[transient, np.append(transient[1:], rng.choice(closed))] = True
+        adj[transient[:, None], closed] |= rng.random((transient.size, n_closed)) < 0.05
+        if seed % 3 == 0:
+            adj[np.ix_(transient, transient)] |= rng.random((transient.size,) * 2) < 0.1
+    return adj
+
+
+class TestRecurrenceStructure:
+    def test_matches_strong_components_on_random_digraphs(self, monkeypatch):
+        closures = []
+        original = rc.cluster._closure
+
+        def counting(*args):
+            closures.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(rc.cluster, "_closure", counting)
+        several = absorbing = 0
+        most_restarts = 0
+        for seed in range(200):
+            adj = random_digraph(seed)
+            want = recurrent_classes(adj.astype(float))
+            source, target = np.nonzero(adj)
+            closures.clear()
+            got = rc.cluster._recurrence_structure(source, target, adj.shape[0])
+            assert [cls.tolist() for cls in got] == want, seed
+            several += len(want) > 1
+            absorbing += any(len(cls) == 1 for cls in want)
+            # two closures per visited start state; one start per class
+            # when no search restarts
+            most_restarts = max(most_restarts, len(closures) // 2 - len(want))
+        # the digraphs hold the cases the search must get right
+        assert several >= 100 and absorbing >= 100 and most_restarts >= 20
+
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_solve_names_the_oracles_classes(self, seed):
+        adj = random_digraph(seed)
+        rng = np.random.default_rng(seed)
+        p = np.where(adj, rng.uniform(0.1, 1.0, adj.shape), 0.0)
+        p /= p.sum(axis=1, keepdims=True)
+        want = recurrent_classes(p)
+        if len(want) > 1:
+            with pytest.raises(rc.NonErgodicError) as exc:
+                rc.solve_stationary(p)
+            assert exc.value.recurrent_classes == want
+        else:
+            pi = rc.solve_stationary(p)
+            assert np.flatnonzero(pi).tolist() == want[0]
+            assert float(np.max(np.abs(pi @ p - pi))) <= 1e-10
+
+
 class TestStationarySolve:
     def test_single_state(self):
         pi = rc.solve_stationary(np.array([[1.0]]))
@@ -412,16 +490,16 @@ class TestStationarySolve:
         calls = []
         original = rc.cluster._recurrence_structure
 
-        def counting(graph):
-            calls.append(graph.shape)
-            return original(graph)
+        def counting(source, target, n):
+            calls.append(n)
+            return original(source, target, n)
 
         monkeypatch.setattr(rc.cluster, "_recurrence_structure", counting)
         # the eight-transient-state chain of the test below, whose closed
         # set is the one state (2, 2)
         chain = rc.build_chain(15.0, make_mm(0.2), make_cfg(n_max=3, target_value=1.9))
         st = rc.stationary_distribution(chain)
-        assert calls == [(1, 1)]
+        assert calls == [1]
         assert st.n_transient == 8
 
     def test_pi_reproduced_by_matrix_powers(self):
@@ -539,16 +617,15 @@ class TestStationarySolve:
 
     def test_inaccurate_solve_raises_without_retry(self, monkeypatch):
         p = random_stochastic_matrix(np.random.default_rng(3), 6)
-        monkeypatch.setattr(rc.cluster, "spsolve", lambda a, b: np.ones(b.size))
+        monkeypatch.setattr(rc.cluster.np.linalg, "solve", lambda a, b: np.ones(b.size))
         with pytest.raises(rc.NumericalError, match="residual"):
             rc.solve_stationary(p)
 
     def test_singular_solve_raises(self, monkeypatch):
         def singular(a, b):
-            warnings.warn("Matrix is exactly singular", MatrixRankWarning)
-            return np.full(b.size, np.nan)
+            raise np.linalg.LinAlgError("Singular matrix")
 
-        monkeypatch.setattr(rc.cluster, "spsolve", singular)
+        monkeypatch.setattr(rc.cluster.np.linalg, "solve", singular)
         p = random_stochastic_matrix(np.random.default_rng(3), 6)
         with pytest.raises(rc.NumericalError, match="singular"):
             rc.solve_stationary(p)

@@ -49,7 +49,7 @@ class TestWorkloadModel:
         with pytest.raises(rc.ValidationError):
             rc.WorkloadModel(kind="batch", mean_s=0.2)
 
-    @pytest.mark.parametrize("mean", [0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("mean", [0.0, -1.0, math.inf, math.nan, True, "0.2"])
     def test_bad_mean_rejected(self, mean):
         with pytest.raises(rc.ValidationError):
             rc.WorkloadModel(kind=rc.WORKLOAD_INFINITE_SERVER, mean_s=mean)
@@ -77,6 +77,14 @@ class TestSimulationConfig:
             rc.SimulationConfig(autoscaler=autoscaler(n_max=2), workload=is_exp(),
                                 arrival_rate=1.0, duration_s=10.0, warmup_s=0.0,
                                 initial_replicas=replicas)
+
+    @pytest.mark.parametrize("field", ["arrival_rate", "duration_s", "warmup_s"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, True, "5"])
+    def test_non_finite_or_non_numeric_field_rejected(self, field, bad):
+        kwargs = dict(arrival_rate=1.0, duration_s=10.0, warmup_s=0.0)
+        kwargs[field] = bad
+        with pytest.raises(rc.ValidationError, match=field):
+            rc.SimulationConfig(autoscaler=autoscaler(), workload=is_exp(), **kwargs)
 
     def test_dict_round_trip(self):
         sim_cfg = rc.SimulationConfig(
