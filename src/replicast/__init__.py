@@ -7,6 +7,16 @@ replica count and per-container concurrency at any arrival rate.
 A built-in discrete-event simulator provides ground truth and traces.
 """
 
+import os
+import sys
+
+# OpenBLAS reads its thread count once, when numpy loads.  Its second
+# thread busy-waits, costing every command CPU at start-up, and on a
+# shared VM it can stall a small LU for 0.1 s.  A user's own
+# OPENBLAS_NUM_THREADS wins; once numpy is loaded nothing is written.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .bundle import ModelBundle, fit_bundle, load_bundle, save_bundle
 from .cluster import (ClusterChain, StationaryDistribution, build_chain,
                       horizontal_transition_probs, solve_stationary,

@@ -354,6 +354,8 @@ def _solve_single_class(source: np.ndarray, target: np.ndarray, probability: np.
     balance system (P_RR^T - I) pi = 0, with its first equation replaced
     by sum(pi) = 1, is filled densely and solved by LU: about 16 r^2
     bytes for the r states of R, the matrix and LAPACK's copy of it.
+    The LU runs on one OpenBLAS thread, the default the package sets
+    on import, unless the user set OPENBLAS_NUM_THREADS.
     """
     recurrent = _recurrence_structure(source, target, n)
     if len(recurrent) > 1:

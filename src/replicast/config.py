@@ -213,7 +213,12 @@ class ProfilingTrace:
 
     @property
     def n_distinct_rates(self) -> int:
-        return int(np.unique(self.rates).size)
+        # sort and count changes: np.unique imports numpy.ma on numpy 2.4,
+        # a cost every fit would pay; columns are finite and -0.0 == 0.0
+        if self.rates.size == 0:
+            return 0
+        s = np.sort(self.rates)
+        return int(np.count_nonzero(s[1:] != s[:-1])) + 1
 
     def extend(self, other: "ProfilingTrace") -> "ProfilingTrace":
         return ProfilingTrace._from_valid([

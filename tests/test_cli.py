@@ -484,7 +484,8 @@ class TestFlags:
 class TestRuntimeImports:
     def test_commands_load_no_scipy(self, tmp_path, trace_path, bundle_path):
         # scipy serves the tests' oracles only: a fresh interpreter that
-        # runs every command through cli.main must never import it
+        # runs every command through cli.main must never import it, nor
+        # numpy.ma, which np.unique imports on numpy 2.4
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"lambdas": [5.0, 20.0], "target_values": [2.0],
                                     "fixed": {"metric_kind": "cc", "n_max": 10}}),
@@ -508,15 +509,38 @@ class TestRuntimeImports:
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        codes.append(cli.main(argv))\n"
             "print(json.dumps([codes, sorted(m for m in sys.modules\n"
-            "                                if m == 'scipy' or m.startswith('scipy.'))]))\n"
+            "                                if m == 'scipy' or m.startswith('scipy.')\n"
+            "                                or m == 'numpy.ma')]))\n"
         )
-        src = str(Path(rc.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-        proc = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
-                              capture_output=True, text=True, timeout=300, env=env)
-        assert proc.returncode == 0, proc.stderr
-        codes, loaded = json.loads(proc.stdout)
+        codes, loaded = json.loads(run_fresh(script, json.dumps(commands)))
         # compare's exit code 3 is a verdict (beyond tolerance), not a failure
         assert codes[:4] == [0, 0, 0, 0] and codes[4] in (0, 3)
         assert loaded == []
+
+    @pytest.mark.parametrize("preset, numpy_first, expected", [
+        (None, False, "1"),
+        ("2", False, "2"),
+        (None, True, None),
+    ])
+    def test_blas_thread_default(self, preset, numpy_first, expected):
+        # replicast pins OpenBLAS to one thread unless the user set a count
+        # or numpy was already loaded with the user's own configuration
+        script = ("import json, os\n"
+                  + ("import numpy\n" if numpy_first else "")
+                  + "import replicast\n"
+                  "print(json.dumps(os.environ.get('OPENBLAS_NUM_THREADS')))\n")
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        assert json.loads(run_fresh(script, env=env)) == expected
+
+
+def run_fresh(script, *args, env=None):
+    """Stdout of script run by a fresh interpreter that imports this replicast."""
+    env = dict(os.environ if env is None else env)
+    src = str(Path(rc.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [env.get("PYTHONPATH")])])
+    proc = subprocess.run([sys.executable, "-c", script, *args],
+                          capture_output=True, text=True, timeout=300, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout

@@ -157,6 +157,20 @@ class TestTraceRows:
         assert trace.response_times.tolist() == [0.21, 0.2]
         assert trace.rates.dtype == np.float64
 
+    def test_distinct_rates_match_set_of_values(self):
+        # seeded columns drawn from a few levels, so values repeat, with
+        # both signs of zero; plus one row and no rows
+        gen = np.random.default_rng(11)
+        levels = np.array([0.0, -0.0, 0.5, 1.0, 2.5, 1e-300, 7.0, 1e6])
+        cases = [[], [0.0], [-0.0], [3.0], [0.0, -0.0]]
+        for _ in range(100):
+            size = int(gen.integers(1, 40))
+            cases.append(gen.choice(levels[:int(gen.integers(1, levels.size + 1))],
+                                    size=size).tolist())
+        for rates in cases:
+            trace = rc.trace_from_arrays(rates, [0.0] * len(rates), [0.2] * len(rates))
+            assert trace.n_distinct_rates == len(set(rates)), rates
+
     def test_columns_are_copied_and_read_only(self):
         rates = np.array([1.0, 2.0])
         trace = rc.trace_from_arrays(rates, [0.2, 0.4], [0.21, 0.2])
