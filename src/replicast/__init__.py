@@ -32,8 +32,8 @@ from .evaluator import OrderDistribution, order_probabilities
 from .metric_model import (STD_FLOOR, GaussianDist, MetricModel,
                            fit_metric_model, mean_of_positive_part,
                            observed_value_distribution)
-from .output import (ResponseTimeFunction, StateContribution,
-                     SteadyStateReport, fit_rtf, steady_state_report)
+from .output import (ResponseTimeFunction, SteadyStateReport, fit_rtf,
+                     steady_state_report)
 from .simulator import (WORKLOAD_INFINITE_SERVER, WORKLOAD_PROCESSOR_SHARING,
                         SimulationConfig, SimulationReport, WorkloadModel,
                         profile_trace, simulate)
@@ -59,7 +59,7 @@ __all__ = [
     "OrderDistribution", "order_probabilities",
     "STD_FLOOR", "GaussianDist", "MetricModel", "fit_metric_model",
     "mean_of_positive_part", "observed_value_distribution",
-    "ResponseTimeFunction", "StateContribution", "SteadyStateReport",
+    "ResponseTimeFunction", "SteadyStateReport",
     "fit_rtf", "steady_state_report",
     "WORKLOAD_INFINITE_SERVER", "WORKLOAD_PROCESSOR_SHARING",
     "SimulationConfig", "SimulationReport", "WorkloadModel",

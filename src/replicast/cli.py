@@ -66,14 +66,20 @@ def cmd_predict(args) -> int:
     cfg = load_autoscaler_config(args.config)
     chain, stationary, report = _analytic_report(bundle, cfg, args.arrival_rate,
                                                  window_s=args.window)
-    payload = {"schema_version": SCHEMA_VERSION,
-               **report.to_dict(include_states=args.explain)}
+    payload = {"schema_version": SCHEMA_VERSION, **report.to_dict()}
     if args.explain:
+        # what the chain and the report hold, as they hold it: the
+        # transitions as positions into states, one value per ready count
         payload["explain"] = {
             "states": chain.states.tolist(),
-            "transition_matrix": chain.transition_matrix.tolist(),
+            "transitions": {name: getattr(chain, name).tolist()
+                            for name in ("source", "target", "probability")},
             "stationary": stationary.pi.tolist(),
-            "n_transient_states": stationary.n_transient,
+            "per_ready": {
+                "concurrency": report.ready_concurrency.tolist(),
+                "response_time_s": report.ready_response_time_s.tolist(),
+                "extrapolated": report.ready_extrapolated.tolist(),
+            },
             "order_distributions": {
                 str(j): chain.horizontal[j - 1].tolist()
                 for j in range(1, cfg.n_max + 1)
@@ -309,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pred.add_argument("--window", type=float, default=3600.0,
                         help="reporting window seconds for request-count estimate (default 3600)")
     p_pred.add_argument("--explain", action="store_true",
-                        help="include per-state values and chain internals")
+                        help="include the chain's states, transitions and per-ready-count values")
     p_pred.add_argument("--out", help="also write the report JSON here")
 
     p_sweep = command("sweep", cmd_sweep,

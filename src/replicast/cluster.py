@@ -249,15 +249,6 @@ class ClusterChain:
             object.__setattr__(self, name, arr)
 
     @property
-    def transition_matrix(self) -> np.ndarray:
-        """The dense block on the closed states, built on each access."""
-        m = self.n_states
-        p = np.zeros((m, m))
-        p[self.source, self.target] = self.probability
-        p.flags.writeable = False
-        return p
-
-    @property
     def n_states(self) -> int:
         """Number of closed states."""
         return self.states.shape[0]
@@ -341,15 +332,44 @@ def _recurrence_structure(source: np.ndarray, target: np.ndarray, n: int) -> lis
     return sorted(classes, key=lambda cls: int(cls[0]))
 
 
+def _span(lo, hi) -> str:
+    return f"{lo}" if lo == hi else f"{lo}-{hi}"
+
+
+def _non_ergodic(recurrent: list, labels) -> NonErgodicError:
+    """The error for several recurrent classes: one summary line per class.
+
+    A class is summarised by its size and its order and ready ranges when
+    labels[s] = (order, ready) names the states, by its index range when
+    labels is None; a one-state class is named.  recurrent_classes keeps
+    every class in full, as (order, ready) tuples or as indices.
+    """
+    classes, lines = [], []
+    for cls in recurrent:
+        if labels is None:
+            members = cls.tolist()
+            one, many = f"index {cls[0]}", f"indices {_span(cls[0], cls[-1])}"
+        else:
+            own = labels[cls]
+            members = [tuple(state) for state in own.tolist()]
+            (i0, j0), (i1, j1) = own.min(axis=0), own.max(axis=0)
+            one, many = str(members[0]), f"orders {_span(i0, i1)}, ready {_span(j0, j1)}"
+        classes.append(members)
+        lines.append(f"  1 state: {one}" if cls.size == 1 else f"  {cls.size} states: {many}")
+    return NonErgodicError(
+        f"chain has {len(classes)} recurrent classes; stationary distribution is not "
+        "unique:\n" + "\n".join(lines), recurrent_classes=classes)
+
+
 def _solve_single_class(source: np.ndarray, target: np.ndarray, probability: np.ndarray,
-                        n: int, state_name) -> tuple:
+                        n: int, labels=None) -> tuple:
     """Stationary vector of a checked row-stochastic chain on n states,
     given as its transitions source[e] -> target[e] with positive chance
     probability[e], each (source, target) pair once; also the size of its
     recurrent class and the residual max |P^T pi - pi|.
 
     The transition graph is analysed once.  More than one recurrent class
-    raises NonErgodicError, listing each class through state_name;
+    raises NonErgodicError, summarising each class through labels;
     transient states get zero mass.  On the single recurrent class R the
     balance system (P_RR^T - I) pi = 0, with its first equation replaced
     by sum(pi) = 1, is filled densely and solved by LU: about 16 r^2
@@ -359,10 +379,7 @@ def _solve_single_class(source: np.ndarray, target: np.ndarray, probability: np.
     """
     recurrent = _recurrence_structure(source, target, n)
     if len(recurrent) > 1:
-        classes = [[state_name(s) for s in cls.tolist()] for cls in recurrent]
-        raise NonErgodicError(
-            f"chain has {len(classes)} recurrent classes {classes}; "
-            "stationary distribution is not unique", recurrent_classes=classes)
+        raise _non_ergodic(recurrent, labels)
 
     states = recurrent[0]
     r = states.size
@@ -413,7 +430,7 @@ def solve_stationary(p: np.ndarray) -> np.ndarray:
         raise ValidationError(f"rows must sum to 1 (max error {row_err:.3e})")
     # rounding noise below zero is no transition
     source, target = np.nonzero(p > 0.0)
-    pi, _, _ = _solve_single_class(source, target, p[source, target], p.shape[0], int)
+    pi, _, _ = _solve_single_class(source, target, p[source, target], p.shape[0])
     return pi
 
 
@@ -452,9 +469,9 @@ class StationaryDistribution:
 
 
 def stationary_distribution(chain: ClusterChain) -> StationaryDistribution:
-    """Solve the chain; non-unique answers name their (order, ready) states."""
+    """Solve the chain; non-unique answers give each class's order and ready ranges."""
     pi, n_recurrent, residual = _solve_single_class(
-        chain.source, chain.target, chain.probability, chain.n_states, chain.state_of)
+        chain.source, chain.target, chain.probability, chain.n_states, chain.states)
     marginal = np.bincount(chain.states[:, 1] - 1, weights=pi, minlength=chain.n_max)
     return StationaryDistribution(pi=pi, states=chain.states, marginal_ready=marginal,
                                   n_transient=chain.n_max ** 2 - n_recurrent,

@@ -288,9 +288,7 @@ def fit_metric_model(trace: ProfilingTrace, metric_kind: str) -> MetricModel:
             f"trace has {trace.n_distinct_rates} distinct per-container rate(s); need >= 2")
     rates = trace.rates
     y = trace.observed
-    rho_max = float(rates.max())
-    if rho_max <= 0:
-        raise InsufficientDataError("all per-container rates are zero; nothing to fit")
+    rho_max = float(rates.max())  # > 0: the rates are >= 0 and not all equal
     a1, a2, mse, r2 = _fit_quadratic_through_origin(rates, y, rho_max)
     y_scale = float(np.max(np.abs(y))) if len(y) else 1.0
     _check_mean_nonnegative(a1, a2, rho_max, y_scale)

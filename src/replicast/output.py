@@ -78,9 +78,7 @@ def fit_rtf(trace: ProfilingTrace) -> ResponseTimeFunction:
             "need >= 3 for a quadratic with intercept")
     rates = trace.rates
     y = trace.response_times
-    rho_max = float(rates.max())
-    if rho_max <= 0:
-        raise InsufficientDataError("all per-container rates are zero; nothing to fit")
+    rho_max = float(rates.max())  # > 0: the rates are >= 0 and not all equal
     u = rates / rho_max
     design = np.column_stack([np.ones_like(u), u, u * u])
     coef = fit_polynomial_terms(design, y, n_forced=1)
@@ -99,38 +97,12 @@ def fit_rtf(trace: ProfilingTrace) -> ResponseTimeFunction:
 
 
 @dataclass(frozen=True)
-class StateContribution:
-    """One chain state's slice of the steady-state averages."""
-
-    order: int
-    ready: int
-    probability: float
-    per_container_rate: float
-    concurrency: float
-    response_time_s: float
-    extrapolated: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "ready": self.ready,
-            "probability": self.probability,
-            "per_container_rate": self.per_container_rate,
-            "concurrency": self.concurrency,
-            "response_time_s": self.response_time_s,
-            "extrapolated": self.extrapolated,
-        }
-
-
-@dataclass(frozen=True)
 class SteadyStateReport:
-    """The three headline predictions plus their per-state decomposition.
+    """The three headline predictions plus the values they average.
 
     Every per-state value but the probability depends on the ready count
-    alone, so the report keeps one table per ready count (index j-1) and
-    the stationary distribution, and builds per_state, one record per
-    closed chain state, only when it is read.  The states outside the
-    closed set carry zero mass by construction.
+    alone, so the report keeps one value per ready count (index j-1)
+    beside the stationary distribution, which holds the probabilities.
     """
 
     arrival_rate: float
@@ -155,20 +127,8 @@ class SteadyStateReport:
     def marginal_ready(self) -> np.ndarray:
         return self.stationary.marginal_ready
 
-    @property
-    def per_state(self) -> tuple:
-        st = self.stationary
-        return tuple(
-            StateContribution(
-                order=i, ready=j, probability=p,
-                per_container_rate=self.arrival_rate / j,
-                concurrency=float(self.ready_concurrency[j - 1]),
-                response_time_s=float(self.ready_response_time_s[j - 1]),
-                extrapolated=bool(self.ready_extrapolated[j - 1]))
-            for (i, j), p in zip(st.states.tolist(), st.pi.tolist()))
-
-    def to_dict(self, include_states: bool = True) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "arrival_rate": self.arrival_rate,
             "avg_response_time_s": self.avg_response_time_s,
             "avg_replica_count": self.avg_replica_count,
@@ -184,9 +144,6 @@ class SteadyStateReport:
             "window_s": self.window_s,
             "requests_in_window": self.requests_in_window,
         }
-        if include_states:
-            out["per_state"] = [s.to_dict() for s in self.per_state]
-        return out
 
 
 def steady_state_report(stationary: StationaryDistribution, chain: ClusterChain,

@@ -148,7 +148,12 @@ class SimulationConfig:
 
 @dataclass(frozen=True)
 class SimulationReport:
-    """Post-warmup averages plus the per-second series and trace."""
+    """Post-warmup averages plus the per-second series and trace.
+
+    The series' metric and response-time columns are the trace's
+    observed and response_times, row for row; times, ready_counts and
+    carried hold the rest.
+    """
 
     config: SimulationConfig
     avg_replica_count: float
@@ -160,13 +165,11 @@ class SimulationReport:
     in_flight_end: int
     times: np.ndarray
     ready_counts: np.ndarray
-    observed_values: np.ndarray
-    mean_rts: np.ndarray
     carried: np.ndarray
     trace: ProfilingTrace
 
     def __post_init__(self):
-        for name in ("times", "ready_counts", "observed_values", "mean_rts", "carried"):
+        for name in ("times", "ready_counts", "carried"):
             arr = np.asarray(getattr(self, name))
             arr = arr.copy()
             arr.flags.writeable = False
@@ -194,8 +197,8 @@ class SimulationReport:
             out["series"] = {
                 "t": self.times.tolist(),
                 "ready_count": self.ready_counts.tolist(),
-                "observed_value": self.observed_values.tolist(),
-                "mean_rt_s": self.mean_rts.tolist(),
+                "observed_value": self.trace.observed.tolist(),
+                "mean_rt_s": self.trace.response_times.tolist(),
                 "carried": self.carried.tolist(),
             }
         return out
@@ -251,8 +254,6 @@ def simulate(sim_cfg: SimulationConfig) -> SimulationReport:
         in_flight_end=int(in_flight),
         times=times,
         ready_counts=ready,
-        observed_values=ov,
-        mean_rts=rts,
         carried=carried,
         trace=trace,
     )

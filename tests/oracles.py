@@ -128,6 +128,14 @@ def dense_chain_matrix(horizontal: np.ndarray, vertical: np.ndarray,
     return p / p.sum(axis=1, keepdims=True)
 
 
+def dense_block(chain) -> np.ndarray:
+    """The chain's transitions on its closed states as a dense |S| x |S|
+    matrix: entry [source[e], target[e]] = probability[e]."""
+    p = np.zeros((chain.n_states, chain.n_states))
+    p[chain.source, chain.target] = chain.probability
+    return p
+
+
 def recurrent_classes(p: np.ndarray) -> list:
     """The closed strongly connected components of p's graph, each as a
     sorted list of states, the classes sorted by their first state."""

@@ -10,10 +10,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from scipy.special import stdtrit
 
 import replicast as rc
+from oracles import dense_block
 from replicast import cli
 
 
@@ -130,19 +132,58 @@ class TestPredict:
                          "--arrival-rate", "10", "--explain"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
-        # per_state, the matrix and the stationary vector cover the closed
-        # states, labelled (order, ready); every other state is transient
+        # the states and the stationary vector cover the closed states,
+        # labelled (order, ready); every other state is transient.  The
+        # transitions are the chain's own arrays, positions into states,
+        # and per_ready holds one value per ready count 1..n_max
         explain = payload["explain"]
         closed = payload["diagnostics"]["closed_states"]
+        chain = rc.build_chain(10.0, rc.load_bundle(bundle_path).metric,
+                               rc.load_autoscaler_config(cfg))
+        assert explain["states"] == chain.states.tolist()
         assert len(explain["states"]) == closed
-        assert [[s["order"], s["ready"]] for s in payload["per_state"]] == explain["states"]
-        assert sum(s["probability"] for s in payload["per_state"]) == pytest.approx(1.0)
-        assert len(explain["transition_matrix"]) == closed
-        assert all(len(row) == closed for row in explain["transition_matrix"])
-        assert explain["n_transient_states"] == payload["diagnostics"]["n_transient"]
         assert len(explain["stationary"]) == closed
+        assert sum(explain["stationary"]) == pytest.approx(1.0)
+        transitions = explain["transitions"]
+        assert set(transitions) == {"source", "target", "probability"}
+        for name in ("source", "target", "probability"):
+            assert len(transitions[name]) == chain.source.size
+            assert transitions[name] == getattr(chain, name).tolist()
+        per_ready = explain["per_ready"]
+        assert set(per_ready) == {"concurrency", "response_time_s", "extrapolated"}
+        assert all(len(values) == 3 for values in per_ready.values())
         assert set(explain["order_distributions"]) == {"1", "2", "3"}
-        assert "rate_matrices" not in explain
+        for gone in ("transition_matrix", "n_transient_states", "rate_matrices"):
+            assert gone not in explain
+        assert "per_state" not in payload and "per_ready" not in payload
+
+    def test_explain_is_a_complete_chain(self, tmp_path, bundle_path, capsys):
+        # from the JSON alone: the transitions rebuild a row-stochastic
+        # matrix on states whose fixed point is the stationary vector, and
+        # per_ready weighted by it gives the averages
+        cfg = autoscaler_file(tmp_path, target_value=2.0, n_max=8)
+        code = cli.main(["predict", "--model", bundle_path, "--config", cfg,
+                         "--arrival-rate", "30", "--explain"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        explain = payload["explain"]
+        ready = [j for _, j in explain["states"]]
+        for avg, name in (("avg_concurrency", "concurrency"),
+                          ("avg_response_time_s", "response_time_s")):
+            weighted = math.fsum(p * explain["per_ready"][name][j - 1]
+                                 for p, j in zip(explain["stationary"], ready))
+            assert payload[avg] == pytest.approx(weighted, rel=1e-12)
+        n = len(explain["states"])
+        assert n > 1
+        t = explain["transitions"]
+        p = np.zeros((n, n))
+        np.add.at(p, (t["source"], t["target"]), t["probability"])
+        pi = np.array(explain["stationary"])
+        assert np.max(np.abs(p.sum(axis=1) - 1.0)) <= 1e-12
+        assert np.max(np.abs(pi @ p - pi)) <= 1e-10
+        chain = rc.build_chain(30.0, rc.load_bundle(bundle_path).metric,
+                               rc.load_autoscaler_config(cfg))
+        assert np.array_equal(p, dense_block(chain))
 
     @pytest.mark.parametrize("rate", ["0", "-1", "nan"])
     def test_nonpositive_or_nan_arrival_rate_exits_one(self, tmp_path, bundle_path,

@@ -9,9 +9,9 @@ import pytest
 from scipy.stats import norm
 
 import replicast as rc
-from oracles import (build_rate_matrix, dense_chain_matrix, power_iteration_pi,
-                     random_stochastic_matrix, recurrent_classes, recurrent_state_count,
-                     taylor_expm)
+from oracles import (build_rate_matrix, dense_block, dense_chain_matrix,
+                     power_iteration_pi, random_stochastic_matrix, recurrent_classes,
+                     recurrent_state_count, taylor_expm)
 
 
 def make_cfg(n_max=3, target_value=1.0, **overrides):
@@ -224,12 +224,12 @@ class TestChainAssembly:
         want = [(i, j) for i in orders for j in range(orders[0], orders[-1] + 1)]
         assert chain.states.tolist() == [list(s) for s in want]
         assert chain.n_states == len(want)
-        assert np.allclose(chain.transition_matrix.sum(axis=1), 1.0, atol=1e-10)
-        assert np.all(chain.transition_matrix >= 0.0)
+        assert np.allclose(dense_block(chain).sum(axis=1), 1.0, atol=1e-10)
+        assert np.all(dense_block(chain) >= 0.0)
 
     def test_single_state_chain(self):
         chain = rc.build_chain(5.0, make_mm(), make_cfg(n_max=1))
-        assert chain.transition_matrix.tolist() == [[1.0]]
+        assert dense_block(chain).tolist() == [[1.0]]
 
     def test_state_indexing_round_trip(self):
         chain = rc.build_chain(5.0, make_mm(), make_cfg(n_max=4))
@@ -272,7 +272,7 @@ class TestChainAssembly:
                         sp = (ip - 1) * 2 + (jp - 1)
                         expected[s, sp] = h[j][ip - 1] * v[i][j - 1, jp - 1]
         assert chain.n_states == 4
-        assert np.allclose(chain.transition_matrix, expected, atol=1e-10)
+        assert np.allclose(dense_block(chain), expected, atol=1e-10)
 
     def test_caller_arrays_are_copied_and_frozen(self):
         h = np.full((2, 2), 0.5)
@@ -284,11 +284,11 @@ class TestChainAssembly:
         assert np.all(chain.horizontal == 0.5)
         assert chain.arrive.tolist() == chain.stay.tolist() == [[1.0, 0.0], [0.5, 0.5]]
         # (1, 2) drains to 1 or stays at 2 with even odds, then orders either
-        row = chain.transition_matrix[chain.state_index(1, 2)]
+        row = dense_block(chain)[chain.state_index(1, 2)]
         assert np.all(row == 0.25)
         built = rc.build_chain(5.0, make_mm(), make_cfg(n_max=2))
         for c in (chain, built):
-            for arr in (c.transition_matrix, c.horizontal, c.arrive, c.stay, c.states,
+            for arr in (c.horizontal, c.arrive, c.stay, c.states,
                         c.source, c.target, c.probability):
                 assert not arr.flags.writeable
 
@@ -319,7 +319,7 @@ class TestChainAssembly:
         # the closed states' rows of the full chain never leave them
         assert np.all(np.delete(full[keys], keys, axis=1) == 0.0)
         want = full[np.ix_(keys, keys)]
-        got = chain.transition_matrix
+        got = dense_block(chain)
         assert np.max(np.abs(got - want)) <= 1e-15
         # the same entries survive truncation
         assert np.array_equal(got > 0.0, want > 0.0)
@@ -373,7 +373,7 @@ class TestChainAssembly:
         cfg = make_cfg(n_max=5, target_value=2.0)
         chain = rc.build_chain(18.0, make_mm(0.2, 0.001, 0.1, 0.02), cfg)
         vertical = full_vertical(cfg)
-        p = chain.transition_matrix
+        p = dense_block(chain)
         for s, (i, j) in enumerate(chain.states.tolist()):
             for ip in range(1, 6):
                 cols = [t for t, (io, _) in enumerate(chain.states.tolist()) if io == ip]
@@ -506,7 +506,7 @@ class TestStationarySolve:
         cfg = make_cfg(n_max=4, target_value=2.0)
         chain = rc.build_chain(16.0, make_mm(0.2, 0.0, 0.2, 0.01), cfg)
         st = rc.stationary_distribution(chain)
-        p = chain.transition_matrix
+        p = dense_block(chain)
         v = st.pi.copy()
         for _ in range(100):
             v = v @ p
@@ -517,7 +517,7 @@ class TestStationarySolve:
         chain = rc.build_chain(lam, make_mm(0.2, 0.0, 0.2, 0.01),
                                make_cfg(n_max=n_max, target_value=2.0))
         st = rc.stationary_distribution(chain)
-        want = float(np.max(np.abs(st.pi @ chain.transition_matrix - st.pi)))
+        want = float(np.max(np.abs(st.pi @ dense_block(chain) - st.pi)))
         assert math.isfinite(st.residual) and st.residual <= 1e-10
         assert abs(st.residual - want) <= 1e-15
 
@@ -531,6 +531,21 @@ class TestStationarySolve:
         with pytest.raises(rc.NonErgodicError) as exc:
             rc.solve_stationary(p)
         assert len(exc.value.recurrent_classes) == 2
+
+    def test_non_ergodic_message_summarises_large_classes(self):
+        # one line per class with its size and index range; the full
+        # classes stay on the exception
+        rng = np.random.default_rng(11)
+        p = np.zeros((200, 200))
+        p[:100, :100] = random_stochastic_matrix(rng, 100)
+        p[100:, 100:] = random_stochastic_matrix(rng, 100)
+        with pytest.raises(rc.NonErgodicError) as exc:
+            rc.solve_stationary(p)
+        message = str(exc.value)
+        assert len(message) < 500
+        assert message.count("100 states") == 2
+        assert "indices 0-99" in message and "indices 100-199" in message
+        assert exc.value.recurrent_classes == [list(range(100)), list(range(100, 200))]
 
     def test_non_ergodic_chain_names_order_ready_states(self):
         # every order repeats the ready count and no container arrives or

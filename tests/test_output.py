@@ -124,8 +124,7 @@ class TestSteadyStateReport:
         rep = rc.steady_state_report(st, chain, mm, rtf)
         from_marginal = float(np.dot(rep.marginal_ready, np.arange(1, 7)))
         assert rep.avg_replica_count == pytest.approx(from_marginal, abs=1e-12)
-        probs = np.array([s.probability for s in rep.per_state])
-        assert probs.sum() == pytest.approx(1.0, abs=1e-10)
+        assert rep.stationary.pi.sum() == pytest.approx(1.0, abs=1e-10)
 
     def _report_at(self, bundle, lam, tv, n_max=10):
         cfg = rc.AutoscalerConfig(metric_kind="cc", target_value=tv, n_max=n_max)
@@ -159,22 +158,26 @@ class TestSteadyStateReport:
         reach = min(mm.rho_max, rtf.rho_max)
         want = []
         for s in range(chain.n_states):
-            i, j = chain.state_of(s)
+            _, j = chain.state_of(s)
             rho = chain.arrival_rate / j
-            want.append(rc.StateContribution(
-                order=i, ready=j, probability=float(st.pi[s]), per_container_rate=rho,
+            want.append(dict(
+                ready=j, probability=float(st.pi[s]),
                 concurrency=rc.mean_of_positive_part(rc.observed_value_distribution(mm, rho)),
                 response_time_s=rtf.at(rho), extrapolated=rho > reach * (1.0 + 1e-12)))
-        assert rep.per_state == tuple(want)
+        for w in want:
+            k = w["ready"] - 1
+            assert rep.ready_concurrency[k] == w["concurrency"]
+            assert rep.ready_response_time_s[k] == w["response_time_s"]
+            assert rep.ready_extrapolated[k] == w["extrapolated"]
         for name, value in (
-                ("avg_response_time_s", math.fsum(w.probability * w.response_time_s
+                ("avg_response_time_s", math.fsum(w["probability"] * w["response_time_s"]
                                                   for w in want)),
-                ("avg_replica_count", math.fsum(w.probability * w.ready for w in want)),
-                ("avg_concurrency", math.fsum(w.probability * w.concurrency for w in want)),
-                ("extrapolated_mass", math.fsum(w.probability for w in want
-                                                if w.extrapolated))):
+                ("avg_replica_count", math.fsum(w["probability"] * w["ready"] for w in want)),
+                ("avg_concurrency", math.fsum(w["probability"] * w["concurrency"]
+                                              for w in want)),
+                ("extrapolated_mass", math.fsum(w["probability"] for w in want
+                                                if w["extrapolated"]))):
             assert getattr(rep, name) == pytest.approx(value, rel=1e-12, abs=1e-15)
-        assert rep.to_dict()["per_state"] == [w.to_dict() for w in want]
         diagnostics = rep.to_dict()["diagnostics"]
         assert diagnostics["n_transient"] == st.n_transient
         assert diagnostics["recurrent_states"] == cfg.n_max ** 2 - st.n_transient
@@ -197,7 +200,8 @@ class TestSteadyStateReport:
         rep = rc.steady_state_report(st, chain, mm, rtf)
         # every reachable per-container rate is 40/j >= 10 > fitted 5
         assert rep.extrapolated_mass == pytest.approx(1.0, abs=1e-12)
-        assert all(s.extrapolated for s in rep.per_state if s.probability > 0)
+        held = rep.marginal_ready > 0
+        assert held.any() and rep.ready_extrapolated[held].all()
         low = rc.steady_state_report(
             _point_distribution(chain, {(1, 1): 1.0}), chain, make_mm(rho_max=50.0),
             make_rtf(rho_max=50.0))
@@ -212,7 +216,5 @@ class TestSteadyStateReport:
         assert rep.requests_in_window == pytest.approx(1200.0)
         payload = rep.to_dict()
         assert json.loads(json.dumps(payload)) == payload
-        slim = rep.to_dict(include_states=False)
-        assert "per_state" not in slim
         with pytest.raises(rc.ValidationError):
             rc.steady_state_report(st, chain, mm, make_rtf(), window_s=0.0)

@@ -152,8 +152,8 @@ class TestBookkeeping:
                   warmup_s=60.0, cfg=cfg, seed=29)
         assert rep.ready_counts.min() >= 1
         assert rep.ready_counts.max() <= 4
-        assert np.all(rep.observed_values >= 0.0)
-        assert np.all(np.isfinite(rep.mean_rts))
+        assert np.all(rep.trace.observed >= 0.0)
+        assert np.all(np.isfinite(rep.trace.response_times))
 
     def test_same_seed_reports_are_byte_identical(self):
         cfg = autoscaler(target_value=3.0, n_max=6)
