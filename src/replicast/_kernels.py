@@ -14,34 +14,51 @@ with the last arrival time of the previous block added to the first
 gap.  ``np.cumsum`` adds left to right, one rounding per element, so
 each time has the same bits as the running ``t + gap`` of a scalar loop.
 
-Under infinite-server service a job's departure is fixed when the
-block is drawn: ``d = a + s`` (``a + mean`` for deterministic service)
-and its response time ``d - a``, again one rounding each.  The
-departures still pending and the new block's are merged into one
-time-ordered queue of (time, response time, slot) lists, and each
-arriving job writes the slot it is routed to into its queue position,
-so the departure branch reads the queue head and no per-job tuple or
-heap exists.  The queue holds the jobs in flight plus one block, and is
-rebuilt, dropping departed jobs, at each arrival-block refill.  Equal
-departure times leave in the order (slot, arrival time), the order a
-heap of (time, slot, arrival time) tuples pops them: the stable merge
-keeps each run of equal times in arrival order, so jobs not yet
-arrived (slot -1) come last and the head of a run is moved to the
-lowest slot among the arrived.  A job whose service time rounds to
-zero departs right after its own arrival, never before it.
-
-An inner loop runs arrivals and infinite-server departures (or the next
-processor-sharing departure) up to the next control event: the
-per-second monitor, the scale evaluator or the provisioning engine.
+An outer loop runs the control events (the per-second monitor, the
+scale evaluator and the provisioning engine), and between two of them
+an inner loop, one per service model, runs arrivals and departures.
 Event kinds at equal timestamps fire in the fixed priority
 departure < monitor < evaluation < provisioning < arrival, which makes
 runs bit-reproducible for a given seed.
 
+Under infinite-server service a job's departure is fixed when its block
+is drawn: ``d = a + s`` (``a + mean`` for deterministic service) and its
+response time ``d - a``, one rounding each.  The departures still
+pending and the new block's are merged into one time-ordered queue, and
+each arriving job writes the slot it is routed to into its queue
+position.  The queue holds the jobs in flight plus one block, and is
+rebuilt, dropping departed jobs, at each arrival-block refill.  Equal
+departure times leave in the order (slot, arrival time), the order a
+heap of (time, slot, arrival time) tuples pops them: the stable merge
+keeps each run of equal times in arrival order, so jobs not yet arrived
+(slot -1) come last and the head of a run is moved to the lowest slot
+among the arrived.
+
+Routing, the monitor and scaling read only in-flight counts, so the
+queue is drained only before them: before routing an arrival at t the
+loop frees the heads due before t, or at t if already arrived (a job
+whose service rounds to zero leaves right after its own arrival), and
+before a control event the arrived jobs due at or before it.  Freeing a
+job only decrements its container's count.  The monitor records the
+queue head, and at each refill and at the end of the run the departed
+prefix is folded into per-second response-time sums with
+``np.bincount`` and into the post-warmup sum with ``np.add.accumulate``.
+Both add left to right in departure order from the carried partial sum,
+so each sum has the bits of a scalar ``+=`` per departure, which
+``np.sum`` (pairwise) and ``math.fsum`` (exact) would not.
+
+Under processor sharing the next departure depends on the busy count,
+so each departure is processed, and its response time summed, in turn.
+
 The ready containers are a list of slots in slot order, changed only at
 provisioning events: routing scans it for the least-loaded slot, and
-scale-down for the newest container.  The stable window keeps a running
-integer sum of its per-second samples, which are counts, so the
-windowed value is exact.
+scale-down for the newest container.  A scaled-down container keeps its
+in-flight jobs and its slot is free once they are gone: scale-up takes
+the lowest slot that is not ready and holds no jobs, which is the slot a
+per-departure check would have freed, because every departure up to
+then has been processed.  The stable window keeps a running integer sum
+of its per-second samples, which are counts, so the windowed value is
+exact.
 """
 
 from __future__ import annotations
@@ -73,35 +90,71 @@ def _arrival_times(arr_rng, lam, block, t_last):
     return np.cumsum(a, out=a)
 
 
-def _merge_departures(q_time, q_rt, q_slot, qh, arr, svc_rng, wl_mean, deterministic):
-    """Departure queue of the pending jobs q_*[qh:-1] and the block of
-    arrivals arr, the queue position of each of those arrivals, and
-    whether any two departure times in the queue are equal.
+def _merge_departures(times, rts, q_slot, qh, arr, svc_rng, wl_mean, deterministic):
+    """Departure queue of the pending jobs (times, rts, q_slot from qh on)
+    and the block of arrivals arr: its times as a list and an array, its
+    response times, its slots, the queue position of each arrival, and
+    whether any two times are equal.
 
-    The block's jobs get slot -1 until they arrive.  Each list ends with
-    a sentinel whose time never fires.
+    The block's jobs get slot -1 until they arrive.  The lists end with a
+    sentinel whose time never fires.
     """
     if deterministic:
         dep = arr + wl_mean
     else:
         dep = arr + svc_rng.standard_exponential(arr.size) * wl_mean
-    n_pend = len(q_time) - 1 - qh
-    times = np.concatenate((q_time[qh:-1], dep))
+    n_pend = times.size - qh
+    times = np.concatenate((times[qh:], dep))
     order = np.argsort(times, kind="stable")
     pos = np.empty_like(order)
     pos[order] = np.arange(order.size)
-    rts = np.concatenate((q_rt[qh:-1], dep - arr))[order]
+    rts = np.concatenate((rts[qh:], dep - arr))[order]
     slots = np.concatenate((np.array(q_slot[qh:-1], dtype=np.int64),
                             np.full(arr.size, -1, dtype=np.int64)))[order]
     times = times[order]
     ties = bool(np.any(times[1:] == times[:-1]))
     q_time = times.tolist()
     q_time.append(_INF)
-    q_rt = rts.tolist()
-    q_rt.append(0.0)
     q_slot = slots.tolist()
     q_slot.append(-1)
-    return q_time, q_rt, q_slot, pos[n_pend:].tolist(), ties
+    return q_time, times, rts, q_slot, pos[n_pend:].tolist(), ties
+
+
+def _lowest_slot_first(q_time, q_slot, rts, qh):
+    """Move to the head qh the job of its run of equal departure times
+    that leaves first: the first arrived job on the lowest slot."""
+    t = q_time[qh]
+    m = qh
+    k = qh + 1
+    while q_time[k] == t and q_slot[k] >= 0:
+        if q_slot[k] < q_slot[m]:
+            m = k
+        k += 1
+    if m > qh:
+        q_slot.insert(qh, q_slot.pop(m))
+        rts[qh:m + 1] = np.roll(rts[qh:m + 1], 1)
+
+
+def _fold(times, rts, qh, marks, warmup, sec_rt, sec_n, rt_sec, n_sec, rt_pw, n_pw):
+    """Fold the departed jobs, queue positions [0, qh), into the sums.
+
+    marks holds the head position at each monitor since the queue was
+    built.  The sum and count of each second it closes are appended to
+    sec_rt and sec_n, the first starting from the open second's rt_sec
+    and n_sec.  Returns the new open second's sum and count and the
+    post-warmup sum and count, which start from rt_pw and n_pw.
+    """
+    sizes = np.diff(np.array([0, *marks, qh]))
+    ids = np.repeat(np.arange(sizes.size), sizes)
+    sums = np.bincount(np.concatenate(([0], ids)),
+                       np.concatenate(([rt_sec], rts[:qh])), sizes.size).tolist()
+    sizes[0] += n_sec
+    sizes = sizes.tolist()
+    sec_rt += sums[:-1]
+    sec_n += sizes[:-1]
+    late = rts[:qh][times[:qh] > warmup]
+    rt_pw = np.add.accumulate(np.concatenate(([rt_pw], late)))[-1].item()
+    return sums[-1], sizes[-1], rt_pw, n_pw + late.size
 
 
 def run_simulation(metric_kind, tv, n_max, t_eva, window_len, mu_pro, mu_dep,
@@ -125,11 +178,11 @@ def run_simulation(metric_kind, tv, n_max, t_eva, window_len, mu_pro, mu_dep,
     prov = []
     prov_i = block
 
-    # Container slots.  state: 0 free, 1 ready, 2 draining.  A slot's
-    # index doubles as the container id for dispatch tie-breaks; birth
-    # order decides which container a scale-down removes.  A provisioned
-    # container takes the lowest free slot, or a new one at the end.
-    state = [1] * init_replicas
+    # Container slots.  A slot's index doubles as the container id for
+    # dispatch tie-breaks; birth order decides which container a
+    # scale-down removes.  A slot is free when it is not ready and holds
+    # no jobs; a provisioned container takes the lowest free slot, or a
+    # new one at the end.
     conc = [0] * init_replicas
     # Arrivals this second per ready slot (rps only); zeroed when a slot
     # stops being ready.
@@ -144,19 +197,22 @@ def run_simulation(metric_kind, tv, n_max, t_eva, window_len, mu_pro, mu_dep,
     j_ready = init_replicas
     order = init_replicas
 
-    # Departure queue (infinite server only): time, response time and
-    # slot of each pending job from its head qh on; q_pos[i] is the
-    # queue position of the block's arrival i; q_ties is false when no
-    # two queued times are equal, which spares the tie check.
-    q_time = [_INF]
-    q_rt = [0.0]
-    q_slot = [-1]
-    q_pos = []
-    q_ties = False
+    # Departure queue (infinite server only): time and slot lists from
+    # the head qh on, with the times and response times as arrays for
+    # the fold; q_pos[i] is the queue position of the block's arrival i;
+    # q_ties is false when no two queued times are equal, which spares
+    # the tie check.  marks holds the head position at each monitor
+    # since the last fold.
+    marks = []
     qh = 0
-    if not sharing:
-        q_time, q_rt, q_slot, q_pos, q_ties = _merge_departures(
-            q_time, q_rt, q_slot, qh, arr_block, svc_rng, wl_mean, deterministic)
+    # Next departure: the queue head under infinite server, the next
+    # completion of the processor-sharing containers otherwise.
+    if sharing:
+        t_dep = _INF
+    else:
+        q_time, times, rts, q_slot, q_pos, q_ties = _merge_departures(
+            np.empty(0), np.empty(0), [-1], qh, arr_block, svc_rng, wl_mean, deterministic)
+        t_dep = q_time[0]
 
     # Stable window of per-second samples of the aggregate metric over
     # ready containers (in-flight sum for cc, arrival count for rps).
@@ -168,25 +224,24 @@ def run_simulation(metric_kind, tv, n_max, t_eva, window_len, mu_pro, mu_dep,
 
     tick_ready = []
     tick_ov = []
-    tick_rt = []
-    tick_carried = []
+
+    # Response-time sum and count of each closed second, of the open
+    # second, and after warmup.
+    sec_rt = []
+    sec_n = []
+    rt_sum_sec = 0.0
+    n_sec = 0
+    rt_sum_pw = 0.0
+    completions_pw = 0
 
     # Arrivals before the current block; every job that has not left is
     # still counted in conc, so completions follow at the end.
     arr_base = 0
-    rt_sum_pw = 0.0
-    completions_pw = 0
-    rt_sum_sec = 0.0
-    n_sec = 0
-    last_rt = wl_mean  # gap-fill seed until the first completion
     area_replica = 0.0
     j_since = 0.0
 
     arr_i = 0
     t_arrival = arr_t[0]
-    # Next departure: the queue head under infinite server, the next
-    # completion of the processor-sharing containers otherwise.
-    t_dep = q_time[0]
     t_monitor = 1.0
     t_eval = t_eva
     t_prov = _INF
@@ -204,20 +259,18 @@ def run_simulation(metric_kind, tv, n_max, t_eva, window_len, mu_pro, mu_dep,
             dep_stop = duration
             arr_stop = math.nextafter(duration, _INF)
 
-        while True:
-            # At equal times the departure fires first, unless the queue
-            # head is the job arriving then (service rounded to zero).
-            if t_dep < t_arrival or (t_dep == t_arrival and (sharing or q_slot[qh] >= 0)):
-                if t_dep > dep_stop:
-                    break
-                # --- departure ---
-                t = t_dep
-                if sharing:
+        if sharing:
+            while True:
+                if t_dep <= t_arrival:
+                    if t_dep > dep_stop:
+                        break
+                    # --- departure ---
                     # Pick the departing container uniformly among busy
                     # ones, then the finishing job uniformly within it:
                     # exponential demands make every busy container
                     # equally likely to produce the next departure
                     # regardless of its job count.
+                    t = t_dep
                     if uni_i + 2 > block:
                         uni = svc_rng.random(block).tolist()
                         uni_i = 0
@@ -242,8 +295,6 @@ def run_simulation(metric_kind, tv, n_max, t_eva, window_len, mu_pro, mu_dep,
                     conc[slot] = c - 1
                     if c == 1:
                         busy -= 1
-                        if state[slot] == 2:
-                            state[slot] = 0
                     if busy > 0:
                         if svc_i == block:
                             svc = (svc_rng.standard_exponential(block) * wl_mean).tolist()
@@ -252,37 +303,52 @@ def run_simulation(metric_kind, tv, n_max, t_eva, window_len, mu_pro, mu_dep,
                         svc_i += 1
                     else:
                         t_dep = _INF
+                    rt_sum_sec += rt
+                    n_sec += 1
+                    if t > warmup:
+                        rt_sum_pw += rt
+                        completions_pw += 1
                 else:
-                    if q_ties and q_time[qh + 1] == t:
-                        # A run of equal times: the first arrived job on
-                        # the lowest slot leaves first.
-                        m = qh
-                        k = qh + 1
-                        while q_time[k] == t and q_slot[k] >= 0:
-                            if q_slot[k] < q_slot[m]:
-                                m = k
-                            k += 1
-                        if m > qh:
-                            q_slot.insert(qh, q_slot.pop(m))
-                            q_rt.insert(qh, q_rt.pop(m))
-                    slot = q_slot[qh]
-                    rt = q_rt[qh]
+                    if t_arrival >= arr_stop:
+                        break
+                    # --- arrival: to the least-loaded ready container ---
+                    t = t_arrival
+                    best = ready[0]
+                    best_c = conc[best]
+                    if j_ready > 1:
+                        for k in ready:
+                            c = conc[k]
+                            if c < best_c:
+                                best = k
+                                best_c = c
+                    if rps:
+                        arr_count[best] += 1
+                    conc[best] = best_c + 1
+                    ps_times[best].append(t)
+                    if best_c == 0:
+                        busy += 1
+                        if svc_i == block:
+                            svc = (svc_rng.standard_exponential(block) * wl_mean).tolist()
+                            svc_i = 0
+                        t_dep = t + svc[svc_i] / busy
+                        svc_i += 1
+                    arr_i += 1
+                    if arr_i == block:
+                        arr_t = _arrival_times(arr_rng, lam, block, t).tolist()
+                        arr_base += block
+                        arr_i = 0
+                    t_arrival = arr_t[arr_i]
+        else:
+            while t_arrival < arr_stop:
+                t = t_arrival
+                # --- departures before the arrival: free their containers ---
+                while t_dep <= t and (t_dep < t or q_slot[qh] >= 0):
+                    if q_ties and q_time[qh + 1] == t_dep:
+                        _lowest_slot_first(q_time, q_slot, rts, qh)
+                    conc[q_slot[qh]] -= 1
                     qh += 1
                     t_dep = q_time[qh]
-                    c = conc[slot] - 1
-                    conc[slot] = c
-                    if c == 0 and state[slot] == 2:
-                        state[slot] = 0
-                rt_sum_sec += rt
-                n_sec += 1
-                if t > warmup:
-                    rt_sum_pw += rt
-                    completions_pw += 1
-            else:
-                if t_arrival >= arr_stop:
-                    break
                 # --- arrival: to the least-loaded ready container ---
-                t = t_arrival
                 best = ready[0]
                 best_c = conc[best]
                 if j_ready > 1:
@@ -294,30 +360,29 @@ def run_simulation(metric_kind, tv, n_max, t_eva, window_len, mu_pro, mu_dep,
                 if rps:
                     arr_count[best] += 1
                 conc[best] = best_c + 1
-                if sharing:
-                    ps_times[best].append(t)
-                    if best_c == 0:
-                        busy += 1
-                        if svc_i == block:
-                            svc = (svc_rng.standard_exponential(block) * wl_mean).tolist()
-                            svc_i = 0
-                        t_dep = t + svc[svc_i] / busy
-                        svc_i += 1
-                else:
-                    q_slot[q_pos[arr_i]] = best
+                q_slot[q_pos[arr_i]] = best
                 arr_i += 1
                 if arr_i == block:
+                    rt_sum_sec, n_sec, rt_sum_pw, completions_pw = _fold(
+                        times, rts, qh, marks, warmup, sec_rt, sec_n, rt_sum_sec, n_sec,
+                        rt_sum_pw, completions_pw)
+                    marks = []
                     arr_block = _arrival_times(arr_rng, lam, block, t)
                     arr_t = arr_block.tolist()
                     arr_base += block
                     arr_i = 0
-                    if not sharing:
-                        q_time, q_rt, q_slot, q_pos, q_ties = _merge_departures(
-                            q_time, q_rt, q_slot, qh, arr_block, svc_rng, wl_mean,
-                            deterministic)
-                        qh = 0
-                        t_dep = q_time[0]
+                    q_time, times, rts, q_slot, q_pos, q_ties = _merge_departures(
+                        times, rts, q_slot, qh, arr_block, svc_rng, wl_mean, deterministic)
+                    qh = 0
+                    t_dep = q_time[0]
                 t_arrival = arr_t[arr_i]
+            # --- departures of arrived jobs up to the stop ---
+            while t_dep <= dep_stop and q_slot[qh] >= 0:
+                if q_ties and q_time[qh + 1] == t_dep:
+                    _lowest_slot_first(q_time, q_slot, rts, qh)
+                conc[q_slot[qh]] -= 1
+                qh += 1
+                t_dep = q_time[qh]
 
         # The next event is a control event, or nothing is left before
         # the horizon.
@@ -343,14 +408,15 @@ def run_simulation(metric_kind, tv, n_max, t_eva, window_len, mu_pro, mu_dep,
             # Reported per container: the aggregate window over the
             # current ready count.
             tick_ov.append(ov / j_ready)
-            if n_sec > 0:
-                last_rt = rt_sum_sec / n_sec
-                tick_carried.append(0)
+            # Close the second's response times, or mark where the
+            # departure queue closes them for the next fold.
+            if sharing:
+                sec_rt.append(rt_sum_sec)
+                sec_n.append(n_sec)
+                rt_sum_sec = 0.0
+                n_sec = 0
             else:
-                tick_carried.append(1)
-            tick_rt.append(last_rt)
-            rt_sum_sec = 0.0
-            n_sec = 0
+                marks.append(qh)
             t_monitor += 1.0
 
         elif t_eval <= t_ctrl:
@@ -375,18 +441,16 @@ def run_simulation(metric_kind, tv, n_max, t_eva, window_len, mu_pro, mu_dep,
                 area_replica += j_ready * (t - lo)
             j_since = t
             if j_ready < order:
-                if 0 in state:
-                    # A free slot already holds no jobs and no arrivals.
-                    slot = state.index(0)
-                    state[slot] = 1
-                    birth[slot] = birth_seq
-                else:
-                    slot = len(state)
-                    state.append(1)
+                # A free slot already holds no jobs and no arrivals.
+                slot = 0
+                while slot < len(conc) and (conc[slot] or slot in ready):
+                    slot += 1
+                if slot == len(conc):
                     conc.append(0)
                     arr_count.append(0)
-                    birth.append(birth_seq)
+                    birth.append(0)
                     ps_times.append([])
+                birth[slot] = birth_seq
                 insort(ready, slot)
                 birth_seq += 1
                 j_ready += 1
@@ -399,7 +463,6 @@ def run_simulation(metric_kind, tv, n_max, t_eva, window_len, mu_pro, mu_dep,
                         slot = k
                 ready.remove(slot)
                 arr_count[slot] = 0
-                state[slot] = 2 if conc[slot] else 0
                 j_ready -= 1
             t_from = t
 
@@ -421,6 +484,21 @@ def run_simulation(metric_kind, tv, n_max, t_eva, window_len, mu_pro, mu_dep,
                 prov_i += 1
         t_ctrl = min(t_monitor, t_eval, t_prov)
 
+    if not sharing:
+        rt_sum_sec, n_sec, rt_sum_pw, completions_pw = _fold(
+            times, rts, qh, marks, warmup, sec_rt, sec_n, rt_sum_sec, n_sec,
+            rt_sum_pw, completions_pw)
+
+    # Mean response time per second, in place of the sums; a second
+    # without completions carries the last mean forward, the workload
+    # mean before the first, and its count becomes the carried flag.
+    last_rt = wl_mean
+    for i, n in enumerate(sec_n):
+        if n:
+            last_rt = sec_rt[i] / n
+        sec_rt[i] = last_rt
+        sec_n[i] = 0 if n else 1
+
     # Close the replica-count integral at the horizon.
     if duration > warmup:
         lo = j_since if j_since > warmup else warmup
@@ -429,6 +507,6 @@ def run_simulation(metric_kind, tv, n_max, t_eva, window_len, mu_pro, mu_dep,
 
     arrivals = arr_base + arr_i
     in_flight = sum(conc)
-    return (tick_ready, tick_ov, tick_rt, tick_carried,
+    return (tick_ready, tick_ov, sec_rt, sec_n,
             area_replica, rt_sum_pw, completions_pw,
             arrivals, arrivals - in_flight, in_flight)

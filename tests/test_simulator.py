@@ -299,6 +299,9 @@ class TestKernelOracle:
                                            n_max, t_eva, window, duration,
                                            warmup_share, seed):
         init = data.draw(st.integers(min_value=1, max_value=n_max), label="initial")
+        # Small blocks refill inside a control interval and split runs of
+        # equal departure times and the response-time folds across blocks.
+        block = data.draw(st.sampled_from([5, 64, 4096]), label="block")
         cfg = rc.AutoscalerConfig(metric_kind=metric, target_value=target, n_max=n_max,
                                   t_eva_s=t_eva, stable_window_s=window)
         metric_code = _kernels.MT_RPS if metric == "rps" else _kernels.MT_CONCURRENCY
@@ -311,23 +314,36 @@ class TestKernelOracle:
             seeds = np.random.SeedSequence(seed % 2**64).spawn(3)
             return [np.random.default_rng(s) for s in seeds]
 
-        got = _kernels.run_simulation(*args, *streams())
-        want = reference_run_simulation(*args, *streams())
+        # Set and restored by hand: hypothesis reuses function-scoped
+        # fixtures such as monkeypatch across its examples.
+        saved = _kernels._BLOCK, oracles._BLOCK
+        _kernels._BLOCK = oracles._BLOCK = block
+        try:
+            got = _kernels.run_simulation(*args, *streams())
+            want = reference_run_simulation(*args, *streams())
+        finally:
+            _kernels._BLOCK, oracles._BLOCK = saved
         # repr is exact for floats and tells 1 from 1.0 and 0.0 from -0.0
         assert repr(got) == repr(want)
 
     @staticmethod
-    def scripted_run(gaps, services, wl_kind, wl_mean):
-        """Both loops on scripted random blocks: lam 1 and n_max 2, both
-        containers ready, and no scale evaluation within the 5 s run."""
-        args = (_kernels.MT_CONCURRENCY, 1.0, 2, 100.0, 60, 1.0, 1.0, wl_kind,
-                wl_mean, 1.0, 5.0, 0.0, 2)
+    def both_loops(args, gaps, services, provisioning=()):
+        """Both loops on scripted random blocks; args set lam 1, so the
+        arrival gaps are as scripted."""
         results = []
         for loop in (_kernels.run_simulation, reference_run_simulation):
             streams = (ScriptedStream(gaps, 1e3), ScriptedStream(services, 1.0),
-                       ScriptedStream([], 1.0))
+                       ScriptedStream(provisioning, 1.0))
             results.append(repr(loop(*args, *streams)))
         return results
+
+    @classmethod
+    def scripted_run(cls, gaps, services, wl_kind, wl_mean, warmup=0.0):
+        """lam 1 and n_max 2, both containers ready, and no scale
+        evaluation within the 5 s run."""
+        args = (_kernels.MT_CONCURRENCY, 1.0, 2, 100.0, 60, 1.0, 1.0, wl_kind,
+                wl_mean, 1.0, 5.0, warmup, 2)
+        return cls.both_loops(args, gaps, services)
 
     @pytest.mark.parametrize("wl_kind", [_kernels.WL_INFINITE_EXP, _kernels.WL_INFINITE_DET])
     def test_equal_departures_leave_lowest_slot_first(self, wl_kind):
@@ -344,6 +360,50 @@ class TestKernelOracle:
         services, mean = ([0.6] * 3, 1.0) if wl_kind == _kernels.WL_INFINITE_EXP else ([], 0.6)
         got, want = self.scripted_run(gaps, services, wl_kind, mean)
         assert got == want
+
+    @pytest.mark.parametrize("last_departure", [5.7, 3.9])
+    def test_drained_container_frees_its_slot(self, last_departure):
+        # cc, target 1, a one-second window and evaluation, so each
+        # evaluation orders the in-flight jobs on ready containers seen
+        # by the monitor just before it; provisioning takes 0.02 s.  Jobs
+        # on slots 0-2 at 0.1-0.3 s; at 2 s only slot 1's job is left, so
+        # slots 2 (empty) and 1 (one job) scale down.  The scale-up at
+        # 3.02 s skips slot 1 while its job is in flight and takes slot 2.
+        # The one at 4.02 s takes a new slot 3 while the job is in flight
+        # (5.7) but slot 1 once it has left (3.9); that container, the
+        # newest, gets the 4.3 s job, and scaling down at 5.02 s leaves
+        # the job off the monitor at 6 s only when slot 1 was reused.
+        arrivals = [0.1, 0.2, 0.3, 2.2, 2.4, 3.6, 3.7, 3.8, 4.2, 4.3]
+        ends = [1.5, last_departure, 1.5, 3.5, 3.5, 4.1, 4.1, 4.1, 6.5, 6.5]
+        gaps = np.diff([0.0, *arrivals]).tolist()
+        services = [e - a for e, a in zip(ends, np.cumsum(gaps))]
+        args = (_kernels.MT_CONCURRENCY, 1.0, 4, 1.0, 1, 1.0, 1.0,
+                _kernels.WL_INFINITE_EXP, 1.0, 1.0, 8.0, 0.0, 3)
+        got, want = self.both_loops(args, gaps, services, [0.02] * 10)
+        assert got == want
+        ready = [3, 3, 1, 2, 3, 2, 2 if last_departure > 5 else 1, 1]
+        assert eval(got)[0] == ready
+
+    @pytest.mark.parametrize("wl_kind", [_kernels.WL_INFINITE_EXP, _kernels.WL_INFINITE_DET])
+    def test_departures_at_warmup_and_at_a_monitor_tick(self, wl_kind):
+        # two jobs leave at exactly 2.5 s, the warmup, and exactly 3 s, a
+        # monitor tick: the first is not counted after warmup, and both
+        # close the second ending at 3 s.  They arrive at 0.5 and 0.75 s,
+        # or at 2 and 2.5 s under 0.5 s deterministic service, where the
+        # second arrives as the first leaves.
+        gaps = [0.5, 0.25]
+        if wl_kind == _kernels.WL_INFINITE_EXP:
+            services, mean = [2.0, 2.25], 1.0
+        else:
+            gaps, services, mean = [2.0, 0.5], [], 0.5
+        got, want = self.scripted_run(gaps, services, wl_kind, mean, warmup=2.5)
+        assert got == want
+        _, _, tick_rt, carried, _, rt_sum_pw, completions_pw, *_ = eval(got)
+        arrived = np.cumsum(gaps)
+        rts = [2.5 - arrived[0], 3.0 - arrived[1]]
+        assert (rt_sum_pw, completions_pw) == (rts[1], 1)
+        assert (tick_rt[2], carried[2]) == ((rts[0] + rts[1]) / 2, 0)
+        assert carried[:2] == [1, 1] and carried[3:] == [1, 1]
 
     @pytest.mark.parametrize("wl_kind", [_kernels.WL_INFINITE_EXP, _kernels.WL_INFINITE_DET])
     def test_zero_service_departs_after_its_arrival(self, wl_kind):
