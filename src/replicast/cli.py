@@ -34,8 +34,10 @@ EXIT_TOLERANCE = 3
 _COMPARED_METRICS = ("avg_replica_count", "avg_concurrency", "avg_response_time_s")
 
 
-def _dump_json(payload: dict, out_path) -> str:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+def _dump_json(payload: dict, out_path, indent=2) -> str:
+    # without indent json runs its C encoder: compact text for the bulky --explain
+    text = json.dumps(payload, indent=indent, sort_keys=True,
+                      separators=None if indent else (",", ":"))
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -85,7 +87,7 @@ def cmd_predict(args) -> int:
                 for j in range(1, cfg.n_max + 1)
             },
         }
-    print(_dump_json(payload, args.out))
+    print(_dump_json(payload, args.out, indent=None if args.explain else 2))
     return EXIT_OK
 
 
@@ -279,75 +281,97 @@ _seed_count = _bounded(int, lambda n: n >= 1, "an integer >= 1")
 _tolerance = _bounded(float, lambda x: math.isfinite(x) and x >= 0, "a finite number >= 0")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """One subparser per command, each declaring only the flags it reads.
+def _add_seeds(p) -> None:
+    p.add_argument("--seed", type=int, help="base RNG seed override")
+    p.add_argument("--seeds", type=_seed_count, default=1,
+                   help="number of consecutive seeds to run (default 1)")
 
-    Abbreviations are refused: ``simulate --trace x`` would otherwise be
-    read as ``--trace-out x``.
+
+def _fit_flags(p) -> None:
+    p.add_argument("--trace", required=True, help="profiling trace CSV path")
+    p.add_argument("--metric", choices=["cc", "rps"], default="cc",
+                   help="autoscaling metric the trace observed (default cc)")
+    p.add_argument("--out", required=True, help="model bundle JSON to write")
+
+
+def _predict_flags(p) -> None:
+    p.add_argument("--model", required=True, help="model bundle JSON from fit")
+    p.add_argument("--config", required=True, help="autoscaler config JSON")
+    p.add_argument("--arrival-rate", type=float, required=True,
+                   help="arrival rate, requests/s")
+    p.add_argument("--window", type=float, default=3600.0,
+                   help="reporting window seconds for request-count estimate (default 3600)")
+    p.add_argument("--explain", action="store_true",
+                   help="include the chain's states, transitions and per-ready-count values")
+    p.add_argument("--out", help="also write the report JSON here")
+
+
+def _sweep_flags(p) -> None:
+    p.add_argument("--model", required=True, help="model bundle JSON from fit")
+    p.add_argument("--spec", required=True,
+                   help="sweep spec JSON: lambdas, target_values, fixed")
+    p.add_argument("--out", required=True, help="sweep CSV to write")
+
+
+def _simulate_flags(p) -> None:
+    p.add_argument("--config", required=True, help="simulation config JSON")
+    _add_seeds(p)
+    p.add_argument("--series", action="store_true",
+                   help="include the per-second series in the report")
+    p.add_argument("--trace-out", help="also write the profiling trace CSV here")
+    p.add_argument("--out", help="also write the report JSON here")
+
+
+def _compare_flags(p) -> None:
+    p.add_argument("--model", required=True, help="model bundle JSON from fit")
+    p.add_argument("--sim-config", required=True,
+                   help="simulation config JSON; its autoscaler is the one predicted")
+    _add_seeds(p)
+    p.add_argument("--tolerance", type=_tolerance, default=0.15,
+                   help="max relative error (default 0.15)")
+    p.add_argument("--out", help="also write the comparison JSON here")
+
+
+# name: (handler, help line, flag declarations)
+_COMMANDS = {
+    "fit": (cmd_fit, "fit metric and response-time models from a trace CSV", _fit_flags),
+    "predict": (cmd_predict, "predict steady-state metrics at an arrival rate", _predict_flags),
+    "sweep": (cmd_sweep, "predict over a grid of arrival rates and target values",
+              _sweep_flags),
+    "simulate": (cmd_simulate, "run the discrete-event simulator", _simulate_flags),
+    "compare": (cmd_compare, "compare analytical predictions against simulation",
+                _compare_flags),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """One subparser per command, each declaring only the flags it reads;
+    given a command's name, only that command's subparser.
+
+    argparse only ever reads the subparser the command line names, so
+    main builds that one alone, unless the first word names no command
+    (help, or a usage error that lists them all).  Abbreviations are
+    refused: ``simulate --trace x`` would otherwise be read as
+    ``--trace-out x``.
     """
     parser = argparse.ArgumentParser(
         prog="replicast",
         description="Steady-state prediction for metric-based autoscaling, "
                     "with a validating discrete-event simulator.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, func, help_text):
-        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
-        p.set_defaults(func=func)
-        return p
-
-    def add_seeds(p):
-        p.add_argument("--seed", type=int, help="base RNG seed override")
-        p.add_argument("--seeds", type=_seed_count, default=1,
-                       help="number of consecutive seeds to run (default 1)")
-
-    p_fit = command("fit", cmd_fit, "fit metric and response-time models from a trace CSV")
-    p_fit.add_argument("--trace", required=True, help="profiling trace CSV path")
-    p_fit.add_argument("--metric", choices=["cc", "rps"], default="cc",
-                       help="autoscaling metric the trace observed (default cc)")
-    p_fit.add_argument("--out", required=True, help="model bundle JSON to write")
-
-    p_pred = command("predict", cmd_predict, "predict steady-state metrics at an arrival rate")
-    p_pred.add_argument("--model", required=True, help="model bundle JSON from fit")
-    p_pred.add_argument("--config", required=True, help="autoscaler config JSON")
-    p_pred.add_argument("--arrival-rate", type=float, required=True,
-                        help="arrival rate, requests/s")
-    p_pred.add_argument("--window", type=float, default=3600.0,
-                        help="reporting window seconds for request-count estimate (default 3600)")
-    p_pred.add_argument("--explain", action="store_true",
-                        help="include the chain's states, transitions and per-ready-count values")
-    p_pred.add_argument("--out", help="also write the report JSON here")
-
-    p_sweep = command("sweep", cmd_sweep,
-                      "predict over a grid of arrival rates and target values")
-    p_sweep.add_argument("--model", required=True, help="model bundle JSON from fit")
-    p_sweep.add_argument("--spec", required=True,
-                         help="sweep spec JSON: lambdas, target_values, fixed")
-    p_sweep.add_argument("--out", required=True, help="sweep CSV to write")
-
-    p_sim = command("simulate", cmd_simulate, "run the discrete-event simulator")
-    p_sim.add_argument("--config", required=True, help="simulation config JSON")
-    add_seeds(p_sim)
-    p_sim.add_argument("--series", action="store_true",
-                       help="include the per-second series in the report")
-    p_sim.add_argument("--trace-out", help="also write the profiling trace CSV here")
-    p_sim.add_argument("--out", help="also write the report JSON here")
-
-    p_cmp = command("compare", cmd_compare,
-                    "compare analytical predictions against simulation")
-    p_cmp.add_argument("--model", required=True, help="model bundle JSON from fit")
-    p_cmp.add_argument("--sim-config", required=True,
-                       help="simulation config JSON; its autoscaler is the one predicted")
-    add_seeds(p_cmp)
-    p_cmp.add_argument("--tolerance", type=_tolerance, default=0.15,
-                       help="max relative error (default 0.15)")
-    p_cmp.add_argument("--out", help="also write the comparison JSON here")
+    for name, (func, help_text, add_flags) in _COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+            p.set_defaults(func=func)
+            add_flags(p)
     return parser
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        words = sys.argv[1:] if argv is None else argv
+        command = words[0] if words and words[0] in _COMMANDS else None
+        args = build_parser(command).parse_args(argv)
     except SystemExit as exc:
         # argparse has printed the usage error (or the help).  Usage errors
         # are input errors, and returning keeps in-process callers running.

@@ -18,6 +18,7 @@ recurrent states.  numpy is the only dependency.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import InitVar, dataclass, field
 
@@ -26,10 +27,13 @@ import numpy as np
 from .config import AutoscalerConfig
 from .errors import (ConfigMismatchError, NonErgodicError, NumericalError,
                      ValidationError)
-from .evaluator import order_probabilities
-from .metric_model import GaussianDist, MetricModel, observed_value_distribution
+from .evaluator import order_probabilities, order_rows  # noqa: F401 (perfbench looks it up here)
+from .metric_model import GaussianDist, MetricModel
 
 _TRUNCATE_BELOW = 1e-15
+# Candidate products that _assemble forms at once, which bounds the
+# memory a large chain takes to build.
+_ASSEMBLY_BATCH = 1 << 14
 
 
 def _check_target(i_target: int, n_max: int) -> int:
@@ -41,20 +45,6 @@ def _check_target(i_target: int, n_max: int) -> int:
     return i_target
 
 
-def _binomial_rows(k_max: int, success: float, failure: float) -> np.ndarray:
-    """Row k holds the Binomial(k, success) pmf over 0..k, by Pascal's rule.
-
-    failure is passed separately from success so that neither is formed
-    as 1 - the other, which would cancel when one of them is tiny.
-    """
-    rows = np.zeros((k_max + 1, k_max + 1), dtype=np.float64)
-    rows[0, 0] = 1.0
-    for k in range(1, k_max + 1):
-        rows[k, :k] = failure * rows[k - 1, :k]
-        rows[k, 1:k + 1] += success * rows[k - 1, :k]
-    return rows
-
-
 def _vertical_law(cfg: AutoscalerConfig) -> tuple:
     """The two binomial tables behind every vertical move, (arrive, stay).
 
@@ -64,12 +54,25 @@ def _vertical_law(cfg: AutoscalerConfig) -> tuple:
     pending containers Binomial(k, 1 - e^(-mu_pro t)) become ready
     (arrive[k]), and of k surplus containers Binomial(k, e^(-mu_dep t))
     are still draining (stay[k]).  Both tables run over k < n_max, the
-    largest gap between an order and a ready count.
+    largest gap between an order and a ready count.  One Pascal loop
+    fills both; no chance is formed as 1 - the other, which would cancel.
     """
-    n, t = cfg.n_max, cfg.t_eva_s
-    arrive = _binomial_rows(n - 1, -math.expm1(-cfg.mu_pro * t), math.exp(-cfg.mu_pro * t))
-    stay = _binomial_rows(n - 1, math.exp(-cfg.mu_dep * t), -math.expm1(-cfg.mu_dep * t))
-    return arrive, stay
+    return _binomial_tables(cfg.n_max, cfg.mu_pro, cfg.mu_dep, cfg.t_eva_s)
+
+
+# The points of a sweep share one lifecycle, so the last tables serve the
+# next chain; they are read-only, as every chain holds them.
+@functools.lru_cache(maxsize=1)
+def _binomial_tables(n: int, mu_pro: float, mu_dep: float, t: float) -> tuple:
+    success = np.array([[-math.expm1(-mu_pro * t)], [math.exp(-mu_dep * t)]])
+    failure = np.array([[math.exp(-mu_pro * t)], [-math.expm1(-mu_dep * t)]])
+    tables = np.zeros((2, n, n), dtype=np.float64)
+    tables[:, 0, 0] = 1.0
+    for k in range(1, n):
+        tables[:, k, :k] = failure * tables[:, k - 1, :k]
+        tables[:, k, 1:k + 1] += success * tables[:, k - 1, :k]
+    tables.flags.writeable = False
+    return tables[0], tables[1]
 
 
 def _vertical_rows(orders: np.ndarray, ready, arrive: np.ndarray, stay: np.ndarray,
@@ -106,30 +109,44 @@ def vertical_transition_probs(i_target: int, cfg: AutoscalerConfig) -> np.ndarra
 
 def horizontal_transition_probs(j: int, arrival_rate: float, model: MetricModel,
                                 cfg: AutoscalerConfig) -> np.ndarray:
-    """Probability vector over next ordered counts, given j ready containers.
+    """Probability vector over next ordered counts, given j ready containers."""
+    return _horizontal_rows(arrival_rate, model, cfg, np.array([_check_target(j, cfg.n_max)]))[0]
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _horizontal_rows(arrival_rate: float, model: MetricModel, cfg: AutoscalerConfig,
+                     ready: np.ndarray) -> np.ndarray:
+    """Row r is the order vector of ready[r] ready containers.
 
     Independent of the current order: every evaluation redecides from the
     windowed metric alone.  As in Knative's KPA, the evaluator divides the
     aggregate over the j ready containers by the per-container target.
     The aggregate is taken as the sum of j independent per-container
     windows, each following the fitted law at rate arrival_rate / j, so
-    it is N(j * mean, sqrt(j) * std).
+    it is N(j * mean, sqrt(j) * std); checks fail in ready count order.
     """
-    j = _check_target(j, cfg.n_max)
     if not (isinstance(arrival_rate, (int, float)) and math.isfinite(arrival_rate)
             and arrival_rate > 0):
         raise ValidationError(f"arrival_rate must be finite and > 0, got {arrival_rate!r}")
-    per_container = observed_value_distribution(model, arrival_rate / j)
-    aggregate = GaussianDist(j * per_container.mean, math.sqrt(j) * per_container.std)
-    return order_probabilities(aggregate, cfg.target_value, cfg.n_max).probs.copy()
+    mean, std = model.mean_at(arrival_rate / ready), model.std_at(arrival_rate / ready)
+    laws = np.array([mean, std, ready * mean, np.sqrt(ready) * std])
+    # the first ready count with a law that is not finite, else ready.size
+    finite = np.isfinite(laws).all(axis=0)
+    stop = ready.size if finite.all() else int(finite.argmin())
+    rows = order_rows(laws[2, :stop], laws[3, :stop], cfg.target_value, cfg.n_max)
+    if stop < ready.size:
+        for m, s in laws[:, stop].reshape(2, 2).tolist():
+            GaussianDist(m, s)
+    return rows
 
 
 def _check_stochastic(name: str, arr: np.ndarray, shape: tuple) -> None:
     if arr.shape != shape:
         raise ValidationError(f"{name} must have shape {shape}, got {arr.shape}")
-    if np.any(arr < 0) or not np.all(np.isfinite(arr)):
+    # a NaN entry makes the minimum NaN, which fails the comparison
+    if not (arr.min() >= 0.0 and arr.max() < math.inf):
         raise ValidationError(f"{name} entries must be finite and >= 0")
-    row_err = float(np.max(np.abs(arr.sum(axis=-1) - 1.0)))
+    row_err = float(np.abs(arr.sum(axis=-1) - 1.0).max())
     if row_err > 1e-10:
         raise ValidationError(f"{name} rows must sum to 1 (max error {row_err:.3e})")
 
@@ -147,7 +164,7 @@ def _trapping_ready_counts(horizontal: np.ndarray, arrive: np.ndarray, stay: np.
     # the largest chance that some of k pending containers arrive, or
     # that some of k surplus containers leave
     moves_up = np.max(arrive[:, 1:], axis=1, initial=0.0)
-    moves_down = np.max(np.tril(stay, -1), axis=1)
+    moves_down = np.max(stay, axis=1, where=np.arange(n)[:, None] > np.arange(n), initial=0.0)
     ready, order = np.nonzero(horizontal >= _TRUNCATE_BELOW)
     outside = (ready + 1 < lo) | (ready + 1 > hi)
     ready, order = ready[outside], order[outside]
@@ -158,6 +175,23 @@ def _trapping_ready_counts(horizontal: np.ndarray, arrive: np.ndarray, stay: np.
     trapped[lo - 1:hi] = False
     trapped[ready[moving >= _TRUNCATE_BELOW]] = False
     return np.flatnonzero(trapped) + 1
+
+
+def _batches(groups: list, count: list) -> list:
+    """(start, stop) ranges over the groups' concatenated (order, ready)
+    pairs: runs of consecutive groups whose candidate products, at most
+    len(src) * width * count[j - 1] for ready count j, sum to no more
+    than _ASSEMBLY_BATCH (a larger group runs alone)."""
+    bounds, first, at, size = [], 0, 0, 0
+    for j, src in groups:
+        cost = src.size * (max(j - int(src[0]), int(src[-1]) - j) + 1) * count[j - 1]
+        if at > first and size + cost > _ASSEMBLY_BATCH:
+            bounds.append((first, at))
+            first, size = at, 0
+        at += src.size
+        size += cost
+    bounds.append((first, at))
+    return bounds
 
 
 def _assemble(horizontal: np.ndarray, arrive: np.ndarray, stay: np.ndarray) -> tuple:
@@ -174,8 +208,9 @@ def _assemble(horizontal: np.ndarray, arrive: np.ndarray, stay: np.ndarray) -> t
     form a closed set of their own, kept beside S so that the structure
     analysis names it.  Only factor entries at or above the threshold can
     give a product above it, since both factors are probabilities, so the
-    outer products per ready count run over those entries alone.  Each
-    (source, target) pair appears once; the arrays are left unsorted.
+    products run over those entries alone, for many ready counts at once
+    (_batches bounds how many).  Each (source, target) pair appears once;
+    the arrays are left unsorted.
     """
     n = horizontal.shape[0]
     support = horizontal >= _TRUNCATE_BELOW
@@ -184,20 +219,42 @@ def _assemble(horizontal: np.ndarray, arrive: np.ndarray, stay: np.ndarray) -> t
     groups = [(j, orders) for j in range(lo, hi + 1)]
     groups += [(int(j), np.flatnonzero(support[j - 1]) + 1)
                for j in _trapping_ready_counts(horizontal, arrive, stay, lo, hi)]
-    # a state's key is its index (i-1)*n + (j-1) in the full chain, so
+    # the (order, ready) pair of every closed state, group by group; a
+    # state's key is its index (i-1)*n + (j-1) in the full chain, so
     # sorted keys list the closed states by (order, ready)
-    keys = np.sort(np.concatenate([(src - 1) * n + (j - 1) for j, src in groups]))
+    order = np.concatenate([src for _, src in groups])
+    ready = np.repeat([j for j, _ in groups], [src.size for _, src in groups])
+    pair_keys = (order - 1) * n + (ready - 1)
+    keys = np.sort(pair_keys)
+    # state positions looked up by key - base, over the keys' span only
+    base = int(keys[0])
+    index = np.empty(int(keys[-1]) - base + 1, dtype=np.intp)
+    index[keys - base] = np.arange(keys.size)
+    pair_keys -= base
+    # the entries of h[j] at or above the threshold, row by row: those of
+    # h[j] are h_vals[first[j]:first[j] + count[j]], at orders to_order + 1
+    ready_of, to_order = np.nonzero(support)
+    h_vals = horizontal[ready_of, to_order]
+    count = np.bincount(ready_of, minlength=n)
+    first = np.cumsum(count) - count
     rows, cols, vals = [], [], []
-    for j, src in groups:
-        targets = np.flatnonzero(support[j - 1])
-        start, v = _vertical_rows(src, j, arrive, stay, int(np.abs(src - j).max()) + 1)
-        s, m = np.nonzero(v >= _TRUNCATE_BELOW)
-        prod = np.multiply.outer(v[s, m], horizontal[j - 1, targets])
+    for a, b in _batches(groups, count.tolist()):
+        i, j = order[a:b], ready[a:b]
+        start, v = _vertical_rows(i, j, arrive, stay, int(np.abs(i - j).max()) + 1)
+        p, m = np.nonzero(v >= _TRUNCATE_BELOW)
+        # vertical entry e times every entry of its ready count's h row
+        row = j[p] - 1
+        c = count[row]
+        e = np.repeat(np.arange(p.size), c)
+        at = np.arange(e.size) + np.repeat(first[row] - (np.cumsum(c) - c), c)
+        prod = v[p, m][e] * h_vals[at]
         keep = prod >= _TRUNCATE_BELOW
-        rows.append(np.broadcast_to(((src[s] - 1) * n + (j - 1))[:, None], prod.shape)[keep])
-        cols.append((targets[None, :] * n + (start[s] + m - 1)[:, None])[keep])
+        e, at = e[keep], at[keep]
+        rows.append(index[pair_keys[a:b][p[e]]])
+        cols.append(index[to_order[at] * n + (start[p] + m - (1 + base))[e]])
         vals.append(prod[keep])
-    rows, cols = (np.searchsorted(keys, np.concatenate(a)) for a in (rows, cols))
+    rows = np.concatenate(rows)
+    cols = np.concatenate(cols)
     vals = np.concatenate(vals)
     vals /= np.bincount(rows, weights=vals, minlength=keys.size)[rows]
     states = np.column_stack([keys // n + 1, keys % n + 1])
@@ -234,10 +291,11 @@ class ClusterChain:
 
     def __post_init__(self, _owned):
         n = self.n_max
+        beyond = np.arange(n)[:, None] < np.arange(n)
         for name in ("horizontal", "arrive", "stay"):
             arr = np.asarray(getattr(self, name), dtype=np.float64)
             _check_stochastic(name, arr, (n, n))
-            if name != "horizontal" and np.any(np.triu(arr, 1)):
+            if name != "horizontal" and arr[beyond].any():
                 raise ValidationError(f"{name} row k must have no mass beyond k")
             if not _owned:
                 arr = arr.copy()
@@ -281,9 +339,7 @@ def build_chain(arrival_rate: float, model: MetricModel, cfg: AutoscalerConfig) 
             f"metric model was fitted for {model.metric_kind!r} but the config "
             f"declares {cfg.metric_kind!r}")
     n = cfg.n_max
-    horizontal = np.empty((n, n), dtype=np.float64)
-    for j in range(1, n + 1):
-        horizontal[j - 1] = horizontal_transition_probs(j, arrival_rate, model, cfg)
+    horizontal = _horizontal_rows(arrival_rate, model, cfg, np.arange(1, n + 1))
     arrive, stay = _vertical_law(cfg)
     return ClusterChain(n_max=n, arrival_rate=float(arrival_rate), horizontal=horizontal,
                         arrive=arrive, stay=stay, _owned=True)
@@ -316,9 +372,8 @@ def _recurrence_structure(source: np.ndarray, target: np.ndarray, n: int) -> lis
     """
     classes = []
     alive = np.ones(n, dtype=bool)
+    tail, head = source, target
     while alive.any():
-        keep = alive[source]
-        tail, head = source[keep], target[keep]
         v = int(np.argmax(alive))
         while True:
             forward = _closure(v, tail, head, n)
@@ -329,6 +384,8 @@ def _recurrence_structure(source: np.ndarray, target: np.ndarray, n: int) -> lis
             v = int(np.argmax(escaped))
         classes.append(np.flatnonzero(forward))
         alive &= ~backward
+        keep = alive[tail]
+        tail, head = tail[keep], head[keep]
     return sorted(classes, key=lambda cls: int(cls[0]))
 
 
@@ -336,24 +393,26 @@ def _span(lo, hi) -> str:
     return f"{lo}" if lo == hi else f"{lo}-{hi}"
 
 
-def _non_ergodic(recurrent: list, labels) -> NonErgodicError:
+def _non_ergodic(recurrent: list, chain) -> NonErgodicError:
     """The error for several recurrent classes: one summary line per class.
 
     A class is summarised by its size and its order and ready ranges when
-    labels[s] = (order, ready) names the states, by its index range when
-    labels is None; a one-state class is named.  recurrent_classes keeps
-    every class in full, as (order, ready) tuples or as indices.
+    it is a chain's, by its index range when chain is None; a one-state
+    class is named, in a chain with the chance that its ready count
+    orders its order.  recurrent_classes keeps every class in full.
     """
     classes, lines = [], []
     for cls in recurrent:
-        if labels is None:
+        if chain is None:
             members = cls.tolist()
             one, many = f"index {cls[0]}", f"indices {_span(cls[0], cls[-1])}"
         else:
-            own = labels[cls]
+            own = chain.states[cls]
             members = [tuple(state) for state in own.tolist()]
             (i0, j0), (i1, j1) = own.min(axis=0), own.max(axis=0)
-            one, many = str(members[0]), f"orders {_span(i0, i1)}, ready {_span(j0, j1)}"
+            one = (f"{members[0]}, ready {j0} orders {i0} with probability "
+                   f"{chain.horizontal[j0 - 1, i0 - 1]:.6g}")
+            many = f"orders {_span(i0, i1)}, ready {_span(j0, j1)}"
         classes.append(members)
         lines.append(f"  1 state: {one}" if cls.size == 1 else f"  {cls.size} states: {many}")
     return NonErgodicError(
@@ -362,14 +421,14 @@ def _non_ergodic(recurrent: list, labels) -> NonErgodicError:
 
 
 def _solve_single_class(source: np.ndarray, target: np.ndarray, probability: np.ndarray,
-                        n: int, labels=None) -> tuple:
+                        n: int, chain=None) -> tuple:
     """Stationary vector of a checked row-stochastic chain on n states,
     given as its transitions source[e] -> target[e] with positive chance
     probability[e], each (source, target) pair once; also the size of its
     recurrent class and the residual max |P^T pi - pi|.
 
     The transition graph is analysed once.  More than one recurrent class
-    raises NonErgodicError, summarising each class through labels;
+    raises NonErgodicError, summarising each class through chain's states;
     transient states get zero mass.  On the single recurrent class R the
     balance system (P_RR^T - I) pi = 0, with its first equation replaced
     by sum(pi) = 1, is filled densely and solved by LU: about 16 r^2
@@ -379,7 +438,7 @@ def _solve_single_class(source: np.ndarray, target: np.ndarray, probability: np.
     """
     recurrent = _recurrence_structure(source, target, n)
     if len(recurrent) > 1:
-        raise _non_ergodic(recurrent, labels)
+        raise _non_ergodic(recurrent, chain)
 
     states = recurrent[0]
     r = states.size
@@ -471,7 +530,7 @@ class StationaryDistribution:
 def stationary_distribution(chain: ClusterChain) -> StationaryDistribution:
     """Solve the chain; non-unique answers give each class's order and ready ranges."""
     pi, n_recurrent, residual = _solve_single_class(
-        chain.source, chain.target, chain.probability, chain.n_states, chain.states)
+        chain.source, chain.target, chain.probability, chain.n_states, chain)
     marginal = np.bincount(chain.states[:, 1] - 1, weights=pi, minlength=chain.n_max)
     return StationaryDistribution(pi=pi, states=chain.states, marginal_ready=marginal,
                                   n_transient=chain.n_max ** 2 - n_recurrent,

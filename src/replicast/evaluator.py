@@ -46,7 +46,14 @@ class OrderDistribution:
 
 
 def order_probabilities(dist: GaussianDist, target_value: float, n_max: int) -> OrderDistribution:
-    """P[ordered count = i] for i in 1..n_max under the given metric law.
+    """P[ordered count = i] for i in 1..n_max under the given metric law."""
+    return OrderDistribution(order_rows(np.array([dist.mean]), np.array([dist.std]),
+                                        target_value, n_max)[0])
+
+
+def order_rows(mean: np.ndarray, std: np.ndarray, target_value: float, n_max: int) -> np.ndarray:
+    """Row r holds P[ordered count = i] for i in 1..n_max under the law
+    N(mean[r], std[r]) of a checked GaussianDist.
 
     probs[0] = F(tv); probs[i] = F((i+1)tv) - F(i tv); the top bin takes
     the upper tail 1 - F((n_max-1) tv), which also covers every ceiling
@@ -61,20 +68,23 @@ def order_probabilities(dist: GaussianDist, target_value: float, n_max: int) -> 
             and target_value > 0):
         raise ValidationError(f"target_value must be a finite number > 0, got {target_value!r}")
     if n_max == 1:
-        return OrderDistribution(np.ones(1))
-    probs = np.empty(n_max, dtype=np.float64)
+        return np.ones((mean.size, 1))
     # F(i tv) for i in 1..n_max-1: the erfc arguments in one numpy pass,
-    # each the same correctly rounded operations as GaussianDist.cdf, so
-    # the values match it bit for bit.
-    z = (dist.mean - np.arange(1, n_max) * target_value) / (dist.std * math.sqrt(2.0))
-    cdf_vals = 0.5 * np.array([math.erfc(v) for v in z.tolist()])
-    probs[0] = cdf_vals[0]
-    probs[1:-1] = np.diff(cdf_vals)
-    probs[-1] = 1.0 - cdf_vals[-1]
+    # each the same correctly rounded operations as GaussianDist.cdf, and
+    # math.erfc on each (numpy has none with its bits), so the values
+    # match it bit for bit.
+    z = (mean[:, None] - np.arange(1, n_max) * target_value) / (std[:, None] * math.sqrt(2.0))
+    erfc = np.fromiter(map(math.erfc, z.flat), dtype=np.float64, count=z.size)
+    # F(0 tv) taken as 0 and F(n_max tv) as 1, so that the differences
+    # give every bin, the bottom and top ones included
+    cdf = np.empty((mean.size, n_max + 1))
+    cdf[:, 0], cdf[:, -1] = 0.0, 1.0
+    np.multiply(0.5, erfc.reshape(z.shape), out=cdf[:, 1:-1])
+    probs = cdf[:, 1:] - cdf[:, :-1]
     # CDF differences can go epsilon-negative deep in a tail.
     np.clip(probs, 0.0, None, out=probs)
-    total = float(probs.sum())
-    if not math.isfinite(total) or total <= 0:
+    total = probs.sum(axis=1, keepdims=True)
+    if not np.all(np.isfinite(total) & (total > 0)):
         raise ValidationError("degenerate order distribution")
     probs /= total
-    return OrderDistribution(probs)
+    return probs

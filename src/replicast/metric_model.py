@@ -49,15 +49,30 @@ class GaussianDist:
 
 
 def mean_of_positive_part(dist: GaussianDist) -> float:
-    """E[max(X, 0)] for X ~ dist, in closed form.
+    """E[max(X, 0)] for X ~ dist, in closed form (positive_part_means)."""
+    return float(positive_part_means(np.array([dist.mean]), np.array([dist.std]))[0])
+
+
+@np.errstate(over="ignore")
+def positive_part_means(mean: np.ndarray, std: np.ndarray) -> np.ndarray:
+    """E[max(X, 0)] for each X ~ N(mean[r], std[r]) of a checked
+    GaussianDist, in closed form.
 
     mu*Phi(mu/sigma) + sigma*phi(mu/sigma); always >= max(mean, 0) and
-    approaches the mean from above as mean/std grows.
+    approaches the mean from above as mean/std grows.  exp and erfc are
+    math's, one call per entry (numpy has neither with their bits), so
+    each value is that of the scalar formula.
     """
-    z = dist.mean / dist.std
-    phi = _INV_SQRT_2PI * math.exp(-0.5 * z * z) if abs(z) < 40.0 else 0.0
-    big_phi = 0.5 * math.erfc(-z / _SQRT2)
-    return dist.mean * big_phi + dist.std * phi
+    z = mean / std
+    near = np.abs(z) < 40.0
+    w = np.where(near, z, 0.0)
+    phi = np.where(near, _INV_SQRT_2PI * _each(math.exp, -0.5 * w * w), 0.0)
+    big_phi = 0.5 * _each(math.erfc, -z / _SQRT2)
+    return mean * big_phi + std * phi
+
+
+def _each(fn, x: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(fn, x.tolist()), dtype=np.float64, count=x.size)
 
 
 def _check_coefficients(model, what: str) -> None:
@@ -96,11 +111,13 @@ class MetricModel:
             raise ValidationError(f"metric_kind must be one of {METRIC_KINDS}, got {self.metric_kind!r}")
         _check_coefficients(self, "metric model")
 
-    def mean_at(self, rho: float) -> float:
+    def mean_at(self, rho):
         return self.mean_linear * rho + self.mean_quadratic * rho * rho
 
-    def std_at(self, rho: float) -> float:
-        return max(self.std_intercept + self.std_slope * rho, STD_FLOOR)
+    def std_at(self, rho):
+        # no traffic, no spread: at rho = 0 the floor, not the intercept
+        spread = np.maximum(self.std_intercept + self.std_slope * rho, STD_FLOOR)
+        return np.where(rho == 0.0, STD_FLOOR, spread)
 
     def to_dict(self) -> dict:
         return {
@@ -137,11 +154,7 @@ def observed_value_distribution(model: MetricModel, rho: float) -> GaussianDist:
     """
     if not (math.isfinite(rho) and rho >= 0):
         raise ValidationError(f"rho must be finite and >= 0, got {rho!r}")
-    if rho == 0.0:
-        # No traffic means a degenerate metric: exactly zero, not the
-        # fitted spread intercept.
-        return GaussianDist(0.0, STD_FLOOR)
-    return GaussianDist(model.mean_at(rho), model.std_at(rho))
+    return GaussianDist(model.mean_at(rho), float(model.std_at(rho)))
 
 
 def _solve_normal_equations(design: np.ndarray, y: np.ndarray) -> np.ndarray:

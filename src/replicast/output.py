@@ -13,12 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ProfilingTrace
+from .config import ProfilingTrace, _require
 from .cluster import ClusterChain, StationaryDistribution
 from .errors import FitRejectedError, InsufficientDataError, ValidationError
-from .metric_model import (MetricModel, _check_blocks, _check_coefficients,
-                           fit_polynomial_terms, fit_quality, mean_of_positive_part,
-                           observed_value_distribution, quadratic_min_on_interval)
+from .metric_model import (GaussianDist, MetricModel, _check_blocks, _check_coefficients,
+                           fit_polynomial_terms, fit_quality, positive_part_means,
+                           quadratic_min_on_interval)
 
 
 @dataclass(frozen=True)
@@ -159,14 +159,18 @@ def steady_state_report(stationary: StationaryDistribution, chain: ClusterChain,
     how far the prediction leans on extrapolation.
     """
     lam = chain.arrival_rate
-    if not (math.isfinite(window_s) and window_s > 0):
-        raise ValidationError(f"window_s must be > 0, got {window_s!r}")
+    _require(math.isfinite(window_s) and window_s > 0, f"window_s must be > 0, got {window_s!r}")
+    _require(math.isfinite(lam) and lam >= 0, f"arrival_rate must be finite and >= 0, got {lam!r}")
     fitted_reach = min(model.rho_max, rtf.rho_max)
-    rates = [lam / j for j in range(1, chain.n_max + 1)]
-    rt = np.array([rtf.at(rho) for rho in rates])
-    conc = np.array([mean_of_positive_part(observed_value_distribution(model, rho))
-                     for rho in rates])
-    extrapolated = np.array([rho > fitted_reach * (1.0 + 1e-12) for rho in rates])
+    rho = lam / np.arange(1, chain.n_max + 1)
+    rt = rtf.at(rho)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, std = model.mean_at(rho), model.std_at(rho)
+    if not (np.isfinite(mean).all() and np.isfinite(std).all()):
+        for m, s in zip(mean.tolist(), std.tolist()):
+            GaussianDist(m, s)  # raises for the first law that is not one
+    conc = positive_part_means(mean, std)
+    extrapolated = rho > fitted_reach * (1.0 + 1e-12)
     marginal = stationary.marginal_ready
     return SteadyStateReport(
         arrival_rate=lam,

@@ -5,8 +5,12 @@ the matrix exponential is Taylor series with repeated squaring of the
 provisioning process's rate matrix (the package uses the closed-form
 binomial law), the stationary oracle is plain power iteration (the
 package solves a linear system), the order-probability oracle is Monte
-Carlo, the positive-part expectation is adaptive quadrature (the package
-uses the closed form), the recurrent classes come from scipy's strongly
+Carlo, the order vectors are built one ready count and one threshold at
+a time through the scalar API (the package evaluates every ready count
+in one array pass), the binomial tables are built one at a time (the
+package fills both in one loop), the positive-part expectation is adaptive quadrature (the package
+uses the closed form) and the closed form one Python float at a time
+(the package evaluates every ready count in one array pass), the recurrent classes come from scipy's strongly
 connected components (the package searches forward and backward
 closures), and the chain's matrix is assembled densely over all n_max^2
 states, one Kronecker row per state (the package assembles a list of
@@ -30,6 +34,7 @@ from scipy.sparse.csgraph import connected_components
 
 from replicast._kernels import MT_RPS, WL_INFINITE_DET, WL_SHARING_EXP
 from replicast.errors import ValidationError
+from replicast.metric_model import GaussianDist, observed_value_distribution
 
 # The reference event loop's random block size and sentinel.
 _BLOCK = 4096
@@ -96,6 +101,57 @@ def mc_order_probs(mean: float, std: float, tv: float, n_max: int,
     orders = np.clip(np.ceil(x / tv), 1, n_max).astype(np.int64)
     counts = np.bincount(orders, minlength=n_max + 1)[1:]
     return counts / float(n_samples)
+
+
+def scalar_cdf_probs(dist, tv: float, n_max: int) -> np.ndarray:
+    """order_probabilities with one scalar GaussianDist.cdf call per order."""
+    cdf = np.array([dist.cdf(i * tv) for i in range(1, n_max)])
+    p = np.empty(n_max)
+    p[0] = cdf[0]
+    p[1:-1] = np.diff(cdf)
+    p[-1] = 1.0 - cdf[-1]
+    np.clip(p, 0.0, None, out=p)
+    return p / p.sum()
+
+
+def reference_horizontal(arrival_rate: float, model, cfg) -> np.ndarray:
+    """The chain's order vectors, one ready count j at a time: the scalar
+    per-container law at rate arrival_rate / j, its aggregate
+    GaussianDist(j * mean, sqrt(j) * std) and one cdf call per threshold."""
+    n = cfg.n_max
+    out = np.empty((n, n))
+    for j in range(1, n + 1):
+        per = observed_value_distribution(model, arrival_rate / j)
+        dist = GaussianDist(j * per.mean, math.sqrt(j) * per.std)
+        out[j - 1] = scalar_cdf_probs(dist, cfg.target_value, n) if n > 1 else 1.0
+    return out
+
+
+def binomial_rows(k_max: int, success: float, failure: float) -> np.ndarray:
+    """Row k holds the Binomial(k, success) pmf over 0..k, by Pascal's rule."""
+    rows = np.zeros((k_max + 1, k_max + 1))
+    rows[0, 0] = 1.0
+    for k in range(1, k_max + 1):
+        rows[k, :k] = failure * rows[k - 1, :k]
+        rows[k, 1:k + 1] += success * rows[k - 1, :k]
+    return rows
+
+
+def reference_vertical_law(cfg) -> tuple:
+    """The (arrive, stay) binomial tables, each built by its own loop."""
+    n, t = cfg.n_max, cfg.t_eva_s
+    arrive = binomial_rows(n - 1, -math.expm1(-cfg.mu_pro * t), math.exp(-cfg.mu_pro * t))
+    stay = binomial_rows(n - 1, math.exp(-cfg.mu_dep * t), -math.expm1(-cfg.mu_dep * t))
+    return arrive, stay
+
+
+def scalar_positive_mean(mean: float, std: float) -> float:
+    """E[max(X, 0)] for X ~ N(mean, std) by the closed form on Python
+    floats, one law at a time."""
+    z = mean / std
+    phi = (1.0 / math.sqrt(2.0 * math.pi)) * math.exp(-0.5 * z * z) if abs(z) < 40.0 else 0.0
+    big_phi = 0.5 * math.erfc(-z / math.sqrt(2.0))
+    return mean * big_phi + std * phi
 
 
 def quad_positive_mean(mean: float, std: float) -> float:

@@ -8,6 +8,7 @@ import os
 import statistics
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 from scipy.special import stdtrit
 
 import replicast as rc
-from oracles import dense_block
+from oracles import dense_block, reference_horizontal
 from replicast import cli
 
 
@@ -23,6 +24,17 @@ from replicast import cli
 def bundle_path(tmp_path_factory, ref_bundle):
     path = tmp_path_factory.mktemp("bundle") / "model.json"
     rc.save_bundle(ref_bundle, path)
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def curved_bundle_path(tmp_path_factory, ref_bundle):
+    """The reference bundle with the README model's negative quadratic,
+    whose mean overflows to -inf at 1e300 req/s."""
+    data = ref_bundle.to_dict()
+    data["metric_model"]["mean_coefficients"]["quadratic"] = -0.000318799996863102
+    path = tmp_path_factory.mktemp("curved") / "model.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
     return str(path)
 
 
@@ -157,6 +169,27 @@ class TestPredict:
             assert gone not in explain
         assert "per_state" not in payload and "per_ready" not in payload
 
+    def test_explain_is_compact_and_the_plain_report_indented(self, tmp_path, bundle_path,
+                                                              capsys):
+        # --explain holds n_max^2 numbers and more, so it is written compactly
+        # by json's C encoder; the plain report keeps its indented layout, and
+        # both carry the same report
+        cfg = autoscaler_file(tmp_path, target_value=2.0, n_max=5)
+        argv = ["predict", "--model", bundle_path, "--config", cfg, "--arrival-rate", "12"]
+        out = tmp_path / "explain.json"
+        assert cli.main(argv) == 0
+        plain = capsys.readouterr().out
+        assert cli.main(argv + ["--explain", "--out", str(out)]) == 0
+        explained = capsys.readouterr().out
+        assert plain == json.dumps(json.loads(plain), indent=2, sort_keys=True) + "\n"
+        payload = json.loads(explained)
+        assert explained == json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+        assert out.read_text(encoding="utf-8") == explained
+        assert payload.pop("explain")["order_distributions"]["2"] == rc.build_chain(
+            12.0, rc.load_bundle(bundle_path).metric,
+            rc.load_autoscaler_config(cfg)).horizontal[1].tolist()
+        assert payload == json.loads(plain)
+
     def test_explain_is_a_complete_chain(self, tmp_path, bundle_path, capsys):
         # from the JSON alone: the transitions rebuild a row-stochastic
         # matrix on states whose fixed point is the stationary vector, and
@@ -194,6 +227,26 @@ class TestPredict:
         assert code == 1
         assert "arrival_rate must be finite and > 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("explain", [[], ["--explain"]])
+    def test_non_finite_metric_exits_one_with_the_scalar_error(self, tmp_path,
+                                                               curved_bundle_path, capsys,
+                                                               explain):
+        # at 1e300 req/s the fitted quadratic overflows: the error is the
+        # one the scalar law raises at the first ready count, and no numpy
+        # warning leaks
+        cfg = autoscaler_file(tmp_path, target_value=2.0, n_max=6)
+        with pytest.raises(rc.ValidationError) as want:
+            reference_horizontal(1e300, rc.load_bundle(curved_bundle_path).metric,
+                                 rc.load_autoscaler_config(cfg))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["predict", "--model", curved_bundle_path, "--config", cfg,
+                             "--arrival-rate", "1e300", *explain])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {want.value}\n"
+        assert "mean must be finite, got -inf" in captured.err and captured.out == ""
+
     def test_metric_kind_mismatch_exits_one(self, tmp_path, bundle_path, capsys):
         cfg = tmp_path / "rps.json"
         rc.save_autoscaler_config(
@@ -206,16 +259,18 @@ class TestPredict:
 
     def test_metric_kind_mismatch_rejected_before_chain_work(self, tmp_path, bundle_path,
                                                              capsys, monkeypatch):
-        calls = []
-        monkeypatch.setattr(rc.cluster, "horizontal_transition_probs",
-                            lambda *args: calls.append(args))
+        def chain_work(*args):
+            raise AssertionError("chain work ran before the metric-kind check")
+
+        # the two factors build_chain makes before it assembles the chain
+        for name in ("_horizontal_rows", "_vertical_law"):
+            monkeypatch.setattr(rc.cluster, name, chain_work)
         cfg = tmp_path / "rps.json"
         rc.save_autoscaler_config(
             rc.AutoscalerConfig(metric_kind="rps", target_value=2.0, n_max=200), cfg)
         code = cli.main(["predict", "--model", bundle_path, "--config", str(cfg),
                          "--arrival-rate", "10"])
         assert code == 1
-        assert calls == []
 
     def test_numerical_failures_exit_two(self, tmp_path, bundle_path, capsys,
                                          monkeypatch):
@@ -329,6 +384,23 @@ class TestSweep:
         assert len(failed) == 2
         assert all("solver stalled" in row[5] for row in failed)
         assert all(row[2] == "" for row in failed)
+
+    def test_non_finite_metric_lands_in_error_column(self, tmp_path, curved_bundle_path,
+                                                     capsys):
+        cfg = rc.AutoscalerConfig(metric_kind="cc", target_value=2.0, n_max=4)
+        with pytest.raises(rc.ValidationError) as want:
+            reference_horizontal(1e300, rc.load_bundle(curved_bundle_path).metric, cfg)
+        spec = self.sweep_spec(tmp_path, [10.0, 1e300], [2.0])
+        out = tmp_path / "sweep.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["sweep", "--model", curved_bundle_path, "--spec", spec,
+                             "--out", str(out)])
+        assert code == 0
+        with open(out, newline="", encoding="utf-8") as fh:
+            ok, failed = list(csv.reader(fh))[1:]
+        assert ok[0] == "10.0" and ok[5] == "" and float(ok[2]) >= 1.0
+        assert failed == ["1e+300", "2.0", "", "", "", str(want.value)]
 
     @pytest.mark.parametrize("fixed,named", [
         ({"metric_kind": "cc", "n_max": 4, "burst": 2}, "burst"),
@@ -506,6 +578,23 @@ class TestFlags:
             for name, p in sub.choices.items()}
         assert declared == {name: flags for name, (flags, _) in COMMAND_FLAGS.items()}
         assert sum(len(flags) for flags in declared.values()) == 24
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+    def test_a_named_command_gets_its_subparser_alone(self, command):
+        sub = next(a for a in cli.build_parser(command)._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert list(sub.choices) == [command]
+        declared = {opt for action in sub.choices[command]._actions
+                    for opt in action.option_strings if opt not in ("-h", "--help")}
+        assert declared == COMMAND_FLAGS[command][0]
+
+    def test_a_first_word_that_names_no_command_lists_them_all(self, capsys):
+        assert cli.main(["predik"]) == 1
+        assert ("invalid choice: 'predik' (choose from 'fit', 'predict', 'sweep', "
+                "'simulate', 'compare')") in capsys.readouterr().err
+        assert cli.main(["--help"]) == 0
+        out = capsys.readouterr().out
+        assert all(f"    {name}" in out for name in COMMAND_FLAGS)
 
     @pytest.mark.parametrize("command,flag", [
         (command, flag) for command, (flags, _) in COMMAND_FLAGS.items()

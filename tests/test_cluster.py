@@ -6,12 +6,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 from scipy.stats import norm
 
 import replicast as rc
 from oracles import (build_rate_matrix, dense_block, dense_chain_matrix,
                      power_iteration_pi, random_stochastic_matrix, recurrent_classes,
-                     recurrent_state_count, taylor_expm)
+                     recurrent_state_count, reference_horizontal, reference_vertical_law,
+                     taylor_expm)
 
 
 def make_cfg(n_max=3, target_value=1.0, **overrides):
@@ -199,6 +201,81 @@ class TestHorizontalProbs:
             assert np.allclose(h, want, atol=1e-15)
 
 
+LIFECYCLES = [(1.0, 2.0, 2.0), (0.05, 0.1, 0.7), (30.0, 30.0, 9.0)]
+
+
+class TestOnePassFactors:
+    """build_chain's order vectors, made for every ready count in one array
+    pass, and its binomial tables, filled in one loop, equal the
+    per-ready-count and per-table builds bit for bit."""
+
+    @given(lam=st.one_of(st.floats(5e-324, 1e-300), st.floats(1e-3, 1e4)),
+           a1=st.floats(0.0, 2.0), a2=st.floats(-0.02, 0.02),
+           b0=st.floats(0.0, 2.0), b1=st.floats(-0.5, 0.5),
+           tv=st.floats(0.05, 20.0), n_max=st.integers(1, 60))
+    # a subnormal rate: every rho but the first underflows to 0
+    @example(lam=5e-324, a1=0.2, a2=0.0, b0=0.5, b1=0.1, tv=1.0, n_max=8)
+    # a negative quadratic: the mean is negative at small ready counts
+    @example(lam=5000.0, a1=0.2, a2=-0.01, b0=0.1, b1=0.02, tv=2.0, n_max=60)
+    # a negative spread slope that reaches STD_FLOOR
+    @example(lam=400.0, a1=0.2, a2=0.0, b0=0.5, b1=-0.5, tv=2.0, n_max=40)
+    @example(lam=3.0, a1=0.2, a2=0.0, b0=0.5, b1=0.1, tv=1.0, n_max=1)
+    def test_horizontal_equals_scalar_oracle(self, lam, a1, a2, b0, b1, tv, n_max):
+        mm = make_mm(a1, a2, b0, b1)
+        cfg = make_cfg(n_max=n_max, target_value=tv)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            chain = rc.build_chain(lam, mm, cfg)
+        assert np.array_equal(chain.horizontal, reference_horizontal(lam, mm, cfg))
+
+    def test_examples_reach_the_floor_rules(self):
+        # the examples above do reach the rules they name
+        assert 5e-324 / 2 == 0.0
+        assert make_mm(0.2, 0.0, 0.5, -0.5).std_at(400.0 / 3) == rc.STD_FLOOR
+        assert make_mm(0.2, -0.01).mean_at(5000.0) < 0
+
+    def test_single_ready_count_is_a_row_of_the_chain(self):
+        mm, cfg = make_mm(0.3, 0.001, 0.05, 0.01), make_cfg(n_max=7, target_value=2.0)
+        chain = rc.build_chain(12.0, mm, cfg)
+        for j in range(1, 8):
+            assert np.array_equal(rc.horizontal_transition_probs(j, 12.0, mm, cfg),
+                                  chain.horizontal[j - 1])
+
+    @pytest.mark.parametrize("n_max", [1, 2, 7, 60])
+    @pytest.mark.parametrize("mu_pro, mu_dep, t_eva", LIFECYCLES + [(1e-18, 40.0, 2.0)])
+    def test_vertical_tables_equal_per_table_pascal(self, n_max, mu_pro, mu_dep, t_eva):
+        cfg = make_cfg(n_max=n_max, mu_pro=mu_pro, mu_dep=mu_dep, t_eva_s=t_eva)
+        got, want = rc.cluster._vertical_law(cfg), reference_vertical_law(cfg)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_one_lifecycle_shares_its_read_only_tables(self):
+        # the points of a sweep differ in rate and target, not lifecycle
+        arrive, stay = rc.cluster._vertical_law(make_cfg(n_max=6, target_value=2.0))
+        again = rc.cluster._vertical_law(make_cfg(n_max=6, target_value=5.0))
+        assert again[0] is arrive and again[1] is stay
+        assert not arrive.flags.writeable and not stay.flags.writeable
+        other = make_cfg(n_max=6, target_value=2.0, mu_pro=0.05)
+        got = rc.cluster._vertical_law(other)
+        assert got[0] is not arrive
+        assert all(np.array_equal(g, w) for g, w in zip(got, reference_vertical_law(other)))
+
+    @pytest.mark.parametrize("lam, mm", [
+        (1e300, make_mm(0.2, -0.001, 0.1, 0.01)),    # the quadratic overflows to -inf
+        (1e300, make_mm(0.2, 0.001, 0.1, 0.01)),     # ... and to +inf
+        (1e10, make_mm(0.2, 0.0, 0.1, 1e300)),       # finite mean, infinite spread
+        (1e300, make_mm(1e10, -1e10, 0.1, 0.0)),     # inf - inf: a mean of nan
+    ])
+    def test_non_finite_law_raises_the_scalar_error(self, lam, mm):
+        cfg = make_cfg(n_max=6, target_value=2.0)
+        with pytest.raises(rc.ValidationError) as want:
+            reference_horizontal(lam, mm, cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(rc.ValidationError) as got:
+                rc.build_chain(lam, mm, cfg)
+        assert str(got.value) == str(want.value)
+
+
 class TestAggregateControlLaw:
     def test_chain_orders_offered_load_over_target(self):
         # the same point the simulator pins: the aggregate mean 0.2 * 35 = 7
@@ -210,9 +287,6 @@ class TestAggregateControlLaw:
         st = rc.stationary_distribution(chain)
         assert st.marginal_ready.argmax() == 3
         assert float(st.marginal_ready @ np.arange(1, 11)) == pytest.approx(4.0, abs=0.1)
-
-
-LIFECYCLES = [(1.0, 2.0, 2.0), (0.05, 0.1, 0.7), (30.0, 30.0, 9.0)]
 
 
 class TestChainAssembly:
@@ -339,6 +413,29 @@ class TestChainAssembly:
         assert np.all(np.delete(want, keys) == 0.0)
         assert st.n_transient == n_max ** 2 - recurrent_state_count(full)
         assert np.max(np.abs(st.marginal_ready - want.reshape(n_max, n_max).sum(axis=0))) <= 1e-14
+
+    @pytest.mark.parametrize("batch", [1, 200, rc.cluster._ASSEMBLY_BATCH])
+    @pytest.mark.parametrize("trapped", [False, True])
+    def test_batches_of_ready_counts_give_one_pass_transitions(self, monkeypatch, batch,
+                                                               trapped):
+        # _assemble takes the ready counts in runs of bounded size; any
+        # split gives the transitions, in order, of one run over them all,
+        # trapped ready counts (every j orders 3, nothing arrives) included
+        if trapped:
+            arrive, _ = still_tables(4)
+            horizontal = np.zeros((4, 4))
+            horizontal[:, 2] = 1.0
+            factors = (horizontal, arrive, rc.cluster._vertical_law(make_cfg(n_max=4))[1])
+            assert rc.cluster._trapping_ready_counts(*factors, 3, 3).tolist() == [1, 2]
+        else:
+            chain = rc.build_chain(200.0, make_mm(0.2, 0.0, 0.1, 0.02),
+                                   make_cfg(n_max=50, target_value=2.0))
+            factors = (chain.horizontal, chain.arrive, chain.stay)
+        monkeypatch.setattr(rc.cluster, "_ASSEMBLY_BATCH", 1 << 62)
+        whole = rc.cluster._assemble(*factors)
+        monkeypatch.setattr(rc.cluster, "_ASSEMBLY_BATCH", batch)
+        split = rc.cluster._assemble(*factors)
+        assert all(np.array_equal(s, w) for s, w in zip(split, whole))
 
     def test_assembly_never_builds_the_dense_matrix(self):
         # at n_max 50 the dense matrix alone is 2500^2 doubles, 50 MB
@@ -558,6 +655,28 @@ class TestStationarySolve:
         assert "(1, 1)" in str(exc.value)
         assert "(2, 2)" in str(exc.value)
         assert sorted(exc.value.recurrent_classes) == [[(j, j)] for j in range(1, 5)]
+
+    def test_absorbing_state_names_its_cause(self):
+        # the mean rho - 0.01 rho^2 is -200 at rho 200, so with one ready
+        # container the aggregate orders 1 and (1, 1) absorbs: the message
+        # says so, read from the chain's order vector at ready count 1
+        mm = make_mm(1.0, -0.01, 0.05, 0.0)
+        chain = rc.build_chain(200.0, mm, make_cfg(n_max=8, target_value=23.0))
+        assert chain.horizontal[0, 0] == 1.0
+        with pytest.raises(rc.NonErgodicError) as exc:
+            rc.stationary_distribution(chain)
+        lines = str(exc.value).splitlines()
+        assert "  1 state: (1, 1), ready 1 orders 1 with probability 1" in lines
+        assert [(1, 1)] in exc.value.recurrent_classes
+        # a ready count trapped below its order names the order it keeps
+        arrive, stay = still_tables(3)
+        horizontal = np.zeros((3, 3))
+        horizontal[:, 2] = 1.0
+        chain = rc.ClusterChain(n_max=3, arrival_rate=1.0, horizontal=horizontal,
+                                arrive=arrive, stay=stay)
+        with pytest.raises(rc.NonErgodicError) as exc:
+            rc.stationary_distribution(chain)
+        assert "1 state: (3, 1), ready 1 orders 3 with probability 1" in str(exc.value)
 
     def test_trapped_ready_counts_name_their_classes(self):
         # every j orders 3 with certainty, nothing arrives, surplus drains:

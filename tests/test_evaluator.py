@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 import replicast as rc
-from oracles import mc_order_probs
+from oracles import mc_order_probs, scalar_cdf_probs
 
 
 def probs(mean, std, tv, n_max):
@@ -108,17 +108,6 @@ class TestMonteCarloAgreement:
         phat = mc_order_probs(mean, std, tv, n_max, n, seed)
         se = np.sqrt(np.maximum(p * (1.0 - p), 1e-12) / n)
         assert np.all(np.abs(phat - p) <= 3.0 * se + 1e-9)
-
-
-def scalar_cdf_probs(dist, tv, n_max):
-    """order_probabilities with one scalar GaussianDist.cdf call per order."""
-    cdf = np.array([dist.cdf(i * tv) for i in range(1, n_max)])
-    p = np.empty(n_max)
-    p[0] = cdf[0]
-    p[1:-1] = np.diff(cdf)
-    p[-1] = 1.0 - cdf[-1]
-    np.clip(p, 0.0, None, out=p)
-    return p / p.sum()
 
 
 class TestVectorCdf:

@@ -1,14 +1,15 @@
 """Gaussian metric map: distribution math and trace fitting."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from scipy.stats import norm
 
 import replicast as rc
-from oracles import quad_positive_mean
+from oracles import quad_positive_mean, scalar_positive_mean
 
 from conftest import REF_MEAN_SERVICE_S, REF_PROFILE_RATES
 
@@ -66,6 +67,21 @@ class TestPositivePartMean:
         val = rc.mean_of_positive_part(rc.GaussianDist(mean, std))
         assert val == pytest.approx(quad_positive_mean(mean, std), abs=1e-9)
 
+    @given(st.lists(st.tuples(st.floats(-1e308, 1e308), st.floats(rc.STD_FLOOR, 1e300)),
+                    min_size=1, max_size=30))
+    @example([(0.0, 1.0), (-0.0, 1.0), (40.0, 1.0), (-40.0, 1.0), (39.999999, 1.0),
+              (1e308, rc.STD_FLOOR), (-1e308, rc.STD_FLOOR), (3.0, 1e300)])
+    def test_array_pass_equals_the_scalar_formula(self, laws):
+        # every entry has the bits of the closed form on Python floats,
+        # z = mean / std overflowing and |z| >= 40 included, and no warning
+        mean, std = (np.array(col) for col in zip(*laws))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = rc.metric_model.positive_part_means(mean, std)
+        want = [scalar_positive_mean(m, s) for m, s in laws]
+        assert np.array_equal(got, want)
+        assert [rc.mean_of_positive_part(rc.GaussianDist(m, s)) for m, s in laws] == want
+
     @given(st.floats(-100, 100), st.floats(1e-6, 50))
     def test_bounds(self, mean, std):
         val = rc.mean_of_positive_part(rc.GaussianDist(mean, std))
@@ -87,6 +103,19 @@ class TestObservedValueDistribution:
     def test_negative_rho_rejected(self):
         with pytest.raises(rc.ValidationError):
             rc.observed_value_distribution(make_mm(), -1.0)
+
+    @given(st.floats(-1.0, 1.0), st.floats(-0.05, 0.05), st.floats(0.0, 2.0),
+           st.floats(-1.0, 1.0), st.one_of(st.just(0.0), st.floats(0.0, 1e4)))
+    def test_equals_the_plain_float_law(self, a1, a2, b0, b1, rho):
+        # the law as written before it took arrays: Python floats and max()
+        want = ((0.0, rc.STD_FLOOR) if rho == 0.0
+                else (a1 * rho + a2 * rho * rho, max(b0 + b1 * rho, rc.STD_FLOOR)))
+        mm = make_mm(a1, a2, b0, b1)
+        d = rc.observed_value_distribution(mm, rho)
+        assert (d.mean, d.std) == want and type(d.std) is float
+        # and element for element on an array of rates
+        rates = np.array([rho, 0.0, rho / 3])
+        assert mm.std_at(rates).tolist() == [float(mm.std_at(r)) for r in rates.tolist()]
 
     def test_deterministic(self):
         a = rc.observed_value_distribution(make_mm(), 7.3)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -182,6 +183,38 @@ class TestSteadyStateReport:
         assert diagnostics["n_transient"] == st.n_transient
         assert diagnostics["recurrent_states"] == cfg.n_max ** 2 - st.n_transient
         assert diagnostics["closed_states"] == chain.n_states
+
+    @pytest.mark.parametrize("lam", [-1.0, math.nan, math.inf])
+    def test_hand_built_chain_needs_a_valid_arrival_rate(self, lam):
+        # build_chain checks the rate; a chain built by hand is checked
+        # when its per-ready-count table is made
+        chain = rc.build_chain(2.0, make_mm(), rc.AutoscalerConfig(
+            metric_kind="cc", target_value=1.0, n_max=2))
+        bad = rc.ClusterChain(n_max=2, arrival_rate=lam, horizontal=chain.horizontal,
+                              arrive=chain.arrive, stay=chain.stay)
+        st = _point_distribution(bad, {(1, 1): 1.0})
+        with pytest.raises(rc.ValidationError, match="arrival_rate must be finite and >= 0"):
+            rc.steady_state_report(st, bad, make_mm(), make_rtf())
+
+    @pytest.mark.parametrize("mm, want", [
+        (make_mm(0.2, 0.001), "mean must be finite, got inf"),
+        (make_mm(0.2, 0.0, 0.1, 1e300), "std must be >= 1e-06, got inf"),
+    ])
+    def test_report_with_a_law_that_is_not_one_raises_its_error(self, mm, want):
+        # a chain built at a sane rate, reported with another model whose
+        # law at rate 1e300 / j overflows: the error of that GaussianDist
+        chain = rc.build_chain(2.0, make_mm(), rc.AutoscalerConfig(
+            metric_kind="cc", target_value=1.0, n_max=2))
+        far = rc.ClusterChain(n_max=2, arrival_rate=1e300, horizontal=chain.horizontal,
+                              arrive=chain.arrive, stay=chain.stay)
+        st = _point_distribution(far, {(1, 1): 1.0})
+        with pytest.raises(rc.ValidationError) as scalar:
+            rc.GaussianDist(mm.mean_at(1e300), float(mm.std_at(1e300)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(rc.ValidationError) as exc:
+                rc.steady_state_report(st, far, mm, make_rtf())
+        assert str(exc.value) == str(scalar.value) == want
 
     def test_metric_kind_mismatch_rejected(self):
         # the one check runs in build_chain, before any chain work
