@@ -50,6 +50,15 @@ so each sum has the bits of a scalar ``+=`` per departure, which
 Under processor sharing the next departure depends on the busy count,
 so each departure is processed, and its response time summed, in turn.
 
+One infinite-server container (n_max 1) skips the loop.  Nothing is
+routed, the desired count always clamps to 1, so no provisioning event
+fires, and the container's in-flight count is its arrivals minus its
+departures.  ``_one_container`` draws the same blocks and builds the
+same queue order, then takes each monitor's sample from searchsorted
+counts, the window from a running sum of the integer samples, and the
+response-time sums from ``_fold``, all exact, so it returns the loop's
+result bit for bit.
+
 The ready containers are a list of slots in slot order, changed only at
 provisioning events: routing scans it for the least-loaded slot, and
 scale-down for the newest container.  A scaled-down container keeps its
@@ -90,6 +99,19 @@ def _arrival_times(arr_rng, lam, block, t_last):
     return np.cumsum(a, out=a)
 
 
+def _merge(times, rts, arr, svc_rng, wl_mean, deterministic):
+    """The pending departures (times, rts) and those of the block of
+    arrivals arr in one stable time order: their times, their response
+    times, and the order that sorted them (the pending jobs, then arr)."""
+    if deterministic:
+        dep = arr + wl_mean
+    else:
+        dep = arr + svc_rng.standard_exponential(arr.size) * wl_mean
+    times = np.concatenate((times, dep))
+    order = np.argsort(times, kind="stable")
+    return times[order], np.concatenate((rts, dep - arr))[order], order
+
+
 def _merge_departures(times, rts, q_slot, qh, arr, svc_rng, wl_mean, deterministic):
     """Departure queue of the pending jobs (times, rts, q_slot from qh on)
     and the block of arrivals arr: its times as a list and an array, its
@@ -99,19 +121,12 @@ def _merge_departures(times, rts, q_slot, qh, arr, svc_rng, wl_mean, determinist
     The block's jobs get slot -1 until they arrive.  The lists end with a
     sentinel whose time never fires.
     """
-    if deterministic:
-        dep = arr + wl_mean
-    else:
-        dep = arr + svc_rng.standard_exponential(arr.size) * wl_mean
     n_pend = times.size - qh
-    times = np.concatenate((times[qh:], dep))
-    order = np.argsort(times, kind="stable")
+    times, rts, order = _merge(times[qh:], rts[qh:], arr, svc_rng, wl_mean, deterministic)
     pos = np.empty_like(order)
     pos[order] = np.arange(order.size)
-    rts = np.concatenate((rts[qh:], dep - arr))[order]
     slots = np.concatenate((np.array(q_slot[qh:-1], dtype=np.int64),
                             np.full(arr.size, -1, dtype=np.int64)))[order]
-    times = times[order]
     ties = bool(np.any(times[1:] == times[:-1]))
     q_time = times.tolist()
     q_time.append(_INF)
@@ -157,12 +172,91 @@ def _fold(times, rts, qh, marks, warmup, sec_rt, sec_n, rt_sec, n_sec, rt_pw, n_
     return sums[-1], sizes[-1], rt_pw, n_pw + late.size
 
 
+def _one_container(rps, window_len, deterministic, wl_mean, lam, duration, warmup,
+                   arr_rng, svc_rng):
+    """run_simulation's result for one infinite-server container, one
+    arrival block at a time in numpy.
+
+    In-flight jobs are arrivals minus departures, and the queue order is
+    the stable time order of the departures, so the monitor's samples and
+    the folds follow from searchsorted counts.  Once a block's last
+    arrival a is drawn, every later job arrives and departs at or after
+    a: the monitors at or before a are final, and the departures at or
+    before it come before every later one.
+    """
+    times = rts = np.empty(0)
+    samples = []
+    sec_rt = []
+    sec_n = []
+    rt_sec = rt_pw = 0.0
+    n_sec = n_pw = 0
+    # Arrivals before the block, departures folded, monitors sampled and
+    # arrivals before the last of them.
+    arr_base = done = n_ticks = seen = 0
+    t_last = 0.0
+    while True:
+        arr = _arrival_times(arr_rng, lam, _BLOCK, t_last)
+        times, rts, _ = _merge(times, rts, arr, svc_rng, wl_mean, deterministic)
+        t_last = arr[-1].item()
+        stop = min(t_last, duration)
+        ticks = np.arange(n_ticks + 1, math.floor(stop) + 1, dtype=np.float64)
+        # A job departing at a tick leaves before the monitor if it arrived
+        # before it (response time > 0), and such jobs head the run of
+        # equal times.
+        marks = np.searchsorted(times, ticks)
+        ends = np.searchsorted(times, ticks, "right")
+        for i in np.flatnonzero(ends > marks):
+            marks[i] += np.count_nonzero(rts[marks[i]:ends[i]])
+        arrived = arr_base + np.searchsorted(arr, ticks)
+        if rps:
+            samples.append(np.diff(arrived, prepend=seen))
+            if ticks.size:
+                seen = arrived[-1]
+        else:
+            samples.append(arrived - done - marks)
+        qh = int(np.searchsorted(times, stop, "right"))
+        rt_sec, n_sec, rt_pw, n_pw = _fold(times, rts, qh, marks.tolist(), warmup,
+                                           sec_rt, sec_n, rt_sec, n_sec, rt_pw, n_pw)
+        times, rts = times[qh:], rts[qh:]
+        done += qh
+        n_ticks += ticks.size
+        if t_last > duration:
+            break
+        arr_base += _BLOCK
+
+    # The stable window: a running sum of the integer samples.
+    window = np.cumsum(np.concatenate(samples))
+    window[window_len:] -= window[:-window_len].copy()
+    tick_ov = (window / np.minimum(np.arange(1, n_ticks + 1), window_len)).tolist()
+    _second_means(sec_rt, sec_n, wl_mean)
+    # One container is ready from the start to the horizon.
+    area_replica = duration - warmup if duration > warmup else 0.0
+    arrivals = arr_base + int(np.searchsorted(arr, duration, "right"))
+    return ([1] * n_ticks, tick_ov, sec_rt, sec_n, area_replica, rt_pw, n_pw,
+            arrivals, done, arrivals - done)
+
+
+def _second_means(sec_rt, sec_n, wl_mean):
+    """Mean response time per second, in place of the sums; a second
+    without completions carries the last mean forward, the workload mean
+    before the first, and its count becomes the carried flag."""
+    last_rt = wl_mean
+    for i, n in enumerate(sec_n):
+        if n:
+            last_rt = sec_rt[i] / n
+        sec_rt[i] = last_rt
+        sec_n[i] = 0 if n else 1
+
+
 def run_simulation(metric_kind, tv, n_max, t_eva, window_len, mu_pro, mu_dep,
                    wl_kind, wl_mean, lam, duration, warmup, init_replicas,
                    arr_rng, svc_rng, prov_rng):
     sharing = wl_kind == WL_SHARING_EXP
     deterministic = wl_kind == WL_INFINITE_DET
     rps = metric_kind == MT_RPS
+    if n_max == 1 and not sharing:
+        return _one_container(rps, window_len, deterministic, wl_mean, lam, duration,
+                              warmup, arr_rng, svc_rng)
     block = _BLOCK
 
     # Random blocks: a stream refills when its index reaches the block
@@ -489,15 +583,7 @@ def run_simulation(metric_kind, tv, n_max, t_eva, window_len, mu_pro, mu_dep,
             times, rts, qh, marks, warmup, sec_rt, sec_n, rt_sum_sec, n_sec,
             rt_sum_pw, completions_pw)
 
-    # Mean response time per second, in place of the sums; a second
-    # without completions carries the last mean forward, the workload
-    # mean before the first, and its count becomes the carried flag.
-    last_rt = wl_mean
-    for i, n in enumerate(sec_n):
-        if n:
-            last_rt = sec_rt[i] / n
-        sec_rt[i] = last_rt
-        sec_n[i] = 0 if n else 1
+    _second_means(sec_rt, sec_n, wl_mean)
 
     # Close the replica-count integral at the horizon.
     if duration > warmup:

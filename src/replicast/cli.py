@@ -71,7 +71,9 @@ def cmd_predict(args) -> int:
     payload = {"schema_version": SCHEMA_VERSION, **report.to_dict()}
     if args.explain:
         # what the chain and the report hold, as they hold it: the
-        # transitions as positions into states, one value per ready count
+        # transitions as positions into states, one value per ready count,
+        # and the nonzero order probabilities of each ready count
+        ready, order = np.nonzero(chain.horizontal)
         payload["explain"] = {
             "states": chain.states.tolist(),
             "transitions": {name: getattr(chain, name).tolist()
@@ -83,8 +85,9 @@ def cmd_predict(args) -> int:
                 "extrapolated": report.ready_extrapolated.tolist(),
             },
             "order_distributions": {
-                str(j): chain.horizontal[j - 1].tolist()
-                for j in range(1, cfg.n_max + 1)
+                "ready": (ready + 1).tolist(),
+                "order": (order + 1).tolist(),
+                "probability": chain.horizontal[ready, order].tolist(),
             },
         }
     print(_dump_json(payload, args.out, indent=None if args.explain else 2))

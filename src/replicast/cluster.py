@@ -366,15 +366,17 @@ def _recurrence_structure(source: np.ndarray, target: np.ndarray, n: int) -> lis
     From a state v, its forward closure F is a recurrent class when every
     state of F reaches v back, that is when F lies in v's backward closure
     B; otherwise the search moves to a state of F outside B, whose forward
-    closure is smaller.  Once a class is found, every state that reaches
-    it (B) is dropped: what is left is closed, so it holds every other
-    recurrent class, and the search repeats on it.
+    closure is smaller.  Each search starts at the live state that the
+    most transitions enter, which in a chain is usually recurrent.  Once
+    a class is found, every state that reaches it (B) is dropped: what is
+    left is closed, so it holds every other recurrent class, and the
+    search repeats on it.
     """
     classes = []
     alive = np.ones(n, dtype=bool)
     tail, head = source, target
     while alive.any():
-        v = int(np.argmax(alive))
+        v = int(np.argmax(np.where(alive, np.bincount(head, minlength=n), -1)))
         while True:
             forward = _closure(v, tail, head, n)
             backward = _closure(v, head, tail, n)

@@ -66,6 +66,13 @@ def sim_config_file(tmp_path, arrival_rate=5.0, target_value=100.0, n_max=1,
     return str(path)
 
 
+def dense_orders(sparse, n_max):
+    """The n_max x n_max order rows of --explain's nonzero entries."""
+    rows = np.zeros((n_max, n_max))
+    rows[np.array(sparse["ready"]) - 1, np.array(sparse["order"]) - 1] = sparse["probability"]
+    return rows
+
+
 class TestFit:
     def test_writes_bundle_and_diagnostics(self, tmp_path, trace_path, capsys):
         out = tmp_path / "model.json"
@@ -164,7 +171,8 @@ class TestPredict:
         per_ready = explain["per_ready"]
         assert set(per_ready) == {"concurrency", "response_time_s", "extrapolated"}
         assert all(len(values) == 3 for values in per_ready.values())
-        assert set(explain["order_distributions"]) == {"1", "2", "3"}
+        assert np.array_equal(dense_orders(explain["order_distributions"], 3),
+                              chain.horizontal)
         for gone in ("transition_matrix", "n_transient_states", "rate_matrices"):
             assert gone not in explain
         assert "per_state" not in payload and "per_ready" not in payload
@@ -185,9 +193,10 @@ class TestPredict:
         payload = json.loads(explained)
         assert explained == json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
         assert out.read_text(encoding="utf-8") == explained
-        assert payload.pop("explain")["order_distributions"]["2"] == rc.build_chain(
-            12.0, rc.load_bundle(bundle_path).metric,
-            rc.load_autoscaler_config(cfg)).horizontal[1].tolist()
+        assert np.array_equal(
+            dense_orders(payload.pop("explain")["order_distributions"], 5),
+            rc.build_chain(12.0, rc.load_bundle(bundle_path).metric,
+                           rc.load_autoscaler_config(cfg)).horizontal)
         assert payload == json.loads(plain)
 
     def test_explain_is_a_complete_chain(self, tmp_path, bundle_path, capsys):

@@ -493,7 +493,8 @@ def random_digraph(seed: int) -> np.ndarray:
     random edges inside; a one-state class is absorbing) fed by a
     transient part that may loop but always leaks, as a shuffle of
     labels; the same with the transient states labelled first, in chain
-    order, so that a search starting from the lowest state walks the
+    order, and the first third of them leading back to the first, so
+    that a search starting from the state most edges enter walks the
     chain; and a sparse random digraph with one to three edges per state.
     """
     rng = np.random.default_rng(seed)
@@ -517,6 +518,8 @@ def random_digraph(seed: int) -> np.ndarray:
         adj[transient[:, None], closed] |= rng.random((transient.size, n_closed)) < 0.05
         if seed % 3 == 0:
             adj[np.ix_(transient, transient)] |= rng.random((transient.size,) * 2) < 0.1
+        elif seed % 3 == 1:
+            adj[transient[1:1 + transient.size // 3], transient[0]] = True
     return adj
 
 
@@ -546,6 +549,23 @@ class TestRecurrenceStructure:
             most_restarts = max(most_restarts, len(closures) // 2 - len(want))
         # the digraphs hold the cases the search must get right
         assert several >= 100 and absorbing >= 100 and most_restarts >= 20
+
+    def test_search_starts_at_a_recurrent_state(self, monkeypatch):
+        # the state most transitions enter is recurrent here, so one pair
+        # of closures finds the class; from the lowest state, which is
+        # transient, the search took three pairs
+        closures = []
+        original = rc.cluster._closure
+
+        def counting(*args):
+            closures.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(rc.cluster, "_closure", counting)
+        chain = rc.build_chain(200.0, make_mm(0.2, 0.0, 0.2, 0.01),
+                               make_cfg(n_max=50, target_value=2.0))
+        st = rc.stationary_distribution(chain)
+        assert st.n_transient > 0 and len(closures) == 2
 
     @pytest.mark.parametrize("seed", [3, 4, 5])
     def test_solve_names_the_oracles_classes(self, seed):

@@ -171,13 +171,15 @@ class TestBookkeeping:
         assert rep.times[0] == 301.0
         assert rep.times[-1] == 600.0
 
+    @pytest.mark.parametrize("n_max", [1, 10])
     @pytest.mark.parametrize("duration", [1800.0, 14_400.0])
-    def test_departure_queue_memory_does_not_grow_with_the_run(self, duration):
+    def test_departure_queue_memory_does_not_grow_with_the_run(self, duration, n_max):
         # the departure queue holds the jobs in flight plus one arrival
-        # block; per-job lists kept for the whole run would pass 4 MB at
+        # block, on the event loop and on one container's array path
+        # alike; per-job arrays kept for the whole run would pass 4 MB at
         # 14,400 s, where 504,000 jobs arrive
         sim_cfg = rc.SimulationConfig(
-            autoscaler=autoscaler(target_value=2.0, n_max=10), workload=is_exp(0.2),
+            autoscaler=autoscaler(target_value=2.0, n_max=n_max), workload=is_exp(0.2),
             arrival_rate=35.0, duration_s=duration, warmup_s=300.0, seed=7)
         tracemalloc.start()
         try:
@@ -299,6 +301,31 @@ class TestKernelOracle:
                                            n_max, t_eva, window, duration,
                                            warmup_share, seed):
         init = data.draw(st.integers(min_value=1, max_value=n_max), label="initial")
+        self.against_reference(data, workload, metric, lam, target, n_max, init, t_eva,
+                               window, duration, warmup_share, seed)
+
+    @given(data=st.data(),
+           distribution=st.sampled_from(["exponential", "deterministic"]),
+           metric=st.sampled_from(rc.METRIC_KINDS),
+           lam=st.floats(min_value=0.01, max_value=100.0),
+           mean=st.floats(min_value=1e-3, max_value=60.0),
+           window=st.sampled_from([1.0, 6.0, 60.0]),
+           duration=st.floats(min_value=2.0, max_value=300.0),
+           warmup_share=st.floats(min_value=0.0, max_value=1.0),
+           seed=st.integers(min_value=-2**70, max_value=2**70))
+    def test_one_container_same_result_as_reference_loop(self, data, distribution, metric,
+                                                         lam, mean, window, duration,
+                                                         warmup_share, seed):
+        # n_max 1 under infinite-server service takes the array path,
+        # which must give the loop's result bit for bit
+        workload = rc.WorkloadModel(kind=rc.WORKLOAD_INFINITE_SERVER, mean_s=mean,
+                                    distribution=distribution)
+        self.against_reference(data, workload, metric, lam, 1.0, 1, 1, 2.0, window,
+                               duration, warmup_share, seed)
+
+    @staticmethod
+    def against_reference(data, workload, metric, lam, target, n_max, init, t_eva, window,
+                          duration, warmup_share, seed):
         # Small blocks refill inside a control interval and split runs of
         # equal departure times and the response-time folds across blocks.
         block = data.draw(st.sampled_from([5, 64, 4096]), label="block")
@@ -338,27 +365,55 @@ class TestKernelOracle:
         return results
 
     @classmethod
-    def scripted_run(cls, gaps, services, wl_kind, wl_mean, warmup=0.0):
-        """lam 1 and n_max 2, both containers ready, and no scale
-        evaluation within the 5 s run."""
-        args = (_kernels.MT_CONCURRENCY, 1.0, 2, 100.0, 60, 1.0, 1.0, wl_kind,
-                wl_mean, 1.0, 5.0, warmup, 2)
+    def scripted_run(cls, gaps, services, wl_kind, wl_mean, warmup=0.0, n_max=2,
+                     metric=_kernels.MT_CONCURRENCY):
+        """lam 1, n_max containers all ready, and no scale evaluation
+        within the 5 s run; n_max 1 takes one container's array path."""
+        args = (metric, 1.0, n_max, 100.0, 60, 1.0, 1.0, wl_kind,
+                wl_mean, 1.0, 5.0, warmup, n_max)
         return cls.both_loops(args, gaps, services)
 
+    @pytest.mark.parametrize("n_max", [1, 2])
     @pytest.mark.parametrize("wl_kind", [_kernels.WL_INFINITE_EXP, _kernels.WL_INFINITE_DET])
-    def test_equal_departures_leave_lowest_slot_first(self, wl_kind):
+    def test_equal_departures_leave_lowest_slot_first(self, wl_kind, n_max):
         # jobs arrive at 0.876 (slot 0), 0.9057 (slot 1, slot 0 busy) and
         # one ulp later (slot 0, the tie of loads going to the lower
         # slot); with 0.6 s service the last two depart at the same
         # rounded time 1.5057, where the later arrival on slot 0 leaves
-        # first, and the per-second response-time sum depends on it
+        # first, and the per-second response-time sum depends on it.  On
+        # one container the equal times leave in arrival order.
         gaps = [0.876, 0.0297, math.ulp(0.9057)]
         a = np.cumsum(gaps)
         assert a[1] < a[2] and a[1] + 0.6 == a[2] + 0.6
         rt = [d - x for d, x in zip(a + 0.6, a)]
         assert (rt[0] + rt[2]) + rt[1] != (rt[0] + rt[1]) + rt[2]
         services, mean = ([0.6] * 3, 1.0) if wl_kind == _kernels.WL_INFINITE_EXP else ([], 0.6)
-        got, want = self.scripted_run(gaps, services, wl_kind, mean)
+        got, want = self.scripted_run(gaps, services, wl_kind, mean, n_max=n_max)
+        assert got == want
+
+    @given(gaps=st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=1, max_size=30),
+           services=st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0]), max_size=30),
+           wl_kind=st.sampled_from([_kernels.WL_INFINITE_EXP, _kernels.WL_INFINITE_DET]),
+           det_mean=st.sampled_from([0.0, 0.5, 1.0]),
+           metric=st.sampled_from([_kernels.MT_CONCURRENCY, _kernels.MT_RPS]),
+           window=st.sampled_from([1, 3, 60]),
+           duration=st.sampled_from([3.25, 4.0, 5.0, 5.5]),
+           warmup=st.sampled_from([0.0, 1.0, 2.0]),
+           block=st.sampled_from([1, 2, 3, 5]))
+    def test_one_container_on_a_grid_of_times(self, gaps, services, wl_kind, det_mean, metric,
+                                              window, duration, warmup, block):
+        # times on a quarter-second grid put arrivals and departures on
+        # monitor ticks, on each other, on the warmup and on the horizon,
+        # and tiny blocks end on them too
+        mean = 1.0 if wl_kind == _kernels.WL_INFINITE_EXP else det_mean
+        args = (metric, 1.0, 1, 2.0, window, 1.0, 1.0, wl_kind, mean, 1.0, duration,
+                warmup, 1)
+        saved = _kernels._BLOCK, oracles._BLOCK
+        _kernels._BLOCK = oracles._BLOCK = block
+        try:
+            got, want = self.both_loops(args, gaps, services)
+        finally:
+            _kernels._BLOCK, oracles._BLOCK = saved
         assert got == want
 
     @pytest.mark.parametrize("last_departure", [5.7, 3.9])
@@ -384,8 +439,9 @@ class TestKernelOracle:
         ready = [3, 3, 1, 2, 3, 2, 2 if last_departure > 5 else 1, 1]
         assert eval(got)[0] == ready
 
+    @pytest.mark.parametrize("n_max", [1, 2])
     @pytest.mark.parametrize("wl_kind", [_kernels.WL_INFINITE_EXP, _kernels.WL_INFINITE_DET])
-    def test_departures_at_warmup_and_at_a_monitor_tick(self, wl_kind):
+    def test_departures_at_warmup_and_at_a_monitor_tick(self, wl_kind, n_max):
         # two jobs leave at exactly 2.5 s, the warmup, and exactly 3 s, a
         # monitor tick: the first is not counted after warmup, and both
         # close the second ending at 3 s.  They arrive at 0.5 and 0.75 s,
@@ -396,7 +452,7 @@ class TestKernelOracle:
             services, mean = [2.0, 2.25], 1.0
         else:
             gaps, services, mean = [2.0, 0.5], [], 0.5
-        got, want = self.scripted_run(gaps, services, wl_kind, mean, warmup=2.5)
+        got, want = self.scripted_run(gaps, services, wl_kind, mean, warmup=2.5, n_max=n_max)
         assert got == want
         _, _, tick_rt, carried, _, rt_sum_pw, completions_pw, *_ = eval(got)
         arrived = np.cumsum(gaps)
@@ -405,19 +461,40 @@ class TestKernelOracle:
         assert (tick_rt[2], carried[2]) == ((rts[0] + rts[1]) / 2, 0)
         assert carried[:2] == [1, 1] and carried[3:] == [1, 1]
 
+    @pytest.mark.parametrize("metric", [_kernels.MT_CONCURRENCY, _kernels.MT_RPS])
+    @pytest.mark.parametrize("n_max", [1, 2])
     @pytest.mark.parametrize("wl_kind", [_kernels.WL_INFINITE_EXP, _kernels.WL_INFINITE_DET])
-    def test_zero_service_departs_after_its_arrival(self, wl_kind):
+    def test_zero_service_departs_after_its_arrival(self, wl_kind, n_max, metric):
         # under exponential service the first job leaves at 1.0, when the
         # second arrives with zero service, and so does a third with a
         # zero gap; the monitor fires at 1.0 between the departure and
-        # the arrivals.  Deterministic service of mean 0 gives every job
-        # a zero service time.
+        # the arrivals, so it sees neither arrival: no job in flight, one
+        # arrival in the first second.  Deterministic service of mean 0
+        # gives every job a zero service time.
         gaps = [0.25, 0.75, 0.0, 0.3, 0.2]
         services = [0.75, 0.0, 0.0, 0.4, 0.0]
         mean = 1.0 if wl_kind == _kernels.WL_INFINITE_EXP else 0.0
-        got, want = self.scripted_run(gaps, services, wl_kind, mean)
+        got, want = self.scripted_run(gaps, services, wl_kind, mean, n_max=n_max,
+                                      metric=metric)
         assert got == want
+        sample = 1 if metric == _kernels.MT_RPS else 0
+        assert eval(got)[1][0] == sample / n_max
 
+    @pytest.mark.parametrize("n_max", [1, 2])
+    @pytest.mark.parametrize("wl_kind", [_kernels.WL_INFINITE_EXP, _kernels.WL_INFINITE_DET])
+    def test_arrival_and_departure_at_the_horizon(self, wl_kind, n_max):
+        # the 5 s run counts an arrival and a departure at exactly 5 s,
+        # and a zero-service job arriving then leaves within the run;
+        # the job due at 6 s is in flight at the end
+        if wl_kind == _kernels.WL_INFINITE_EXP:
+            gaps, services, mean, want_counts = [0.5, 3.5, 1.0, 0.0], [4.5, 2.0, 0.0, 0.0], 1.0, [4, 3, 1]
+        else:
+            gaps, services, mean, want_counts = [0.5, 3.5, 1.0], [], 1.0, [3, 2, 1]
+        got, want = self.scripted_run(gaps, services, wl_kind, mean, n_max=n_max)
+        assert got == want
+        assert list(eval(got)[7:]) == want_counts
+
+    @pytest.mark.parametrize("n_max", [1, 12])
     @pytest.mark.parametrize("block", [5, 64])
     @pytest.mark.parametrize("workload", [is_exp(30.0), is_det(30.0),
                                           rc.WorkloadModel(kind=rc.WORKLOAD_PROCESSOR_SHARING,
@@ -425,19 +502,19 @@ class TestKernelOracle:
     @pytest.mark.parametrize("metric", rc.METRIC_KINDS)
     @pytest.mark.parametrize("lam", [3.0, 40.0])
     def test_departures_pending_across_many_blocks(self, monkeypatch, block, workload,
-                                                   metric, lam):
+                                                   metric, lam, n_max):
         # 30 s service keeps up to about 1200 jobs in flight, so pending
         # departures span many small blocks.  Both loops draw the same
         # block sizes, because under processor sharing the service
         # stream interleaves exponential and uniform blocks.
         monkeypatch.setattr(_kernels, "_BLOCK", block)
         monkeypatch.setattr(oracles, "_BLOCK", block)
-        cfg = rc.AutoscalerConfig(metric_kind=metric, target_value=5.0, n_max=12,
+        cfg = rc.AutoscalerConfig(metric_kind=metric, target_value=5.0, n_max=n_max,
                                   t_eva_s=2.0)
         metric_code = _kernels.MT_RPS if metric == "rps" else _kernels.MT_CONCURRENCY
         args = (metric_code, cfg.target_value, cfg.n_max, cfg.t_eva_s, cfg.window_length,
                 cfg.mu_pro, cfg.mu_dep, workload._kernel_kind, workload.mean_s, lam,
-                150.0, 20.0, 3)
+                150.0, 20.0, min(3, n_max))
         results = []
         for loop in (_kernels.run_simulation, reference_run_simulation):
             seeds = np.random.SeedSequence(11).spawn(3)
