@@ -516,12 +516,10 @@ def run_simulation(metric_kind, tv, n_max, t_eva, window_len, mu_pro, mu_dep,
         elif t_eval <= t_ctrl:
             # --- scale evaluator ---
             # Knative's KPA: the aggregate windowed metric over the
-            # per-container target, clamped to [1, n_max].
-            desired = int(math.ceil(ov / tv))
-            if desired < 1:
-                desired = 1
-            if desired > n_max:
-                desired = n_max
+            # per-container target, clamped to [1, n_max]; the top clamp
+            # comes first, as the ceiling of an infinite ratio raises.
+            q = ov / tv
+            desired = n_max if q > n_max else max(1, math.ceil(q))
             if desired != order:
                 order = desired
                 t_from = t_eval

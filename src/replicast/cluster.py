@@ -24,7 +24,7 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .config import AutoscalerConfig
+from .config import AutoscalerConfig, _integer
 from .errors import (ConfigMismatchError, NonErgodicError, NumericalError,
                      ValidationError)
 from .evaluator import order_probabilities, order_rows  # noqa: F401 (perfbench looks it up here)
@@ -37,9 +37,7 @@ _ASSEMBLY_BATCH = 1 << 14
 
 
 def _check_target(i_target: int, n_max: int) -> int:
-    if not (isinstance(i_target, (int, np.integer)) and not isinstance(i_target, bool)):
-        raise ValidationError(f"target ready count must be an integer, got {i_target!r}")
-    i_target = int(i_target)
+    i_target = _integer(i_target, "target ready count")
     if not 1 <= i_target <= n_max:
         raise ValidationError(f"target ready count must be in [1, {n_max}], got {i_target}")
     return i_target

@@ -42,6 +42,16 @@ def _finite_number(value, name: str) -> float:
     return out
 
 
+def _integer(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _check_metric_kind(kind) -> None:
+    _require(kind in METRIC_KINDS, f"metric_kind must be one of {METRIC_KINDS}, got {kind!r}")
+
+
 def _check_keys(data, what: str, known, required) -> None:
     """Require a JSON object whose keys all lie in ``known`` and include ``required``."""
     if not isinstance(data, dict):
@@ -72,13 +82,10 @@ class AutoscalerConfig:
     mu_dep: float = 2.0
 
     def __post_init__(self):
-        _require(self.metric_kind in METRIC_KINDS,
-                 f"metric_kind must be one of {METRIC_KINDS}, got {self.metric_kind!r}")
+        _check_metric_kind(self.metric_kind)
         object.__setattr__(self, "target_value", _finite_number(self.target_value, "target_value"))
         _require(self.target_value > 0, f"target_value must be > 0, got {self.target_value}")
-        if isinstance(self.n_max, bool) or not isinstance(self.n_max, (int, np.integer)):
-            raise ValidationError(f"n_max must be an integer, got {self.n_max!r}")
-        object.__setattr__(self, "n_max", int(self.n_max))
+        object.__setattr__(self, "n_max", _integer(self.n_max, "n_max"))
         _require(self.n_max >= 1, f"n_max must be >= 1, got {self.n_max}")
         object.__setattr__(self, "t_eva_s", _finite_number(self.t_eva_s, "t_eva_s"))
         _require(self.t_eva_s > 0, f"t_eva_s must be > 0, got {self.t_eva_s}")

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import _integer
 from .errors import ValidationError
 from .metric_model import GaussianDist
 
@@ -59,9 +60,7 @@ def order_rows(mean: np.ndarray, std: np.ndarray, target_value: float, n_max: in
     the upper tail 1 - F((n_max-1) tv), which also covers every ceiling
     value the clamp would have pushed down to n_max.
     """
-    if not (isinstance(n_max, (int, np.integer)) and not isinstance(n_max, bool)):
-        raise ValidationError(f"n_max must be an integer, got {n_max!r}")
-    n_max = int(n_max)
+    n_max = _integer(n_max, "n_max")
     if n_max < 1:
         raise ValidationError(f"n_max must be >= 1, got {n_max}")
     if not (isinstance(target_value, (int, float)) and math.isfinite(target_value)

@@ -10,13 +10,13 @@ grows roughly linearly with rho.  Both are fitted from a profiling trace.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
-from .config import METRIC_KINDS, ProfilingTrace, _check_keys, _finite_number
+from .config import ProfilingTrace, _check_keys, _check_metric_kind, _finite_number
 from .errors import FitRejectedError, InsufficientDataError, ValidationError
 
 # Degenerate (noise-free) traces would otherwise produce a zero-width
@@ -75,26 +75,50 @@ def _each(fn, x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, x.tolist()), dtype=np.float64, count=x.size)
 
 
-def _check_coefficients(model, what: str) -> None:
-    """Store every numeric field of a fitted model as a finite float; rho_max > 0."""
-    for f in fields(model):
-        if f.name != "metric_kind":
-            value = _finite_number(getattr(model, f.name), f"{what} {f.name}")
-            object.__setattr__(model, f.name, value)
-    if not model.rho_max > 0:
-        raise ValidationError(f"{what} rho_max must be > 0, got {model.rho_max!r}")
+class FittedLaw:
+    """Base of a fitted law in rho: its block layout drives its JSON
+    codec and its number check.
 
+    A subclass is a frozen dataclass that names its top-level JSON keys
+    (each a field of the same name) in _SCALARS and its nested objects in
+    _BLOCKS, block -> {key: field}.  rho_max and every field in a block
+    must be a finite number, stored as a float; rho_max must be > 0.
+    """
 
-def _check_blocks(data, what: str, scalars: tuple, blocks: dict) -> None:
-    """Require a fitted model's JSON object: exactly the keys scalars and
-    blocks, each block an object with exactly the keys it maps to."""
-    _check_keys(data, what, (*scalars, *blocks), (*scalars, *blocks))
-    for name, keys in blocks.items():
-        _check_keys(data[name], f"{what} {name}", keys, keys)
+    _WHAT = ""
+    _SCALARS = ()
+    _BLOCKS = {}
+
+    def __post_init__(self):
+        numbers = {"rho_max", *(f for block in self._BLOCKS.values() for f in block.values())}
+        for f in fields(self):
+            if f.name in numbers:
+                value = _finite_number(getattr(self, f.name), f"{self._WHAT} {f.name}")
+                object.__setattr__(self, f.name, value)
+        if not self.rho_max > 0:
+            raise ValidationError(f"{self._WHAT} rho_max must be > 0, got {self.rho_max!r}")
+
+    def to_dict(self) -> dict:
+        out = {key: getattr(self, key) for key in self._SCALARS}
+        for name, block in self._BLOCKS.items():
+            out[name] = {key: getattr(self, f) for key, f in block.items()}
+        return out
+
+    @classmethod
+    def from_dict(cls, data):
+        """Require exactly the layout's keys, each block an object with
+        exactly its own keys."""
+        keys = (*cls._SCALARS, *cls._BLOCKS)
+        _check_keys(data, cls._WHAT, keys, keys)
+        kwargs = {key: data[key] for key in cls._SCALARS}
+        for name, block in cls._BLOCKS.items():
+            _check_keys(data[name], f"{cls._WHAT} {name}", block, block)
+            kwargs.update({f: data[name][key] for key, f in block.items()})
+        return cls(**kwargs)
 
 
 @dataclass(frozen=True)
-class MetricModel:
+class MetricModel(FittedLaw):
     """Fitted map from per-container rate to the observed-metric Gaussian."""
 
     metric_kind: str
@@ -106,10 +130,15 @@ class MetricModel:
     fit_mse: float
     fit_r2: float
 
+    _WHAT = "metric model"
+    _SCALARS = ("metric_kind", "rho_max")
+    _BLOCKS = {"mean_coefficients": {"linear": "mean_linear", "quadratic": "mean_quadratic"},
+               "std_coefficients": {"intercept": "std_intercept", "slope": "std_slope"},
+               "diagnostics": {"mse": "fit_mse", "r2": "fit_r2"}}
+
     def __post_init__(self):
-        if self.metric_kind not in METRIC_KINDS:
-            raise ValidationError(f"metric_kind must be one of {METRIC_KINDS}, got {self.metric_kind!r}")
-        _check_coefficients(self, "metric model")
+        _check_metric_kind(self.metric_kind)
+        super().__post_init__()
 
     def mean_at(self, rho):
         return self.mean_linear * rho + self.mean_quadratic * rho * rho
@@ -118,32 +147,6 @@ class MetricModel:
         # no traffic, no spread: at rho = 0 the floor, not the intercept
         spread = np.maximum(self.std_intercept + self.std_slope * rho, STD_FLOOR)
         return np.where(rho == 0.0, STD_FLOOR, spread)
-
-    def to_dict(self) -> dict:
-        return {
-            "metric_kind": self.metric_kind,
-            "mean_coefficients": {"linear": self.mean_linear, "quadratic": self.mean_quadratic},
-            "std_coefficients": {"intercept": self.std_intercept, "slope": self.std_slope},
-            "rho_max": self.rho_max,
-            "diagnostics": {"mse": self.fit_mse, "r2": self.fit_r2},
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MetricModel":
-        _check_blocks(data, "metric model", ("metric_kind", "rho_max"), {
-            "mean_coefficients": ("linear", "quadratic"),
-            "std_coefficients": ("intercept", "slope"),
-            "diagnostics": ("mse", "r2")})
-        return cls(
-            metric_kind=data["metric_kind"],
-            mean_linear=data["mean_coefficients"]["linear"],
-            mean_quadratic=data["mean_coefficients"]["quadratic"],
-            std_intercept=data["std_coefficients"]["intercept"],
-            std_slope=data["std_coefficients"]["slope"],
-            rho_max=data["rho_max"],
-            fit_mse=data["diagnostics"]["mse"],
-            fit_r2=data["diagnostics"]["r2"],
-        )
 
 
 def observed_value_distribution(model: MetricModel, rho: float) -> GaussianDist:
@@ -176,11 +179,11 @@ def _solve_normal_equations(design: np.ndarray, y: np.ndarray) -> np.ndarray:
 _T_KEEP = 4.0
 
 
-def fit_polynomial_terms(design: np.ndarray, y: np.ndarray, n_forced: int) -> np.ndarray:
+def fit_polynomial_terms(design: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Least squares over nested prefixes of the design columns.
 
-    Columns are added left to right; the first n_forced always stay, and
-    each further column is kept only while statistically significant.
+    Columns are added left to right; the first always stays, and each
+    further column is kept only while statistically significant.
     Predictions made beyond the fitted range are linear in the trailing
     coefficients, so a noise-only term that is harmless inside the range
     can dominate an extrapolated value; pruning it keeps what-if queries
@@ -197,9 +200,9 @@ def fit_polynomial_terms(design: np.ndarray, y: np.ndarray, n_forced: int) -> np
         resid = y - sub @ coef
         return coef, float(resid @ resid)
 
-    coef, ssr = fit_prefix(n_forced)
-    kept = n_forced
-    for p in range(n_forced + 1, k + 1):
+    coef, ssr = fit_prefix(1)
+    kept = 1
+    for p in range(2, k + 1):
         cand, cand_ssr = fit_prefix(p)
         dof = n - p
         if dof > 0:
@@ -220,9 +223,34 @@ def fit_polynomial_terms(design: np.ndarray, y: np.ndarray, n_forced: int) -> np
     return coef_out
 
 
-def fit_quality(y: np.ndarray, fitted: np.ndarray) -> tuple:
-    """(mse, r2) of a fit.  With constant y, r2 is 1 for an exact fit, else 0."""
-    residuals = y - fitted
+class LawFit(NamedTuple):
+    """A fitted law: its coefficients, one per fitted power of rho, the
+    fit's range and quality, and the law's minimum over [0, rho_max]
+    with the tolerance a sign check on it allows."""
+
+    coefficients: tuple
+    rho_max: float
+    mse: float
+    r2: float
+    min_rho: float
+    min_value: float
+    tol: float
+
+
+def fit_law(rates: np.ndarray, y: np.ndarray, powers: tuple) -> LawFit:
+    """Least-squares fit of y to the terms rho**p, p in powers (0 to 2).
+
+    Rates are scaled by rho_max into [0, 1] for conditioning; the first
+    term always stays and each further one is kept while significant
+    (fit_polynomial_terms).  With constant y, r2 is 1 for an exact fit,
+    else 0.  The minimum of a law of degree 2 or less sits at an end of
+    [0, rho_max] or, for an upward parabola, at the interior vertex.
+    """
+    rho_max = float(rates.max())  # > 0: the rates are >= 0 and not all equal
+    u = rates / rho_max
+    design = np.column_stack([u ** p for p in powers])
+    coef = fit_polynomial_terms(design, y)
+    residuals = y - design @ coef
     mse = float(np.mean(residuals ** 2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     ss_res = float(np.sum(residuals ** 2))
@@ -230,38 +258,18 @@ def fit_quality(y: np.ndarray, fitted: np.ndarray) -> tuple:
         r2 = 1.0 - ss_res / ss_tot
     else:
         r2 = 1.0 if ss_res <= 1e-12 * max(1.0, float(np.sum(y ** 2))) else 0.0
-    return mse, r2
-
-
-def _fit_quadratic_through_origin(rates: np.ndarray, y: np.ndarray, rho_max: float):
-    u = rates / rho_max
-    design = np.column_stack([u, u * u])
-    coef = fit_polynomial_terms(design, y, n_forced=1)
-    mse, r2 = fit_quality(y, design @ coef)
-    return coef[0] / rho_max, coef[1] / (rho_max * rho_max), mse, r2
-
-
-def quadratic_min_on_interval(c0: float, c1: float, c2: float, hi: float) -> tuple:
-    """(x, value) of the minimum of c0 + c1*x + c2*x^2 over [0, hi].
-
-    The minimum sits at an endpoint or, for an upward parabola, at the
-    interior vertex.
-    """
-    candidates = [(0.0, c0), (hi, c0 + c1 * hi + c2 * hi * hi)]
+    # rho_max**p as a product: pow(x, 2) is not always x * x to the bit
+    coefficients = tuple(float(c) / math.prod([rho_max] * p) for p, c in zip(powers, coef))
+    by_power = dict(zip(powers, coefficients))
+    c0, c1, c2 = (by_power.get(p, 0.0) for p in range(3))
+    candidates = [(0.0, c0), (rho_max, c0 + c1 * rho_max + c2 * rho_max * rho_max)]
     if c2 > 0:
         vertex = -c1 / (2.0 * c2)
-        if 0.0 < vertex < hi:
+        if 0.0 < vertex < rho_max:
             candidates.append((vertex, c0 + c1 * vertex + c2 * vertex * vertex))
-    return min(candidates, key=lambda c: c[1])
-
-
-def _check_mean_nonnegative(a1: float, a2: float, rho_max: float, y_scale: float) -> None:
-    tol = 1e-12 * max(1.0, y_scale)
-    worst_rho, worst_val = quadratic_min_on_interval(0.0, a1, a2, rho_max)
-    if worst_val < -tol:
-        raise FitRejectedError(
-            f"fitted mean is negative at rho={worst_rho:.6g} "
-            f"(value {worst_val:.6g}); trace does not support a physical fit")
+    min_rho, min_value = min(candidates, key=lambda c: c[1])
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(y))))
+    return LawFit(coefficients, rho_max, mse, r2, min_rho, min_value, tol)
 
 
 def _fit_std(rates: np.ndarray, y: np.ndarray, mean_fn) -> tuple:
@@ -287,32 +295,23 @@ def _fit_std(rates: np.ndarray, y: np.ndarray, mean_fn) -> tuple:
 def fit_metric_model(trace: ProfilingTrace, metric_kind: str) -> MetricModel:
     """Fit the Gaussian metric map from a profiling trace.
 
-    The mean is a quadratic through the origin in per-container rate,
-    solved by normal equations after scaling rates into [0, 1] for
-    conditioning.  The spread is a line fitted to per-bin sample standard
+    The mean is a quadratic through the origin in per-container rate
+    (fit_law).  The spread is a line fitted to per-bin sample standard
     deviations over five equal-count rate bins (pooled when the trace is
     short).  A fitted mean that dips negative anywhere on [0, rho_max]
     is rejected outright.
     """
-    if metric_kind not in METRIC_KINDS:
-        raise ValidationError(f"metric_kind must be one of {METRIC_KINDS}, got {metric_kind!r}")
+    _check_metric_kind(metric_kind)
     if trace.n_distinct_rates < 2:
         raise InsufficientDataError(
             f"trace has {trace.n_distinct_rates} distinct per-container rate(s); need >= 2")
-    rates = trace.rates
-    y = trace.observed
-    rho_max = float(rates.max())  # > 0: the rates are >= 0 and not all equal
-    a1, a2, mse, r2 = _fit_quadratic_through_origin(rates, y, rho_max)
-    y_scale = float(np.max(np.abs(y))) if len(y) else 1.0
-    _check_mean_nonnegative(a1, a2, rho_max, y_scale)
-    b0, b1 = _fit_std(rates, y, lambda r: a1 * r + a2 * r * r)
-    return MetricModel(
-        metric_kind=metric_kind,
-        mean_linear=a1,
-        mean_quadratic=a2,
-        std_intercept=b0,
-        std_slope=b1,
-        rho_max=rho_max,
-        fit_mse=mse,
-        fit_r2=r2,
-    )
+    law = fit_law(trace.rates, trace.observed, (1, 2))
+    if law.min_value < -law.tol:
+        raise FitRejectedError(
+            f"fitted mean is negative at rho={law.min_rho:.6g} "
+            f"(value {law.min_value:.6g}); trace does not support a physical fit")
+    a1, a2 = law.coefficients
+    b0, b1 = _fit_std(trace.rates, trace.observed, lambda r: a1 * r + a2 * r * r)
+    return MetricModel(metric_kind=metric_kind, mean_linear=a1, mean_quadratic=a2,
+                       std_intercept=b0, std_slope=b1, rho_max=law.rho_max,
+                       fit_mse=law.mse, fit_r2=law.r2)

@@ -16,13 +16,12 @@ import numpy as np
 from .config import ProfilingTrace, _require
 from .cluster import ClusterChain, StationaryDistribution
 from .errors import FitRejectedError, InsufficientDataError, ValidationError
-from .metric_model import (GaussianDist, MetricModel, _check_blocks, _check_coefficients,
-                           fit_polynomial_terms, fit_quality, positive_part_means,
-                           quadratic_min_on_interval)
+from .metric_model import (FittedLaw, GaussianDist, MetricModel, fit_law,
+                           positive_part_means)
 
 
 @dataclass(frozen=True)
-class ResponseTimeFunction:
+class ResponseTimeFunction(FittedLaw):
     """Quadratic map from per-container rate to mean response time."""
 
     intercept: float
@@ -32,36 +31,20 @@ class ResponseTimeFunction:
     fit_mse: float
     fit_r2: float
 
+    _WHAT = "response-time function"
+    _SCALARS = ("rho_max",)
+    _BLOCKS = {"coefficients": {"intercept": "intercept", "linear": "linear",
+                                "quadratic": "quadratic"},
+               "diagnostics": {"mse": "fit_mse", "r2": "fit_r2"}}
+
     def __post_init__(self):
-        _check_coefficients(self, "response-time")
+        super().__post_init__()
         if not self.intercept > 0:
             raise ValidationError(
                 f"response-time intercept must be > 0 (base service time), got {self.intercept!r}")
 
     def at(self, rho: float) -> float:
         return self.intercept + self.linear * rho + self.quadratic * rho * rho
-
-    def to_dict(self) -> dict:
-        return {
-            "coefficients": {"intercept": self.intercept, "linear": self.linear,
-                             "quadratic": self.quadratic},
-            "rho_max": self.rho_max,
-            "diagnostics": {"mse": self.fit_mse, "r2": self.fit_r2},
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ResponseTimeFunction":
-        _check_blocks(data, "response-time function", ("rho_max",), {
-            "coefficients": ("intercept", "linear", "quadratic"),
-            "diagnostics": ("mse", "r2")})
-        return cls(
-            intercept=data["coefficients"]["intercept"],
-            linear=data["coefficients"]["linear"],
-            quadratic=data["coefficients"]["quadratic"],
-            rho_max=data["rho_max"],
-            fit_mse=data["diagnostics"]["mse"],
-            fit_r2=data["diagnostics"]["r2"],
-        )
 
 
 def fit_rtf(trace: ProfilingTrace) -> ResponseTimeFunction:
@@ -76,24 +59,14 @@ def fit_rtf(trace: ProfilingTrace) -> ResponseTimeFunction:
         raise InsufficientDataError(
             f"trace has {trace.n_distinct_rates} distinct per-container rate(s); "
             "need >= 3 for a quadratic with intercept")
-    rates = trace.rates
-    y = trace.response_times
-    rho_max = float(rates.max())  # > 0: the rates are >= 0 and not all equal
-    u = rates / rho_max
-    design = np.column_stack([np.ones_like(u), u, u * u])
-    coef = fit_polynomial_terms(design, y, n_forced=1)
-    mse, r2 = fit_quality(y, design @ coef)
-    c0 = float(coef[0])
-    c1 = float(coef[1]) / rho_max
-    c2 = float(coef[2]) / (rho_max * rho_max)
-    worst_rho, worst_val = quadratic_min_on_interval(c0, c1, c2, rho_max)
-    tol = 1e-12 * max(1.0, float(np.max(np.abs(y))))
-    if worst_val <= tol:
+    law = fit_law(trace.rates, trace.response_times, (0, 1, 2))
+    if law.min_value <= law.tol:
         raise FitRejectedError(
-            f"fitted response time is non-positive at rho={worst_rho:.6g} "
-            f"(value {worst_val:.6g}); trace does not support a physical fit")
-    return ResponseTimeFunction(intercept=c0, linear=c1, quadratic=c2,
-                                rho_max=rho_max, fit_mse=mse, fit_r2=r2)
+            f"fitted response time is non-positive at rho={law.min_rho:.6g} "
+            f"(value {law.min_value:.6g}); trace does not support a physical fit")
+    c0, c1, c2 = law.coefficients
+    return ResponseTimeFunction(intercept=c0, linear=c1, quadratic=c2, rho_max=law.rho_max,
+                                fit_mse=law.mse, fit_r2=law.r2)
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import _kernels
-from .config import (METRIC_CONCURRENCY, METRIC_KINDS, AutoscalerConfig,
-                     ProfilingTrace, _check_keys, _finite_number, trace_from_arrays)
+from .config import (METRIC_CONCURRENCY, AutoscalerConfig, ProfilingTrace, _check_keys,
+                     _check_metric_kind, _finite_number, _integer, trace_from_arrays)
 from .errors import ValidationError
 
 WORKLOAD_INFINITE_SERVER = "infinite_server"
@@ -114,12 +114,9 @@ class SimulationConfig:
         if math.floor(self.duration_s) < self.warmup_s + 1:
             raise ValidationError(
                 "duration_s must cover at least one post-warmup monitoring second")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
-            raise ValidationError(f"seed must be an integer, got {self.seed!r}")
-        object.__setattr__(self, "seed", int(self.seed))
-        if isinstance(self.initial_replicas, bool) or not isinstance(self.initial_replicas, (int, np.integer)):
-            raise ValidationError(f"initial_replicas must be an integer, got {self.initial_replicas!r}")
-        object.__setattr__(self, "initial_replicas", int(self.initial_replicas))
+        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
+        object.__setattr__(self, "initial_replicas",
+                           _integer(self.initial_replicas, "initial_replicas"))
         if not 1 <= self.initial_replicas <= self.autoscaler.n_max:
             raise ValidationError(
                 f"initial_replicas must be in [1, {self.autoscaler.n_max}], "
@@ -268,8 +265,7 @@ def profile_trace(workload: WorkloadModel, arrival_rates, metric_kind: str = MET
     arrival rate, so a grid of arrival rates covers exactly the rho
     range the fits need.  Runs use consecutive seeds off the given base.
     """
-    if metric_kind not in METRIC_KINDS:
-        raise ValidationError(f"metric_kind must be one of {METRIC_KINDS}, got {metric_kind!r}")
+    _check_metric_kind(metric_kind)
     rates = [float(r) for r in arrival_rates]
     if not rates:
         raise ValidationError("arrival_rates must be non-empty")

@@ -16,8 +16,8 @@ import pytest
 from scipy.special import stdtrit
 
 import replicast as rc
-from oracles import dense_block, reference_horizontal
-from replicast import cli
+from oracles import dense_block, reference_horizontal, reference_run_simulation
+from replicast import _kernels, cli
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +64,19 @@ def sim_config_file(tmp_path, arrival_rate=5.0, target_value=100.0, n_max=1,
     path = tmp_path / name
     path.write_text(json.dumps(cfg.to_dict()), encoding="utf-8")
     return str(path)
+
+
+def predict_error(tmp_path, capsys, bundle_data):
+    """stderr of `predict` on a bundle that must exit 1 and print nothing."""
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(bundle_data), encoding="utf-8")
+    cfg = autoscaler_file(tmp_path, target_value=10.0, n_max=10)
+    code = cli.main(["predict", "--model", str(model), "--config", cfg,
+                     "--arrival-rate", "100"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured.err
 
 
 def dense_orders(sparse, n_max):
@@ -303,15 +316,7 @@ class TestPredict:
         for key in keys[:-1]:
             holder = holder[key]
         holder[keys[-1]] = math.nan
-        model = tmp_path / "model.json"
-        model.write_text(json.dumps(data), encoding="utf-8")
-        cfg = autoscaler_file(tmp_path, target_value=10.0, n_max=10)
-        code = cli.main(["predict", "--model", str(model), "--config", cfg,
-                         "--arrival-rate", "100"])
-        assert code == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert f"{keys[-1]} must be finite" in captured.err
+        assert f"{keys[-1]} must be finite" in predict_error(tmp_path, capsys, data)
 
     @pytest.mark.parametrize("path,key,where", [
         (("response_time", "coefficients"), "cubic", "response-time function coefficients"),
@@ -329,15 +334,25 @@ class TestPredict:
         for name in path:
             holder = holder[name]
         holder[key] = 5.0
-        model = tmp_path / "model.json"
-        model.write_text(json.dumps(data), encoding="utf-8")
-        cfg = autoscaler_file(tmp_path, target_value=10.0, n_max=10)
-        code = cli.main(["predict", "--model", str(model), "--config", cfg,
-                         "--arrival-rate", "100"])
-        assert code == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert f"{where}: unknown keys: {key}" in captured.err
+        assert f"{where}: unknown keys: {key}" in predict_error(tmp_path, capsys, data)
+
+    @pytest.mark.parametrize("path,key,where", [
+        (("response_time", "coefficients"), "intercept", "response-time function coefficients"),
+        (("response_time", "diagnostics"), "r2", "response-time function diagnostics"),
+        (("response_time",), "rho_max", "response-time function"),
+        (("metric_model", "mean_coefficients"), "linear", "metric model mean_coefficients"),
+        (("metric_model", "std_coefficients"), "slope", "metric model std_coefficients"),
+        (("metric_model", "diagnostics"), "mse", "metric model diagnostics"),
+        (("metric_model",), "metric_kind", "metric model"),
+    ])
+    def test_missing_bundle_key_exits_one(self, tmp_path, ref_bundle, capsys, path, key,
+                                          where):
+        data = ref_bundle.to_dict()
+        holder = data
+        for name in path:
+            holder = holder[name]
+        del holder[key]
+        assert f"{where}: missing required keys: {key}" in predict_error(tmp_path, capsys, data)
 
     def test_unknown_command_exits_one(self, capsys):
         assert cli.main(["calibrate"]) == 1
@@ -505,6 +520,18 @@ class TestSimulate:
         code = cli.main(["simulate", "--config", cfg, "--seed", "-3"])
         assert code == 0
         assert json.loads(capsys.readouterr().out)["seed"] == -3
+
+    def test_overflowing_target_ratio_matches_oracle(self, tmp_path, capsys, monkeypatch):
+        # at target 1e-320 the aggregate metric over the target is inf as
+        # soon as a request is in flight, and the evaluator orders n_max
+        cfg = sim_config_file(tmp_path, target_value=1e-320, n_max=2, duration_s=400.0,
+                              warmup_s=100.0)
+        assert cli.main(["simulate", "--config", cfg, "--series"]) == 0
+        got = capsys.readouterr().out
+        assert max(json.loads(got)["series"]["ready_count"]) == 2
+        monkeypatch.setattr(_kernels, "run_simulation", reference_run_simulation)
+        assert cli.main(["simulate", "--config", cfg, "--series"]) == 0
+        assert capsys.readouterr().out == got
 
     def test_zero_seeds_exits_one(self, tmp_path, capsys):
         cfg = sim_config_file(tmp_path, duration_s=400.0, warmup_s=100.0)

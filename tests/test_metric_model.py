@@ -152,7 +152,7 @@ class TestFitMetricModel:
     def test_negative_dipping_mean_rejected(self):
         trace = rc.trace_from_arrays(
             [1.0, 2.0, 3.0, 10.0], [0.0, 0.0, 0.05, 50.0], [0.2] * 4)
-        with pytest.raises(rc.FitRejectedError, match="rho"):
+        with pytest.raises(rc.FitRejectedError, match="fitted mean is negative at rho="):
             rc.fit_metric_model(trace, "cc")
 
     def test_single_distinct_rate_insufficient(self):

@@ -9,6 +9,7 @@ import pytest
 
 import replicast as rc
 from oracles import quad_positive_mean
+from replicast.metric_model import fit_law
 
 
 def make_mm(mean_linear=0.2, mean_quadratic=0.0, std_intercept=0.1,
@@ -58,8 +59,21 @@ class TestFitRtf:
     def test_dipping_fit_rejected(self):
         # the exact parabola through these three points crosses zero
         # near rho = 4.5
-        with pytest.raises(rc.FitRejectedError):
+        with pytest.raises(rc.FitRejectedError,
+                           match="fitted response time is non-positive at rho="):
             rc.fit_rtf(trace_of([1.0, 4.0, 5.0], [0.5, 0.01, 0.01]))
+
+    def test_fit_within_tolerance_of_zero_rejected(self):
+        # a line from 5e-13 s at rho 0: positive, but not above the
+        # tolerance 1e-12 * max(1, max response time), so rejected where
+        # a mean of the same size would be kept
+        rates = np.repeat(np.arange(1.0, 6.0), 3)
+        rts = 5e-13 + 0.1 * rates
+        law = fit_law(rates, rts, (0, 1, 2))
+        assert law.min_rho == 0.0 and 0.0 < law.min_value <= law.tol
+        with pytest.raises(rc.FitRejectedError,
+                           match="fitted response time is non-positive at rho="):
+            rc.fit_rtf(trace_of(rates, rts))
 
     def test_too_few_distinct_rates(self):
         with pytest.raises(rc.InsufficientDataError):
