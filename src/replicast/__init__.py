@@ -30,8 +30,7 @@ from .errors import (ConfigMismatchError, FitRejectedError,
                      ReplicastError, TraceParseError, ValidationError)
 from .evaluator import OrderDistribution, order_probabilities
 from .metric_model import (STD_FLOOR, GaussianDist, MetricModel,
-                           fit_metric_model, mean_of_positive_part,
-                           observed_value_distribution)
+                           fit_metric_model, observed_value_distribution)
 from .output import (ResponseTimeFunction, SteadyStateReport, fit_rtf,
                      steady_state_report)
 from .simulator import (WORKLOAD_INFINITE_SERVER, WORKLOAD_PROCESSOR_SHARING,
@@ -58,7 +57,7 @@ __all__ = [
     "ReplicastError", "TraceParseError", "ValidationError",
     "OrderDistribution", "order_probabilities",
     "STD_FLOOR", "GaussianDist", "MetricModel", "fit_metric_model",
-    "mean_of_positive_part", "observed_value_distribution",
+    "observed_value_distribution",
     "ResponseTimeFunction", "SteadyStateReport",
     "fit_rtf", "steady_state_report",
     "WORKLOAD_INFINITE_SERVER", "WORKLOAD_PROCESSOR_SHARING",

@@ -35,14 +35,14 @@ keeps each run of equal times in arrival order, so jobs not yet arrived
 among the arrived.
 
 Routing, the monitor and scaling read only in-flight counts, so the
-queue is drained only before them: before routing an arrival at t the
-loop frees the heads due before t, or at t if already arrived (a job
-whose service rounds to zero leaves right after its own arrival), and
-before a control event the arrived jobs due at or before it.  Freeing a
-job only decrements its container's count.  The monitor records the
-queue head, and at each refill and at the end of the run the departed
-prefix is folded into per-second response-time sums with
-``np.bincount`` and into the post-warmup sum with ``np.add.accumulate``.
+queue is drained only before them: before routing an arrival at t, or
+before a control event, the loop frees the arrived jobs due at or before
+it (a job whose service rounds to zero leaves right after its own
+arrival).  Freeing a job only decrements its container's count.  The
+monitor records the queue head, and at each refill and at the end of
+the run the departed prefix is folded into per-second response-time
+sums with ``np.bincount`` and into the post-warmup sum with
+``np.add.accumulate``.
 Both add left to right in departure order from the carried partial sum,
 so each sum has the bits of a scalar ``+=`` per departure, which
 ``np.sum`` (pairwise) and ``math.fsum`` (exact) would not.
@@ -77,14 +77,7 @@ from bisect import insort
 
 import numpy as np
 
-# Workload encodings for the kernel.
-WL_INFINITE_EXP = 0
-WL_INFINITE_DET = 1
-WL_SHARING_EXP = 2
-
-# Metric encodings.
-MT_CONCURRENCY = 0
-MT_RPS = 1
+from .config import _DIST_DETERMINISTIC, METRIC_RPS, WORKLOAD_PROCESSOR_SHARING
 
 # Random numbers drawn per Generator call.
 _BLOCK = 4096
@@ -248,12 +241,24 @@ def _second_means(sec_rt, sec_n, wl_mean):
         sec_n[i] = 0 if n else 1
 
 
-def run_simulation(metric_kind, tv, n_max, t_eva, window_len, mu_pro, mu_dep,
-                   wl_kind, wl_mean, lam, duration, warmup, init_replicas,
-                   arr_rng, svc_rng, prov_rng):
-    sharing = wl_kind == WL_SHARING_EXP
-    deterministic = wl_kind == WL_INFINITE_DET
-    rps = metric_kind == MT_RPS
+def run_simulation(sim_cfg, arr_rng, svc_rng, prov_rng):
+    """Run the validated SimulationConfig sim_cfg on the three streams.
+
+    Returns the per-second ready counts, windowed metric per container,
+    mean response times and carried flags, then the post-warmup replica
+    integral, response-time sum and completion count, and the arrivals,
+    completions and jobs in flight at the horizon.
+    """
+    cfg = sim_cfg.autoscaler
+    rps = cfg.metric_kind == METRIC_RPS
+    tv, n_max, t_eva = cfg.target_value, cfg.n_max, cfg.t_eva_s
+    window_len, mu_pro, mu_dep = cfg.window_length, cfg.mu_pro, cfg.mu_dep
+    workload = sim_cfg.workload
+    sharing = workload.kind == WORKLOAD_PROCESSOR_SHARING
+    deterministic = workload.distribution == _DIST_DETERMINISTIC
+    wl_mean = workload.mean_s
+    lam, duration, warmup = sim_cfg.arrival_rate, sim_cfg.duration_s, sim_cfg.warmup_s
+    init_replicas = sim_cfg.initial_replicas
     if n_max == 1 and not sharing:
         return _one_container(rps, window_len, deterministic, wl_mean, lam, duration,
                               warmup, arr_rng, svc_rng)
@@ -435,8 +440,10 @@ def run_simulation(metric_kind, tv, n_max, t_eva, window_len, mu_pro, mu_dep,
         else:
             while t_arrival < arr_stop:
                 t = t_arrival
-                # --- departures before the arrival: free their containers ---
-                while t_dep <= t and (t_dep < t or q_slot[qh] >= 0):
+                # --- departures of arrived jobs before the arrival ---
+                # A job not routed yet (slot -1) arrives at or after t and
+                # leaves no earlier, since fl(a + s) >= a for s >= 0.
+                while t_dep <= t and q_slot[qh] >= 0:
                     if q_ties and q_time[qh + 1] == t_dep:
                         _lowest_slot_first(q_time, q_slot, rts, qh)
                     conc[q_slot[qh]] -= 1

@@ -7,10 +7,9 @@ separate processes without refitting.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
-from .config import ProfilingTrace, _check_keys, load_json
+from .config import ProfilingTrace, _check_keys, dump_json, load_json
 from .errors import ValidationError
 from .metric_model import MetricModel, fit_metric_model
 from .output import ResponseTimeFunction, fit_rtf
@@ -47,9 +46,7 @@ def fit_bundle(trace: ProfilingTrace, metric_kind: str) -> ModelBundle:
 
 
 def save_bundle(bundle: ModelBundle, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(bundle.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    dump_json(bundle.to_dict(), path)
 
 
 def load_bundle(path) -> ModelBundle:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import json
 import math
 import sys
 
@@ -19,7 +18,7 @@ import numpy as np
 from .bundle import (SCHEMA_VERSION, ModelBundle, fit_bundle, load_bundle,
                      save_bundle)
 from .cluster import build_chain, stationary_distribution
-from .config import (AutoscalerConfig, _check_keys, load_autoscaler_config,
+from .config import (AutoscalerConfig, _check_keys, dump_json, load_autoscaler_config,
                      load_json, parse_trace, write_trace)
 from .errors import (InsufficientDataError, NonErgodicError, NumericalError,
                      ReplicastError, ValidationError)
@@ -32,16 +31,6 @@ EXIT_NUMERICAL = 2
 EXIT_TOLERANCE = 3
 
 _COMPARED_METRICS = ("avg_replica_count", "avg_concurrency", "avg_response_time_s")
-
-
-def _dump_json(payload: dict, out_path, indent=2) -> str:
-    # without indent json runs its C encoder: compact text for the bulky --explain
-    text = json.dumps(payload, indent=indent, sort_keys=True,
-                      separators=None if indent else (",", ":"))
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    return text
 
 
 def _analytic_report(bundle: ModelBundle, cfg: AutoscalerConfig, arrival_rate: float,
@@ -90,7 +79,7 @@ def cmd_predict(args) -> int:
                 "probability": chain.horizontal[ready, order].tolist(),
             },
         }
-    print(_dump_json(payload, args.out, indent=None if args.explain else 2))
+    print(dump_json(payload, args.out, indent=None if args.explain else 2))
     return EXIT_OK
 
 
@@ -221,7 +210,7 @@ def cmd_simulate(args) -> int:
             "ci95_half_width": ci95,
             "per_seed": [r.to_dict(include_series=False) for r in reports],
         }
-    print(_dump_json(payload, args.out))
+    print(dump_json(payload, args.out))
     return EXIT_OK
 
 
@@ -233,11 +222,7 @@ def cmd_compare(args) -> int:
                for variant in _seed_variants(sim_cfg, args.seed, args.seeds)]
     sim_mean, sim_ci = _aggregate(reports)
 
-    analytic_vals = {
-        "avg_replica_count": analytic.avg_replica_count,
-        "avg_concurrency": analytic.avg_concurrency,
-        "avg_response_time_s": analytic.avg_response_time_s,
-    }
+    analytic_vals = {name: getattr(analytic, name) for name in _COMPARED_METRICS}
     rel_errors = {}
     for name in _COMPARED_METRICS:
         denom = abs(sim_mean[name])
@@ -263,7 +248,7 @@ def cmd_compare(args) -> int:
         "pass": ok,
     }
     if args.out:
-        _dump_json(payload, args.out)
+        dump_json(payload, args.out)
     return EXIT_OK if ok else EXIT_TOLERANCE
 
 

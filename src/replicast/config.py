@@ -22,6 +22,13 @@ METRIC_CONCURRENCY = "cc"
 METRIC_RPS = "rps"
 METRIC_KINDS = (METRIC_CONCURRENCY, METRIC_RPS)
 
+WORKLOAD_INFINITE_SERVER = "infinite_server"
+WORKLOAD_PROCESSOR_SHARING = "processor_sharing"
+_WORKLOAD_KINDS = (WORKLOAD_INFINITE_SERVER, WORKLOAD_PROCESSOR_SHARING)
+
+_DIST_EXPONENTIAL = "exponential"
+_DIST_DETERMINISTIC = "deterministic"
+
 TRACE_HEADER = "per_container_rate,observed_metric,mean_response_time_s"
 
 # 12 significant digits survive a write/parse round trip exactly at float64.
@@ -50,6 +57,11 @@ def _integer(value, name: str) -> int:
 
 def _check_metric_kind(kind) -> None:
     _require(kind in METRIC_KINDS, f"metric_kind must be one of {METRIC_KINDS}, got {kind!r}")
+
+
+def _check_workload_kind(kind) -> None:
+    _require(kind in _WORKLOAD_KINDS,
+             f"workload kind must be one of {_WORKLOAD_KINDS}, got {kind!r}")
 
 
 def _check_keys(data, what: str, known, required) -> None:
@@ -133,10 +145,20 @@ def load_autoscaler_config(path) -> AutoscalerConfig:
     return AutoscalerConfig.from_dict(load_json(path))
 
 
+def dump_json(payload, path=None, indent=2) -> str:
+    """payload as JSON text with sorted keys, written with a trailing
+    newline to path if one is given.  indent None gives the compact form,
+    which json encodes in C."""
+    text = json.dumps(payload, indent=indent, sort_keys=True,
+                      separators=None if indent else (",", ":"))
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    return text
+
+
 def save_autoscaler_config(cfg: AutoscalerConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    dump_json(cfg.to_dict(), path)
 
 
 _TRACE_COLUMNS = tuple(TRACE_HEADER.split(","))

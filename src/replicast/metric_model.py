@@ -48,11 +48,6 @@ class GaussianDist:
         return 0.5 * math.erfc((self.mean - x) / (self.std * _SQRT2))
 
 
-def mean_of_positive_part(dist: GaussianDist) -> float:
-    """E[max(X, 0)] for X ~ dist, in closed form (positive_part_means)."""
-    return float(positive_part_means(np.array([dist.mean]), np.array([dist.std]))[0])
-
-
 @np.errstate(over="ignore")
 def positive_part_means(mean: np.ndarray, std: np.ndarray) -> np.ndarray:
     """E[max(X, 0)] for each X ~ N(mean[r], std[r]) of a checked

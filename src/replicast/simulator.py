@@ -13,16 +13,11 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import _kernels
-from .config import (METRIC_CONCURRENCY, AutoscalerConfig, ProfilingTrace, _check_keys,
-                     _check_metric_kind, _finite_number, _integer, trace_from_arrays)
+from .config import (_DIST_DETERMINISTIC, _DIST_EXPONENTIAL, METRIC_CONCURRENCY,
+                     WORKLOAD_INFINITE_SERVER, WORKLOAD_PROCESSOR_SHARING, AutoscalerConfig,
+                     ProfilingTrace, _check_keys, _check_metric_kind, _check_workload_kind,
+                     _finite_number, _integer, trace_from_arrays)
 from .errors import ValidationError
-
-WORKLOAD_INFINITE_SERVER = "infinite_server"
-WORKLOAD_PROCESSOR_SHARING = "processor_sharing"
-_WORKLOAD_KINDS = (WORKLOAD_INFINITE_SERVER, WORKLOAD_PROCESSOR_SHARING)
-
-_DIST_EXPONENTIAL = "exponential"
-_DIST_DETERMINISTIC = "deterministic"
 
 _SEED_MASK = 0xFFFF_FFFF_FFFF_FFFF
 
@@ -43,8 +38,7 @@ class WorkloadModel:
     distribution: str = _DIST_EXPONENTIAL
 
     def __post_init__(self):
-        if self.kind not in _WORKLOAD_KINDS:
-            raise ValidationError(f"workload kind must be one of {_WORKLOAD_KINDS}, got {self.kind!r}")
+        _check_workload_kind(self.kind)
         mean_s = _finite_number(self.mean_s, "workload mean")
         if mean_s <= 0:
             raise ValidationError(f"workload mean must be > 0, got {mean_s}")
@@ -59,14 +53,6 @@ class WorkloadModel:
                 raise ValidationError(
                     f"processor_sharing supports only exponential demand, got {self.distribution!r}")
 
-    @property
-    def _kernel_kind(self) -> int:
-        if self.kind == WORKLOAD_PROCESSOR_SHARING:
-            return _kernels.WL_SHARING_EXP
-        if self.distribution == _DIST_DETERMINISTIC:
-            return _kernels.WL_INFINITE_DET
-        return _kernels.WL_INFINITE_EXP
-
     def to_dict(self) -> dict:
         mean_key = ("mean_service_s" if self.kind == WORKLOAD_INFINITE_SERVER
                     else "mean_demand_s")
@@ -77,8 +63,7 @@ class WorkloadModel:
         _check_keys(data, "workload", ("kind", "mean_service_s", "mean_demand_s", "distribution"),
                     ("kind",))
         kind = data["kind"]
-        if kind not in _WORKLOAD_KINDS:
-            raise ValidationError(f"workload kind must be one of {_WORKLOAD_KINDS}, got {kind!r}")
+        _check_workload_kind(kind)
         mean_key = "mean_service_s" if kind == WORKLOAD_INFINITE_SERVER else "mean_demand_s"
         _check_keys(data, f"{kind} workload", ("kind", mean_key, "distribution"), (mean_key,))
         return cls(kind=kind, mean_s=data[mean_key],
@@ -209,22 +194,15 @@ def simulate(sim_cfg: SimulationConfig) -> SimulationReport:
     then monitor, evaluation, provisioning, arrival.  Seeds are taken
     modulo 2**64, so ``seed`` and ``seed + 2**64`` give the same run.
     """
-    cfg = sim_cfg.autoscaler
     # Independent substreams for arrivals, service and provisioning, so a
     # change to one process does not perturb the others.  Masking keeps
     # every integer seed valid: SeedSequence rejects negative ones.
     seeds = np.random.SeedSequence(sim_cfg.seed & _SEED_MASK).spawn(3)
     arr_rng, svc_rng, prov_rng = (np.random.default_rng(s) for s in seeds)
-    metric_code = (_kernels.MT_RPS if cfg.metric_kind != METRIC_CONCURRENCY
-                   else _kernels.MT_CONCURRENCY)
     (tick_ready, tick_ov, tick_rt, tick_carried,
      area_replica, rt_sum_pw, completions_pw,
      arrivals, completions, in_flight) = _kernels.run_simulation(
-        metric_code, cfg.target_value, cfg.n_max, cfg.t_eva_s,
-        cfg.window_length, cfg.mu_pro, cfg.mu_dep,
-        sim_cfg.workload._kernel_kind, sim_cfg.workload.mean_s,
-        sim_cfg.arrival_rate, sim_cfg.duration_s, sim_cfg.warmup_s,
-        sim_cfg.initial_replicas, arr_rng, svc_rng, prov_rng)
+        sim_cfg, arr_rng, svc_rng, prov_rng)
 
     times = np.arange(1, len(tick_ready) + 1, dtype=np.float64)
     mask = times > sim_cfg.warmup_s

@@ -32,7 +32,8 @@ from scipy.integrate import quad
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from replicast._kernels import MT_RPS, WL_INFINITE_DET, WL_SHARING_EXP
+from replicast.config import (_DIST_DETERMINISTIC, METRIC_RPS,
+                              WORKLOAD_PROCESSOR_SHARING)
 from replicast.errors import ValidationError
 from replicast.metric_model import GaussianDist, observed_value_distribution
 
@@ -208,14 +209,20 @@ def recurrent_state_count(p: np.ndarray) -> int:
     return sum(len(cls) for cls in recurrent_classes(p))
 
 
-def reference_run_simulation(metric_kind, tv, n_max, t_eva, window_len, mu_pro,
-                             mu_dep, wl_kind, wl_mean, lam, duration, warmup,
-                             init_replicas, arr_rng, svc_rng, prov_rng):
+def reference_run_simulation(sim_cfg, arr_rng, svc_rng, prov_rng):
     """The event loop as first written: every slot scanned for routing,
     scale-down and the monitor, the window re-summed each second, and
     random numbers read one numpy scalar at a time.  The package's
     ``_kernels.run_simulation`` must return exactly the same tuple."""
-    sharing = wl_kind == WL_SHARING_EXP
+    cfg = sim_cfg.autoscaler
+    rps = cfg.metric_kind == METRIC_RPS
+    tv, n_max, t_eva = cfg.target_value, cfg.n_max, cfg.t_eva_s
+    window_len, mu_pro, mu_dep = cfg.window_length, cfg.mu_pro, cfg.mu_dep
+    sharing = sim_cfg.workload.kind == WORKLOAD_PROCESSOR_SHARING
+    deterministic = sim_cfg.workload.distribution == _DIST_DETERMINISTIC
+    wl_mean = sim_cfg.workload.mean_s
+    lam, duration, warmup = sim_cfg.arrival_rate, sim_cfg.duration_s, sim_cfg.warmup_s
+    init_replicas = sim_cfg.initial_replicas
 
     # Random blocks: a stream refills when its index reaches _BLOCK, so
     # the service and provisioning streams draw nothing until first used.
@@ -236,8 +243,7 @@ def reference_run_simulation(metric_kind, tv, n_max, t_eva, window_len, mu_pro,
     arr_count = [0] * init_replicas
     birth = list(range(init_replicas))
     # Arrival times of each slot's in-flight jobs (processor sharing only).
-    # ``[x] * 0`` is an empty list whose element type numba can infer.
-    ps_times = [[0.0] * 0 for _ in range(init_replicas)]
+    ps_times = [[] for _ in range(init_replicas)]
     busy = 0
     birth_seq = init_replicas
     j_ready = init_replicas
@@ -254,10 +260,10 @@ def reference_run_simulation(metric_kind, tv, n_max, t_eva, window_len, mu_pro,
     w_idx = 0
     ov = 0.0
 
-    tick_ready = [0] * 0
-    tick_ov = [0.0] * 0
-    tick_rt = [0.0] * 0
-    tick_carried = [0] * 0
+    tick_ready = []
+    tick_ov = []
+    tick_rt = []
+    tick_carried = []
 
     arrivals = 0
     completions = 0
@@ -360,7 +366,7 @@ def reference_run_simulation(metric_kind, tv, n_max, t_eva, window_len, mu_pro,
                 sample = 0.0
                 for k in range(len(state)):
                     if state[k] == 1:
-                        if metric_kind == MT_RPS:
+                        if rps:
                             sample += arr_count[k]
                         else:
                             sample += conc[k]
@@ -422,7 +428,7 @@ def reference_run_simulation(metric_kind, tv, n_max, t_eva, window_len, mu_pro,
                         conc.append(0)
                         arr_count.append(0)
                         birth.append(birth_seq)
-                        ps_times.append([0.0] * 0)
+                        ps_times.append([])
                     else:
                         # A free slot already holds no jobs and no arrivals.
                         state[slot] = 1
@@ -491,7 +497,7 @@ def reference_run_simulation(metric_kind, tv, n_max, t_eva, window_len, mu_pro,
                     t_ps_dep = t + float(svc_exp[svc_i]) * wl_mean / busy
                     svc_i += 1
             else:
-                if wl_kind == WL_INFINITE_DET:
+                if deterministic:
                     svc = wl_mean
                 else:
                     if svc_i == _BLOCK:

@@ -9,7 +9,7 @@ import pytest
 
 import replicast as rc
 from oracles import quad_positive_mean
-from replicast.metric_model import fit_law
+from replicast.metric_model import fit_law, positive_part_means
 
 
 def make_mm(mean_linear=0.2, mean_quadratic=0.0, std_intercept=0.1,
@@ -175,9 +175,10 @@ class TestSteadyStateReport:
         for s in range(chain.n_states):
             _, j = chain.state_of(s)
             rho = chain.arrival_rate / j
+            d = rc.observed_value_distribution(mm, rho)
             want.append(dict(
                 ready=j, probability=float(st.pi[s]),
-                concurrency=rc.mean_of_positive_part(rc.observed_value_distribution(mm, rho)),
+                concurrency=float(positive_part_means(np.array([d.mean]), np.array([d.std]))[0]),
                 response_time_s=rtf.at(rho), extrapolated=rho > reach * (1.0 + 1e-12)))
         for w in want:
             k = w["ready"] - 1

@@ -279,6 +279,26 @@ class ScriptedStream:
         return self._next(n)
 
 
+def kernel_config(workload, lam=1.0, duration=5.0, warmup=0.0, initial=None, **autoscaler):
+    """The validated config that both event loops read, for calling them
+    directly: cc, target 1 and n_max 2 unless ``autoscaler`` says
+    otherwise, and every container ready unless ``initial`` says how many."""
+    cfg = rc.AutoscalerConfig(**{"metric_kind": "cc", "target_value": 1.0, "n_max": 2,
+                                 **autoscaler})
+    return rc.SimulationConfig(autoscaler=cfg, workload=workload, arrival_rate=lam,
+                               duration_s=duration, warmup_s=warmup,
+                               initial_replicas=cfg.n_max if initial is None else initial)
+
+
+def infinite_server(distribution, det_mean=1.0):
+    """Infinite-server service: exponential of mean 1, so a scripted
+    service stream gives the service times, or deterministic of det_mean."""
+    return is_det(det_mean) if distribution == "deterministic" else is_exp(1.0)
+
+
+DISTRIBUTIONS = ("exponential", "deterministic")
+
+
 class TestKernelOracle:
     """The event loop returns exactly what the loop as first written does.
 
@@ -305,7 +325,7 @@ class TestKernelOracle:
                                window, duration, warmup_share, seed)
 
     @given(data=st.data(),
-           distribution=st.sampled_from(["exponential", "deterministic"]),
+           distribution=st.sampled_from(DISTRIBUTIONS),
            metric=st.sampled_from(rc.METRIC_KINDS),
            lam=st.floats(min_value=0.01, max_value=100.0),
            mean=st.floats(min_value=1e-3, max_value=60.0),
@@ -329,13 +349,10 @@ class TestKernelOracle:
         # Small blocks refill inside a control interval and split runs of
         # equal departure times and the response-time folds across blocks.
         block = data.draw(st.sampled_from([5, 64, 4096]), label="block")
-        cfg = rc.AutoscalerConfig(metric_kind=metric, target_value=target, n_max=n_max,
-                                  t_eva_s=t_eva, stable_window_s=window)
-        metric_code = _kernels.MT_RPS if metric == "rps" else _kernels.MT_CONCURRENCY
-        warmup = warmup_share * (math.floor(duration) - 1.0)
-        args = (metric_code, cfg.target_value, n_max, cfg.t_eva_s, cfg.window_length,
-                cfg.mu_pro, cfg.mu_dep, workload._kernel_kind, workload.mean_s, lam,
-                duration, warmup, init)
+        sim_cfg = kernel_config(workload, lam=lam, duration=duration,
+                                warmup=warmup_share * (math.floor(duration) - 1.0),
+                                initial=init, metric_kind=metric, target_value=target,
+                                n_max=n_max, t_eva_s=t_eva, stable_window_s=window)
 
         def streams():
             seeds = np.random.SeedSequence(seed % 2**64).spawn(3)
@@ -346,36 +363,35 @@ class TestKernelOracle:
         saved = _kernels._BLOCK, oracles._BLOCK
         _kernels._BLOCK = oracles._BLOCK = block
         try:
-            got = _kernels.run_simulation(*args, *streams())
-            want = reference_run_simulation(*args, *streams())
+            got = _kernels.run_simulation(sim_cfg, *streams())
+            want = reference_run_simulation(sim_cfg, *streams())
         finally:
             _kernels._BLOCK, oracles._BLOCK = saved
         # repr is exact for floats and tells 1 from 1.0 and 0.0 from -0.0
         assert repr(got) == repr(want)
 
     @staticmethod
-    def both_loops(args, gaps, services, provisioning=()):
-        """Both loops on scripted random blocks; args set lam 1, so the
-        arrival gaps are as scripted."""
+    def both_loops(sim_cfg, gaps, services, provisioning=()):
+        """Both loops on scripted random blocks; sim_cfg sets lam 1, so
+        the arrival gaps are as scripted."""
         results = []
         for loop in (_kernels.run_simulation, reference_run_simulation):
             streams = (ScriptedStream(gaps, 1e3), ScriptedStream(services, 1.0),
                        ScriptedStream(provisioning, 1.0))
-            results.append(repr(loop(*args, *streams)))
+            results.append(repr(loop(sim_cfg, *streams)))
         return results
 
     @classmethod
-    def scripted_run(cls, gaps, services, wl_kind, wl_mean, warmup=0.0, n_max=2,
-                     metric=_kernels.MT_CONCURRENCY):
+    def scripted_run(cls, gaps, services, workload, warmup=0.0, n_max=2, metric="cc"):
         """lam 1, n_max containers all ready, and no scale evaluation
         within the 5 s run; n_max 1 takes one container's array path."""
-        args = (metric, 1.0, n_max, 100.0, 60, 1.0, 1.0, wl_kind,
-                wl_mean, 1.0, 5.0, warmup, n_max)
-        return cls.both_loops(args, gaps, services)
+        sim_cfg = kernel_config(workload, warmup=warmup, metric_kind=metric, n_max=n_max,
+                                t_eva_s=100.0)
+        return cls.both_loops(sim_cfg, gaps, services)
 
     @pytest.mark.parametrize("n_max", [1, 2])
-    @pytest.mark.parametrize("wl_kind", [_kernels.WL_INFINITE_EXP, _kernels.WL_INFINITE_DET])
-    def test_equal_departures_leave_lowest_slot_first(self, wl_kind, n_max):
+    @pytest.mark.parametrize("distribution", DISTRIBUTIONS)
+    def test_equal_departures_leave_lowest_slot_first(self, distribution, n_max):
         # jobs arrive at 0.876 (slot 0), 0.9057 (slot 1, slot 0 busy) and
         # one ulp later (slot 0, the tie of loads going to the lower
         # slot); with 0.6 s service the last two depart at the same
@@ -387,31 +403,34 @@ class TestKernelOracle:
         assert a[1] < a[2] and a[1] + 0.6 == a[2] + 0.6
         rt = [d - x for d, x in zip(a + 0.6, a)]
         assert (rt[0] + rt[2]) + rt[1] != (rt[0] + rt[1]) + rt[2]
-        services, mean = ([0.6] * 3, 1.0) if wl_kind == _kernels.WL_INFINITE_EXP else ([], 0.6)
-        got, want = self.scripted_run(gaps, services, wl_kind, mean, n_max=n_max)
+        services = [0.6] * 3 if distribution == "exponential" else []
+        got, want = self.scripted_run(gaps, services, infinite_server(distribution, det_mean=0.6),
+                                      n_max=n_max)
         assert got == want
 
     @given(gaps=st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=1, max_size=30),
            services=st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0]), max_size=30),
-           wl_kind=st.sampled_from([_kernels.WL_INFINITE_EXP, _kernels.WL_INFINITE_DET]),
-           det_mean=st.sampled_from([0.0, 0.5, 1.0]),
-           metric=st.sampled_from([_kernels.MT_CONCURRENCY, _kernels.MT_RPS]),
+           distribution=st.sampled_from(DISTRIBUTIONS),
+           det_mean=st.sampled_from([1e-300, 0.5, 1.0]),
+           metric=st.sampled_from(rc.METRIC_KINDS),
            window=st.sampled_from([1, 3, 60]),
            duration=st.sampled_from([3.25, 4.0, 5.0, 5.5]),
            warmup=st.sampled_from([0.0, 1.0, 2.0]),
            block=st.sampled_from([1, 2, 3, 5]))
-    def test_one_container_on_a_grid_of_times(self, gaps, services, wl_kind, det_mean, metric,
-                                              window, duration, warmup, block):
+    def test_one_container_on_a_grid_of_times(self, gaps, services, distribution, det_mean,
+                                              metric, window, duration, warmup, block):
         # times on a quarter-second grid put arrivals and departures on
         # monitor ticks, on each other, on the warmup and on the horizon,
-        # and tiny blocks end on them too
-        mean = 1.0 if wl_kind == _kernels.WL_INFINITE_EXP else det_mean
-        args = (metric, 1.0, 1, 2.0, window, 1.0, 1.0, wl_kind, mean, 1.0, duration,
-                warmup, 1)
+        # and tiny blocks end on them too.  A deterministic mean of 1e-300
+        # rounds away at every arrival after 0, so those jobs have zero
+        # service, which a mean of 0 would give but the config rejects.
+        sim_cfg = kernel_config(infinite_server(distribution, det_mean=det_mean),
+                                duration=duration, warmup=warmup, metric_kind=metric,
+                                n_max=1, t_eva_s=2.0, stable_window_s=window)
         saved = _kernels._BLOCK, oracles._BLOCK
         _kernels._BLOCK = oracles._BLOCK = block
         try:
-            got, want = self.both_loops(args, gaps, services)
+            got, want = self.both_loops(sim_cfg, gaps, services)
         finally:
             _kernels._BLOCK, oracles._BLOCK = saved
         assert got == want
@@ -432,27 +451,27 @@ class TestKernelOracle:
         ends = [1.5, last_departure, 1.5, 3.5, 3.5, 4.1, 4.1, 4.1, 6.5, 6.5]
         gaps = np.diff([0.0, *arrivals]).tolist()
         services = [e - a for e, a in zip(ends, np.cumsum(gaps))]
-        args = (_kernels.MT_CONCURRENCY, 1.0, 4, 1.0, 1, 1.0, 1.0,
-                _kernels.WL_INFINITE_EXP, 1.0, 1.0, 8.0, 0.0, 3)
-        got, want = self.both_loops(args, gaps, services, [0.02] * 10)
+        sim_cfg = kernel_config(is_exp(1.0), duration=8.0, initial=3, n_max=4, t_eva_s=1.0,
+                                stable_window_s=1.0, mu_dep=1.0)
+        got, want = self.both_loops(sim_cfg, gaps, services, [0.02] * 10)
         assert got == want
         ready = [3, 3, 1, 2, 3, 2, 2 if last_departure > 5 else 1, 1]
         assert eval(got)[0] == ready
 
     @pytest.mark.parametrize("n_max", [1, 2])
-    @pytest.mark.parametrize("wl_kind", [_kernels.WL_INFINITE_EXP, _kernels.WL_INFINITE_DET])
-    def test_departures_at_warmup_and_at_a_monitor_tick(self, wl_kind, n_max):
+    @pytest.mark.parametrize("distribution", DISTRIBUTIONS)
+    def test_departures_at_warmup_and_at_a_monitor_tick(self, distribution, n_max):
         # two jobs leave at exactly 2.5 s, the warmup, and exactly 3 s, a
         # monitor tick: the first is not counted after warmup, and both
         # close the second ending at 3 s.  They arrive at 0.5 and 0.75 s,
         # or at 2 and 2.5 s under 0.5 s deterministic service, where the
         # second arrives as the first leaves.
-        gaps = [0.5, 0.25]
-        if wl_kind == _kernels.WL_INFINITE_EXP:
-            services, mean = [2.0, 2.25], 1.0
+        if distribution == "exponential":
+            gaps, services = [0.5, 0.25], [2.0, 2.25]
         else:
-            gaps, services, mean = [2.0, 0.5], [], 0.5
-        got, want = self.scripted_run(gaps, services, wl_kind, mean, warmup=2.5, n_max=n_max)
+            gaps, services = [2.0, 0.5], []
+        got, want = self.scripted_run(gaps, services, infinite_server(distribution, det_mean=0.5),
+                                      warmup=2.5, n_max=n_max)
         assert got == want
         _, _, tick_rt, carried, _, rt_sum_pw, completions_pw, *_ = eval(got)
         arrived = np.cumsum(gaps)
@@ -461,36 +480,52 @@ class TestKernelOracle:
         assert (tick_rt[2], carried[2]) == ((rts[0] + rts[1]) / 2, 0)
         assert carried[:2] == [1, 1] and carried[3:] == [1, 1]
 
-    @pytest.mark.parametrize("metric", [_kernels.MT_CONCURRENCY, _kernels.MT_RPS])
+    @pytest.mark.parametrize("metric", rc.METRIC_KINDS)
     @pytest.mark.parametrize("n_max", [1, 2])
-    @pytest.mark.parametrize("wl_kind", [_kernels.WL_INFINITE_EXP, _kernels.WL_INFINITE_DET])
-    def test_zero_service_departs_after_its_arrival(self, wl_kind, n_max, metric):
+    @pytest.mark.parametrize("distribution", DISTRIBUTIONS)
+    def test_zero_service_departs_after_its_arrival(self, distribution, n_max, metric):
         # under exponential service the first job leaves at 1.0, when the
         # second arrives with zero service, and so does a third with a
         # zero gap; the monitor fires at 1.0 between the departure and
         # the arrivals, so it sees neither arrival: no job in flight, one
-        # arrival in the first second.  Deterministic service of mean 0
-        # gives every job a zero service time.
+        # arrival in the first second.  The config rejects a
+        # deterministic mean of 0, but 1e-300 rounds away at every
+        # arrival time here, so every job gets a zero service time.
         gaps = [0.25, 0.75, 0.0, 0.3, 0.2]
         services = [0.75, 0.0, 0.0, 0.4, 0.0]
-        mean = 1.0 if wl_kind == _kernels.WL_INFINITE_EXP else 0.0
-        got, want = self.scripted_run(gaps, services, wl_kind, mean, n_max=n_max,
-                                      metric=metric)
+        got, want = self.scripted_run(gaps, services,
+                                      infinite_server(distribution, det_mean=1e-300),
+                                      n_max=n_max, metric=metric)
         assert got == want
-        sample = 1 if metric == _kernels.MT_RPS else 0
+        sample = 1 if metric == rc.METRIC_RPS else 0
         assert eval(got)[1][0] == sample / n_max
 
+    def test_zero_service_arrival_is_routed_before_it_leaves(self):
+        # jobs at 0.25 s (slot 0, leaves at 0.35 s), 0.3 s (slot 1, leaves
+        # at 4.3 s) and 0.6 s with zero service, which goes to the emptier
+        # slot 0 and leaves at once: it heads the departure queue at its
+        # arrival but must not be freed before it is routed.  Scaling
+        # down at 1.01 s removes slot 1, the newest, with the 4.3 s job,
+        # so from 2 s on the monitor sees no job on the ready container.
+        sim_cfg = kernel_config(is_exp(1.0), t_eva_s=1.0, stable_window_s=1.0)
+        got, want = self.both_loops(sim_cfg, [0.25, 0.05, 0.3], [0.1, 4.0, 0.0], [0.02])
+        assert got == want
+        tick_ready, tick_ov = eval(got)[:2]
+        assert tick_ready == [2, 1, 1, 1, 1]
+        assert tick_ov == [0.5, 0.0, 0.0, 0.0, 0.0]
+
     @pytest.mark.parametrize("n_max", [1, 2])
-    @pytest.mark.parametrize("wl_kind", [_kernels.WL_INFINITE_EXP, _kernels.WL_INFINITE_DET])
-    def test_arrival_and_departure_at_the_horizon(self, wl_kind, n_max):
+    @pytest.mark.parametrize("distribution", DISTRIBUTIONS)
+    def test_arrival_and_departure_at_the_horizon(self, distribution, n_max):
         # the 5 s run counts an arrival and a departure at exactly 5 s,
         # and a zero-service job arriving then leaves within the run;
         # the job due at 6 s is in flight at the end
-        if wl_kind == _kernels.WL_INFINITE_EXP:
-            gaps, services, mean, want_counts = [0.5, 3.5, 1.0, 0.0], [4.5, 2.0, 0.0, 0.0], 1.0, [4, 3, 1]
+        if distribution == "exponential":
+            gaps, services, want_counts = [0.5, 3.5, 1.0, 0.0], [4.5, 2.0, 0.0, 0.0], [4, 3, 1]
         else:
-            gaps, services, mean, want_counts = [0.5, 3.5, 1.0], [], 1.0, [3, 2, 1]
-        got, want = self.scripted_run(gaps, services, wl_kind, mean, n_max=n_max)
+            gaps, services, want_counts = [0.5, 3.5, 1.0], [], [3, 2, 1]
+        got, want = self.scripted_run(gaps, services, infinite_server(distribution),
+                                      n_max=n_max)
         assert got == want
         assert list(eval(got)[7:]) == want_counts
 
@@ -509,16 +544,13 @@ class TestKernelOracle:
         # stream interleaves exponential and uniform blocks.
         monkeypatch.setattr(_kernels, "_BLOCK", block)
         monkeypatch.setattr(oracles, "_BLOCK", block)
-        cfg = rc.AutoscalerConfig(metric_kind=metric, target_value=5.0, n_max=n_max,
-                                  t_eva_s=2.0)
-        metric_code = _kernels.MT_RPS if metric == "rps" else _kernels.MT_CONCURRENCY
-        args = (metric_code, cfg.target_value, cfg.n_max, cfg.t_eva_s, cfg.window_length,
-                cfg.mu_pro, cfg.mu_dep, workload._kernel_kind, workload.mean_s, lam,
-                150.0, 20.0, min(3, n_max))
+        sim_cfg = kernel_config(workload, lam=lam, duration=150.0, warmup=20.0,
+                                initial=min(3, n_max), metric_kind=metric, target_value=5.0,
+                                n_max=n_max, t_eva_s=2.0)
         results = []
         for loop in (_kernels.run_simulation, reference_run_simulation):
             seeds = np.random.SeedSequence(11).spawn(3)
-            results.append(repr(loop(*args, *(np.random.default_rng(s) for s in seeds))))
+            results.append(repr(loop(sim_cfg, *(np.random.default_rng(s) for s in seeds))))
         assert results[0] == results[1]
 
 
