@@ -16,7 +16,11 @@ each time has the same bits as the running ``t + gap`` of a scalar loop.
 
 An outer loop runs the control events (the per-second monitor, the
 scale evaluator and the provisioning engine), and between two of them
-an inner loop, one per service model, runs arrivals and departures.
+one inner loop runs arrivals and departures for both service models.
+Each step sets t_next to the next arrival if it fires before the stop,
+else to the stop, fires the departures due at or before t_next, then
+routes, counts and records the arrival and refills the arrival block.
+Routing to the least-loaded ready container happens in that one place.
 Event kinds at equal timestamps fire in the fixed priority
 departure < monitor < evaluation < provisioning < arrival, which makes
 runs bit-reproducible for a given seed.
@@ -60,8 +64,9 @@ response-time sums from ``_fold``, all exact, so it returns the loop's
 result bit for bit.
 
 The ready containers are a list of slots in slot order, changed only at
-provisioning events: routing scans it for the least-loaded slot, and
-scale-down for the newest container.  A scaled-down container keeps its
+provisioning events, which routing scans for the least-loaded slot, and
+a stack of the same slots in the order they became ready, from which
+scale-down pops the newest container.  A scaled-down container keeps its
 in-flight jobs and its slot is free once they are gone: scale-up takes
 the lowest slot that is not ready and holds no jobs, which is the slot a
 per-departure check would have freed, because every departure up to
@@ -259,6 +264,9 @@ def run_simulation(sim_cfg, arr_rng, svc_rng, prov_rng):
     wl_mean = workload.mean_s
     lam, duration, warmup = sim_cfg.arrival_rate, sim_cfg.duration_s, sim_cfg.warmup_s
     init_replicas = sim_cfg.initial_replicas
+    # The run has floor(duration) monitor ticks, so a longer window never
+    # fills or wraps and gives the same result as one that long.
+    window_len = min(window_len, math.floor(duration))
     if n_max == 1 and not sharing:
         return _one_container(rps, window_len, deterministic, wl_mean, lam, duration,
                               warmup, arr_rng, svc_rng)
@@ -278,21 +286,21 @@ def run_simulation(sim_cfg, arr_rng, svc_rng, prov_rng):
     prov_i = block
 
     # Container slots.  A slot's index doubles as the container id for
-    # dispatch tie-breaks; birth order decides which container a
-    # scale-down removes.  A slot is free when it is not ready and holds
+    # dispatch tie-breaks.  A slot is free when it is not ready and holds
     # no jobs; a provisioned container takes the lowest free slot, or a
     # new one at the end.
     conc = [0] * init_replicas
     # Arrivals this second per ready slot (rps only); zeroed when a slot
     # stops being ready.
     arr_count = [0] * init_replicas
-    birth = list(range(init_replicas))
     # Arrival times of each slot's in-flight jobs (processor sharing only).
     ps_times = [[] for _ in range(init_replicas)]
     # Ready slots in slot order; only provisioning events change it.
     ready = list(range(init_replicas))
+    # The same slots in the order they became ready: scale-down pops the
+    # newest.
+    by_birth = list(range(init_replicas))
     busy = 0
-    birth_seq = init_replicas
     j_ready = init_replicas
     order = init_replicas
 
@@ -358,11 +366,14 @@ def run_simulation(sim_cfg, arr_rng, svc_rng, prov_rng):
             dep_stop = duration
             arr_stop = math.nextafter(duration, _INF)
 
-        if sharing:
-            while True:
-                if t_dep <= t_arrival:
-                    if t_dep > dep_stop:
-                        break
+        while True:
+            # Departures fire up to the next arrival, or up to the stop
+            # when no arrival is left before it.  arr_stop is dep_stop or
+            # the float after it, so an arrival before it lies at or
+            # before dep_stop.
+            t_next = t_arrival if t_arrival < arr_stop else dep_stop
+            if sharing:
+                if t_dep <= t_next:
                     # --- departure ---
                     # Pick the departing container uniformly among busy
                     # ones, then the finishing job uniformly within it:
@@ -407,83 +418,62 @@ def run_simulation(sim_cfg, arr_rng, svc_rng, prov_rng):
                     if t > warmup:
                         rt_sum_pw += rt
                         completions_pw += 1
-                else:
-                    if t_arrival >= arr_stop:
-                        break
-                    # --- arrival: to the least-loaded ready container ---
-                    t = t_arrival
-                    best = ready[0]
-                    best_c = conc[best]
-                    if j_ready > 1:
-                        for k in ready:
-                            c = conc[k]
-                            if c < best_c:
-                                best = k
-                                best_c = c
-                    if rps:
-                        arr_count[best] += 1
-                    conc[best] = best_c + 1
-                    ps_times[best].append(t)
-                    if best_c == 0:
-                        busy += 1
-                        if svc_i == block:
-                            svc = (svc_rng.standard_exponential(block) * wl_mean).tolist()
-                            svc_i = 0
-                        t_dep = t + svc[svc_i] / busy
-                        svc_i += 1
-                    arr_i += 1
-                    if arr_i == block:
-                        arr_t = _arrival_times(arr_rng, lam, block, t).tolist()
-                        arr_base += block
-                        arr_i = 0
-                    t_arrival = arr_t[arr_i]
-        else:
-            while t_arrival < arr_stop:
-                t = t_arrival
-                # --- departures of arrived jobs before the arrival ---
-                # A job not routed yet (slot -1) arrives at or after t and
-                # leaves no earlier, since fl(a + s) >= a for s >= 0.
-                while t_dep <= t and q_slot[qh] >= 0:
+                    continue
+            else:
+                # --- departures of arrived jobs ---
+                # A job not routed yet (slot -1) arrives at or after the
+                # next arrival and leaves no earlier, since fl(a + s) >= a
+                # for s >= 0.
+                while t_dep <= t_next and q_slot[qh] >= 0:
                     if q_ties and q_time[qh + 1] == t_dep:
                         _lowest_slot_first(q_time, q_slot, rts, qh)
                     conc[q_slot[qh]] -= 1
                     qh += 1
                     t_dep = q_time[qh]
-                # --- arrival: to the least-loaded ready container ---
-                best = ready[0]
-                best_c = conc[best]
-                if j_ready > 1:
-                    for k in ready:
-                        c = conc[k]
-                        if c < best_c:
-                            best = k
-                            best_c = c
-                if rps:
-                    arr_count[best] += 1
-                conc[best] = best_c + 1
+            if t_arrival >= arr_stop:
+                break
+
+            # --- arrival: to the least-loaded ready container ---
+            t = t_arrival
+            best = ready[0]
+            best_c = conc[best]
+            if j_ready > 1:
+                for k in ready:
+                    c = conc[k]
+                    if c < best_c:
+                        best = k
+                        best_c = c
+            if rps:
+                arr_count[best] += 1
+            conc[best] = best_c + 1
+            if sharing:
+                ps_times[best].append(t)
+                if best_c == 0:
+                    busy += 1
+                    if svc_i == block:
+                        svc = (svc_rng.standard_exponential(block) * wl_mean).tolist()
+                        svc_i = 0
+                    t_dep = t + svc[svc_i] / busy
+                    svc_i += 1
+            else:
                 q_slot[q_pos[arr_i]] = best
-                arr_i += 1
-                if arr_i == block:
+            arr_i += 1
+            if arr_i == block:
+                if not sharing:
                     rt_sum_sec, n_sec, rt_sum_pw, completions_pw = _fold(
                         times, rts, qh, marks, warmup, sec_rt, sec_n, rt_sum_sec, n_sec,
                         rt_sum_pw, completions_pw)
                     marks = []
-                    arr_block = _arrival_times(arr_rng, lam, block, t)
-                    arr_t = arr_block.tolist()
-                    arr_base += block
-                    arr_i = 0
+                arr_block = _arrival_times(arr_rng, lam, block, t)
+                arr_t = arr_block.tolist()
+                arr_base += block
+                arr_i = 0
+                if not sharing:
                     q_time, times, rts, q_slot, q_pos, q_ties = _merge_departures(
                         times, rts, q_slot, qh, arr_block, svc_rng, wl_mean, deterministic)
                     qh = 0
                     t_dep = q_time[0]
-                t_arrival = arr_t[arr_i]
-            # --- departures of arrived jobs up to the stop ---
-            while t_dep <= dep_stop and q_slot[qh] >= 0:
-                if q_ties and q_time[qh + 1] == t_dep:
-                    _lowest_slot_first(q_time, q_slot, rts, qh)
-                conc[q_slot[qh]] -= 1
-                qh += 1
-                t_dep = q_time[qh]
+            t_arrival = arr_t[arr_i]
 
         # The next event is a control event, or nothing is left before
         # the horizon.
@@ -547,19 +537,14 @@ def run_simulation(sim_cfg, arr_rng, svc_rng, prov_rng):
                 if slot == len(conc):
                     conc.append(0)
                     arr_count.append(0)
-                    birth.append(0)
                     ps_times.append([])
-                birth[slot] = birth_seq
                 insort(ready, slot)
-                birth_seq += 1
+                by_birth.append(slot)
                 j_ready += 1
             else:
                 # Graceful scale-down of the newest ready container: it
                 # finishes in-flight requests but gets no new ones.
-                slot = ready[0]
-                for k in ready:
-                    if birth[k] > birth[slot]:
-                        slot = k
+                slot = by_birth.pop()
                 ready.remove(slot)
                 arr_count[slot] = 0
                 j_ready -= 1

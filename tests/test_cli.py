@@ -54,10 +54,10 @@ def autoscaler_file(tmp_path, target_value=100.0, n_max=1, **kw):
 
 
 def sim_config_file(tmp_path, arrival_rate=5.0, target_value=100.0, n_max=1,
-                    duration_s=1200.0, warmup_s=300.0, seed=11, name="sim.json"):
+                    duration_s=1200.0, warmup_s=300.0, seed=11, name="sim.json", **kw):
     cfg = rc.SimulationConfig(
         autoscaler=rc.AutoscalerConfig(metric_kind="cc", target_value=target_value,
-                                       n_max=n_max),
+                                       n_max=n_max, **kw),
         workload=rc.WorkloadModel(kind=rc.WORKLOAD_INFINITE_SERVER, mean_s=0.2),
         arrival_rate=arrival_rate, duration_s=duration_s, warmup_s=warmup_s,
         seed=seed)
@@ -532,6 +532,20 @@ class TestSimulate:
         monkeypatch.setattr(_kernels, "run_simulation", reference_run_simulation)
         assert cli.main(["simulate", "--config", cfg, "--series"]) == 0
         assert capsys.readouterr().out == got
+
+    @pytest.mark.parametrize("n_max", [1, 2])
+    def test_window_longer_than_the_run(self, tmp_path, capsys, n_max):
+        # a 1e300 s stable window never fills in a 400 s run, so it
+        # reports what a 400 s one does
+        payloads = []
+        for window in (1e300, 400.0):
+            cfg = sim_config_file(tmp_path, target_value=1.0, n_max=n_max, duration_s=400.0,
+                                  warmup_s=100.0, stable_window_s=window)
+            assert cli.main(["simulate", "--config", cfg, "--series"]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload.pop("autoscaler")["stable_window_s"] == window
+            payloads.append(payload)
+        assert payloads[0] == payloads[1]
 
     def test_zero_seeds_exits_one(self, tmp_path, capsys):
         cfg = sim_config_file(tmp_path, duration_s=400.0, warmup_s=100.0)

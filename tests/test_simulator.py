@@ -529,6 +529,46 @@ class TestKernelOracle:
         assert got == want
         assert list(eval(got)[7:]) == want_counts
 
+    def test_sharing_departures_on_an_arrival_a_tick_and_the_horizon(self, monkeypatch):
+        # processor sharing, two containers, a 5.5 s run.  Jobs arrive at
+        # 0.5 (slot 0, leaves at 1.0, a monitor tick, before the monitor
+        # samples), 1.5 (slot 0, leaves at 2.5), 2.5 (leaves after the
+        # job departing at 2.5, so slot 0 is empty again and takes it),
+        # 3.0 (slot 1; two busy, the next completion at 3.0 + 5.0/2) and
+        # 5.5, the horizon, after the departure at 5.5 picked slot 1.
+        # Blocks of 4 make the service stream draw exponentials at 0.5,
+        # uniforms at 1.0 and 5.5, then exponentials again.
+        monkeypatch.setattr(_kernels, "_BLOCK", 4)
+        monkeypatch.setattr(oracles, "_BLOCK", 4)
+        gaps = [0.5, 1.0, 1.0, 0.5, 2.5]
+        services = [0.5, 1.0, 3.0, 5.0, 0.5, 0.5, 0.5, 0.5, 0.75, 0.5]
+        sim_cfg = kernel_config(rc.WorkloadModel(kind=rc.WORKLOAD_PROCESSOR_SHARING,
+                                                 mean_s=1.0),
+                                duration=5.5, t_eva_s=100.0)
+        got, want = self.both_loops(sim_cfg, gaps, services)
+        assert got == want
+        _, tick_ov, _, _, _, rt_sum_pw, completions_pw, *counts = eval(got)
+        assert tick_ov[0] == 0.0
+        assert (rt_sum_pw, completions_pw) == (0.5 + 1.0 + 2.5, 3)
+        assert counts == [5, 3, 2]
+
+    @pytest.mark.parametrize("n_max", [1, 2])
+    @pytest.mark.parametrize("workload", [is_exp(0.2), WORKLOADS[2]],
+                             ids=["infinite_server", "processor_sharing"])
+    def test_window_longer_than_the_run(self, workload, n_max):
+        # the run has floor(duration) monitor ticks, so any longer window
+        # never fills: one of 1e300 s runs as one of 50 s, without
+        # allocating it
+        results = []
+        for loop, window in ((_kernels.run_simulation, 1e300),
+                             (_kernels.run_simulation, 50.0),
+                             (reference_run_simulation, 50.0)):
+            sim_cfg = kernel_config(workload, lam=8.0, duration=50.9, warmup=10.0,
+                                    n_max=n_max, t_eva_s=2.0, stable_window_s=window)
+            seeds = np.random.SeedSequence(5).spawn(3)
+            results.append(repr(loop(sim_cfg, *(np.random.default_rng(s) for s in seeds))))
+        assert results[0] == results[1] == results[2]
+
     @pytest.mark.parametrize("n_max", [1, 12])
     @pytest.mark.parametrize("block", [5, 64])
     @pytest.mark.parametrize("workload", [is_exp(30.0), is_det(30.0),
