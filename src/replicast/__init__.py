@@ -28,7 +28,7 @@ from .config import (METRIC_CONCURRENCY, METRIC_KINDS, METRIC_RPS,
 from .errors import (ConfigMismatchError, FitRejectedError,
                      InsufficientDataError, NonErgodicError, NumericalError,
                      ReplicastError, TraceParseError, ValidationError)
-from .evaluator import OrderDistribution, order_probabilities
+from .evaluator import order_probabilities
 from .metric_model import (STD_FLOOR, GaussianDist, MetricModel,
                            fit_metric_model, observed_value_distribution)
 from .output import (ResponseTimeFunction, SteadyStateReport, fit_rtf,
@@ -55,7 +55,7 @@ __all__ = [
     "ConfigMismatchError", "FitRejectedError",
     "InsufficientDataError", "NonErgodicError", "NumericalError",
     "ReplicastError", "TraceParseError", "ValidationError",
-    "OrderDistribution", "order_probabilities",
+    "order_probabilities",
     "STD_FLOOR", "GaussianDist", "MetricModel", "fit_metric_model",
     "observed_value_distribution",
     "ResponseTimeFunction", "SteadyStateReport",

@@ -244,7 +244,9 @@ def cmd_compare(args) -> int:
         "analytical": analytic_vals,
         "simulated_mean": sim_mean,
         "simulated_ci95_half_width": sim_ci,
-        "relative_errors": rel_errors,
+        # a relative error against a simulated mean of 0 is undefined
+        "relative_errors": {name: err if math.isfinite(err) else None
+                            for name, err in rel_errors.items()},
         "pass": ok,
     }
     if args.out:

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InsufficientDataError, TraceParseError, ValidationError
+from .errors import InsufficientDataError, NumericalError, TraceParseError, ValidationError
 
 METRIC_CONCURRENCY = "cc"
 METRIC_RPS = "rps"
@@ -146,11 +146,15 @@ def load_autoscaler_config(path) -> AutoscalerConfig:
 
 
 def dump_json(payload, path=None, indent=2) -> str:
-    """payload as JSON text with sorted keys, written with a trailing
-    newline to path if one is given.  indent None gives the compact form,
-    which json encodes in C."""
-    text = json.dumps(payload, indent=indent, sort_keys=True,
-                      separators=None if indent else (",", ":"))
+    """payload as standard JSON text with sorted keys, written with a
+    trailing newline to path if one is given.  indent None gives the
+    compact form, which json encodes in C.  A NaN or infinite value
+    raises NumericalError, since standard JSON has no token for it."""
+    try:
+        text = json.dumps(payload, indent=indent, sort_keys=True, allow_nan=False,
+                          separators=None if indent else (",", ":"))
+    except ValueError as exc:
+        raise NumericalError(f"cannot write a non-finite value as JSON: {exc}") from None
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -223,19 +227,9 @@ class ProfilingTrace:
         bad = _first_invalid_row(*columns)
         if bad is not None:
             raise ValidationError(f"trace row {bad[0] + 1}: {bad[1]}")
-        self._freeze(columns)
-
-    def _freeze(self, columns) -> None:
         for f, col in zip(fields(self), columns):
             col.flags.writeable = False
             object.__setattr__(self, f.name, col)
-
-    @classmethod
-    def _from_valid(cls, columns) -> "ProfilingTrace":
-        """Wrap columns that already passed the trace rules."""
-        trace = object.__new__(cls)
-        trace._freeze(columns)
-        return trace
 
     def __len__(self) -> int:
         return self.rates.size
@@ -250,9 +244,8 @@ class ProfilingTrace:
         return int(np.count_nonzero(s[1:] != s[:-1])) + 1
 
     def extend(self, other: "ProfilingTrace") -> "ProfilingTrace":
-        return ProfilingTrace._from_valid([
-            np.concatenate((getattr(self, f.name), getattr(other, f.name)))
-            for f in fields(self)])
+        return ProfilingTrace(*(np.concatenate((getattr(self, f.name), getattr(other, f.name)))
+                                for f in fields(self)))
 
 
 def trace_from_arrays(rates: Sequence[float], observed: Sequence[float],
@@ -304,7 +297,7 @@ def parse_trace(path) -> ProfilingTrace:
             except ValueError:
                 fail(lineno, f"{name} is not a number: {token!r}")
         values.append(row)
-    trace = ProfilingTrace._from_valid(checked_columns())
+    trace = ProfilingTrace(*checked_columns())
     if trace.n_distinct_rates < 2:
         raise InsufficientDataError(
             f"{path}: trace has {trace.n_distinct_rates} distinct per-container rate(s); "

@@ -4,14 +4,15 @@ The autoscaler divides the aggregate windowed metric (summed over the
 ready containers, as in Knative's KPA) by the per-container target,
 takes the ceiling and clamps to [1, n_max].  With that aggregate
 modeled as a Gaussian, the probability of each ordered count is a
-difference of two normal CDF values; the first and last bins absorb the tails so the result
-always sums to one.
+difference of two normal CDF values; the first and last bins absorb the
+tails so the result always sums to one.  ``order_probabilities`` returns
+that law as a read-only vector of n_max probabilities, entry i-1 for an
+order of i containers; ``order_rows`` computes one such row per law.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,36 +21,12 @@ from .errors import ValidationError
 from .metric_model import GaussianDist
 
 
-@dataclass(frozen=True)
-class OrderDistribution:
-    """probs[k] is the probability the evaluator orders k+1 containers."""
-
-    probs: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.probs, dtype=np.float64)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValidationError("order distribution must be a non-empty vector")
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("order distribution has non-finite entries")
-        if np.any(arr < 0) or abs(float(arr.sum()) - 1.0) > 1e-9:
-            raise ValidationError("order distribution entries must be >= 0 and sum to 1")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "probs", arr)
-
-    @property
-    def n_max(self) -> int:
-        return int(self.probs.size)
-
-    def mean(self) -> float:
-        return float(np.dot(self.probs, np.arange(1, self.probs.size + 1)))
-
-
-def order_probabilities(dist: GaussianDist, target_value: float, n_max: int) -> OrderDistribution:
-    """P[ordered count = i] for i in 1..n_max under the given metric law."""
-    return OrderDistribution(order_rows(np.array([dist.mean]), np.array([dist.std]),
-                                        target_value, n_max)[0])
+def order_probabilities(dist: GaussianDist, target_value: float, n_max: int) -> np.ndarray:
+    """Read-only vector whose entry i-1 is P[ordered count = i], for i in
+    1..n_max, under the given metric law."""
+    probs = order_rows(np.array([dist.mean]), np.array([dist.std]), target_value, n_max)[0]
+    probs.flags.writeable = False
+    return probs
 
 
 def order_rows(mean: np.ndarray, std: np.ndarray, target_value: float, n_max: int) -> np.ndarray:

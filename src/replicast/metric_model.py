@@ -279,11 +279,9 @@ def _fit_std(rates: np.ndarray, y: np.ndarray, mean_fn) -> tuple:
         slope, intercept = np.polyfit(np.asarray(centers), np.asarray(spreads), 1)
         return float(intercept), float(slope)
     # Too few rows for binning: pool the scatter around the fitted mean.
-    if n >= 2:
-        resid = y - np.array([mean_fn(r) for r in rates])
-        pooled = float(np.sqrt(np.sum(resid ** 2) / (n - 1)))
-    else:
-        pooled = 0.0
+    # A trace reaches here with two distinct rates, so n >= 2.
+    resid = y - np.array([mean_fn(r) for r in rates])
+    pooled = float(np.sqrt(np.sum(resid ** 2) / (n - 1)))
     return max(pooled, STD_FLOOR), 0.0
 
 

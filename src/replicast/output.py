@@ -134,6 +134,9 @@ def steady_state_report(stationary: StationaryDistribution, chain: ClusterChain,
     lam = chain.arrival_rate
     _require(math.isfinite(window_s) and window_s > 0, f"window_s must be > 0, got {window_s!r}")
     _require(math.isfinite(lam) and lam >= 0, f"arrival_rate must be finite and >= 0, got {lam!r}")
+    _require(math.isfinite(lam * window_s),
+             "requests_in_window = arrival_rate * window_s must be finite, "
+             f"got {lam!r} * {window_s!r}")
     fitted_reach = min(model.rho_max, rtf.rho_max)
     rho = lam / np.arange(1, chain.n_max + 1)
     rt = rtf.at(rho)

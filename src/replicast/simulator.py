@@ -159,12 +159,7 @@ class SimulationReport:
 
     def to_dict(self, include_series: bool = False) -> dict:
         out = {
-            "arrival_rate": self.config.arrival_rate,
-            "duration_s": self.config.duration_s,
-            "warmup_s": self.config.warmup_s,
-            "seed": self.config.seed,
-            "workload": self.config.workload.to_dict(),
-            "autoscaler": self.config.autoscaler.to_dict(),
+            **self.config.to_dict(),
             "avg_replica_count": self.avg_replica_count,
             "avg_concurrency": self.avg_concurrency,
             "avg_response_time_s": self.avg_response_time_s,

@@ -138,7 +138,7 @@ def test_criterion_3_order_probabilities_monte_carlo(criterion):
         std = float(rng.uniform(0.05, 15.0))
         tv = float(rng.uniform(0.5, 12.0))
         n_max = int(rng.integers(1, 13))
-        model_p = rc.order_probabilities(rc.GaussianDist(mean, std), tv, n_max).probs
+        model_p = rc.order_probabilities(rc.GaussianDist(mean, std), tv, n_max)
         draws = rng.normal(mean, std, n_samples)
         orders = np.clip(np.ceil(draws / tv), 1, n_max).astype(np.int64)
         mc_p = np.bincount(orders - 1, minlength=n_max) / n_samples

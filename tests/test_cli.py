@@ -79,6 +79,13 @@ def predict_error(tmp_path, capsys, bundle_data):
     return captured.err
 
 
+def strict_json(text):
+    """Parse standard JSON only: NaN and Infinity tokens raise."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
 def dense_orders(sparse, n_max):
     """The n_max x n_max order rows of --explain's nonzero entries."""
     rows = np.zeros((n_max, n_max))
@@ -111,6 +118,19 @@ class TestFit:
                          str(tmp_path / "m.json")])
         assert code == 1
         assert str(missing) in capsys.readouterr().err
+
+    def test_short_trace_fits_a_flat_pooled_spread(self, tmp_path, capsys):
+        # five rows at three rates: too few for binned spreads
+        trace = tmp_path / "short.csv"
+        trace.write_text("per_container_rate,observed_metric,mean_response_time_s\n"
+                         "1.0,0.21,0.2\n1.0,0.19,0.21\n2.0,0.41,0.2\n"
+                         "3.0,0.58,0.22\n3.0,0.62,0.21\n", encoding="utf-8")
+        out = tmp_path / "m.json"
+        assert cli.main(["fit", "--trace", str(trace), "--out", str(out)]) == 0
+        capsys.readouterr()
+        metric = rc.load_bundle(out).metric
+        assert metric.std_slope == 0.0
+        assert metric.std_intercept > rc.STD_FLOOR
 
     def test_missing_required_flag(self, trace_path, capsys):
         code = cli.main(["fit", "--trace", trace_path])
@@ -248,6 +268,25 @@ class TestPredict:
                          "--arrival-rate", rate])
         assert code == 1
         assert "arrival_rate must be finite and > 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rate,window", [("50", "1e308"), ("1e308", "3600")])
+    def test_non_finite_request_count_exits_one(self, tmp_path, bundle_path, capsys,
+                                                rate, window):
+        cfg = autoscaler_file(tmp_path, target_value=100.0, n_max=1)
+        code = cli.main(["predict", "--model", bundle_path, "--config", cfg,
+                         "--arrival-rate", rate, "--window", window])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "arrival_rate * window_s must be finite" in captured.err
+
+    def test_huge_finite_request_count_is_standard_json(self, tmp_path, bundle_path,
+                                                        capsys):
+        cfg = autoscaler_file(tmp_path, target_value=100.0, n_max=1)
+        code = cli.main(["predict", "--model", bundle_path, "--config", cfg,
+                         "--arrival-rate", "50", "--window", "1e300"])
+        assert code == 0
+        assert strict_json(capsys.readouterr().out)["requests_in_window"] == 5e301
 
     @pytest.mark.parametrize("explain", [[], ["--explain"]])
     def test_non_finite_metric_exits_one_with_the_scalar_error(self, tmp_path,
@@ -577,6 +616,25 @@ class TestCompare:
                          "--tolerance", "0"])
         assert code == 3
         assert "FAIL" in capsys.readouterr().out
+
+    def test_zero_simulated_mean_gives_null_relative_error(self, tmp_path, bundle_path,
+                                                           capsys):
+        # at 1e-6 req/s no request arrives after warmup: the simulated
+        # concurrency and response time are 0 while the analytic ones are
+        # not, so their relative errors are undefined and the point fails
+        sim_cfg = sim_config_file(tmp_path, arrival_rate=1e-6, n_max=5, duration_s=400.0,
+                                  warmup_s=100.0)
+        out = tmp_path / "cmp.json"
+        code = cli.main(["compare", "--model", bundle_path, "--sim-config", sim_cfg,
+                         "--out", str(out)])
+        assert code == 3
+        assert "FAIL" in capsys.readouterr().out
+        payload = strict_json(out.read_text(encoding="utf-8"))
+        assert payload["simulated_mean"]["avg_concurrency"] == 0.0
+        assert payload["relative_errors"] == {"avg_replica_count": 0.0,
+                                              "avg_concurrency": None,
+                                              "avg_response_time_s": None}
+        assert payload["pass"] is False
 
     def test_config_flag_is_usage_error(self, tmp_path, bundle_path, capsys):
         # the autoscaler comes from --sim-config alone

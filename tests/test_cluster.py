@@ -197,7 +197,7 @@ class TestHorizontalProbs:
             # the aggregate over j ready containers, each at rate lam/j
             per = rc.observed_value_distribution(mm, lam / j)
             dist = rc.GaussianDist(j * per.mean, math.sqrt(j) * per.std)
-            want = rc.order_probabilities(dist, cfg.target_value, cfg.n_max).probs
+            want = rc.order_probabilities(dist, cfg.target_value, cfg.n_max)
             assert np.allclose(h, want, atol=1e-15)
 
 

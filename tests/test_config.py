@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import replicast as rc
-from replicast.config import TRACE_HEADER
+from replicast.config import TRACE_HEADER, dump_json
 
 
 def make_cfg(**overrides):
@@ -189,6 +189,15 @@ class TestTraceRows:
         assert joined.n_distinct_rates == 2
         assert joined.rates.tolist() == [1.0, 2.0]
         assert not joined.response_times.flags.writeable
+
+
+class TestDumpJson:
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_value_is_a_numerical_error(self, tmp_path, value):
+        path = tmp_path / "out.json"
+        with pytest.raises(rc.NumericalError, match="non-finite"):
+            dump_json({"nested": [1.0, value]}, path)
+        assert not path.exists()
 
 
 class TestTraceFileFormat:

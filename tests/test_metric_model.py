@@ -196,6 +196,21 @@ class TestFitMetricModel:
         assert scaled.std_intercept == pytest.approx(c * base.std_intercept, rel=1e-9, abs=1e-12)
         assert scaled.std_slope == pytest.approx(c * base.std_slope, rel=1e-9, abs=1e-12)
 
+    @pytest.mark.parametrize("noise", [0.0, 0.05])
+    def test_short_trace_pools_the_residuals(self, noise):
+        # under ten rows there are too few for five spread bins: the spread
+        # is the residual scale around the fitted mean, flat in the rate
+        rates = np.array([1.0, 1.0, 2.0, 3.0, 3.0, 4.0])
+        y = 0.2 * rates + noise * np.array([1.0, -1.0, 0.5, -0.5, 2.0, -2.0])
+        mm = rc.fit_metric_model(rc.trace_from_arrays(rates, y, np.full(6, 0.2)), "cc")
+        a1, a2 = mm.mean_linear, mm.mean_quadratic
+        resid = y - np.array([a1 * r + a2 * r * r for r in rates])
+        pooled = float(np.sqrt(np.sum(resid ** 2) / (rates.size - 1)))
+        assert mm.std_intercept == max(pooled, rc.STD_FLOOR)
+        assert mm.std_slope == 0.0
+        if noise == 0.0:
+            assert mm.std_intercept == rc.STD_FLOOR
+
     def test_dict_round_trip(self):
         mm = make_mm(0.21, 0.003, 0.05, 0.01, 20.0)
         back = rc.MetricModel.from_dict(mm.to_dict())

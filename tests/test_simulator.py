@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -163,6 +164,15 @@ class TestBookkeeping:
         b = run(is_exp(0.2), **kwargs)
         dump = lambda r: json.dumps(r.to_dict(include_series=True), sort_keys=True)
         assert dump(a) == dump(b)
+
+    def test_report_echoes_the_whole_config(self):
+        cfg = autoscaler(target_value=2.0, n_max=4)
+        rep = run(is_exp(0.2), arrival_rate=5.0, duration_s=400.0, warmup_s=100.0,
+                  cfg=cfg, seed=41, initial_replicas=3)
+        payload = json.loads(json.dumps(rep.to_dict()))
+        keys = [f.name for f in fields(rc.SimulationConfig)]
+        assert payload["initial_replicas"] == 3
+        assert rc.SimulationConfig.from_dict({k: payload[k] for k in keys}) == rep.config
 
     def test_series_length_matches_post_warmup_seconds(self):
         rep = run(is_exp(0.2), arrival_rate=5.0, duration_s=600.0, warmup_s=300.0,
