@@ -31,12 +31,9 @@ response time ``d - a``, one rounding each.  The departures still
 pending and the new block's are merged into one time-ordered queue, and
 each arriving job writes the slot it is routed to into its queue
 position.  The queue holds the jobs in flight plus one block, and is
-rebuilt, dropping departed jobs, at each arrival-block refill.  Equal
-departure times leave in the order (slot, arrival time), the order a
-heap of (time, slot, arrival time) tuples pops them: the stable merge
-keeps each run of equal times in arrival order, so jobs not yet arrived
-(slot -1) come last and the head of a run is moved to the lowest slot
-among the arrived.
+rebuilt, dropping departed jobs, at each arrival-block refill.  The
+merge is stable, so equal departure times leave in arrival order, and
+jobs not yet arrived (slot -1) come last in each run of equal times.
 
 Routing, the monitor and scaling read only in-flight counts, so the
 queue is drained only before them: before routing an arrival at t, or
@@ -113,8 +110,7 @@ def _merge(times, rts, arr, svc_rng, wl_mean, deterministic):
 def _merge_departures(times, rts, q_slot, qh, arr, svc_rng, wl_mean, deterministic):
     """Departure queue of the pending jobs (times, rts, q_slot from qh on)
     and the block of arrivals arr: its times as a list and an array, its
-    response times, its slots, the queue position of each arrival, and
-    whether any two times are equal.
+    response times, its slots and the queue position of each arrival.
 
     The block's jobs get slot -1 until they arrive.  The lists end with a
     sentinel whose time never fires.
@@ -125,27 +121,11 @@ def _merge_departures(times, rts, q_slot, qh, arr, svc_rng, wl_mean, determinist
     pos[order] = np.arange(order.size)
     slots = np.concatenate((np.array(q_slot[qh:-1], dtype=np.int64),
                             np.full(arr.size, -1, dtype=np.int64)))[order]
-    ties = bool(np.any(times[1:] == times[:-1]))
     q_time = times.tolist()
     q_time.append(_INF)
     q_slot = slots.tolist()
     q_slot.append(-1)
-    return q_time, times, rts, q_slot, pos[n_pend:].tolist(), ties
-
-
-def _lowest_slot_first(q_time, q_slot, rts, qh):
-    """Move to the head qh the job of its run of equal departure times
-    that leaves first: the first arrived job on the lowest slot."""
-    t = q_time[qh]
-    m = qh
-    k = qh + 1
-    while q_time[k] == t and q_slot[k] >= 0:
-        if q_slot[k] < q_slot[m]:
-            m = k
-        k += 1
-    if m > qh:
-        q_slot.insert(qh, q_slot.pop(m))
-        rts[qh:m + 1] = np.roll(rts[qh:m + 1], 1)
+    return q_time, times, rts, q_slot, pos[n_pend:].tolist()
 
 
 def _fold(times, rts, qh, marks, warmup, sec_rt, sec_n, rt_sec, n_sec, rt_pw, n_pw):
@@ -306,10 +286,8 @@ def run_simulation(sim_cfg, arr_rng, svc_rng, prov_rng):
 
     # Departure queue (infinite server only): time and slot lists from
     # the head qh on, with the times and response times as arrays for
-    # the fold; q_pos[i] is the queue position of the block's arrival i;
-    # q_ties is false when no two queued times are equal, which spares
-    # the tie check.  marks holds the head position at each monitor
-    # since the last fold.
+    # the fold; q_pos[i] is the queue position of the block's arrival i.
+    # marks holds the head position at each monitor since the last fold.
     marks = []
     qh = 0
     # Next departure: the queue head under infinite server, the next
@@ -317,7 +295,7 @@ def run_simulation(sim_cfg, arr_rng, svc_rng, prov_rng):
     if sharing:
         t_dep = _INF
     else:
-        q_time, times, rts, q_slot, q_pos, q_ties = _merge_departures(
+        q_time, times, rts, q_slot, q_pos = _merge_departures(
             np.empty(0), np.empty(0), [-1], qh, arr_block, svc_rng, wl_mean, deterministic)
         t_dep = q_time[0]
 
@@ -379,7 +357,8 @@ def run_simulation(sim_cfg, arr_rng, svc_rng, prov_rng):
                     # ones, then the finishing job uniformly within it:
                     # exponential demands make every busy container
                     # equally likely to produce the next departure
-                    # regardless of its job count.
+                    # regardless of its job count.  A uniform u is below 1,
+                    # and so is the rounded u * n for any count n < 2**53.
                     t = t_dep
                     if uni_i + 2 > block:
                         uni = svc_rng.random(block).tolist()
@@ -387,8 +366,6 @@ def run_simulation(sim_cfg, arr_rng, svc_rng, prov_rng):
                     pick = int(uni[uni_i] * busy)
                     idx_u = uni[uni_i + 1]
                     uni_i += 2
-                    if pick >= busy:
-                        pick = busy - 1
                     seen = 0
                     for slot, c in enumerate(conc):
                         if c > 0:
@@ -397,8 +374,6 @@ def run_simulation(sim_cfg, arr_rng, svc_rng, prov_rng):
                             seen += 1
                     jobs = ps_times[slot]
                     idx = int(idx_u * c)
-                    if idx >= c:
-                        idx = c - 1
                     rt = t - jobs[idx]
                     jobs[idx] = jobs[-1]
                     jobs.pop()
@@ -425,8 +400,6 @@ def run_simulation(sim_cfg, arr_rng, svc_rng, prov_rng):
                 # next arrival and leaves no earlier, since fl(a + s) >= a
                 # for s >= 0.
                 while t_dep <= t_next and q_slot[qh] >= 0:
-                    if q_ties and q_time[qh + 1] == t_dep:
-                        _lowest_slot_first(q_time, q_slot, rts, qh)
                     conc[q_slot[qh]] -= 1
                     qh += 1
                     t_dep = q_time[qh]
@@ -469,7 +442,7 @@ def run_simulation(sim_cfg, arr_rng, svc_rng, prov_rng):
                 arr_base += block
                 arr_i = 0
                 if not sharing:
-                    q_time, times, rts, q_slot, q_pos, q_ties = _merge_departures(
+                    q_time, times, rts, q_slot, q_pos = _merge_departures(
                         times, rts, q_slot, qh, arr_block, svc_rng, wl_mean, deterministic)
                     qh = 0
                     t_dep = q_time[0]

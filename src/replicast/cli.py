@@ -18,8 +18,8 @@ import numpy as np
 from .bundle import (SCHEMA_VERSION, ModelBundle, fit_bundle, load_bundle,
                      save_bundle)
 from .cluster import build_chain, stationary_distribution
-from .config import (AutoscalerConfig, _check_keys, dump_json, load_autoscaler_config,
-                     load_json, parse_trace, write_trace)
+from .config import (METRIC_KINDS, AutoscalerConfig, _check_keys, dump_json,
+                     load_autoscaler_config, load_json, parse_trace, write_trace)
 from .errors import (InsufficientDataError, NonErgodicError, NumericalError,
                      ReplicastError, ValidationError)
 from .output import steady_state_report
@@ -178,11 +178,17 @@ def _t_quantile(p: float, df: int) -> float:
 
 
 def _aggregate(reports):
+    """Mean and 95% CI half-width of each compared metric over the
+    reports; both are None for a metric that some report leaves undefined."""
     mean = {}
     ci95 = {}
     n = len(reports)
     for name in _COMPARED_METRICS:
-        vals = np.array([getattr(r, name) for r in reports], dtype=np.float64)
+        vals = [getattr(r, name) for r in reports]
+        if None in vals:
+            mean[name] = ci95[name] = None
+            continue
+        vals = np.array(vals, dtype=np.float64)
         mean[name] = float(vals.mean())
         if n > 1:
             half = float(_t_quantile(0.975, n - 1) * vals.std(ddof=1) / math.sqrt(n))
@@ -223,16 +229,18 @@ def cmd_compare(args) -> int:
     sim_mean, sim_ci = _aggregate(reports)
 
     analytic_vals = {name: getattr(analytic, name) for name in _COMPARED_METRICS}
+    # an undefined simulated mean reads nan, and so does its relative error
+    sim_vals = {name: math.nan if v is None else v for name, v in sim_mean.items()}
     rel_errors = {}
     for name in _COMPARED_METRICS:
-        denom = abs(sim_mean[name])
-        diff = abs(analytic_vals[name] - sim_mean[name])
-        rel_errors[name] = diff / denom if denom > 0 else (0.0 if diff == 0 else math.inf)
+        denom = abs(sim_vals[name])
+        diff = abs(analytic_vals[name] - sim_vals[name])
+        rel_errors[name] = diff / denom if denom != 0 else (0.0 if diff == 0 else math.inf)
     ok = all(err <= args.tolerance for err in rel_errors.values())
 
     print(f"{'metric':<22} {'analytical':>12} {'simulated':>12} {'rel_error':>10}")
     for name in _COMPARED_METRICS:
-        print(f"{name:<22} {analytic_vals[name]:>12.6g} {sim_mean[name]:>12.6g} "
+        print(f"{name:<22} {analytic_vals[name]:>12.6g} {sim_vals[name]:>12.6g} "
               f"{rel_errors[name]:>10.4f}")
     verdict = "PASS" if ok else "FAIL"
     print(f"comparison: {verdict} (tolerance {args.tolerance:g}, seeds {args.seeds})")
@@ -244,7 +252,8 @@ def cmd_compare(args) -> int:
         "analytical": analytic_vals,
         "simulated_mean": sim_mean,
         "simulated_ci95_half_width": sim_ci,
-        # a relative error against a simulated mean of 0 is undefined
+        # a relative error against a simulated mean of 0, or an undefined
+        # one, is undefined
         "relative_errors": {name: err if math.isfinite(err) else None
                             for name, err in rel_errors.items()},
         "pass": ok,
@@ -279,7 +288,7 @@ def _add_seeds(p) -> None:
 
 def _fit_flags(p) -> None:
     p.add_argument("--trace", required=True, help="profiling trace CSV path")
-    p.add_argument("--metric", choices=["cc", "rps"], default="cc",
+    p.add_argument("--metric", choices=METRIC_KINDS, default="cc",
                    help="autoscaling metric the trace observed (default cc)")
     p.add_argument("--out", required=True, help="model bundle JSON to write")
 

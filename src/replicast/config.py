@@ -114,15 +114,7 @@ class AutoscalerConfig:
         return int(math.ceil(self.stable_window_s))
 
     def to_dict(self) -> dict:
-        return {
-            "metric_kind": self.metric_kind,
-            "target_value": self.target_value,
-            "n_max": self.n_max,
-            "t_eva_s": self.t_eva_s,
-            "stable_window_s": self.stable_window_s,
-            "mu_pro": self.mu_pro,
-            "mu_dep": self.mu_dep,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "AutoscalerConfig":

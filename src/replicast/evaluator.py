@@ -43,8 +43,6 @@ def order_rows(mean: np.ndarray, std: np.ndarray, target_value: float, n_max: in
     if not (isinstance(target_value, (int, float)) and math.isfinite(target_value)
             and target_value > 0):
         raise ValidationError(f"target_value must be a finite number > 0, got {target_value!r}")
-    if n_max == 1:
-        return np.ones((mean.size, 1))
     # F(i tv) for i in 1..n_max-1: the erfc arguments in one numpy pass,
     # each the same correctly rounded operations as GaussianDist.cdf, and
     # math.erfc on each (numpy has none with its bits), so the values

@@ -13,13 +13,19 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import _kernels
-from .config import (_DIST_DETERMINISTIC, _DIST_EXPONENTIAL, METRIC_CONCURRENCY,
-                     WORKLOAD_INFINITE_SERVER, WORKLOAD_PROCESSOR_SHARING, AutoscalerConfig,
-                     ProfilingTrace, _check_keys, _check_metric_kind, _check_workload_kind,
-                     _finite_number, _integer, trace_from_arrays)
+from .config import (_DIST_DETERMINISTIC, _DIST_EXPONENTIAL, _WORKLOAD_KINDS,
+                     METRIC_CONCURRENCY, WORKLOAD_INFINITE_SERVER, WORKLOAD_PROCESSOR_SHARING,
+                     AutoscalerConfig, ProfilingTrace, _check_keys, _check_metric_kind,
+                     _check_workload_kind, _finite_number, _integer, trace_from_arrays)
 from .errors import ValidationError
 
 _SEED_MASK = 0xFFFF_FFFF_FFFF_FFFF
+
+
+def _mean_key(kind: str) -> str:
+    """The JSON key of a workload kind's mean: a service time under
+    infinite server, a total demand under processor sharing."""
+    return "mean_service_s" if kind == WORKLOAD_INFINITE_SERVER else "mean_demand_s"
 
 
 @dataclass(frozen=True)
@@ -54,17 +60,16 @@ class WorkloadModel:
                     f"processor_sharing supports only exponential demand, got {self.distribution!r}")
 
     def to_dict(self) -> dict:
-        mean_key = ("mean_service_s" if self.kind == WORKLOAD_INFINITE_SERVER
-                    else "mean_demand_s")
-        return {"kind": self.kind, mean_key: self.mean_s, "distribution": self.distribution}
+        return {"kind": self.kind, _mean_key(self.kind): self.mean_s,
+                "distribution": self.distribution}
 
     @classmethod
     def from_dict(cls, data: dict) -> "WorkloadModel":
-        _check_keys(data, "workload", ("kind", "mean_service_s", "mean_demand_s", "distribution"),
+        _check_keys(data, "workload", ("kind", *map(_mean_key, _WORKLOAD_KINDS), "distribution"),
                     ("kind",))
         kind = data["kind"]
         _check_workload_kind(kind)
-        mean_key = "mean_service_s" if kind == WORKLOAD_INFINITE_SERVER else "mean_demand_s"
+        mean_key = _mean_key(kind)
         _check_keys(data, f"{kind} workload", ("kind", mean_key, "distribution"), (mean_key,))
         return cls(kind=kind, mean_s=data[mean_key],
                    distribution=data.get("distribution", _DIST_EXPONENTIAL))
@@ -108,15 +113,9 @@ class SimulationConfig:
                 f"got {self.initial_replicas}")
 
     def to_dict(self) -> dict:
-        return {
-            "autoscaler": self.autoscaler.to_dict(),
-            "workload": self.workload.to_dict(),
-            "arrival_rate": self.arrival_rate,
-            "duration_s": self.duration_s,
-            "warmup_s": self.warmup_s,
-            "seed": self.seed,
-            "initial_replicas": self.initial_replicas,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {**out, "autoscaler": self.autoscaler.to_dict(),
+                "workload": self.workload.to_dict()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "SimulationConfig":
@@ -134,13 +133,14 @@ class SimulationReport:
 
     The series' metric and response-time columns are the trace's
     observed and response_times, row for row; times, ready_counts and
-    carried hold the rest.
+    carried hold the rest.  avg_response_time_s is None when no request
+    completed after warmup.
     """
 
     config: SimulationConfig
     avg_replica_count: float
     avg_concurrency: float
-    avg_response_time_s: float
+    avg_response_time_s: float | None
     completed_requests: int
     arrivals_total: int
     completions_total: int
@@ -210,14 +210,14 @@ def simulate(sim_cfg: SimulationConfig) -> SimulationReport:
     span = sim_cfg.duration_s - sim_cfg.warmup_s
     avg_replicas = area_replica / span
     avg_conc = float(ov.mean())
-    avg_rt = rt_sum_pw / completions_pw if completions_pw > 0 else 0.0
+    avg_rt = rt_sum_pw / completions_pw if completions_pw > 0 else None
 
     trace = trace_from_arrays(sim_cfg.arrival_rate / ready, ov, rts)
     return SimulationReport(
         config=sim_cfg,
         avg_replica_count=float(avg_replicas),
         avg_concurrency=avg_conc,
-        avg_response_time_s=float(avg_rt),
+        avg_response_time_s=avg_rt,
         completed_requests=int(completions_pw),
         arrivals_total=int(arrivals),
         completions_total=int(completions),

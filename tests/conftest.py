@@ -5,6 +5,11 @@ summary hook prints them after the run so the verdicts are visible
 even under captured output.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import settings
 
@@ -62,3 +67,14 @@ def ref_trace(ref_workload):
 @pytest.fixture(scope="session")
 def ref_bundle(ref_trace):
     return rc.fit_bundle(ref_trace, rc.METRIC_CONCURRENCY)
+
+
+def run_fresh(script, *args, env=None):
+    """Stdout of script run by a fresh interpreter that imports this replicast."""
+    env = dict(os.environ if env is None else env)
+    src = str(Path(rc.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [env.get("PYTHONPATH")])])
+    proc = subprocess.run([sys.executable, "-c", script, *args],
+                          capture_output=True, text=True, timeout=300, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout

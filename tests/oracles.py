@@ -18,10 +18,11 @@ transitions on the closed set of states from the factors' nonzeros).
 The reference event loop scans every container slot and reads its
 random numbers one numpy scalar at a time (the package keeps a list of
 ready slots, a running window sum and random blocks as Python lists).
-It keeps its heap of (departure time, slot, arrival time) tuples on
-purpose: the package computes each arrival block's departures up front
-and merges them into a time-ordered queue, so the heap is the
-independent statement of which job leaves next, ties included.
+It keeps its heap of (departure time, arrival index, slot, arrival
+time) tuples on purpose: the package computes each arrival block's
+departures up front and merges them into a time-ordered queue, so the
+heap is the independent statement of which job leaves next, equal
+departure times included, which leave in arrival order.
 """
 
 import math
@@ -249,9 +250,10 @@ def reference_run_simulation(sim_cfg, arr_rng, svc_rng, prov_rng):
     j_ready = init_replicas
     order = init_replicas
 
-    # Pending completions (infinite server only): (time, slot, arrival
-    # time).  The sentinel never fires, so heap[0] always exists.
-    heap = [(_INF, -1, 0.0)]
+    # Pending completions (infinite server only): (time, arrival index,
+    # slot, arrival time).  The sentinel never fires, so heap[0] always
+    # exists.
+    heap = [(_INF, -1, -1, 0.0)]
 
     # Stable window of per-second samples of the aggregate metric over
     # ready containers (in-flight sum for cc, arrival count for rps).
@@ -342,8 +344,8 @@ def reference_run_simulation(sim_cfg, arr_rng, svc_rng, prov_rng):
                     t_ps_dep = _INF
             else:
                 done = heappop(heap)
-                slot = done[1]
-                rt = t - done[2]
+                slot = done[2]
+                rt = t - done[3]
                 c = conc[slot] - 1
                 conc[slot] = c
                 if c == 0 and state[slot] == 2:
@@ -505,7 +507,7 @@ def reference_run_simulation(sim_cfg, arr_rng, svc_rng, prov_rng):
                         svc_i = 0
                     svc = float(svc_exp[svc_i]) * wl_mean
                     svc_i += 1
-                heappush(heap, (t + svc, best, t))
+                heappush(heap, (t + svc, arrivals, best, t))
             if arr_i == _BLOCK:
                 arr_exp = arr_rng.standard_exponential(_BLOCK)
                 arr_i = 0

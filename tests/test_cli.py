@@ -6,16 +6,15 @@ import json
 import math
 import os
 import statistics
-import subprocess
-import sys
 import warnings
-from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.special import stdtrit
 
 import replicast as rc
+from conftest import run_fresh
 from oracles import dense_block, reference_horizontal, reference_run_simulation
 from replicast import _kernels, cli
 
@@ -393,6 +392,19 @@ class TestPredict:
         del holder[key]
         assert f"{where}: missing required keys: {key}" in predict_error(tmp_path, capsys, data)
 
+    @pytest.mark.parametrize("path,key,value,message", [
+        ((), "schema_version", 2, "unsupported bundle schema_version 2, expected 1"),
+        (("metric_model",), "rho_max", 0.0, "metric model rho_max must be > 0, got 0.0"),
+    ])
+    def test_unsupported_bundle_value_exits_one(self, tmp_path, ref_bundle, capsys, path,
+                                                key, value, message):
+        data = ref_bundle.to_dict()
+        holder = data
+        for name in path:
+            holder = holder[name]
+        holder[key] = value
+        assert message in predict_error(tmp_path, capsys, data)
+
     def test_unknown_command_exits_one(self, capsys):
         assert cli.main(["calibrate"]) == 1
         assert "invalid choice: 'calibrate'" in capsys.readouterr().err
@@ -425,6 +437,21 @@ class TestSweep:
         code = cli.main(["sweep", "--model", bundle_path, "--spec", str(path),
                          "--out", str(tmp_path / "s.csv")])
         assert code == 1
+
+    @pytest.mark.parametrize("lambdas,message", [
+        ([], "lambdas must be a non-empty list"),
+        (5.0, "lambdas must be a non-empty list"),
+        ([5.0, 0], "lambdas entries must be numbers > 0, got 0"),
+        ([-1], "lambdas entries must be numbers > 0, got -1"),
+        ([True], "lambdas entries must be numbers > 0, got True"),
+        (["5"], "lambdas entries must be numbers > 0, got '5'"),
+    ])
+    def test_bad_lambdas_exit_one(self, tmp_path, bundle_path, capsys, lambdas, message):
+        spec = self.sweep_spec(tmp_path, lambdas, [2.0])
+        code = cli.main(["sweep", "--model", bundle_path, "--spec", spec,
+                         "--out", str(tmp_path / "s.csv")])
+        assert code == 1
+        assert message in capsys.readouterr().err
 
     def test_partial_failure_lands_in_error_column(self, tmp_path, bundle_path,
                                                    capsys, monkeypatch):
@@ -524,6 +551,31 @@ class TestSimulate:
         want = stdtrit(2, 0.975) * statistics.stdev(vals) / math.sqrt(3)
         assert payload["ci95_half_width"]["avg_replica_count"] == pytest.approx(want, rel=1e-12)
 
+    def test_no_completion_after_warmup_gives_null_response_time(self, tmp_path, capsys):
+        # at 1e-6 req/s no request completes after warmup, so the mean
+        # response time is undefined: null in each report and in the mean
+        # and CI over seeds
+        cfg = sim_config_file(tmp_path, arrival_rate=1e-6, target_value=5.0, n_max=5,
+                              duration_s=400.0, warmup_s=100.0)
+        assert cli.main(["simulate", "--config", cfg]) == 0
+        payload = strict_json(capsys.readouterr().out)
+        assert (payload["completed_requests"], payload["avg_response_time_s"]) == (0, None)
+        assert cli.main(["simulate", "--config", cfg, "--seeds", "3"]) == 0
+        payload = strict_json(capsys.readouterr().out)
+        assert [r["avg_response_time_s"] for r in payload["per_seed"]] == [None] * 3
+        assert payload["mean"]["avg_response_time_s"] is None
+        assert payload["ci95_half_width"]["avg_response_time_s"] is None
+        assert payload["mean"]["avg_replica_count"] == 1.0
+
+    def test_a_metric_undefined_in_one_seed_has_no_mean(self):
+        reports = [SimpleNamespace(avg_replica_count=2.0, avg_concurrency=0.5,
+                                   avg_response_time_s=rt) for rt in (0.2, None, 0.3)]
+        mean, ci95 = cli._aggregate(reports)
+        assert mean == {"avg_replica_count": 2.0, "avg_concurrency": 0.5,
+                        "avg_response_time_s": None}
+        assert ci95 == {"avg_replica_count": 0.0, "avg_concurrency": 0.0,
+                        "avg_response_time_s": None}
+
     @pytest.mark.parametrize("p", [0.9, 0.975, 0.995])
     def test_t_quantile_matches_scipy(self, p):
         for df in range(1, 200):
@@ -620,17 +672,22 @@ class TestCompare:
     def test_zero_simulated_mean_gives_null_relative_error(self, tmp_path, bundle_path,
                                                            capsys):
         # at 1e-6 req/s no request arrives after warmup: the simulated
-        # concurrency and response time are 0 while the analytic ones are
-        # not, so their relative errors are undefined and the point fails
-        sim_cfg = sim_config_file(tmp_path, arrival_rate=1e-6, n_max=5, duration_s=400.0,
-                                  warmup_s=100.0)
+        # concurrency is 0 and the response time undefined while the
+        # analytic ones are not, so their relative errors are undefined
+        # and the point fails
+        sim_cfg = sim_config_file(tmp_path, arrival_rate=1e-6, target_value=5.0, n_max=5,
+                                  duration_s=400.0, warmup_s=100.0)
         out = tmp_path / "cmp.json"
         code = cli.main(["compare", "--model", bundle_path, "--sim-config", sim_cfg,
                          "--out", str(out)])
         assert code == 3
-        assert "FAIL" in capsys.readouterr().out
+        table = capsys.readouterr().out.splitlines()
+        assert table[-1].startswith("comparison: FAIL")
+        assert table[3].split()[-2:] == ["nan", "nan"]
         payload = strict_json(out.read_text(encoding="utf-8"))
         assert payload["simulated_mean"]["avg_concurrency"] == 0.0
+        assert payload["simulated_mean"]["avg_response_time_s"] is None
+        assert payload["simulated_ci95_half_width"]["avg_response_time_s"] is None
         assert payload["relative_errors"] == {"avg_replica_count": 0.0,
                                               "avg_concurrency": None,
                                               "avg_response_time_s": None}
@@ -647,6 +704,8 @@ class TestCompare:
 
     @pytest.mark.parametrize("flags,rule", [
         (["--seeds", "0"], "--seeds: must be an integer >= 1"),
+        (["--seeds", "abc"], "--seeds: must be an integer >= 1, got 'abc'"),
+        (["--tolerance", "abc"], "--tolerance: must be a finite number >= 0, got 'abc'"),
         (["--tolerance", "-1"], "--tolerance: must be a finite number >= 0"),
         (["--tolerance", "nan"], "--tolerance: must be a finite number >= 0"),
     ])
@@ -771,14 +830,3 @@ class TestRuntimeImports:
         if preset is not None:
             env["OPENBLAS_NUM_THREADS"] = preset
         assert json.loads(run_fresh(script, env=env)) == expected
-
-
-def run_fresh(script, *args, env=None):
-    """Stdout of script run by a fresh interpreter that imports this replicast."""
-    env = dict(os.environ if env is None else env)
-    src = str(Path(rc.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [env.get("PYTHONPATH")])])
-    proc = subprocess.run([sys.executable, "-c", script, *args],
-                          capture_output=True, text=True, timeout=300, env=env)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout

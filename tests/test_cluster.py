@@ -317,6 +317,8 @@ class TestChainAssembly:
                         chain.state_index(i, j)
         with pytest.raises(rc.ValidationError):
             chain.state_index(0, 1)
+        with pytest.raises(rc.ValidationError, match="state index -1 out of range"):
+            chain.state_of(-1)
 
     def test_matches_hand_assembled_four_state_matrix(self):
         lam, tv = 3.0, 0.5
@@ -787,3 +789,15 @@ class TestStationarySolve:
     def test_rejects_non_stochastic_matrix(self):
         with pytest.raises(rc.ValidationError):
             rc.solve_stationary(np.array([[0.7, 0.7], [0.5, 0.5]]))
+
+    def test_rejects_non_square_matrix(self):
+        with pytest.raises(rc.ValidationError, match=r"must be square, got shape \(2, 3\)"):
+            rc.solve_stationary(np.full((2, 3), 1.0 / 3.0))
+
+    @pytest.mark.parametrize("bad", [-1e-13, math.nan, math.inf])
+    def test_rejects_negative_or_non_finite_entry(self, bad):
+        p = np.array([[0.5, 0.5], [0.5, 0.5]])
+        p[0, 1] = bad
+        p[0, 0] = 1.0 - bad if math.isfinite(bad) else 0.5
+        with pytest.raises(rc.ValidationError, match="entries must be finite and >= -1e-14"):
+            rc.solve_stationary(p)

@@ -82,6 +82,16 @@ class TestAutoscalerConfig:
         rc.save_autoscaler_config(cfg, path)
         assert rc.load_autoscaler_config(path) == cfg
 
+    @pytest.mark.parametrize("text,message", [
+        ("[1, 2]", "autoscaler config must be a JSON object, got list"),
+        ('{"n_max": 4', "not valid JSON"),
+    ])
+    def test_config_file_that_is_no_json_object_rejected(self, tmp_path, text, message):
+        path = tmp_path / "autoscaler.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(rc.ValidationError, match=message):
+            rc.load_autoscaler_config(path)
+
     def test_immutable(self):
         cfg = make_cfg()
         with pytest.raises(Exception):
@@ -181,6 +191,11 @@ class TestTraceRows:
         with pytest.raises(Exception):
             trace.rates = np.array([3.0])
 
+    def test_ragged_column_rejected(self):
+        with pytest.raises(rc.ValidationError,
+                           match="per_container_rate must be a one-dimensional numeric column"):
+            rc.ProfilingTrace([1.0, [2.0, 3.0]], [0.2, 0.4], [0.2, 0.2])
+
     def test_extend_concatenates(self):
         a = rc.trace_from_arrays([1.0], [0.2], [0.2])
         b = rc.trace_from_arrays([2.0], [0.4], [0.2])
@@ -212,6 +227,18 @@ class TestTraceFileFormat:
         path = tmp_path / "t.csv"
         path.write_text(TRACE_HEADER + "\n")
         with pytest.raises(rc.InsufficientDataError):
+            rc.parse_trace(path)
+
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("")
+        with pytest.raises(rc.TraceParseError, match="empty file, expected header"):
+            rc.parse_trace(path)
+
+    def test_blank_row_names_line(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text(f"{TRACE_HEADER}\n1.0,0.2,0.2\n\n5.0,1.0,0.2\n")
+        with pytest.raises(rc.TraceParseError, match="line 3: blank row"):
             rc.parse_trace(path)
 
     def test_malformed_row_names_line_number(self, tmp_path):

@@ -51,6 +51,13 @@ class TestValidation:
         with pytest.raises(rc.ValidationError):
             probs(1.0, 1.0, 1.0, 0)
 
+    def test_degenerate_order_distribution_rejected(self):
+        # a spread near the float maximum overflows the CDF arguments to
+        # nan, so the bins sum to nan; numpy warns on the way
+        with pytest.warns(RuntimeWarning), \
+                pytest.raises(rc.ValidationError, match="degenerate order distribution"):
+            rc.order_probabilities(rc.GaussianDist(0.0, 1.5e308), 1e308, 3)
+
     def test_distribution_is_read_only(self):
         p = probs(5.0, 1.0, 2.0, 4)
         with pytest.raises(ValueError):

@@ -167,6 +167,13 @@ class TestFitMetricModel:
         with pytest.raises(rc.InsufficientDataError):
             rc.fit_metric_model(trace, "cc")
 
+    def test_rank_deficient_design_insufficient(self):
+        # two distinct rates 1e-12 apart make the design numerically rank
+        # one
+        trace = rc.trace_from_arrays([1.0, 1.0 + 1e-12], [0.2, 0.2], [0.2, 0.2])
+        with pytest.raises(rc.InsufficientDataError, match="design matrix is rank deficient"):
+            rc.fit_metric_model(trace, "cc")
+
     def test_bad_metric_kind(self):
         trace = rc.trace_from_arrays([1.0, 2.0], [0.2, 0.4], [0.2, 0.2])
         with pytest.raises(rc.ValidationError):

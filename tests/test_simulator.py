@@ -2,8 +2,6 @@
 
 import json
 import math
-import subprocess
-import sys
 import tracemalloc
 from dataclasses import fields
 
@@ -13,6 +11,7 @@ from hypothesis import given, strategies as st
 
 import oracles
 import replicast as rc
+from conftest import run_fresh
 from oracles import reference_run_simulation
 from replicast import _kernels
 
@@ -46,6 +45,13 @@ class TestWorkloadModel:
             rc.WorkloadModel(kind=rc.WORKLOAD_PROCESSOR_SHARING, mean_s=0.2,
                              distribution="deterministic")
 
+    def test_unknown_distribution_rejected(self):
+        with pytest.raises(rc.ValidationError,
+                           match="infinite_server distribution must be exponential or "
+                                 "deterministic, got 'pareto'"):
+            rc.WorkloadModel(kind=rc.WORKLOAD_INFINITE_SERVER, mean_s=1.0,
+                             distribution="pareto")
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(rc.ValidationError):
             rc.WorkloadModel(kind="batch", mean_s=0.2)
@@ -78,6 +84,19 @@ class TestSimulationConfig:
             rc.SimulationConfig(autoscaler=autoscaler(n_max=2), workload=is_exp(),
                                 arrival_rate=1.0, duration_s=10.0, warmup_s=0.0,
                                 initial_replicas=replicas)
+
+    @pytest.mark.parametrize("field,bad,message", [
+        ("autoscaler", {"metric_kind": "cc"}, "autoscaler must be an AutoscalerConfig"),
+        ("workload", {"kind": "infinite_server"}, "workload must be a WorkloadModel"),
+        ("arrival_rate", 0, "arrival_rate must be > 0, got 0.0"),
+        ("warmup_s", -1, "warmup_s must be >= 0, got -1.0"),
+    ])
+    def test_out_of_domain_field_rejected(self, field, bad, message):
+        kwargs = dict(autoscaler=autoscaler(), workload=is_exp(), arrival_rate=1.0,
+                      duration_s=10.0, warmup_s=0.0)
+        kwargs[field] = bad
+        with pytest.raises(rc.ValidationError, match=message):
+            rc.SimulationConfig(**kwargs)
 
     @pytest.mark.parametrize("field", ["arrival_rate", "duration_s", "warmup_s"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, True, "5"])
@@ -401,13 +420,13 @@ class TestKernelOracle:
 
     @pytest.mark.parametrize("n_max", [1, 2])
     @pytest.mark.parametrize("distribution", DISTRIBUTIONS)
-    def test_equal_departures_leave_lowest_slot_first(self, distribution, n_max):
+    def test_equal_departures_leave_in_arrival_order(self, distribution, n_max):
         # jobs arrive at 0.876 (slot 0), 0.9057 (slot 1, slot 0 busy) and
         # one ulp later (slot 0, the tie of loads going to the lower
         # slot); with 0.6 s service the last two depart at the same
-        # rounded time 1.5057, where the later arrival on slot 0 leaves
-        # first, and the per-second response-time sum depends on it.  On
-        # one container the equal times leave in arrival order.
+        # rounded time 1.5057 and leave in arrival order, on one
+        # container as on two.  The second's response-time sum adds them
+        # in that order, which gives other bits than the order by slot.
         gaps = [0.876, 0.0297, math.ulp(0.9057)]
         a = np.cumsum(gaps)
         assert a[1] < a[2] and a[1] + 0.6 == a[2] + 0.6
@@ -417,6 +436,7 @@ class TestKernelOracle:
         got, want = self.scripted_run(gaps, services, infinite_server(distribution, det_mean=0.6),
                                       n_max=n_max)
         assert got == want
+        assert eval(got)[2][1] == ((rt[0] + rt[1]) + rt[2]) / 3
 
     @given(gaps=st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=1, max_size=30),
            services=st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0]), max_size=30),
@@ -437,6 +457,36 @@ class TestKernelOracle:
         sim_cfg = kernel_config(infinite_server(distribution, det_mean=det_mean),
                                 duration=duration, warmup=warmup, metric_kind=metric,
                                 n_max=1, t_eva_s=2.0, stable_window_s=window)
+        saved = _kernels._BLOCK, oracles._BLOCK
+        _kernels._BLOCK = oracles._BLOCK = block
+        try:
+            got, want = self.both_loops(sim_cfg, gaps, services)
+        finally:
+            _kernels._BLOCK, oracles._BLOCK = saved
+        assert got == want
+
+    @given(gaps=st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=1, max_size=30),
+           services=st.lists(st.sampled_from([0.1, 0.35, 0.6, 0.85, 1.1]), max_size=30),
+           distribution=st.sampled_from(DISTRIBUTIONS),
+           det_mean=st.sampled_from([0.1, 0.35, 1.1]),
+           metric=st.sampled_from(rc.METRIC_KINDS),
+           n_max=st.integers(min_value=2, max_value=4),
+           initial=st.integers(min_value=1, max_value=4),
+           window=st.sampled_from([1, 3, 60]),
+           duration=st.sampled_from([3.25, 4.0, 5.0, 5.5]),
+           warmup=st.sampled_from([0.0, 1.0, 2.0]),
+           block=st.sampled_from([1, 2, 3, 5]))
+    def test_containers_on_a_grid_of_times(self, gaps, services, distribution, det_mean,
+                                           metric, n_max, initial, window, duration, warmup,
+                                           block):
+        # arrivals on a quarter-second grid, services off it, so jobs on
+        # different slots leave at equal times with different response
+        # times; one-second evaluation and provisioning at 20/s scale
+        # the containers up and down within the run
+        sim_cfg = kernel_config(infinite_server(distribution, det_mean=det_mean),
+                                duration=duration, warmup=warmup, initial=min(initial, n_max),
+                                metric_kind=metric, n_max=n_max, t_eva_s=1.0,
+                                stable_window_s=window, mu_pro=20.0, mu_dep=20.0)
         saved = _kernels._BLOCK, oracles._BLOCK
         _kernels._BLOCK = oracles._BLOCK = block
         try:
@@ -671,7 +721,4 @@ class TestFreshInterpreter:
             "rep = rc.simulate(cfg)\n"
             "print(json.dumps(rep.to_dict(include_series=True), sort_keys=True))\n"
         )
-        proc = subprocess.run([sys.executable, "-c", script, str(cfg_path)],
-                              capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == dump
+        assert run_fresh(script, str(cfg_path)).strip() == dump
