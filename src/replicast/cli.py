@@ -236,6 +236,11 @@ def cmd_compare(args) -> int:
         denom = abs(sim_vals[name])
         diff = abs(analytic_vals[name] - sim_vals[name])
         rel_errors[name] = diff / denom if denom != 0 else (0.0 if diff == 0 else math.inf)
+    # whether the analytic value lies within the simulated mean +- its 95%
+    # half-width; undefined where either is
+    inside = {name: None if sim_mean[name] is None or sim_ci[name] is None
+              else abs(analytic_vals[name] - sim_mean[name]) <= sim_ci[name]
+              for name in _COMPARED_METRICS}
     ok = all(err <= args.tolerance for err in rel_errors.values())
 
     print(f"{'metric':<22} {'analytical':>12} {'simulated':>12} {'rel_error':>10}")
@@ -252,6 +257,7 @@ def cmd_compare(args) -> int:
         "analytical": analytic_vals,
         "simulated_mean": sim_mean,
         "simulated_ci95_half_width": sim_ci,
+        "inside_ci95": inside,
         # a relative error against a simulated mean of 0, or an undefined
         # one, is undefined
         "relative_errors": {name: err if math.isfinite(err) else None

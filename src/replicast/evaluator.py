@@ -47,7 +47,10 @@ def order_rows(mean: np.ndarray, std: np.ndarray, target_value: float, n_max: in
     # each the same correctly rounded operations as GaussianDist.cdf, and
     # math.erfc on each (numpy has none with its bits), so the values
     # match it bit for bit.
-    z = (mean[:, None] - np.arange(1, n_max) * target_value) / (std[:, None] * math.sqrt(2.0))
+    # A degenerate law overflows z to inf or nan, which the check on the
+    # row sums rejects, so numpy need not warn first.
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = (mean[:, None] - np.arange(1, n_max) * target_value) / (std[:, None] * math.sqrt(2.0))
     erfc = np.fromiter(map(math.erfc, z.flat), dtype=np.float64, count=z.size)
     # F(0 tv) taken as 0 and F(n_max tv) as 1, so that the differences
     # give every bin, the bottom and top ones included

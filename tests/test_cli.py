@@ -688,10 +688,34 @@ class TestCompare:
         assert payload["simulated_mean"]["avg_concurrency"] == 0.0
         assert payload["simulated_mean"]["avg_response_time_s"] is None
         assert payload["simulated_ci95_half_width"]["avg_response_time_s"] is None
+        assert payload["inside_ci95"]["avg_response_time_s"] is None
         assert payload["relative_errors"] == {"avg_replica_count": 0.0,
                                               "avg_concurrency": None,
                                               "avg_response_time_s": None}
         assert payload["pass"] is False
+
+    def test_inside_ci95_per_metric(self, tmp_path, bundle_path, capsys):
+        # one container: the replica count is 1 in the model and in every
+        # seed, so it lies inside the zero-width interval.  The model was
+        # fitted on infinite-server service; processor sharing at 40% load
+        # stretches each response time by 1 / (1 - 0.4), outside the
+        # interval of three seeds.
+        cfg = rc.SimulationConfig(
+            autoscaler=rc.AutoscalerConfig(metric_kind="cc", target_value=100.0, n_max=1),
+            workload=rc.WorkloadModel(kind=rc.WORKLOAD_PROCESSOR_SHARING, mean_s=0.2),
+            arrival_rate=2.0, duration_s=1200.0, warmup_s=300.0, seed=11)
+        sim_cfg = tmp_path / "sim.json"
+        sim_cfg.write_text(json.dumps(cfg.to_dict()), encoding="utf-8")
+        out = tmp_path / "cmp.json"
+        cli.main(["compare", "--model", bundle_path, "--sim-config", str(sim_cfg),
+                  "--seeds", "3", "--out", str(out)])
+        capsys.readouterr()
+        payload = strict_json(out.read_text(encoding="utf-8"))
+        assert payload["inside_ci95"]["avg_replica_count"] is True
+        assert payload["inside_ci95"]["avg_response_time_s"] is False
+        for name, inside in payload["inside_ci95"].items():
+            gap = abs(payload["analytical"][name] - payload["simulated_mean"][name])
+            assert inside == (gap <= payload["simulated_ci95_half_width"][name])
 
     def test_config_flag_is_usage_error(self, tmp_path, bundle_path, capsys):
         # the autoscaler comes from --sim-config alone

@@ -200,16 +200,19 @@ class TestBookkeeping:
         assert rep.times[0] == 301.0
         assert rep.times[-1] == 600.0
 
-    @pytest.mark.parametrize("n_max", [1, 10])
-    @pytest.mark.parametrize("duration", [1800.0, 14_400.0])
-    def test_departure_queue_memory_does_not_grow_with_the_run(self, duration, n_max):
+    @pytest.mark.parametrize("lam,n_max,duration", [
+        (35.0, 1, 1800.0), (35.0, 1, 14_400.0), (35.0, 10, 1800.0), (35.0, 10, 14_400.0),
+        (200.0, 100, 1800.0)])
+    def test_departure_queue_memory_does_not_grow_with_the_run(self, lam, n_max, duration):
         # the departure queue holds the jobs in flight plus one arrival
-        # block, on the event loop and on one container's array path
-        # alike; per-job arrays kept for the whole run would pass 4 MB at
-        # 14,400 s, where 504,000 jobs arrive
+        # block, and the routing cursor at most two blocks more; per-job
+        # arrays kept for the whole run would pass 4 MB at 35 req/s over
+        # 14,400 s, where 504,000 jobs arrive.  At 200 req/s about 40 jobs
+        # are in flight and the system never empties, so the cursor never
+        # restarts and routes each block: 360,000 jobs arrive in 1800 s.
         sim_cfg = rc.SimulationConfig(
             autoscaler=autoscaler(target_value=2.0, n_max=n_max), workload=is_exp(0.2),
-            arrival_rate=35.0, duration_s=duration, warmup_s=300.0, seed=7)
+            arrival_rate=lam, duration_s=duration, warmup_s=300.0, seed=7)
         tracemalloc.start()
         try:
             rc.simulate(sim_cfg)
@@ -365,8 +368,8 @@ class TestKernelOracle:
     def test_one_container_same_result_as_reference_loop(self, data, distribution, metric,
                                                          lam, mean, window, duration,
                                                          warmup_share, seed):
-        # n_max 1 under infinite-server service takes the array path,
-        # which must give the loop's result bit for bit
+        # n_max 1 under infinite-server service: nothing is provisioned,
+        # so nothing is routed and the counts alone give the result
         workload = rc.WorkloadModel(kind=rc.WORKLOAD_INFINITE_SERVER, mean_s=mean,
                                     distribution=distribution)
         self.against_reference(data, workload, metric, lam, 1.0, 1, 1, 2.0, window,
@@ -413,7 +416,7 @@ class TestKernelOracle:
     @classmethod
     def scripted_run(cls, gaps, services, workload, warmup=0.0, n_max=2, metric="cc"):
         """lam 1, n_max containers all ready, and no scale evaluation
-        within the 5 s run; n_max 1 takes one container's array path."""
+        within the 5 s run, so nothing is routed under infinite server."""
         sim_cfg = kernel_config(workload, warmup=warmup, metric_kind=metric, n_max=n_max,
                                 t_eva_s=100.0)
         return cls.both_loops(sim_cfg, gaps, services)
@@ -449,9 +452,10 @@ class TestKernelOracle:
            block=st.sampled_from([1, 2, 3, 5]))
     def test_one_container_on_a_grid_of_times(self, gaps, services, distribution, det_mean,
                                               metric, window, duration, warmup, block):
-        # times on a quarter-second grid put arrivals and departures on
-        # monitor ticks, on each other, on the warmup and on the horizon,
-        # and tiny blocks end on them too.  A deterministic mean of 1e-300
+        # one container, so the counts alone give the result: times on a
+        # quarter-second grid put arrivals and departures on monitor
+        # ticks, on each other, on the warmup and on the horizon, and tiny
+        # blocks end on them too.  A deterministic mean of 1e-300
         # rounds away at every arrival after 0, so those jobs have zero
         # service, which a mean of 0 would give but the config rejects.
         sim_cfg = kernel_config(infinite_server(distribution, det_mean=det_mean),
@@ -494,6 +498,77 @@ class TestKernelOracle:
         finally:
             _kernels._BLOCK, oracles._BLOCK = saved
         assert got == want
+
+    @given(gaps=st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=1, max_size=30),
+           services=st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0]), max_size=30),
+           provisioning=st.lists(st.sampled_from([0.25, 0.5, 1.0]), max_size=10),
+           metric=st.sampled_from(rc.METRIC_KINDS),
+           n_max=st.integers(min_value=2, max_value=4),
+           initial=st.integers(min_value=1, max_value=4),
+           t_eva=st.sampled_from([0.5, 1.0]),
+           block=st.sampled_from([1, 2, 3, 5]))
+    def test_scaling_on_a_grid_of_times(self, gaps, services, provisioning, metric, n_max,
+                                        initial, t_eva, block):
+        # arrivals, service times and provisioning delays on a
+        # quarter-second grid, so that containers are added and removed on
+        # an arrival, a departure or a monitor tick, zero-service jobs
+        # included, and the routing cursor restarts at such instants
+        sim_cfg = kernel_config(is_exp(1.0), duration=6.0, initial=min(initial, n_max),
+                                metric_kind=metric, n_max=n_max, t_eva_s=t_eva,
+                                stable_window_s=1.0, mu_dep=1.0)
+        saved = _kernels._BLOCK, oracles._BLOCK
+        _kernels._BLOCK = oracles._BLOCK = block
+        try:
+            got, want = self.both_loops(sim_cfg, gaps, services, provisioning)
+        finally:
+            _kernels._BLOCK, oracles._BLOCK = saved
+        assert got == want
+
+    @pytest.mark.parametrize("block", [5, 64])
+    @pytest.mark.parametrize("metric", rc.METRIC_KINDS)
+    def test_system_that_never_empties(self, monkeypatch, block, metric):
+        # 200 req/s of 1 s mean service keep about 200 jobs in flight, so
+        # the routing cursor never finds an empty system to restart from
+        # and routes every block.  Target 5.5 and a 6 s window put the
+        # desired count near 37 of 40, moving up and down every few
+        # seconds, from 20 containers at the start.
+        monkeypatch.setattr(_kernels, "_BLOCK", block)
+        monkeypatch.setattr(oracles, "_BLOCK", block)
+        sim_cfg = kernel_config(is_exp(1.0), lam=200.0, duration=120.0, warmup=60.0,
+                                initial=20, metric_kind=metric, target_value=5.5, n_max=40,
+                                stable_window_s=6.0)
+        results = []
+        for loop in (_kernels.run_simulation, reference_run_simulation):
+            seeds = np.random.SeedSequence(3).spawn(3)
+            results.append(repr(loop(sim_cfg, *(np.random.default_rng(s) for s in seeds))))
+        assert results[0] == results[1]
+        assert len(set(eval(results[0])[0][20:])) > 1
+
+    def test_rps_counts_arrivals_at_a_container_removed_after_the_system_empties(self):
+        # rps, target 1, one-second window and evaluation.  One arrival in
+        # the first second orders one container at 1 s, and the newest,
+        # slot 1, leaves at 1.7 s.  Jobs arrive at 1.1 s (slot 0) and 1.2 s
+        # (slot 1, slot 0 busy) and both leave at 1.4 s, so no job is in
+        # flight from 1.4 s to the scale-down.  The sample at 2 s counts the
+        # second's two arrivals less the one at slot 1; routing from the
+        # empty system at 1.4 s with zero counts would miss it.
+        sim_cfg = kernel_config(is_exp(1.0), metric_kind=rc.METRIC_RPS, t_eva_s=1.0,
+                                stable_window_s=1.0, mu_dep=1.0)
+        got, want = self.both_loops(sim_cfg, [0.1, 1.0, 0.1], [0.2, 0.3, 0.2], [0.7])
+        assert got == want
+        tick_ready, tick_ov = eval(got)[:2]
+        assert tick_ready[:2] == [2, 1]
+        assert tick_ov[:2] == [0.5, 1.0]
+
+    def test_zero_service_arrival_at_a_scale_down(self):
+        # the first job leaves at 0.3 s, so at 1 s one container is
+        # ordered, and slot 1 leaves at 1.25 s, when a zero-service job
+        # arrives: it comes after the scale-down, so the routing cursor
+        # must not restart past it
+        sim_cfg = kernel_config(is_exp(1.0), t_eva_s=1.0, stable_window_s=1.0, mu_dep=1.0)
+        got, want = self.both_loops(sim_cfg, [0.1, 1.15, 0.25], [0.2, 0.0, 0.5], [0.25])
+        assert got == want
+        assert eval(got)[0] == [2, 1, 1, 1, 1]
 
     @pytest.mark.parametrize("last_departure", [5.7, 3.9])
     def test_drained_container_frees_its_slot(self, last_departure):
