@@ -80,8 +80,12 @@ _BLOCK = 4096
 _INF = math.inf
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _arrival_times(arr_rng, lam, block, t_last):
-    """The next block of arrival times after t_last."""
+    """The next block of arrival times after t_last.
+
+    A gap that overflows is +inf: an arrival after any horizon.
+    """
     a = arr_rng.standard_exponential(block) / lam
     a[0] += t_last
     return np.cumsum(a, out=a)
@@ -168,10 +172,14 @@ class _InfiniteServer:
     def _load(self):
         """Draw the next arrival block and count its monitor ticks."""
         arr = _arrival_times(self.arr_rng, self.lam, self.block, self.t_last)
-        if self.deterministic:
-            dep = arr + self.wl_mean
-        else:
-            dep = arr + self.svc_rng.standard_exponential(arr.size) * self.wl_mean
+        # a job arriving at +inf departs at +inf with a nan response time,
+        # which is never folded: it departs after any horizon
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.deterministic:
+                dep = arr + self.wl_mean
+            else:
+                dep = arr + self.svc_rng.standard_exponential(arr.size) * self.wl_mean
+            rt = dep - arr
         # The block's restart points: the arrivals that find no job in
         # flight, with the instant the last job before them left and the
         # arrival before them.
@@ -189,7 +197,7 @@ class _InfiniteServer:
         times = np.concatenate((self.times, dep))
         order = np.argsort(times, kind="stable")
         self.times = times = times[order]
-        self.rts = rts = np.concatenate((self.rts, dep - arr))[order]
+        self.rts = rts = np.concatenate((self.rts, rt))[order]
         self.arr = arr
         self.t_last = arr[-1].item()
         self.final = self.t_last > self.duration

@@ -14,7 +14,7 @@ from .errors import ValidationError
 from .metric_model import MetricModel, fit_metric_model
 from .output import ResponseTimeFunction, fit_rtf
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,8 @@ class ModelBundle:
         _check_keys(data, "model bundle", keys, keys)
         if data["schema_version"] != SCHEMA_VERSION:
             raise ValidationError(f"unsupported bundle schema_version "
-                                  f"{data['schema_version']!r}, expected {SCHEMA_VERSION}")
+                                  f"{data['schema_version']!r}, expected {SCHEMA_VERSION}; "
+                                  "re-run `replicast fit` on the trace")
         return cls(metric=MetricModel.from_dict(data["metric_model"]),
                    response_time=ResponseTimeFunction.from_dict(data["response_time"]))
 

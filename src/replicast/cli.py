@@ -179,7 +179,9 @@ def _t_quantile(p: float, df: int) -> float:
 
 def _aggregate(reports):
     """Mean and 95% CI half-width of each compared metric over the
-    reports; both are None for a metric that some report leaves undefined."""
+    reports; both are None for a metric that some report leaves undefined,
+    and the half-width is None for a single report, whose t interval has
+    no degrees of freedom."""
     mean = {}
     ci95 = {}
     n = len(reports)
@@ -190,11 +192,8 @@ def _aggregate(reports):
             continue
         vals = np.array(vals, dtype=np.float64)
         mean[name] = float(vals.mean())
-        if n > 1:
-            half = float(_t_quantile(0.975, n - 1) * vals.std(ddof=1) / math.sqrt(n))
-        else:
-            half = 0.0
-        ci95[name] = half
+        ci95[name] = (float(_t_quantile(0.975, n - 1) * vals.std(ddof=1) / math.sqrt(n))
+                      if n > 1 else None)
     return mean, ci95
 
 

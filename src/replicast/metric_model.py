@@ -3,9 +3,11 @@
 The stable-window average of one container's metric (the autoscaler
 reacts to its sum over the ready containers) is a mean of many
 per-second samples, so at a fixed per-container rate it is well described
-by a normal distribution.  Its mean grows with the per-container rate rho
-as a quadratic through the origin (no traffic, no metric), and its spread
-grows roughly linearly with rho.  Both are fitted from a profiling trace.
+by a normal distribution.  Its mean and its variance are each a
+quadratic through the origin in the per-container rate rho (no traffic,
+no metric, no spread), and one least-squares fit (fit_law) finds both
+from a profiling trace: the mean from the observed values, the variance
+from their squared residuals around the fitted mean.
 """
 
 from __future__ import annotations
@@ -25,10 +27,6 @@ STD_FLOOR = 1e-6
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-# Bin count for the spread fit; traces shorter than 2 rows per bin fall
-# back to a single pooled estimate.
-_STD_BINS = 5
 
 
 @dataclass(frozen=True)
@@ -119,8 +117,8 @@ class MetricModel(FittedLaw):
     metric_kind: str
     mean_linear: float
     mean_quadratic: float
-    std_intercept: float
-    std_slope: float
+    var_linear: float
+    var_quadratic: float
     rho_max: float
     fit_mse: float
     fit_r2: float
@@ -128,7 +126,7 @@ class MetricModel(FittedLaw):
     _WHAT = "metric model"
     _SCALARS = ("metric_kind", "rho_max")
     _BLOCKS = {"mean_coefficients": {"linear": "mean_linear", "quadratic": "mean_quadratic"},
-               "std_coefficients": {"intercept": "std_intercept", "slope": "std_slope"},
+               "variance_coefficients": {"linear": "var_linear", "quadratic": "var_quadratic"},
                "diagnostics": {"mse": "fit_mse", "r2": "fit_r2"}}
 
     def __post_init__(self):
@@ -139,9 +137,9 @@ class MetricModel(FittedLaw):
         return self.mean_linear * rho + self.mean_quadratic * rho * rho
 
     def std_at(self, rho):
-        # no traffic, no spread: at rho = 0 the floor, not the intercept
-        spread = np.maximum(self.std_intercept + self.std_slope * rho, STD_FLOOR)
-        return np.where(rho == 0.0, STD_FLOOR, spread)
+        # a variance that dips below 0 is none; at rho = 0 the floor
+        variance = self.var_linear * rho + self.var_quadratic * rho * rho
+        return np.maximum(np.sqrt(np.maximum(variance, 0.0)), STD_FLOOR)
 
 
 def observed_value_distribution(model: MetricModel, rho: float) -> GaussianDist:
@@ -267,32 +265,14 @@ def fit_law(rates: np.ndarray, y: np.ndarray, powers: tuple) -> LawFit:
     return LawFit(coefficients, rho_max, mse, r2, min_rho, min_value, tol)
 
 
-def _fit_std(rates: np.ndarray, y: np.ndarray, mean_fn) -> tuple:
-    n = len(rates)
-    order = np.argsort(rates, kind="stable")
-    if n >= 2 * _STD_BINS:
-        centers = []
-        spreads = []
-        for chunk in np.array_split(order, _STD_BINS):
-            centers.append(float(rates[chunk].mean()))
-            spreads.append(float(np.std(y[chunk], ddof=1)))
-        slope, intercept = np.polyfit(np.asarray(centers), np.asarray(spreads), 1)
-        return float(intercept), float(slope)
-    # Too few rows for binning: pool the scatter around the fitted mean.
-    # A trace reaches here with two distinct rates, so n >= 2.
-    resid = y - np.array([mean_fn(r) for r in rates])
-    pooled = float(np.sqrt(np.sum(resid ** 2) / (n - 1)))
-    return max(pooled, STD_FLOOR), 0.0
-
-
 def fit_metric_model(trace: ProfilingTrace, metric_kind: str) -> MetricModel:
     """Fit the Gaussian metric map from a profiling trace.
 
     The mean is a quadratic through the origin in per-container rate
-    (fit_law).  The spread is a line fitted to per-bin sample standard
-    deviations over five equal-count rate bins (pooled when the trace is
-    short).  A fitted mean that dips negative anywhere on [0, rho_max]
-    is rejected outright.
+    (fit_law), and so is the variance, fitted the same way to the
+    squared residuals around the fitted mean.  A fitted mean that dips
+    negative anywhere on [0, rho_max] is rejected outright; a variance
+    that does reads 0 there (MetricModel.std_at).
     """
     _check_metric_kind(metric_kind)
     if trace.n_distinct_rates < 2:
@@ -304,7 +284,9 @@ def fit_metric_model(trace: ProfilingTrace, metric_kind: str) -> MetricModel:
             f"fitted mean is negative at rho={law.min_rho:.6g} "
             f"(value {law.min_value:.6g}); trace does not support a physical fit")
     a1, a2 = law.coefficients
-    b0, b1 = _fit_std(trace.rates, trace.observed, lambda r: a1 * r + a2 * r * r)
+    rates = trace.rates
+    resid = trace.observed - (a1 * rates + a2 * rates * rates)
+    v1, v2 = fit_law(rates, resid * resid, (1, 2)).coefficients
     return MetricModel(metric_kind=metric_kind, mean_linear=a1, mean_quadratic=a2,
-                       std_intercept=b0, std_slope=b1, rho_max=law.rho_max,
+                       var_linear=v1, var_quadratic=v2, rho_max=law.rho_max,
                        fit_mse=law.mse, fit_r2=law.r2)

@@ -23,6 +23,8 @@ time) tuples on purpose: the package computes each arrival block's
 departures up front and merges them into a time-ordered queue, so the
 heap is the independent statement of which job leaves next, equal
 departure times included, which leave in arrival order.
+The windowed metric's exact law under infinite-server service comes
+from queueing theory (the package fits it from a trace).
 """
 
 import math
@@ -527,3 +529,29 @@ def reference_run_simulation(sim_cfg, arr_rng, svc_rng, prov_rng):
     return (tick_ready, tick_ov, tick_rt, tick_carried,
             area_replica, rt_sum_pw, completions_pw,
             arrivals, completions, in_flight)
+
+
+def exact_metric_law(workload, metric_kind: str, window: int) -> tuple:
+    """Mean and variance of one container's stable-window metric at
+    per-container rate rho under an infinite-server workload, per unit of
+    rho: the law is N(m * rho, v * rho) for the returned (m, v).
+
+    The window averages `window` per-second samples.  Under cc a sample
+    is the in-flight count, a stationary M/G/inf count with mean and
+    variance rho * S, whose autocorrelation at a lag of k seconds is
+    r(k) = exp(-k / S) for exponential service and (1 - k / S)^+ for
+    deterministic service; the average's variance is rho * S * kappa / W
+    with kappa = 1 + 2 * sum_{1 <= k < W} (1 - k / W) * r(k).  Under rps
+    a sample is the second's arrival count, independent Poisson(rho), so
+    the average has mean rho and variance rho / W.
+    """
+    if metric_kind == METRIC_RPS:
+        return 1.0, 1.0 / window
+    s = workload.mean_s
+    k = np.arange(1.0, window)
+    if workload.distribution == _DIST_DETERMINISTIC:
+        r = np.maximum(1.0 - k / s, 0.0)
+    else:
+        r = np.exp(-k / s)
+    kappa = 1.0 + 2.0 * float(np.sum((1.0 - k / window) * r))
+    return s, s * kappa / window

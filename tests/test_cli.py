@@ -118,19 +118,6 @@ class TestFit:
         assert code == 1
         assert str(missing) in capsys.readouterr().err
 
-    def test_short_trace_fits_a_flat_pooled_spread(self, tmp_path, capsys):
-        # five rows at three rates: too few for binned spreads
-        trace = tmp_path / "short.csv"
-        trace.write_text("per_container_rate,observed_metric,mean_response_time_s\n"
-                         "1.0,0.21,0.2\n1.0,0.19,0.21\n2.0,0.41,0.2\n"
-                         "3.0,0.58,0.22\n3.0,0.62,0.21\n", encoding="utf-8")
-        out = tmp_path / "m.json"
-        assert cli.main(["fit", "--trace", str(trace), "--out", str(out)]) == 0
-        capsys.readouterr()
-        metric = rc.load_bundle(out).metric
-        assert metric.std_slope == 0.0
-        assert metric.std_intercept > rc.STD_FLOOR
-
     def test_missing_required_flag(self, trace_path, capsys):
         code = cli.main(["fit", "--trace", trace_path])
         assert code == 1
@@ -361,7 +348,8 @@ class TestPredict:
         (("response_time", "diagnostics"), "aic", "response-time function diagnostics"),
         (("response_time",), "rho_min", "response-time function"),
         (("metric_model", "mean_coefficients"), "cubic", "metric model mean_coefficients"),
-        (("metric_model", "std_coefficients"), "quadratic", "metric model std_coefficients"),
+        (("metric_model", "variance_coefficients"), "intercept",
+         "metric model variance_coefficients"),
         (("metric_model", "diagnostics"), "aic", "metric model diagnostics"),
         (("metric_model",), "window_s", "metric model"),
     ])
@@ -379,7 +367,8 @@ class TestPredict:
         (("response_time", "diagnostics"), "r2", "response-time function diagnostics"),
         (("response_time",), "rho_max", "response-time function"),
         (("metric_model", "mean_coefficients"), "linear", "metric model mean_coefficients"),
-        (("metric_model", "std_coefficients"), "slope", "metric model std_coefficients"),
+        (("metric_model", "variance_coefficients"), "linear",
+         "metric model variance_coefficients"),
         (("metric_model", "diagnostics"), "mse", "metric model diagnostics"),
         (("metric_model",), "metric_kind", "metric model"),
     ])
@@ -393,7 +382,7 @@ class TestPredict:
         assert f"{where}: missing required keys: {key}" in predict_error(tmp_path, capsys, data)
 
     @pytest.mark.parametrize("path,key,value,message", [
-        ((), "schema_version", 2, "unsupported bundle schema_version 2, expected 1"),
+        ((), "schema_version", 3, "unsupported bundle schema_version 3, expected 2"),
         (("metric_model",), "rho_max", 0.0, "metric model rho_max must be > 0, got 0.0"),
     ])
     def test_unsupported_bundle_value_exits_one(self, tmp_path, ref_bundle, capsys, path,
@@ -404,6 +393,16 @@ class TestPredict:
             holder = holder[name]
         holder[key] = value
         assert message in predict_error(tmp_path, capsys, data)
+
+    def test_version_one_bundle_asks_for_a_refit(self, tmp_path, ref_bundle, capsys):
+        # the layout before the variance law: a line in the spread
+        data = ref_bundle.to_dict()
+        data["schema_version"] = 1
+        data["metric_model"]["std_coefficients"] = {"intercept": 0.26, "slope": 0.006}
+        del data["metric_model"]["variance_coefficients"]
+        err = predict_error(tmp_path, capsys, data)
+        assert "unsupported bundle schema_version 1, expected 2" in err
+        assert "re-run `replicast fit`" in err
 
     def test_unknown_command_exits_one(self, capsys):
         assert cli.main(["calibrate"]) == 1
@@ -693,6 +692,19 @@ class TestCompare:
                                               "avg_concurrency": None,
                                               "avg_response_time_s": None}
         assert payload["pass"] is False
+
+    def test_one_seed_has_no_interval(self, tmp_path, bundle_path, capsys):
+        # a t interval from one report has no degrees of freedom
+        sim_cfg = sim_config_file(tmp_path, arrival_rate=5.0, duration_s=700.0,
+                                  warmup_s=100.0)
+        out = tmp_path / "cmp.json"
+        cli.main(["compare", "--model", bundle_path, "--sim-config", sim_cfg,
+                  "--seeds", "1", "--out", str(out)])
+        capsys.readouterr()
+        payload = strict_json(out.read_text(encoding="utf-8"))
+        assert all(v is not None for v in payload["simulated_mean"].values())
+        assert list(payload["simulated_ci95_half_width"].values()) == [None] * 3
+        assert list(payload["inside_ci95"].values()) == [None] * 3
 
     def test_inside_ci95_per_metric(self, tmp_path, bundle_path, capsys):
         # one container: the replica count is 1 in the model and in every

@@ -22,11 +22,11 @@ def make_cfg(n_max=3, target_value=1.0, **overrides):
     return rc.AutoscalerConfig(**base)
 
 
-def make_mm(mean_linear=0.2, mean_quadratic=0.0, std_intercept=0.0,
-            std_slope=0.0, rho_max=100.0):
+def make_mm(mean_linear=0.2, mean_quadratic=0.0, var_linear=0.0,
+            var_quadratic=0.0, rho_max=100.0):
     return rc.MetricModel(
         metric_kind="cc", mean_linear=mean_linear, mean_quadratic=mean_quadratic,
-        std_intercept=std_intercept, std_slope=std_slope, rho_max=rho_max,
+        var_linear=var_linear, var_quadratic=var_quadratic, rho_max=rho_max,
         fit_mse=0.0, fit_r2=1.0)
 
 
@@ -211,17 +211,17 @@ class TestOnePassFactors:
 
     @given(lam=st.one_of(st.floats(5e-324, 1e-300), st.floats(1e-3, 1e4)),
            a1=st.floats(0.0, 2.0), a2=st.floats(-0.02, 0.02),
-           b0=st.floats(0.0, 2.0), b1=st.floats(-0.5, 0.5),
+           v1=st.floats(0.0, 2.0), v2=st.floats(-0.5, 0.5),
            tv=st.floats(0.05, 20.0), n_max=st.integers(1, 60))
     # a subnormal rate: every rho but the first underflows to 0
-    @example(lam=5e-324, a1=0.2, a2=0.0, b0=0.5, b1=0.1, tv=1.0, n_max=8)
+    @example(lam=5e-324, a1=0.2, a2=0.0, v1=0.5, v2=0.1, tv=1.0, n_max=8)
     # a negative quadratic: the mean is negative at small ready counts
-    @example(lam=5000.0, a1=0.2, a2=-0.01, b0=0.1, b1=0.02, tv=2.0, n_max=60)
-    # a negative spread slope that reaches STD_FLOOR
-    @example(lam=400.0, a1=0.2, a2=0.0, b0=0.5, b1=-0.5, tv=2.0, n_max=40)
-    @example(lam=3.0, a1=0.2, a2=0.0, b0=0.5, b1=0.1, tv=1.0, n_max=1)
-    def test_horizontal_equals_scalar_oracle(self, lam, a1, a2, b0, b1, tv, n_max):
-        mm = make_mm(a1, a2, b0, b1)
+    @example(lam=5000.0, a1=0.2, a2=-0.01, v1=0.1, v2=0.02, tv=2.0, n_max=60)
+    # a variance that dips below 0: the spread is STD_FLOOR
+    @example(lam=400.0, a1=0.2, a2=0.0, v1=0.5, v2=-0.5, tv=2.0, n_max=40)
+    @example(lam=3.0, a1=0.2, a2=0.0, v1=0.5, v2=0.1, tv=1.0, n_max=1)
+    def test_horizontal_equals_scalar_oracle(self, lam, a1, a2, v1, v2, tv, n_max):
+        mm = make_mm(a1, a2, v1, v2)
         cfg = make_cfg(n_max=n_max, target_value=tv)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -280,10 +280,10 @@ class TestAggregateControlLaw:
     def test_chain_orders_offered_load_over_target(self):
         # the same point the simulator pins: the aggregate mean 0.2 * 35 = 7
         # over target 2 orders ceil(3.5) = 4 from every ready count, with
-        # spread sqrt(j) * (0.05 + 0.02 * 35 / j) <= 0.45 at j = 4, more
-        # than two spreads from the thresholds 6 and 8
+        # spread sqrt(j * (0.004 * rho + 0.0002 * rho^2)), rho = 35 / j,
+        # 0.45 at j = 4, more than two spreads from the thresholds 6 and 8
         cfg = make_cfg(n_max=10, target_value=2.0)
-        chain = rc.build_chain(35.0, make_mm(0.2, 0.0, 0.05, 0.02), cfg)
+        chain = rc.build_chain(35.0, make_mm(0.2, 0.0, 0.004, 0.0002), cfg)
         st = rc.stationary_distribution(chain)
         assert st.marginal_ready.argmax() == 3
         assert float(st.marginal_ready @ np.arange(1, 11)) == pytest.approx(4.0, abs=0.1)
@@ -323,15 +323,15 @@ class TestChainAssembly:
     def test_matches_hand_assembled_four_state_matrix(self):
         lam, tv = 3.0, 0.5
         cfg = make_cfg(n_max=2, target_value=tv)
-        mm = make_mm(0.2, 0.0, 0.25, 0.0)
+        mm = make_mm(0.2, 0.0, 0.02, 0.0)
         chain = rc.build_chain(lam, mm, cfg)
 
         # factor tables built from first principles
         h = {}
         for j in (1, 2):
             # aggregate over j ready containers: mean j * 0.2 * (lam/j),
-            # spread sqrt(j) * 0.25
-            below = norm.cdf(tv, loc=0.2 * lam, scale=math.sqrt(j) * 0.25)
+            # spread sqrt(j) * sqrt(0.02 * (lam/j))
+            below = norm.cdf(tv, loc=0.2 * lam, scale=math.sqrt(j) * math.sqrt(0.02 * lam / j))
             h[j] = np.array([below, 1.0 - below])
         v = {
             1: np.array([[1.0, 0.0],
@@ -430,7 +430,7 @@ class TestChainAssembly:
             factors = (horizontal, arrive, rc.cluster._vertical_law(make_cfg(n_max=4))[1])
             assert rc.cluster._trapping_ready_counts(*factors, 3, 3).tolist() == [1, 2]
         else:
-            chain = rc.build_chain(200.0, make_mm(0.2, 0.0, 0.1, 0.02),
+            chain = rc.build_chain(200.0, make_mm(0.2, 0.0, 0.008, 0.0004),
                                    make_cfg(n_max=50, target_value=2.0))
             factors = (chain.horizontal, chain.arrive, chain.stay)
         monkeypatch.setattr(rc.cluster, "_ASSEMBLY_BATCH", 1 << 62)
@@ -442,7 +442,7 @@ class TestChainAssembly:
     def test_assembly_never_builds_the_dense_matrix(self):
         # at n_max 50 the dense matrix alone is 2500^2 doubles, 50 MB
         cfg = make_cfg(n_max=50, target_value=2.0)
-        mm = make_mm(0.2, 0.0, 0.1, 0.02)
+        mm = make_mm(0.2, 0.0, 0.008, 0.0004)
         tracemalloc.start()
         try:
             st = rc.stationary_distribution(rc.build_chain(200.0, mm, cfg))
@@ -457,7 +457,7 @@ class TestChainAssembly:
         # the full chain at n_max 200 has 40,000 states and an 8e6-entry
         # vertical tensor (64 MB); the closed set needs neither
         cfg = make_cfg(n_max=200, target_value=2.0)
-        mm = make_mm(0.2, 0.0, 0.1, 0.02)
+        mm = make_mm(0.2, 0.0, 0.008, 0.0004)
         tracemalloc.start()
         try:
             st = rc.stationary_distribution(rc.build_chain(200.0, mm, cfg))
@@ -564,7 +564,7 @@ class TestRecurrenceStructure:
             return original(*args)
 
         monkeypatch.setattr(rc.cluster, "_closure", counting)
-        chain = rc.build_chain(200.0, make_mm(0.2, 0.0, 0.2, 0.01),
+        chain = rc.build_chain(200.0, make_mm(0.2, 0.0, 0.014, 0.0001),
                                make_cfg(n_max=50, target_value=2.0))
         st = rc.stationary_distribution(chain)
         assert st.n_transient > 0 and len(closures) == 2

@@ -12,11 +12,11 @@ from oracles import quad_positive_mean
 from replicast.metric_model import fit_law, positive_part_means
 
 
-def make_mm(mean_linear=0.2, mean_quadratic=0.0, std_intercept=0.1,
-            std_slope=0.0, rho_max=100.0):
+def make_mm(mean_linear=0.2, mean_quadratic=0.0, var_linear=0.1,
+            var_quadratic=0.0, rho_max=100.0):
     return rc.MetricModel(
         metric_kind="cc", mean_linear=mean_linear, mean_quadratic=mean_quadratic,
-        std_intercept=std_intercept, std_slope=std_slope, rho_max=rho_max,
+        var_linear=var_linear, var_quadratic=var_quadratic, rho_max=rho_max,
         fit_mse=0.0, fit_r2=1.0)
 
 
@@ -109,14 +109,14 @@ def _point_distribution(chain, states_probs):
 class TestSteadyStateReport:
     def test_single_state_weights(self):
         cfg = rc.AutoscalerConfig(metric_kind="cc", target_value=6.0, n_max=4)
-        mm = make_mm(0.2, 0.0, 0.1, 0.0)
+        mm = make_mm(0.2, 0.0, 0.002, 0.0)
         rtf = make_rtf(0.2, 0.01, 0.001)
         chain = rc.build_chain(20.0, mm, cfg)
         st = _point_distribution(chain, {(4, 4): 1.0})
         rep = rc.steady_state_report(st, chain, mm, rtf)
         assert rep.avg_replica_count == pytest.approx(4.0, abs=1e-12)
         assert rep.avg_response_time_s == pytest.approx(rtf.at(5.0), abs=1e-12)
-        want_c = quad_positive_mean(0.2 * 5.0, 0.1)
+        want_c = quad_positive_mean(0.2 * 5.0, math.sqrt(0.002 * 5.0))
         assert rep.avg_concurrency == pytest.approx(want_c, abs=1e-9)
 
     def test_uniform_two_state_average(self):
@@ -160,6 +160,14 @@ class TestSteadyStateReport:
         cs = [self._report_at(ref_bundle, lam, 5.0).avg_concurrency for lam in rates]
         for lo, hi in zip(cs[:-1], cs[1:]):
             assert hi >= lo - 1e-9
+
+    def test_low_load_concurrency_follows_the_load(self, ref_bundle):
+        # at 1e-6 req/s the offered load is 2e-7 in-flight requests; the
+        # variance law vanishes with the rate, so the positive part of the
+        # metric's Gaussian does too (a spread that stayed at its value
+        # near rate 0.5 would make it about 0.1)
+        rep = self._report_at(ref_bundle, 1e-6, 5.0, n_max=5)
+        assert rep.avg_concurrency < 1e-3
 
     def test_per_ready_report_matches_per_state_loop(self, ref_bundle):
         # the report weights one value per ready count by the marginal;

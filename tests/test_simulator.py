@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -229,6 +230,21 @@ class TestBookkeeping:
         assert 1.0 <= rep.avg_replica_count <= 5.0
         assert rep.ready_counts.min() >= 1
         assert rep.ready_counts.max() <= 5
+
+    @pytest.mark.parametrize("workload", [
+        is_exp(0.2), is_det(0.2),
+        rc.WorkloadModel(kind=rc.WORKLOAD_PROCESSOR_SHARING, mean_s=0.2)])
+    @pytest.mark.parametrize("metric", ["cc", "rps"])
+    def test_arrival_gaps_that_overflow(self, workload, metric):
+        # at 1e-308 req/s a gap overflows to +inf, an arrival after any
+        # horizon, and the run sees no arrival and no numpy warning
+        cfg = rc.AutoscalerConfig(metric_kind=metric, target_value=1.0, n_max=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = run(workload, arrival_rate=1e-308, duration_s=400.0, warmup_s=100.0,
+                      cfg=cfg)
+        assert rep.arrivals_total == 0
+        assert rep.avg_response_time_s is None
 
 
 def report_dump(rep, drop_seed=False):
