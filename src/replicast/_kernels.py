@@ -24,9 +24,11 @@ routing scans for the least-loaded slot, and a stack of the same slots
 in the order they became ready, from which scale-down pops the newest
 container.  A scaled-down container keeps its in-flight jobs, and its
 slot is free once they are gone: scale-up takes the lowest slot that is
-not ready and holds no jobs.  The stable window keeps a running integer
-sum of its per-second samples, which are counts, so the windowed value
-is exact.
+not ready and holds no jobs.  The stable window is kept as running
+totals of its per-second samples, which are counts, so each windowed
+value is the exact difference of two integer totals: the monitor
+appends one total, the evaluator subtracts two, and one numpy pass after
+the loop gives every tick's value.
 
 Under processor sharing the next departure depends on the busy count,
 so between two control events an inner loop processes each arrival and
@@ -350,9 +352,6 @@ def run_simulation(sim_cfg, arr_rng, svc_rng, prov_rng):
     wl_mean = workload.mean_s
     lam, duration, warmup = sim_cfg.arrival_rate, sim_cfg.duration_s, sim_cfg.warmup_s
     init_replicas = sim_cfg.initial_replicas
-    # The run has floor(duration) monitor ticks, so a longer window never
-    # fills or wraps and gives the same result as one that long.
-    window_len = min(window_len, math.floor(duration))
     block = _BLOCK
     prov = []
     prov_i = block
@@ -409,16 +408,10 @@ def run_simulation(sim_cfg, arr_rng, svc_rng, prov_rng):
         drained = []
         removed = 0
 
-    # Stable window of per-second samples of the aggregate metric over
-    # ready containers (in-flight sum for cc, arrival count for rps).
-    wbuf = [0] * window_len
-    w_count = 0
-    w_idx = 0
-    w_sum = 0
-    ov = 0.0
-
+    # Running totals of the per-second samples of the aggregate metric
+    # over ready containers (in-flight sum for cc, arrival count for rps).
+    cum = [0]
     tick_ready = []
-    tick_ov = []
 
     area_replica = 0.0
     j_since = 0.0
@@ -555,19 +548,8 @@ def run_simulation(sim_cfg, arr_rng, svc_rng, prov_rng):
                 if removed:
                     sample -= removed
                     removed = 0
-            w_sum += sample - wbuf[w_idx]
-            wbuf[w_idx] = sample
-            if w_count < window_len:
-                w_count += 1
-            w_idx += 1
-            if w_idx == window_len:
-                w_idx = 0
-            ov = w_sum / w_count
-
+            cum.append(cum[-1] + sample)
             tick_ready.append(j_ready)
-            # Reported per container: the aggregate window over the
-            # current ready count.
-            tick_ov.append(ov / j_ready)
             t_monitor += 1.0
 
         elif t_eval <= t_ctrl:
@@ -575,7 +557,10 @@ def run_simulation(sim_cfg, arr_rng, svc_rng, prov_rng):
             # Knative's KPA: the aggregate windowed metric over the
             # per-container target, clamped to [1, n_max]; the top clamp
             # comes first, as the ceiling of an infinite ratio raises.
-            q = ov / tv
+            # The window holds the last n samples, none before the first
+            # tick.
+            n = min(len(cum) - 1, window_len)
+            q = (cum[-1] - cum[-1 - n]) / n / tv if n else 0.0
             desired = n_max if q > n_max else max(1, math.ceil(q))
             if desired != order:
                 order = desired
@@ -649,6 +634,15 @@ def run_simulation(sim_cfg, arr_rng, svc_rng, prov_rng):
         lo = j_since if j_since > warmup else warmup
         if duration > lo:
             area_replica += j_ready * (duration - lo)
+
+    # Reported per container: each tick's aggregate window over its ready
+    # count.  The totals are below 2**53, so they convert exactly and each
+    # value has the bits of the scalar window_sum / n / j_ready.
+    ticks = len(tick_ready)
+    k = np.arange(1, ticks + 1)
+    n = np.minimum(k, min(window_len, ticks))
+    tot = np.array(cum, dtype=np.int64)
+    tick_ov = ((tot[k] - tot[k - n]) / n / np.array(tick_ready)).tolist()
 
     return (tick_ready, tick_ov, sec_rt, sec_n,
             area_replica, rt_sum_pw, completions_pw,

@@ -13,7 +13,7 @@ from hypothesis import given, strategies as st
 import oracles
 import replicast as rc
 from conftest import run_fresh
-from oracles import reference_run_simulation
+from oracles import exact_metric_law, reference_run_simulation
 from replicast import _kernels
 
 
@@ -131,6 +131,29 @@ class TestInfiniteServerOracles:
         # 5% tolerance is 4 SD.
         rep = run(is_exp(0.2), arrival_rate=1.0, duration_s=36_000.0)
         assert rep.avg_concurrency == pytest.approx(0.2, rel=0.05)
+
+    @pytest.mark.parametrize("rho", [2.5, 10.0, 20.0])
+    @pytest.mark.parametrize("metric, workload", [("cc", is_exp(0.2)), ("cc", is_det(0.2)),
+                                                  ("rps", is_exp(0.2))],
+                             ids=["cc-exponential", "cc-deterministic", "rps"])
+    def test_windowed_metric_follows_the_exact_law(self, metric, workload, rho):
+        # one container's 60 s window over 35,700 post-warmup seconds: the
+        # sample mean and variance lie within 3 standard errors of the
+        # exact law, the errors taken from batch means over blocks of 600
+        # samples, ten windows each, so that the blocks are nearly
+        # independent
+        cfg = rc.AutoscalerConfig(metric_kind=metric, target_value=1.0, n_max=1)
+        rep = run(workload, arrival_rate=rho, duration_s=36_000.0, seed=5, cfg=cfg)
+        m, v = exact_metric_law(workload, metric, 60)
+        x = rep.trace.observed
+        blocks = x[:x.size - x.size % 600].reshape(-1, 600)
+        mean, var = x.mean(), x.var()
+
+        def std_error(batch_means):
+            return batch_means.std(ddof=1) / math.sqrt(batch_means.size)
+
+        assert abs(mean - m * rho) < 3 * std_error(blocks.mean(axis=1))
+        assert abs(var - v * rho) < 3 * std_error(((blocks - mean) ** 2).mean(axis=1))
 
     def test_higher_rate_tightens_little_estimate(self):
         rep = run(is_exp(0.2), arrival_rate=20.0, seed=11)
@@ -360,8 +383,8 @@ class TestKernelOracle:
            lam=st.floats(min_value=0.1, max_value=40.0),
            target=st.floats(min_value=0.5, max_value=10.0),
            n_max=st.integers(min_value=1, max_value=12),
-           t_eva=st.sampled_from([0.5, 2.0]),
-           window=st.sampled_from([6.0, 60.0]),
+           t_eva=st.sampled_from([0.3, 0.5, 2.0]),
+           window=st.sampled_from([2.5, 6.0, 60.0]),
            duration=st.floats(min_value=2.0, max_value=300.0),
            warmup_share=st.floats(min_value=0.0, max_value=1.0),
            seed=st.integers(min_value=-2**70, max_value=2**70))
