@@ -1,13 +1,13 @@
 """Event loop of the discrete-event simulator.
 
 The loop is plain CPython.  Random numbers come in fixed-size float64
-blocks from three numpy Generators (arrivals, service, provisioning)
-and are read as Python lists.  Arrival gaps are divided by the rate and
-exponential service times multiplied by their mean in numpy, one
-correctly rounded operation each, so every value has the same bits as
-the scalar expression.  A block draw yields the same values as the same
-number of scalar draws, and each stream refills at the same points as
-it would one draw at a time, so the block size only bounds memory.
+blocks from four numpy Generators (arrivals, service, provisioning,
+routing) and are read as Python lists.  Arrival gaps are divided by the
+rate and exponential service times multiplied by their mean in numpy,
+one correctly rounded operation each, so every value has the same bits
+as the scalar expression.  A block draw yields the same values as the
+same number of scalar draws, and each stream refills at the same points
+as it would one draw at a time, so the block size only bounds memory.
 
 Arrival times are computed a block at a time: the gaps' cumulative sum,
 with the last arrival time of the previous block added to the first
@@ -18,21 +18,23 @@ One section runs the control events (the per-second monitor, the scale
 evaluator and the provisioning engine) for both service models.  Event
 kinds at equal timestamps fire in the fixed priority
 departure < monitor < evaluation < provisioning < arrival, which makes
-runs bit-reproducible for a given seed.  The ready containers are a
-list of slots in slot order, changed only at provisioning events, which
-routing scans for the least-loaded slot, and a stack of the same slots
-in the order they became ready, from which scale-down pops the newest
-container.  A scaled-down container keeps its in-flight jobs, and its
-slot is free once they are gone: scale-up takes the lowest slot that is
-not ready and holds no jobs.  The stable window is kept as running
-totals of its per-second samples, which are counts, so each windowed
-value is the exact difference of two integer totals: the monitor
-appends one total, the evaluator subtracts two, and one numpy pass after
-the loop gives every tick's value.
+runs bit-reproducible for a given seed.  The ready containers form a
+stack in the order they became ready: scale-up pushes, and scale-down
+pops the newest, so a container keeps its position from the moment it
+is ready until it leaves.  Arrival i goes to position floor(u_i * j),
+u_i being the i-th uniform of the routing stream and j the ready count
+at the arrival: each ready container takes an independent share, as the
+chain's per-container rate lambda / j assumes.  A scaled-down container
+keeps its in-flight jobs but gets no new ones.  The stable window is
+kept as running totals of its per-second samples, which are counts, so
+each windowed value is the exact difference of two integer totals: the
+monitor appends one total, the evaluator subtracts two, and one numpy
+pass after the loop gives every tick's value.
 
 Under processor sharing the next departure depends on the busy count,
 so between two control events an inner loop processes each arrival and
-departure in turn and routes each arrival as it comes.
+departure in turn.  Each container has a slot holding its jobs, and
+scale-up takes the lowest slot that is not ready and holds no jobs.
 
 Under infinite-server service a job's departure is fixed when its block
 is drawn: ``d = a + s`` (``a + mean`` for deterministic service) and its
@@ -50,27 +52,20 @@ in departure order from the carried partial sum, so each sum has the
 bits of a scalar ``+=`` per departure, which ``np.sum`` (pairwise) and
 ``math.fsum`` (exact) would not.
 
-Routing changes a result only through containers that were scaled down:
-the cc sample is the in-flight total minus the jobs still on them, the
-rps sample is the second's arrivals minus those that went to a container
-removed before the tick, and scale-up reuses a slot only once its jobs
-are gone.  So arrivals are routed, by the least-loaded rule, only when a
-provisioning event fires, from a routing cursor up to that event; the
-in-flight jobs of a container scaled down join a sorted list that the
-monitor drains.  At a point where no job is in flight every count is
-zero, so the cursor may restart there and skip the arrivals before it.
-Under rps those arrivals must also precede the latest monitor tick at or
-before the event, whose reset the zero counts then stand in for.  At
-each block refill the cursor moves to the block's last such point or
-else routes the block, so it holds at most two blocks and the jobs in
-flight, and no arrival is routed twice.  With one container nothing is
-ever provisioned, so nothing is routed.
+No arrival is routed there: a container's jobs change a result only
+once it is scaled down, when the cc sample leaves out its jobs still in
+flight and the rps sample its arrivals since the latest monitor tick.
+The container popped from position j - 1 at t, ready since t_b, holds
+the jobs that arrived in [t_b, t) with floor(u * j_a) = j - 1, j_a being
+the ready count at their arrival.  So a scale-down applies that mask to
+the recent arrivals, read with the ready-count history, and the monitor
+subtracts what it finds.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_right
 
 import numpy as np
 
@@ -129,25 +124,24 @@ def _second_means(sec_rt, sec_n, wl_mean):
 
 class _InfiniteServer:
     """The arrivals and departures of an infinite-server run, one arrival
-    block at a time, and the routing cursor.
+    block at a time, and the stack of ready containers.
 
     ``base`` holds a sample per monitor tick of the block, up to ``stop``,
     the block's last arrival or the horizon if that comes first: the jobs
     in flight (cc) or the arrivals in the second (rps), on every
     container.  ``final`` says whether the last arrival lies past the
-    horizon.  ``route_to`` brings ``conc`` and ``arr_count``, which the
-    control section shares, to a provisioning event.
+    horizon.  ``scale_up`` and ``scale_down`` move the stack at a
+    provisioning event.
     """
 
-    def __init__(self, sim_cfg, arr_rng, svc_rng, conc, arr_count, ready):
+    def __init__(self, sim_cfg, arr_rng, svc_rng, route_rng):
         workload = sim_cfg.workload
         self.rps = sim_cfg.autoscaler.metric_kind == METRIC_RPS
         self.deterministic = workload.distribution == _DIST_DETERMINISTIC
         self.wl_mean = workload.mean_s
         self.lam, self.duration, self.warmup = (sim_cfg.arrival_rate, sim_cfg.duration_s,
                                                 sim_cfg.warmup_s)
-        self.arr_rng, self.svc_rng = arr_rng, svc_rng
-        self.conc, self.arr_count, self.ready = conc, arr_count, ready
+        self.arr_rng, self.svc_rng, self.route_rng = arr_rng, svc_rng, route_rng
         self.block = _BLOCK
         # Departures after the last fold and the current block's, in time
         # order, with their response times; the sums they fold into.
@@ -158,17 +152,17 @@ class _InfiniteServer:
         self.n_sec = self.n_pw = 0
         # Arrivals before the block, departures folded, monitor ticks
         # before the block and arrivals before the last of them; the last
-        # arrival and the latest departure drawn before the block.
+        # arrival drawn before the block.
         self.arr_base = self.done = self.n_ticks = self.seen = 0
-        self.t_last = self.m_last = 0.0
-        # The cursor: the next arrival to route; the arrival and departure
-        # times of the jobs from index u_base to the end of the block; the
-        # departure times and slots of the routed jobs in flight, in time
-        # order; and the next monitor tick, at which arr_count resets.
-        self.ci = self.u_base = 0
-        self.u_arr = self.u_dep = self.r_dep = np.empty(0)
-        self.r_slot = np.empty(0, dtype=np.int64)
-        self.c_tick = 1.0
+        self.t_last = 0.0
+        # The arrivals a later scale-down may need, in arrival order, with
+        # their departure times and routing uniforms.
+        self.w_arr = self.w_dep = self.w_u = np.empty(0)
+        # The time each ready container became ready, in stack order, and
+        # the ready count from each of its changes on.
+        self.births = [-_INF] * sim_cfg.initial_replicas
+        self.j_times = [-_INF]
+        self.j_counts = [sim_cfg.initial_replicas]
         self._load()
 
     def _load(self):
@@ -182,19 +176,9 @@ class _InfiniteServer:
             else:
                 dep = arr + self.svc_rng.standard_exponential(arr.size) * self.wl_mean
             rt = dep - arr
-        # The block's restart points: the arrivals that find no job in
-        # flight, with the instant the last job before them left and the
-        # arrival before them.
-        m = np.maximum.accumulate(np.concatenate(([self.m_last], dep)))
-        empty = np.flatnonzero(m[:-1] <= arr)
-        self.e_idx = (self.arr_base + empty).tolist()
-        self.e_m = m[empty].tolist()
-        self.e_prev = np.concatenate(([self.t_last], arr[:-1]))[empty].tolist()
-        self.m_last = m[-1]
-        lo = self.ci - self.u_base
-        self.u_arr = np.concatenate((self.u_arr[lo:], arr))
-        self.u_dep = np.concatenate((self.u_dep[lo:], dep))
-        self.u_base = self.ci
+        self.w_arr = np.concatenate((self.w_arr, arr))
+        self.w_dep = np.concatenate((self.w_dep, dep))
+        self.w_u = np.concatenate((self.w_u, self.route_rng.random(arr.size)))
 
         times = np.concatenate((self.times, dep))
         order = np.argsort(times, kind="stable")
@@ -232,98 +216,46 @@ class _InfiniteServer:
         self.done += qf
 
     def refill(self):
-        """Fold the block, move the cursor to its last restart point or
-        else route it, and load the next block."""
+        """Fold the block, drop the arrivals no later scale-down needs and
+        load the next block.
+
+        Every later scale-down comes after the stop, so under cc it needs
+        the arrivals from the first one still in flight then, and under rps
+        those from the latest monitor tick at or before it; the ready-count
+        history is kept from the first arrival kept.
+        """
         self._fold_block()
-        if not self._restart(self.t_last):
-            self._route(self.arr_base + self.block)
+        if self.rps:
+            lo = int(np.searchsorted(self.w_arr, math.floor(self.stop)))
+        else:
+            lo = int(np.argmax(np.append(self.w_dep, _INF) > self.stop))
+        self.w_arr, self.w_dep, self.w_u = self.w_arr[lo:], self.w_dep[lo:], self.w_u[lo:]
         self.arr_base += self.block
         self._load()
+        k = bisect_right(self.j_times, self.w_arr[0].item()) - 1
+        del self.j_times[:k], self.j_counts[:k]
 
-    def _restart(self, t):
-        """Move the cursor to the block's last restart point that is
-        valid at t, with every count zero; returns whether it moved.
+    def scale_up(self, t):
+        """Push a container that is ready from t."""
+        self.births.append(t)
+        self.j_times.append(t)
+        self.j_counts.append(len(self.births))
 
-        A point is valid once the jobs before it have arrived before t and
-        left by t; under rps they must have arrived before the latest
-        monitor tick at or before t.
-        """
-        k = min(bisect_right(self.e_m, t),
-                bisect_left(self.e_prev, math.floor(t) if self.rps else t))
-        if k == 0 or self.e_idx[k - 1] <= self.ci:
-            return False
-        self.ci = self.e_idx[k - 1]
-        zeros = [0] * len(self.conc)
-        self.conc[:] = zeros
-        self.arr_count[:] = zeros
-        self.r_dep = np.empty(0)
-        self.r_slot = np.empty(0, dtype=np.int64)
-        return True
-
-    def route_to(self, t):
-        """Bring the counts to a provisioning event at t: route the
-        arrivals before t and free the jobs due at or before it."""
-        self._restart(t)
-        self._route(self.u_base + int(np.searchsorted(self.u_arr, t)), t)
-
-    def _route(self, end, t_free=-_INF):
-        """Route the arrivals before index end, each to the least-loaded
-        ready container, the lowest slot among equals, after freeing the
-        jobs due at or before it; then free those due at or before t_free
-        and reset arr_count at any monitor tick up to it."""
-        conc, arr_count, ready, rps = self.conc, self.arr_count, self.ready, self.rps
-        lo, hi = self.ci - self.u_base, end - self.u_base
-        n_routed = self.r_dep.size
-        # The routed jobs and the new ones in one stable time order, with
-        # slot -1 until routed: a job not routed yet arrives at or after
-        # the next arrival and leaves no earlier, since fl(a + s) >= a.
-        times = np.concatenate((self.r_dep, self.u_dep[lo:hi]))
-        order = np.argsort(times, kind="stable")
-        times = times[order]
-        q_time = times.tolist()
-        q_time.append(_INF)
-        q_slot = np.concatenate((self.r_slot, np.full(hi - lo, -1, dtype=np.int64)))[order]
-        q_slot = q_slot.tolist()
-        q_slot.append(-1)
-        pos = np.empty_like(order)
-        pos[order] = np.arange(order.size)
-        qh = 0
-        c_tick = self.c_tick
-        multi = len(ready) > 1
-        for t, p in zip(self.u_arr[lo:hi].tolist(), pos[n_routed:].tolist()):
-            while q_time[qh] <= t and q_slot[qh] >= 0:
-                conc[q_slot[qh]] -= 1
-                qh += 1
-            best = ready[0]
-            best_c = conc[best]
-            if multi:
-                for k in ready:
-                    c = conc[k]
-                    if c < best_c:
-                        best = k
-                        best_c = c
-            conc[best] = best_c + 1
-            if rps:
-                if t >= c_tick:
-                    for k in ready:
-                        arr_count[k] = 0
-                    c_tick = math.floor(t) + 1.0
-                arr_count[best] += 1
-            q_slot[p] = best
-        while q_time[qh] <= t_free and q_slot[qh] >= 0:
-            conc[q_slot[qh]] -= 1
-            qh += 1
-        if rps and t_free >= c_tick:
-            for k in ready:
-                arr_count[k] = 0
-            c_tick = math.floor(t_free) + 1.0
-        self.ci, self.c_tick = end, c_tick
-        self.r_dep = times[qh:]
-        self.r_slot = np.array(q_slot[qh:-1], dtype=np.int64)
-
-    def in_flight_on(self, slot):
-        """Departure times of the jobs on slot, after ``route_to``."""
-        return self.r_dep[self.r_slot == slot].tolist()
+    def scale_down(self, t):
+        """Pop the newest container at t.  Returns the departure times of
+        its jobs, of which the monitor counts those still in flight (cc),
+        or the count of its arrivals since the latest monitor tick (rps)."""
+        j = len(self.births)
+        t_b = self.births.pop()
+        lo, hi = np.searchsorted(self.w_arr, (max(t_b, math.floor(t)) if self.rps else t_b, t))
+        arr = self.w_arr[lo:hi]
+        j_a = np.array(self.j_counts)[np.searchsorted(self.j_times, arr, "right") - 1]
+        on = (self.w_u[lo:hi] * j_a).astype(np.int64) == j - 1
+        self.j_times.append(t)
+        self.j_counts.append(j - 1)
+        if self.rps:
+            return int(np.count_nonzero(on))
+        return self.w_dep[lo:hi][on].tolist()
 
     def finish(self):
         """Fold the departures up to the horizon.  Returns the per-second
@@ -335,8 +267,8 @@ class _InfiniteServer:
         return self.sec_rt, self.sec_n, self.rt_pw, self.n_pw, arrivals, self.done
 
 
-def run_simulation(sim_cfg, arr_rng, svc_rng, prov_rng):
-    """Run the validated SimulationConfig sim_cfg on the three streams.
+def run_simulation(sim_cfg, arr_rng, svc_rng, prov_rng, route_rng):
+    """Run the validated SimulationConfig sim_cfg on the four streams.
 
     Returns the per-second ready counts, windowed metric per container,
     mean response times and carried flags, then the post-warmup replica
@@ -355,29 +287,25 @@ def run_simulation(sim_cfg, arr_rng, svc_rng, prov_rng):
     block = _BLOCK
     prov = []
     prov_i = block
-
-    # Container slots.  A slot's index doubles as the container id for
-    # dispatch tie-breaks.  A slot is free when it is not ready and holds
-    # no jobs; a provisioned container takes the lowest free slot, or a
-    # new one at the end.  Under infinite server, conc and arr_count hold
-    # the counts as of the routing cursor.
-    conc = [0] * init_replicas
-    # Arrivals this second per ready slot (rps only); zeroed when a slot
-    # stops being ready.
-    arr_count = [0] * init_replicas
-    # Ready slots in slot order; only provisioning events change it.
-    ready = list(range(init_replicas))
-    # The same slots in the order they became ready: scale-down pops the
-    # newest.
-    by_birth = list(range(init_replicas))
     j_ready = init_replicas
     order = init_replicas
 
     if sharing:
+        # Container slots.  A slot is free when it is not ready and holds
+        # no jobs; a provisioned container takes the lowest free slot, or
+        # a new one at the end.  Jobs in flight and arrivals this second
+        # per slot; arr_count is zeroed when a slot stops being ready.
+        conc = [0] * init_replicas
+        arr_count = [0] * init_replicas
+        # The ready slots in the order they became ready: arrivals pick a
+        # position, and scale-down pops the newest.
+        by_birth = list(range(init_replicas))
         # Random blocks: a stream refills when its index reaches the
         # block size, so the service stream draws nothing until first
-        # used.  Service times are pre-multiplied by the mean.
+        # used.  Service times are pre-multiplied by the mean.  The
+        # routing uniforms come with the arrivals, one each.
         arr_t = _arrival_times(arr_rng, lam, block, 0.0).tolist()
+        route = route_rng.random(block).tolist()
         arr_i = 0
         t_arrival = arr_t[0]
         # Arrivals before the current block; every job that has not left
@@ -400,7 +328,7 @@ def run_simulation(sim_cfg, arr_rng, svc_rng, prov_rng):
         rt_sum_pw = 0.0
         completions_pw = 0
     else:
-        inf_server = _InfiniteServer(sim_cfg, arr_rng, svc_rng, conc, arr_count, ready)
+        inf_server = _InfiniteServer(sim_cfg, arr_rng, svc_rng, route_rng)
         base, stop, final = inf_server.base, inf_server.stop, inf_server.final
         k_tick = 0
         # Departure times of the jobs on scaled-down containers, in order
@@ -486,21 +414,15 @@ def run_simulation(sim_cfg, arr_rng, svc_rng, prov_rng):
                 if t_arrival >= arr_stop:
                     break
 
-                # --- arrival: to the least-loaded ready container ---
+                # --- arrival: to the ready container at a uniform position ---
                 t = t_arrival
-                best = ready[0]
-                best_c = conc[best]
-                if j_ready > 1:
-                    for k in ready:
-                        c = conc[k]
-                        if c < best_c:
-                            best = k
-                            best_c = c
+                slot = by_birth[int(route[arr_i] * j_ready)]
+                c = conc[slot]
                 if rps:
-                    arr_count[best] += 1
-                conc[best] = best_c + 1
-                ps_times[best].append(t)
-                if best_c == 0:
+                    arr_count[slot] += 1
+                conc[slot] = c + 1
+                ps_times[slot].append(t)
+                if c == 0:
                     busy += 1
                     if svc_i == block:
                         svc = (svc_rng.standard_exponential(block) * wl_mean).tolist()
@@ -510,6 +432,7 @@ def run_simulation(sim_cfg, arr_rng, svc_rng, prov_rng):
                 arr_i += 1
                 if arr_i == block:
                     arr_t = _arrival_times(arr_rng, lam, block, t).tolist()
+                    route = route_rng.random(block).tolist()
                     arr_base += block
                     arr_i = 0
                 t_arrival = arr_t[arr_i]
@@ -529,7 +452,7 @@ def run_simulation(sim_cfg, arr_rng, svc_rng, prov_rng):
             # --- per-second monitor ---
             if sharing:
                 sample = 0
-                for k in ready:
+                for k in by_birth:
                     sample += arr_count[k] if rps else conc[k]
                     arr_count[k] = 0
                 # Close the second's response times.
@@ -574,34 +497,31 @@ def run_simulation(sim_cfg, arr_rng, svc_rng, prov_rng):
                 lo = j_since if j_since > warmup else warmup
                 area_replica += j_ready * (t - lo)
             j_since = t
-            if not sharing:
-                inf_server.route_to(t)
             if j_ready < order:
-                # A free slot already holds no jobs and no arrivals.
-                slot = 0
-                while slot < len(conc) and (conc[slot] or slot in ready):
-                    slot += 1
-                if slot == len(conc):
-                    conc.append(0)
-                    arr_count.append(0)
-                    if sharing:
-                        ps_times.append([])
-                insort(ready, slot)
-                by_birth.append(slot)
                 j_ready += 1
+                if sharing:
+                    # A free slot already holds no jobs and no arrivals.
+                    slot = 0
+                    while slot < len(conc) and (conc[slot] or slot in by_birth):
+                        slot += 1
+                    if slot == len(conc):
+                        conc.append(0)
+                        arr_count.append(0)
+                        ps_times.append([])
+                    by_birth.append(slot)
+                else:
+                    inf_server.scale_up(t)
             else:
                 # Graceful scale-down of the newest ready container: it
                 # finishes in-flight requests but gets no new ones.
-                slot = by_birth.pop()
-                ready.remove(slot)
-                if not sharing:
-                    if rps:
-                        removed += arr_count[slot]
-                    else:
-                        drained += inf_server.in_flight_on(slot)
-                        drained.sort()
-                arr_count[slot] = 0
                 j_ready -= 1
+                if sharing:
+                    arr_count[by_birth.pop()] = 0
+                elif rps:
+                    removed += inf_server.scale_down(t)
+                else:
+                    drained += inf_server.scale_down(t)
+                    drained.sort()
             t_from = t
 
         if t_from >= 0.0:

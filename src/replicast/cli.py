@@ -11,6 +11,7 @@ import argparse
 import csv
 import dataclasses
 import math
+import os
 import sys
 
 import numpy as np
@@ -381,7 +382,18 @@ def main(argv=None) -> int:
         # are input errors, and returning keeps in-process callers running.
         return EXIT_INPUT if exc.code else EXIT_OK
     try:
-        return args.func(args)
+        code = args.func(args)
+        # Flushed here, so that a reader that has closed stdout is met below.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout after taking what it wanted, as `head`
+        # does: not an error.  Stdout now points at devnull, so that the
+        # flush at shutdown raises nothing.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except (NonErgodicError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

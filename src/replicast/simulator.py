@@ -189,15 +189,15 @@ def simulate(sim_cfg: SimulationConfig) -> SimulationReport:
     then monitor, evaluation, provisioning, arrival.  Seeds are taken
     modulo 2**64, so ``seed`` and ``seed + 2**64`` give the same run.
     """
-    # Independent substreams for arrivals, service and provisioning, so a
-    # change to one process does not perturb the others.  Masking keeps
-    # every integer seed valid: SeedSequence rejects negative ones.
-    seeds = np.random.SeedSequence(sim_cfg.seed & _SEED_MASK).spawn(3)
-    arr_rng, svc_rng, prov_rng = (np.random.default_rng(s) for s in seeds)
+    # Independent substreams for arrivals, service, provisioning and
+    # routing, so a change to one process does not perturb the others; the
+    # first three are those of spawn(3).  Masking keeps every integer
+    # seed valid: SeedSequence rejects negative ones.
+    seeds = np.random.SeedSequence(sim_cfg.seed & _SEED_MASK).spawn(4)
     (tick_ready, tick_ov, tick_rt, tick_carried,
      area_replica, rt_sum_pw, completions_pw,
      arrivals, completions, in_flight) = _kernels.run_simulation(
-        sim_cfg, arr_rng, svc_rng, prov_rng)
+        sim_cfg, *(np.random.default_rng(s) for s in seeds))
 
     times = np.arange(1, len(tick_ready) + 1, dtype=np.float64)
     mask = times > sim_cfg.warmup_s

@@ -16,6 +16,8 @@ from hypothesis import settings
 import replicast as rc
 
 settings.register_profile("suite", deadline=None, max_examples=60)
+# A longer search, selected with `pytest --hypothesis-profile=deep`.
+settings.register_profile("deep", deadline=None, max_examples=600)
 settings.load_profile("suite")
 
 _ACCEPTANCE_LINES = {}
@@ -23,7 +25,11 @@ _ACCEPTANCE_LINES = {}
 
 def record_criterion(num: int, passed: bool, detail: str) -> None:
     verdict = "PASS" if passed else "FAIL"
-    _ACCEPTANCE_LINES[num] = f"criterion {num}: {verdict}  {detail}"
+    _ACCEPTANCE_LINES[num, 0] = f"criterion {num}: {verdict}  {detail}"
+
+
+def record_note(num: int, detail: str) -> None:
+    _ACCEPTANCE_LINES[num, 1] = f"  beside criterion {num}: {detail}"
 
 
 @pytest.fixture(scope="session")
@@ -32,12 +38,19 @@ def criterion():
     return record_criterion
 
 
+@pytest.fixture(scope="session")
+def criterion_note():
+    """Callable(num, detail) recording a diagnostic line printed after
+    criterion num's verdict; it is not a criterion of its own."""
+    return record_note
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if not _ACCEPTANCE_LINES:
         return
     terminalreporter.write_sep("=", "acceptance criteria")
-    for num in sorted(_ACCEPTANCE_LINES):
-        terminalreporter.write_line(_ACCEPTANCE_LINES[num])
+    for key in sorted(_ACCEPTANCE_LINES):
+        terminalreporter.write_line(_ACCEPTANCE_LINES[key])
 
 
 # Reference setting shared across the end-to-end tests: an infinite-server
@@ -69,12 +82,17 @@ def ref_bundle(ref_trace):
     return rc.fit_bundle(ref_trace, rc.METRIC_CONCURRENCY)
 
 
-def run_fresh(script, *args, env=None):
-    """Stdout of script run by a fresh interpreter that imports this replicast."""
+def fresh_env(env=None):
+    """env, os.environ by default, with this replicast first on PYTHONPATH."""
     env = dict(os.environ if env is None else env)
     src = str(Path(rc.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [env.get("PYTHONPATH")])])
+    return env
+
+
+def run_fresh(script, *args, env=None):
+    """Stdout of script run by a fresh interpreter that imports this replicast."""
     proc = subprocess.run([sys.executable, "-c", script, *args],
-                          capture_output=True, text=True, timeout=300, env=env)
+                          capture_output=True, text=True, timeout=300, env=fresh_env(env))
     assert proc.returncode == 0, proc.stderr
     return proc.stdout

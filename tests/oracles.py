@@ -15,9 +15,11 @@ connected components (the package searches forward and backward
 closures), and the chain's matrix is assembled densely over all n_max^2
 states, one Kronecker row per state (the package assembles a list of
 transitions on the closed set of states from the factors' nonzeros).
-The reference event loop scans every container slot and reads its
-random numbers one numpy scalar at a time (the package keeps a list of
-ready slots, a running window sum and random blocks as Python lists).
+The reference event loop scans every container slot, sorts the ready
+ones by birth to route each arrival, and reads its random numbers one
+numpy scalar at a time (the package keeps a stack of ready containers,
+routes no arrival under infinite-server service, keeps running window
+totals and reads random blocks as Python lists).
 It keeps its heap of (departure time, arrival index, slot, arrival
 time) tuples on purpose: the package computes each arrival block's
 departures up front and merges them into a time-ordered queue, so the
@@ -212,11 +214,12 @@ def recurrent_state_count(p: np.ndarray) -> int:
     return sum(len(cls) for cls in recurrent_classes(p))
 
 
-def reference_run_simulation(sim_cfg, arr_rng, svc_rng, prov_rng):
+def reference_run_simulation(sim_cfg, arr_rng, svc_rng, prov_rng, route_rng):
     """The event loop as first written: every slot scanned for routing,
-    scale-down and the monitor, the window re-summed each second, and
-    random numbers read one numpy scalar at a time.  The package's
-    ``_kernels.run_simulation`` must return exactly the same tuple."""
+    scale-down and the monitor, each arrival routed as it comes, the
+    window re-summed each second, and random numbers read one numpy
+    scalar at a time.  The package's ``_kernels.run_simulation`` must
+    return exactly the same tuple."""
     cfg = sim_cfg.autoscaler
     rps = cfg.metric_kind == METRIC_RPS
     tv, n_max, t_eva = cfg.target_value, cfg.n_max, cfg.t_eva_s
@@ -236,11 +239,13 @@ def reference_run_simulation(sim_cfg, arr_rng, svc_rng, prov_rng):
     svc_u = _BLOCK
     prov_exp = np.empty(0, dtype=np.float64)
     prov_i = _BLOCK
+    route_uni = np.empty(0, dtype=np.float64)
+    route_i = _BLOCK
 
-    # Container slots.  state: 0 free, 1 ready, 2 draining.  A slot's
-    # index doubles as the container id for dispatch tie-breaks; birth
-    # order decides which container a scale-down removes.  A provisioned
-    # container takes the lowest free slot, or a new one at the end.
+    # Container slots.  state: 0 free, 1 ready, 2 draining.  Birth order
+    # decides where an arrival goes and which container a scale-down
+    # removes.  A provisioned container takes the lowest free slot, or a
+    # new one at the end.
     state = [1] * init_replicas
     conc = [0] * init_replicas
     arr_count = [0] * init_replicas
@@ -476,18 +481,18 @@ def reference_run_simulation(sim_cfg, arr_rng, svc_rng, prov_rng):
             t_ctrl = min(t_monitor, t_eval, t_prov)
 
         else:
-            # --- arrival: to the least-loaded ready container ---
+            # --- arrival: to the ready container at position floor(u * j)
+            # in birth order ---
             t = t_arrival
             if t > duration:
                 break
-            best = -1
-            best_c = 0
-            for k in range(len(state)):
-                if state[k] == 1:
-                    c = conc[k]
-                    if best == -1 or c < best_c:
-                        best = k
-                        best_c = c
+            ready = sorted((birth[k], k) for k in range(len(state)) if state[k] == 1)
+            if route_i == _BLOCK:
+                route_uni = route_rng.random(_BLOCK)
+                route_i = 0
+            best = ready[int(float(route_uni[route_i]) * len(ready))][1]
+            route_i += 1
+            best_c = conc[best]
             arrivals += 1
             arr_count[best] += 1
             conc[best] = best_c + 1

@@ -6,6 +6,7 @@ runtime budget inline; a failing criterion fails its test rather than
 being papered over.
 """
 
+import dataclasses
 import json
 import math
 import time
@@ -16,7 +17,7 @@ import pytest
 import replicast as rc
 from replicast import cli
 from conftest import REF_MEAN_SERVICE_S
-from oracles import (build_rate_matrix, dense_block, power_iteration_pi,
+from oracles import (build_rate_matrix, dense_block, exact_metric_law, power_iteration_pi,
                      random_stochastic_matrix, taylor_expm)
 
 GRID_LAMBDAS = (5.0, 20.0, 50.0)
@@ -183,6 +184,35 @@ def test_criterion_4_end_to_end_accuracy(grid_compare, criterion):
     criterion(4, ok, detail)
     assert elapsed < 600.0
     assert not failures, "points beyond 15%: " + "; ".join(failures)
+
+
+def test_chain_under_the_exact_law_matches_the_grid(ref_bundle, ref_workload, grid_compare,
+                                                   criterion_note):
+    # the chain built from the windowed metric's exact law (mean 0.2 rho,
+    # variance rho S kappa / W for the 60 s window) against criterion 4's
+    # simulations: at each of the nine points its replica count lies
+    # within the 10-seed 95% half-width or 1% of the simulated mean,
+    # whichever is wider.  So the chain's fresh draw at each evaluation,
+    # where the simulator's window spans 30 of them, costs little, and
+    # criterion 4's errors come from the fitted law.  No new simulation.
+    m, v = exact_metric_law(ref_workload, rc.METRIC_CONCURRENCY, 60)
+    law = dataclasses.replace(ref_bundle.metric, mean_linear=m, mean_quadratic=0.0,
+                              var_linear=v, var_quadratic=0.0)
+    points, _ = grid_compare
+    errors = []
+    for pt in points:
+        chain = rc.build_chain(pt["lam"], law, grid_autoscaler(pt["tv"]))
+        rep = rc.steady_state_report(rc.stationary_distribution(chain), chain, law,
+                                     ref_bundle.response_time)
+        sim = pt["payload"]["simulated_mean"]["avg_replica_count"]
+        half = pt["payload"]["simulated_ci95_half_width"]["avg_replica_count"]
+        errors.append((f"lam={pt['lam']:g} tv={pt['tv']:g}", rep.avg_replica_count - sim,
+                       max(half, 0.01 * sim), sim))
+    where, err, bound, sim = max(errors, key=lambda e: abs(e[1]) / e[3])
+    criterion_note(4, f"the chain under the exact law is within the bound at "
+                      f"{sum(abs(e[1]) <= e[2] for e in errors)}/9 points, worst replica "
+                      f"error {err / sim:+.2%} at {where} (bound {bound / sim:.2%})")
+    assert all(abs(e[1]) <= e[2] for e in errors), errors
 
 
 def test_criterion_5_noiseless_quadratic_recovery(criterion):

@@ -6,6 +6,8 @@ import json
 import math
 import os
 import statistics
+import subprocess
+import sys
 import warnings
 from types import SimpleNamespace
 
@@ -14,7 +16,7 @@ import pytest
 from scipy.special import stdtrit
 
 import replicast as rc
-from conftest import run_fresh
+from conftest import fresh_env, run_fresh
 from oracles import dense_block, reference_horizontal, reference_run_simulation
 from replicast import _kernels, cli
 
@@ -151,6 +153,27 @@ class TestPredict:
         assert code == 0
         stdout = capsys.readouterr().out
         assert out.read_text(encoding="utf-8") == stdout
+
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_is_not_an_error(self, tmp_path, bundle_path, buffered):
+        # as in `predict ... | head -1`, the reader has gone before predict
+        # writes: the write fails in the command's print when stdout is
+        # unbuffered, and at the flush after it when buffered
+        cfg = autoscaler_file(tmp_path, target_value=2.0, n_max=10)
+        env = fresh_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "replicast.cli", "predict", "--model", bundle_path,
+                 "--config", cfg, "--arrival-rate", "20"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=300, env=env)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (0, "")
 
     def test_diagnostics_without_per_state(self, tmp_path, bundle_path, capsys):
         cfg = autoscaler_file(tmp_path, target_value=2.0, n_max=3)

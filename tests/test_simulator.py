@@ -182,6 +182,20 @@ class TestProcessorSharingOracle:
         assert rep.avg_response_time_s == pytest.approx(0.2 / 0.6, rel=0.08)
         assert rep.avg_concurrency == pytest.approx(0.4 / 0.6, rel=0.08)
 
+    @pytest.mark.parametrize("j, lam", [(2, 6.0), (4, 14.0)])
+    def test_fixed_containers_are_mm1_ps_at_their_share(self, j, lam):
+        # j containers that never scale (the first evaluation falls after
+        # the run) each take an independent 1/j share of the arrivals, so
+        # each is an M/M/1-PS queue at lam / j with mean demand 0.2 s:
+        # E[RT] = 0.2 / (1 - lam * 0.2 / j), 0.5 s at j 2 and 0.667 s at
+        # j 4.  Sending each arrival to the least-loaded container instead
+        # gives about 0.33 and 0.30 s.
+        wl = rc.WorkloadModel(kind=rc.WORKLOAD_PROCESSOR_SHARING, mean_s=0.2)
+        cfg = autoscaler(n_max=j, t_eva_s=1e6)
+        rts = [run(wl, arrival_rate=lam, duration_s=20_000.0, warmup_s=500.0, seed=seed,
+                   cfg=cfg, initial_replicas=j).avg_response_time_s for seed in (1, 2)]
+        assert np.mean(rts) == pytest.approx(0.2 / (1.0 - lam * 0.2 / j), rel=0.05)
+
 
 class TestBookkeeping:
     def test_request_conservation_is_exact(self):
@@ -229,11 +243,11 @@ class TestBookkeeping:
         (200.0, 100, 1800.0)])
     def test_departure_queue_memory_does_not_grow_with_the_run(self, lam, n_max, duration):
         # the departure queue holds the jobs in flight plus one arrival
-        # block, and the routing cursor at most two blocks more; per-job
-        # arrays kept for the whole run would pass 4 MB at 35 req/s over
-        # 14,400 s, where 504,000 jobs arrive.  At 200 req/s about 40 jobs
-        # are in flight and the system never empties, so the cursor never
-        # restarts and routes each block: 360,000 jobs arrive in 1800 s.
+        # block, and the arrivals kept for scale-downs run from the oldest
+        # job in flight; per-job arrays kept for the whole run would pass
+        # 4 MB at 35 req/s over 14,400 s, where 504,000 jobs arrive.  At
+        # 200 req/s about 40 jobs are in flight and the system never
+        # empties: 360,000 jobs arrive in 1800 s.
         sim_cfg = rc.SimulationConfig(
             autoscaler=autoscaler(target_value=2.0, n_max=n_max), workload=is_exp(0.2),
             arrival_rate=lam, duration_s=duration, warmup_s=300.0, seed=7)
@@ -308,6 +322,9 @@ class TestSeeds:
 
 WORKLOADS = (is_exp(0.2), is_det(0.2),
              rc.WorkloadModel(kind=rc.WORKLOAD_PROCESSOR_SHARING, mean_s=0.2))
+
+# Routing uniforms that pick each position of up to four ready containers.
+ROUTING_GRID = (0.0, 0.3, 0.5, 0.7, 0.9)
 
 
 class TestKernelProperties:
@@ -426,7 +443,7 @@ class TestKernelOracle:
                                 n_max=n_max, t_eva_s=t_eva, stable_window_s=window)
 
         def streams():
-            seeds = np.random.SeedSequence(seed % 2**64).spawn(3)
+            seeds = np.random.SeedSequence(seed % 2**64).spawn(4)
             return [np.random.default_rng(s) for s in seeds]
 
         # Set and restored by hand: hypothesis reuses function-scoped
@@ -442,32 +459,34 @@ class TestKernelOracle:
         assert repr(got) == repr(want)
 
     @staticmethod
-    def both_loops(sim_cfg, gaps, services, provisioning=()):
+    def both_loops(sim_cfg, gaps, services, provisioning=(), routing=()):
         """Both loops on scripted random blocks; sim_cfg sets lam 1, so
-        the arrival gaps are as scripted."""
+        the arrival gaps are as scripted.  Arrivals past the routing
+        script go to the oldest ready container."""
         results = []
         for loop in (_kernels.run_simulation, reference_run_simulation):
             streams = (ScriptedStream(gaps, 1e3), ScriptedStream(services, 1.0),
-                       ScriptedStream(provisioning, 1.0))
+                       ScriptedStream(provisioning, 1.0), ScriptedStream(routing, 0.0))
             results.append(repr(loop(sim_cfg, *streams)))
         return results
 
     @classmethod
-    def scripted_run(cls, gaps, services, workload, warmup=0.0, n_max=2, metric="cc"):
+    def scripted_run(cls, gaps, services, workload, warmup=0.0, n_max=2, metric="cc",
+                     routing=()):
         """lam 1, n_max containers all ready, and no scale evaluation
-        within the 5 s run, so nothing is routed under infinite server."""
+        within the 5 s run, so no container leaves and under infinite
+        server the routing changes nothing."""
         sim_cfg = kernel_config(workload, warmup=warmup, metric_kind=metric, n_max=n_max,
                                 t_eva_s=100.0)
-        return cls.both_loops(sim_cfg, gaps, services)
+        return cls.both_loops(sim_cfg, gaps, services, routing=routing)
 
     @pytest.mark.parametrize("n_max", [1, 2])
     @pytest.mark.parametrize("distribution", DISTRIBUTIONS)
     def test_equal_departures_leave_in_arrival_order(self, distribution, n_max):
-        # jobs arrive at 0.876 (slot 0), 0.9057 (slot 1, slot 0 busy) and
-        # one ulp later (slot 0, the tie of loads going to the lower
-        # slot); with 0.6 s service the last two depart at the same
-        # rounded time 1.5057 and leave in arrival order, on one
-        # container as on two.  The second's response-time sum adds them
+        # jobs arrive at 0.876 (position 0), 0.9057 (position 1) and one
+        # ulp later (position 0); with 0.6 s service the last two depart
+        # at the same rounded time 1.5057 and leave in arrival order, on
+        # one container as on two.  The second's response-time sum adds them
         # in that order, which gives other bits than the order by slot.
         gaps = [0.876, 0.0297, math.ulp(0.9057)]
         a = np.cumsum(gaps)
@@ -476,7 +495,7 @@ class TestKernelOracle:
         assert (rt[0] + rt[2]) + rt[1] != (rt[0] + rt[1]) + rt[2]
         services = [0.6] * 3 if distribution == "exponential" else []
         got, want = self.scripted_run(gaps, services, infinite_server(distribution, det_mean=0.6),
-                                      n_max=n_max)
+                                      n_max=n_max, routing=[0.0, 0.5, 0.0])
         assert got == want
         assert eval(got)[2][1] == ((rt[0] + rt[1]) + rt[2]) / 3
 
@@ -510,6 +529,7 @@ class TestKernelOracle:
 
     @given(gaps=st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=1, max_size=30),
            services=st.lists(st.sampled_from([0.1, 0.35, 0.6, 0.85, 1.1]), max_size=30),
+           routing=st.lists(st.sampled_from(ROUTING_GRID), max_size=30),
            distribution=st.sampled_from(DISTRIBUTIONS),
            det_mean=st.sampled_from([0.1, 0.35, 1.1]),
            metric=st.sampled_from(rc.METRIC_KINDS),
@@ -519,13 +539,14 @@ class TestKernelOracle:
            duration=st.sampled_from([3.25, 4.0, 5.0, 5.5]),
            warmup=st.sampled_from([0.0, 1.0, 2.0]),
            block=st.sampled_from([1, 2, 3, 5]))
-    def test_containers_on_a_grid_of_times(self, gaps, services, distribution, det_mean,
-                                           metric, n_max, initial, window, duration, warmup,
-                                           block):
+    def test_containers_on_a_grid_of_times(self, gaps, services, routing, distribution,
+                                           det_mean, metric, n_max, initial, window, duration,
+                                           warmup, block):
         # arrivals on a quarter-second grid, services off it, so jobs on
-        # different slots leave at equal times with different response
-        # times; one-second evaluation and provisioning at 20/s scale
-        # the containers up and down within the run
+        # different containers leave at equal times with different
+        # response times; one-second evaluation and provisioning at 20/s
+        # scale the containers up and down within the run, and the
+        # routing draws send jobs to each position
         sim_cfg = kernel_config(infinite_server(distribution, det_mean=det_mean),
                                 duration=duration, warmup=warmup, initial=min(initial, n_max),
                                 metric_kind=metric, n_max=n_max, t_eva_s=1.0,
@@ -533,7 +554,7 @@ class TestKernelOracle:
         saved = _kernels._BLOCK, oracles._BLOCK
         _kernels._BLOCK = oracles._BLOCK = block
         try:
-            got, want = self.both_loops(sim_cfg, gaps, services)
+            got, want = self.both_loops(sim_cfg, gaps, services, routing=routing)
         finally:
             _kernels._BLOCK, oracles._BLOCK = saved
         assert got == want
@@ -541,24 +562,26 @@ class TestKernelOracle:
     @given(gaps=st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=1, max_size=30),
            services=st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0]), max_size=30),
            provisioning=st.lists(st.sampled_from([0.25, 0.5, 1.0]), max_size=10),
+           routing=st.lists(st.sampled_from(ROUTING_GRID), max_size=30),
            metric=st.sampled_from(rc.METRIC_KINDS),
            n_max=st.integers(min_value=2, max_value=4),
            initial=st.integers(min_value=1, max_value=4),
            t_eva=st.sampled_from([0.5, 1.0]),
            block=st.sampled_from([1, 2, 3, 5]))
-    def test_scaling_on_a_grid_of_times(self, gaps, services, provisioning, metric, n_max,
-                                        initial, t_eva, block):
+    def test_scaling_on_a_grid_of_times(self, gaps, services, provisioning, routing, metric,
+                                        n_max, initial, t_eva, block):
         # arrivals, service times and provisioning delays on a
         # quarter-second grid, so that containers are added and removed on
         # an arrival, a departure or a monitor tick, zero-service jobs
-        # included, and the routing cursor restarts at such instants
+        # included, and a removed container's jobs and arrivals are
+        # counted up to such instants
         sim_cfg = kernel_config(is_exp(1.0), duration=6.0, initial=min(initial, n_max),
                                 metric_kind=metric, n_max=n_max, t_eva_s=t_eva,
                                 stable_window_s=1.0, mu_dep=1.0)
         saved = _kernels._BLOCK, oracles._BLOCK
         _kernels._BLOCK = oracles._BLOCK = block
         try:
-            got, want = self.both_loops(sim_cfg, gaps, services, provisioning)
+            got, want = self.both_loops(sim_cfg, gaps, services, provisioning, routing)
         finally:
             _kernels._BLOCK, oracles._BLOCK = saved
         assert got == want
@@ -567,10 +590,10 @@ class TestKernelOracle:
     @pytest.mark.parametrize("metric", rc.METRIC_KINDS)
     def test_system_that_never_empties(self, monkeypatch, block, metric):
         # 200 req/s of 1 s mean service keep about 200 jobs in flight, so
-        # the routing cursor never finds an empty system to restart from
-        # and routes every block.  Target 5.5 and a 6 s window put the
-        # desired count near 37 of 40, moving up and down every few
-        # seconds, from 20 containers at the start.
+        # every scale-down drains jobs that arrived blocks ago, under a
+        # ready-count history of many changes.  Target 5.5 and a 6 s
+        # window put the desired count near 37 of 40, moving up and down
+        # every few seconds, from 20 containers at the start.
         monkeypatch.setattr(_kernels, "_BLOCK", block)
         monkeypatch.setattr(oracles, "_BLOCK", block)
         sim_cfg = kernel_config(is_exp(1.0), lam=200.0, duration=120.0, warmup=60.0,
@@ -578,22 +601,23 @@ class TestKernelOracle:
                                 stable_window_s=6.0)
         results = []
         for loop in (_kernels.run_simulation, reference_run_simulation):
-            seeds = np.random.SeedSequence(3).spawn(3)
+            seeds = np.random.SeedSequence(3).spawn(4)
             results.append(repr(loop(sim_cfg, *(np.random.default_rng(s) for s in seeds))))
         assert results[0] == results[1]
         assert len(set(eval(results[0])[0][20:])) > 1
 
     def test_rps_counts_arrivals_at_a_container_removed_after_the_system_empties(self):
         # rps, target 1, one-second window and evaluation.  One arrival in
-        # the first second orders one container at 1 s, and the newest,
-        # slot 1, leaves at 1.7 s.  Jobs arrive at 1.1 s (slot 0) and 1.2 s
-        # (slot 1, slot 0 busy) and both leave at 1.4 s, so no job is in
-        # flight from 1.4 s to the scale-down.  The sample at 2 s counts the
-        # second's two arrivals less the one at slot 1; routing from the
-        # empty system at 1.4 s with zero counts would miss it.
+        # the first second orders one container at 1 s, and the newest, at
+        # position 1, leaves at 1.7 s.  Jobs arrive at 1.1 s (position 0)
+        # and 1.2 s (position 1) and both leave at 1.4 s, so no job is in
+        # flight from 1.4 s to the scale-down.  The sample at 2 s counts
+        # the second's two arrivals less the one at position 1, which only
+        # its arrival, not a job in flight, shows.
         sim_cfg = kernel_config(is_exp(1.0), metric_kind=rc.METRIC_RPS, t_eva_s=1.0,
                                 stable_window_s=1.0, mu_dep=1.0)
-        got, want = self.both_loops(sim_cfg, [0.1, 1.0, 0.1], [0.2, 0.3, 0.2], [0.7])
+        got, want = self.both_loops(sim_cfg, [0.1, 1.0, 0.1], [0.2, 0.3, 0.2], [0.7],
+                                    [0.0, 0.0, 0.5])
         assert got == want
         tick_ready, tick_ov = eval(got)[:2]
         assert tick_ready[:2] == [2, 1]
@@ -601,33 +625,77 @@ class TestKernelOracle:
 
     def test_zero_service_arrival_at_a_scale_down(self):
         # the first job leaves at 0.3 s, so at 1 s one container is
-        # ordered, and slot 1 leaves at 1.25 s, when a zero-service job
-        # arrives: it comes after the scale-down, so the routing cursor
-        # must not restart past it
+        # ordered, and the one at position 1 leaves at 1.25 s, when a
+        # zero-service job arrives: it comes after the scale-down, so it
+        # goes to the one container left, although its draw would pick
+        # position 1 of two
         sim_cfg = kernel_config(is_exp(1.0), t_eva_s=1.0, stable_window_s=1.0, mu_dep=1.0)
-        got, want = self.both_loops(sim_cfg, [0.1, 1.15, 0.25], [0.2, 0.0, 0.5], [0.25])
+        got, want = self.both_loops(sim_cfg, [0.1, 1.15, 0.25], [0.2, 0.0, 0.5], [0.25],
+                                    [0.0, 0.75, 0.0])
         assert got == want
         assert eval(got)[0] == [2, 1, 1, 1, 1]
+
+    def test_arrival_as_a_container_becomes_ready_can_go_to_it(self):
+        # cc, target 1, one-second window and evaluation, one of two
+        # containers ready.  Jobs at 0.25 and 0.5 s, leaving at 1.5 s,
+        # order a second container at 1 s, ready at 1.25 s, when a job
+        # arrives that leaves at 4 s: provisioning fires first, so the job
+        # sees two containers and its draw 0.5 sends it to the new one, at
+        # position 1.  The monitor at 2 s sees it there and one container
+        # is ordered; the one at position 1 leaves at 2.25 s with the job,
+        # so from 3 s on no job is in flight on the ready container.
+        sim_cfg = kernel_config(is_exp(1.0), initial=1, t_eva_s=1.0, stable_window_s=1.0,
+                                mu_pro=1.0, mu_dep=1.0)
+        got, want = self.both_loops(sim_cfg, [0.25, 0.25, 0.75], [1.25, 1.0, 2.75],
+                                    [0.25, 0.25], [0.0, 0.0, 0.5])
+        assert got == want
+        tick_ready, tick_ov = eval(got)[:2]
+        assert tick_ready == [1, 2, 1, 1, 1]
+        assert tick_ov == [2.0, 0.5, 0.0, 0.0, 0.0]
+
+    def test_job_in_flight_across_blocks_drains_with_its_container(self, monkeypatch):
+        # cc, target 1, one-second window and evaluation, blocks of one
+        # arrival.  A job at 0.125 s goes to position 1 and leaves at
+        # 2.125 s; jobs every 0.125 s up to 1.125 s go to position 0 and
+        # leave 0.0625 s later, so each arrival refills the block.  The
+        # monitor at 1 s sees one job and one container is ordered; the
+        # one at position 1 leaves at 1.25 s with the first job, which the
+        # refills since its arrival must keep, so the monitor at 2 s
+        # counts no job on the ready container.
+        monkeypatch.setattr(_kernels, "_BLOCK", 1)
+        monkeypatch.setattr(oracles, "_BLOCK", 1)
+        sim_cfg = kernel_config(is_exp(1.0), t_eva_s=1.0, stable_window_s=1.0, mu_dep=1.0)
+        got, want = self.both_loops(sim_cfg, [0.125] * 9, [2.0] + [0.0625] * 8, [0.25],
+                                    [0.5])
+        assert got == want
+        tick_ready, tick_ov = eval(got)[:2]
+        assert tick_ready == [2, 1, 1, 1, 1]
+        assert tick_ov == [0.5, 0.0, 0.0, 0.0, 0.0]
 
     @pytest.mark.parametrize("last_departure", [5.7, 3.9])
     def test_drained_container_frees_its_slot(self, last_departure):
         # cc, target 1, a one-second window and evaluation, so each
         # evaluation orders the in-flight jobs on ready containers seen
         # by the monitor just before it; provisioning takes 0.02 s.  Jobs
-        # on slots 0-2 at 0.1-0.3 s; at 2 s only slot 1's job is left, so
-        # slots 2 (empty) and 1 (one job) scale down.  The scale-up at
-        # 3.02 s skips slot 1 while its job is in flight and takes slot 2.
-        # The one at 4.02 s takes a new slot 3 while the job is in flight
-        # (5.7) but slot 1 once it has left (3.9); that container, the
-        # newest, gets the 4.3 s job, and scaling down at 5.02 s leaves
-        # the job off the monitor at 6 s only when slot 1 was reused.
+        # at positions 0-2 (slots 0-2) at 0.1-0.3 s; at 2 s only slot 1's
+        # job is left, so slots 2 (empty) and 1 (one job) scale down.  The
+        # scale-up at 3.02 s skips slot 1 while its job is in flight and
+        # takes slot 2.  The one at 4.02 s takes a new slot 3 while the job
+        # is in flight (5.7) but slot 1 once it has left (3.9).  The 4.3 s
+        # job goes to slot 2 at position 1 in the first case and to the
+        # newest container, at position 2, in the second, and scaling down
+        # at 5.02 s leaves the job off the monitor at 6 s only then.  Slots
+        # change no infinite-server result, so only the routing draw tells
+        # the two cases apart in the package's loop.
         arrivals = [0.1, 0.2, 0.3, 2.2, 2.4, 3.6, 3.7, 3.8, 4.2, 4.3]
         ends = [1.5, last_departure, 1.5, 3.5, 3.5, 4.1, 4.1, 4.1, 6.5, 6.5]
         gaps = np.diff([0.0, *arrivals]).tolist()
         services = [e - a for e, a in zip(ends, np.cumsum(gaps))]
+        routing = [0.0, 0.4, 0.7, 0.0, 0.0, 0.0, 0.5, 0.0, 0.0,
+                   0.5 if last_departure > 5 else 0.9]
         sim_cfg = kernel_config(is_exp(1.0), duration=8.0, initial=3, n_max=4, t_eva_s=1.0,
                                 stable_window_s=1.0, mu_dep=1.0)
-        got, want = self.both_loops(sim_cfg, gaps, services, [0.02] * 10)
+        got, want = self.both_loops(sim_cfg, gaps, services, [0.02] * 10, routing)
         assert got == want
         ready = [3, 3, 1, 2, 3, 2, 2 if last_departure > 5 else 1, 1]
         assert eval(got)[0] == ready
@@ -675,14 +743,15 @@ class TestKernelOracle:
         assert eval(got)[1][0] == sample / n_max
 
     def test_zero_service_arrival_is_routed_before_it_leaves(self):
-        # jobs at 0.25 s (slot 0, leaves at 0.35 s), 0.3 s (slot 1, leaves
-        # at 4.3 s) and 0.6 s with zero service, which goes to the emptier
-        # slot 0 and leaves at once: it heads the departure queue at its
-        # arrival but must not be freed before it is routed.  Scaling
-        # down at 1.01 s removes slot 1, the newest, with the 4.3 s job,
-        # so from 2 s on the monitor sees no job on the ready container.
+        # jobs at 0.25 s (position 0, leaves at 0.35 s), 0.3 s (position
+        # 1, leaves at 4.3 s) and 0.6 s with zero service, which goes to
+        # position 0 and leaves at once: it heads the departure queue at
+        # its arrival.  Scaling down at 1.01 s removes position 1, the
+        # newest, with the 4.3 s job, so from 2 s on the monitor sees no
+        # job on the ready container.
         sim_cfg = kernel_config(is_exp(1.0), t_eva_s=1.0, stable_window_s=1.0)
-        got, want = self.both_loops(sim_cfg, [0.25, 0.05, 0.3], [0.1, 4.0, 0.0], [0.02])
+        got, want = self.both_loops(sim_cfg, [0.25, 0.05, 0.3], [0.1, 4.0, 0.0], [0.02],
+                                    [0.0, 0.5, 0.0])
         assert got == want
         tick_ready, tick_ov = eval(got)[:2]
         assert tick_ready == [2, 1, 1, 1, 1]
@@ -706,10 +775,10 @@ class TestKernelOracle:
     def test_sharing_departures_on_an_arrival_a_tick_and_the_horizon(self, monkeypatch):
         # processor sharing, two containers, a 5.5 s run.  Jobs arrive at
         # 0.5 (slot 0, leaves at 1.0, a monitor tick, before the monitor
-        # samples), 1.5 (slot 0, leaves at 2.5), 2.5 (leaves after the
-        # job departing at 2.5, so slot 0 is empty again and takes it),
-        # 3.0 (slot 1; two busy, the next completion at 3.0 + 5.0/2) and
-        # 5.5, the horizon, after the departure at 5.5 picked slot 1.
+        # samples), 1.5 (slot 0, leaves at 2.5), 2.5 (slot 0, after the
+        # job departing at 2.5, so slot 0 is empty again), 3.0 (slot 1;
+        # two busy, the next completion at 3.0 + 5.0/2) and 5.5, the
+        # horizon, after the departure at 5.5 picked slot 1.
         # Blocks of 4 make the service stream draw exponentials at 0.5,
         # uniforms at 1.0 and 5.5, then exponentials again.
         monkeypatch.setattr(_kernels, "_BLOCK", 4)
@@ -719,7 +788,7 @@ class TestKernelOracle:
         sim_cfg = kernel_config(rc.WorkloadModel(kind=rc.WORKLOAD_PROCESSOR_SHARING,
                                                  mean_s=1.0),
                                 duration=5.5, t_eva_s=100.0)
-        got, want = self.both_loops(sim_cfg, gaps, services)
+        got, want = self.both_loops(sim_cfg, gaps, services, routing=[0.0, 0.0, 0.0, 0.5])
         assert got == want
         _, tick_ov, _, _, _, rt_sum_pw, completions_pw, *counts = eval(got)
         assert tick_ov[0] == 0.0
@@ -739,7 +808,7 @@ class TestKernelOracle:
                              (reference_run_simulation, 50.0)):
             sim_cfg = kernel_config(workload, lam=8.0, duration=50.9, warmup=10.0,
                                     n_max=n_max, t_eva_s=2.0, stable_window_s=window)
-            seeds = np.random.SeedSequence(5).spawn(3)
+            seeds = np.random.SeedSequence(5).spawn(4)
             results.append(repr(loop(sim_cfg, *(np.random.default_rng(s) for s in seeds))))
         assert results[0] == results[1] == results[2]
 
@@ -763,7 +832,7 @@ class TestKernelOracle:
                                 n_max=n_max, t_eva_s=2.0)
         results = []
         for loop in (_kernels.run_simulation, reference_run_simulation):
-            seeds = np.random.SeedSequence(11).spawn(3)
+            seeds = np.random.SeedSequence(11).spawn(4)
             results.append(repr(loop(sim_cfg, *(np.random.default_rng(s) for s in seeds))))
         assert results[0] == results[1]
 
