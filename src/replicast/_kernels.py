@@ -15,8 +15,9 @@ gap.  ``np.cumsum`` adds left to right, one rounding per element, so
 each time has the same bits as the running ``t + gap`` of a scalar loop.
 
 One section runs the control events (the per-second monitor, the scale
-evaluator and the provisioning engine) for both service models.  Event
-kinds at equal timestamps fire in the fixed priority
+evaluator and the provisioning engine) for both service models, and it
+is the only code that changes the order or schedules provisioning.
+Event kinds at equal timestamps fire in the fixed priority
 departure < monitor < evaluation < provisioning < arrival, which makes
 runs bit-reproducible for a given seed.  The ready containers form a
 stack in the order they became ready: scale-up pushes, and scale-down
@@ -52,14 +53,26 @@ in departure order from the carried partial sum, so each sum has the
 bits of a scalar ``+=`` per departure, which ``np.sum`` (pairwise) and
 ``math.fsum`` (exact) would not.
 
+Most of those control events change nothing, so they are fast-forwarded:
+while no provisioning event is pending and no scaled-down container
+still counts, ``_fast_forward`` fires the block's ticks and evaluations
+in numpy, up to a, and stops at the first evaluation whose desired
+count differs from the order, which the scalar section then fires.  The
+evaluation times are ``np.add.accumulate`` from the next one, with the
+bits of the scalar ``t_eval += t_eva``.  An evaluation at t sees the
+floor(t) ticks at or before it, the monitor firing first at equal times,
+and its window sum is the difference of two int64 totals, which
+``_desired_array`` turns into a count as ``_desired`` does.  At n_max 1
+the order never changes, so such a run steps no tick in Python.
+
 No arrival is routed there: a container's jobs change a result only
 once it is scaled down, when the cc sample leaves out its jobs still in
 flight and the rps sample its arrivals since the latest monitor tick.
 The container popped from position j - 1 at t, ready since t_b, holds
 the jobs that arrived in [t_b, t) with floor(u * j_a) = j - 1, j_a being
 the ready count at their arrival.  So a scale-down applies that mask to
-the recent arrivals, read with the ready-count history, and the monitor
-subtracts what it finds.
+the recent arrivals, read with the ready-count history, and the scalar
+monitor subtracts what it finds until the container is empty.
 """
 
 from __future__ import annotations
@@ -92,34 +105,95 @@ def _fold(times, rts, qh, marks, warmup, sec_rt, sec_n, rt_sec, n_sec, rt_pw, n_
     """Fold the departed jobs, queue positions [0, qh), into the sums.
 
     marks holds the head position at each monitor since the queue was
-    built.  The sum and count of each second it closes are appended to
-    sec_rt and sec_n, the first starting from the open second's rt_sec
-    and n_sec.  Returns the new open second's sum and count and the
-    post-warmup sum and count, which start from rt_pw and n_pw.
+    built.  The sums and counts of the seconds it closes are appended to
+    sec_rt and sec_n as arrays, the first starting from the open second's
+    rt_sec and n_sec.  Returns the new open second's sum and count and
+    the post-warmup sum and count, which start from rt_pw and n_pw.
     """
-    sizes = np.diff(np.array([0, *marks, qh]))
+    bounds = np.concatenate(([0], marks, [qh]))
+    sizes = bounds[1:] - bounds[:-1]
     ids = np.repeat(np.arange(sizes.size), sizes)
     sums = np.bincount(np.concatenate(([0], ids)),
-                       np.concatenate(([rt_sec], rts[:qh])), sizes.size).tolist()
+                       np.concatenate(([rt_sec], rts[:qh])), sizes.size)
     sizes[0] += n_sec
-    sizes = sizes.tolist()
-    sec_rt += sums[:-1]
-    sec_n += sizes[:-1]
-    late = rts[:qh][times[:qh] > warmup]
+    sec_rt.append(sums[:-1])
+    sec_n.append(sizes[:-1])
+    late = rts[np.searchsorted(times[:qh], warmup, "right"):qh]
     rt_pw = np.add.accumulate(np.concatenate(([rt_pw], late)))[-1].item()
-    return sums[-1], sizes[-1], rt_pw, n_pw + late.size
+    return sums[-1].item(), sizes[-1].item(), rt_pw, n_pw + late.size
+
+
+def _desired(window_sum, n, tv, n_max):
+    """Knative's KPA: the aggregate windowed metric, the mean of the
+    last n samples, over the per-container target, rounded up and
+    clamped to [1, n_max]; 1 before the first sample.  The top clamp
+    comes first, as the ceiling of an infinite ratio raises."""
+    q = window_sum / n / tv if n else 0.0
+    return n_max if q > n_max else max(1, math.ceil(q))
+
+
+@np.errstate(over="ignore")
+def _desired_array(window_sums, n, tv, n_max):
+    """``_desired`` over int64 arrays of window sums and sample counts,
+    with the same bits: each sum and count is an exact integer below
+    2**53, so each division is correctly rounded from the same values,
+    and a ratio that overflows is +inf in both.  TestKernelOracle pins
+    the two together."""
+    q = window_sums / np.maximum(n, 1) / tv
+    return np.minimum(np.maximum(np.ceil(q), 1), n_max)
+
+
+def _fast_forward(cum, samples, t_eval, t_eva, stop, window_len, tv, n_max, order):
+    """Fire, in numpy, the monitor ticks and the evaluations up to stop
+    until an evaluation changes order.
+
+    samples holds the samples of the ticks still to fire up to stop, and
+    the running totals of those fired are appended to cum.  The
+    evaluation times are ``np.add.accumulate`` from t_eval, which adds
+    left to right, so each has the bits of the scalar ``t_eval += t_eva``;
+    at most ``_BLOCK`` of them are drawn up at a time, which bounds
+    memory.  Returns the count of ticks fired, the time of the first
+    evaluation left and whether it changes the order.
+    """
+    m0 = len(cum) - 1
+    k = int(min(max((stop - t_eval) / t_eva + 1.0, 0.0), _BLOCK))
+    evals = np.full(k + 1, t_eva)
+    evals[0] = t_eval
+    np.add.accumulate(evals, out=evals)
+    # k estimates the count up to stop: rounding may put the last one
+    # past stop, and a call that falls short leaves the rest to the next.
+    while k and evals[k - 1] > stop:
+        k -= 1
+    # An evaluation at t > 0 sees the ticks at or before t, as the monitor
+    # fires first at equal times: floor(t) ticks, and truncation floors.
+    m = evals[:k].astype(np.int64)
+    wl = min(window_len, m0 + samples.size)
+    lo = max(m0 - wl, 0)
+    totals = np.cumsum(samples)
+    totals += cum[-1]
+    # c[i] is the total of the first lo + i ticks.
+    c = np.concatenate((cum[lo:], totals))
+    n = np.minimum(m, wl)
+    m -= lo
+    changes = np.flatnonzero(_desired_array(c[m] - c[m - n], n, tv, n_max) != order)
+    if changes.size:
+        k = changes[0]
+    # The ticks at or before both stop and the first evaluation left fire.
+    t_next = evals[k].item()
+    ticks = math.floor(min(stop, t_next)) - m0
+    cum += totals[:ticks].tolist()
+    return ticks, t_next, changes.size > 0
 
 
 def _second_means(sec_rt, sec_n, wl_mean):
-    """Mean response time per second, in place of the sums; a second
-    without completions carries the last mean forward, the workload mean
-    before the first, and its count becomes the carried flag."""
-    last_rt = wl_mean
-    for i, n in enumerate(sec_n):
-        if n:
-            last_rt = sec_rt[i] / n
-        sec_rt[i] = last_rt
-        sec_n[i] = 0 if n else 1
+    """The mean response time and carried flag of each second, as lists,
+    from its sum and count: a second without completions carries the last
+    mean forward, the workload mean before the first.  Each count is
+    below 2**53, so each mean has the bits of the scalar sum / count."""
+    n = np.asarray(sec_n, dtype=np.int64)
+    done = n > 0
+    means = np.concatenate(([wl_mean], np.asarray(sec_rt, dtype=np.float64)[done] / n[done]))
+    return means[np.cumsum(done)].tolist(), (~done).astype(np.int64).tolist()
 
 
 class _InfiniteServer:
@@ -181,7 +255,9 @@ class _InfiniteServer:
         self.w_u = np.concatenate((self.w_u, self.route_rng.random(arr.size)))
 
         times = np.concatenate((self.times, dep))
-        order = np.argsort(times, kind="stable")
+        # Departure times are never negative, -0.0 or nan, and +inf sorts
+        # last, so their int64 bits sort in the same stable order, faster.
+        order = np.argsort(times.view(np.int64), kind="stable")
         self.times = times = times[order]
         self.rts = rts = np.concatenate((self.rts, rt))[order]
         self.arr = arr
@@ -197,14 +273,14 @@ class _InfiniteServer:
         ends = np.searchsorted(times, ticks, "right")
         for i in np.flatnonzero(ends > marks):
             marks[i] += np.count_nonzero(rts[marks[i]:ends[i]])
-        self.marks = marks.tolist()
+        self.marks = marks
         arrived = self.arr_base + np.searchsorted(arr, ticks)
         if self.rps:
-            self.base = np.diff(arrived, prepend=self.seen).tolist()
+            self.base = np.diff(arrived, prepend=self.seen)
             if ticks.size:
                 self.seen = arrived[-1]
         else:
-            self.base = (arrived - self.done - marks).tolist()
+            self.base = arrived - self.done - marks
 
     def _fold_block(self):
         """Fold the departures up to the block's stop into the sums."""
@@ -262,9 +338,10 @@ class _InfiniteServer:
         mean response times and carried flags, the post-warmup sum and
         count, and the arrivals and completions."""
         self._fold_block()
-        _second_means(self.sec_rt, self.sec_n, self.wl_mean)
+        sec_rt, sec_n = _second_means(np.concatenate(self.sec_rt), np.concatenate(self.sec_n),
+                                      self.wl_mean)
         arrivals = self.arr_base + int(np.searchsorted(self.arr, self.duration, "right"))
-        return self.sec_rt, self.sec_n, self.rt_pw, self.n_pw, arrivals, self.done
+        return sec_rt, sec_n, self.rt_pw, self.n_pw, arrivals, self.done
 
 
 def run_simulation(sim_cfg, arr_rng, svc_rng, prov_rng, route_rng):
@@ -437,11 +514,26 @@ def run_simulation(sim_cfg, arr_rng, svc_rng, prov_rng, route_rng):
                     arr_i = 0
                 t_arrival = arr_t[arr_i]
         else:
-            # The counts are final up to the block's stop.
-            while t_ctrl > stop and not final:
-                inf_server.refill()
-                base, stop, final = inf_server.base, inf_server.stop, inf_server.final
-                k_tick = 0
+            while True:
+                # The counts are final up to the block's stop.
+                while t_ctrl > stop and not final:
+                    inf_server.refill()
+                    base, stop, final = inf_server.base, inf_server.stop, inf_server.final
+                    k_tick = 0
+                # With no provisioning event pending and no scaled-down
+                # container's jobs (cc) or arrivals (rps) to leave out,
+                # the ticks and the evaluations that keep the order fire
+                # in numpy; the scalar section fires the rest.
+                if t_prov < _INF or drained or removed or t_ctrl > stop:
+                    break
+                ticks, t_eval, changed = _fast_forward(cum, base[k_tick:], t_eval, t_eva,
+                                                       stop, window_len, tv, n_max, order)
+                k_tick += ticks
+                tick_ready += [j_ready] * ticks
+                t_monitor += ticks
+                t_ctrl = min(t_monitor, t_eval)
+                if changed:
+                    break
 
         # The next event is a control event, or nothing is left before
         # the horizon.
@@ -463,7 +555,7 @@ def run_simulation(sim_cfg, arr_rng, svc_rng, prov_rng, route_rng):
             else:
                 # Every container's count, less the scaled-down ones':
                 # their jobs in flight (cc) or arrivals (rps).
-                sample = base[k_tick]
+                sample = base.item(k_tick)
                 k_tick += 1
                 if drained:
                     del drained[:bisect_right(drained, t_monitor)]
@@ -477,14 +569,10 @@ def run_simulation(sim_cfg, arr_rng, svc_rng, prov_rng, route_rng):
 
         elif t_eval <= t_ctrl:
             # --- scale evaluator ---
-            # Knative's KPA: the aggregate windowed metric over the
-            # per-container target, clamped to [1, n_max]; the top clamp
-            # comes first, as the ceiling of an infinite ratio raises.
             # The window holds the last n samples, none before the first
             # tick.
             n = min(len(cum) - 1, window_len)
-            q = (cum[-1] - cum[-1 - n]) / n / tv if n else 0.0
-            desired = n_max if q > n_max else max(1, math.ceil(q))
+            desired = _desired(cum[-1] - cum[-1 - n], n, tv, n_max)
             if desired != order:
                 order = desired
                 t_from = t_eval
@@ -543,7 +631,7 @@ def run_simulation(sim_cfg, arr_rng, svc_rng, prov_rng, route_rng):
         t_ctrl = min(t_monitor, t_eval, t_prov)
 
     if sharing:
-        _second_means(sec_rt, sec_n, wl_mean)
+        sec_rt, sec_n = _second_means(sec_rt, sec_n, wl_mean)
         arrivals = arr_base + arr_i
         completions = arrivals - sum(conc)
     else:

@@ -34,12 +34,10 @@ EXIT_TOLERANCE = 3
 _COMPARED_METRICS = ("avg_replica_count", "avg_concurrency", "avg_response_time_s")
 
 
-def _analytic_report(bundle: ModelBundle, cfg: AutoscalerConfig, arrival_rate: float,
-                     window_s: float = 3600.0):
+def _analytic_report(bundle: ModelBundle, cfg: AutoscalerConfig, arrival_rate: float):
     chain = build_chain(arrival_rate, bundle.metric, cfg)
     stationary = stationary_distribution(chain)
-    report = steady_state_report(stationary, chain, bundle.metric,
-                                 bundle.response_time, window_s=window_s)
+    report = steady_state_report(stationary, chain, bundle.metric, bundle.response_time)
     return chain, stationary, report
 
 
@@ -56,8 +54,7 @@ def cmd_fit(args) -> int:
 def cmd_predict(args) -> int:
     bundle = load_bundle(args.model)
     cfg = load_autoscaler_config(args.config)
-    chain, stationary, report = _analytic_report(bundle, cfg, args.arrival_rate,
-                                                 window_s=args.window)
+    chain, stationary, report = _analytic_report(bundle, cfg, args.arrival_rate)
     payload = {"schema_version": SCHEMA_VERSION, **report.to_dict()}
     if args.explain:
         # what the chain and the report hold, as they hold it: the
@@ -304,8 +301,6 @@ def _predict_flags(p) -> None:
     p.add_argument("--config", required=True, help="autoscaler config JSON")
     p.add_argument("--arrival-rate", type=float, required=True,
                    help="arrival rate, requests/s")
-    p.add_argument("--window", type=float, default=3600.0,
-                   help="reporting window seconds for request-count estimate (default 3600)")
     p.add_argument("--explain", action="store_true",
                    help="include the chain's states, transitions and per-ready-count values")
     p.add_argument("--out", help="also write the report JSON here")

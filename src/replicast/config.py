@@ -261,6 +261,7 @@ def parse_trace(path) -> ProfilingTrace:
         raise TraceParseError(f"{path}: empty file, expected header {TRACE_HEADER!r}")
     if lines[0].strip() != TRACE_HEADER:
         raise TraceParseError(f"{path}: line 1: expected header {TRACE_HEADER!r}, got {lines[0]!r}")
+    rows = lines[1:]
     values = []
 
     def checked_columns():
@@ -276,19 +277,28 @@ def parse_trace(path) -> ProfilingTrace:
         checked_columns()
         raise TraceParseError(f"{path}: line {lineno}: {message}")
 
-    for lineno, line in enumerate(lines[1:], start=2):
-        if line.strip() == "":
-            fail(lineno, "blank row")
-        parts = line.split(",")
-        if len(parts) != 3:
-            fail(lineno, f"expected 3 fields, got {len(parts)}")
-        row = []
-        for token, name in zip(parts, _TRACE_COLUMNS):
-            try:
-                row.append(float(token))
-            except ValueError:
-                fail(lineno, f"{name} is not a number: {token!r}")
-        values.append(row)
+    try:
+        # Every token in one pass when each row has three fields; float
+        # parses them either way, so both accept and refuse the same rows.
+        if any(line.count(",") != 2 for line in rows):
+            raise ValueError
+        values = [float(token) for line in rows for token in line.split(",")]
+    except ValueError:
+        # The line-by-line scan names the first bad line.
+        values = []
+        for lineno, line in enumerate(rows, start=2):
+            if line.strip() == "":
+                fail(lineno, "blank row")
+            parts = line.split(",")
+            if len(parts) != 3:
+                fail(lineno, f"expected 3 fields, got {len(parts)}")
+            row = []
+            for token, name in zip(parts, _TRACE_COLUMNS):
+                try:
+                    row.append(float(token))
+                except ValueError:
+                    fail(lineno, f"{name} is not a number: {token!r}")
+            values.append(row)
     trace = ProfilingTrace(*checked_columns())
     if trace.n_distinct_rates < 2:
         raise InsufficientDataError(

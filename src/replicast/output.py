@@ -83,8 +83,6 @@ class SteadyStateReport:
     avg_replica_count: float
     avg_concurrency: float
     extrapolated_mass: float
-    window_s: float
-    requests_in_window: float
     stationary: StationaryDistribution
     ready_concurrency: np.ndarray
     ready_response_time_s: np.ndarray
@@ -114,14 +112,11 @@ class SteadyStateReport:
                 "closed_states": self.stationary.closed_states,
                 "residual": self.stationary.residual,
             },
-            "window_s": self.window_s,
-            "requests_in_window": self.requests_in_window,
         }
 
 
 def steady_state_report(stationary: StationaryDistribution, chain: ClusterChain,
-                        model: MetricModel, rtf: ResponseTimeFunction,
-                        window_s: float = 3600.0) -> SteadyStateReport:
+                        model: MetricModel, rtf: ResponseTimeFunction) -> SteadyStateReport:
     """Weight the per-ready-count table by the ready-count marginal.
 
     With j containers ready each sees rate lambda/j, whatever the order,
@@ -132,11 +127,7 @@ def steady_state_report(stationary: StationaryDistribution, chain: ClusterChain,
     how far the prediction leans on extrapolation.
     """
     lam = chain.arrival_rate
-    _require(math.isfinite(window_s) and window_s > 0, f"window_s must be > 0, got {window_s!r}")
     _require(math.isfinite(lam) and lam >= 0, f"arrival_rate must be finite and >= 0, got {lam!r}")
-    _require(math.isfinite(lam * window_s),
-             "requests_in_window = arrival_rate * window_s must be finite, "
-             f"got {lam!r} * {window_s!r}")
     fitted_reach = min(model.rho_max, rtf.rho_max)
     rho = lam / np.arange(1, chain.n_max + 1)
     rt = rtf.at(rho)
@@ -154,8 +145,6 @@ def steady_state_report(stationary: StationaryDistribution, chain: ClusterChain,
         avg_replica_count=float(marginal @ np.arange(1.0, chain.n_max + 1)),
         avg_concurrency=float(marginal @ conc),
         extrapolated_mass=float(marginal[extrapolated].sum()),
-        window_s=float(window_s),
-        requests_in_window=lam * float(window_s),
         stationary=stationary,
         ready_concurrency=conc,
         ready_response_time_s=rt,

@@ -278,25 +278,6 @@ class TestPredict:
         assert code == 1
         assert "arrival_rate must be finite and > 0" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("rate,window", [("50", "1e308"), ("1e308", "3600")])
-    def test_non_finite_request_count_exits_one(self, tmp_path, bundle_path, capsys,
-                                                rate, window):
-        cfg = autoscaler_file(tmp_path, target_value=100.0, n_max=1)
-        code = cli.main(["predict", "--model", bundle_path, "--config", cfg,
-                         "--arrival-rate", rate, "--window", window])
-        assert code == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "arrival_rate * window_s must be finite" in captured.err
-
-    def test_huge_finite_request_count_is_standard_json(self, tmp_path, bundle_path,
-                                                        capsys):
-        cfg = autoscaler_file(tmp_path, target_value=100.0, n_max=1)
-        code = cli.main(["predict", "--model", bundle_path, "--config", cfg,
-                         "--arrival-rate", "50", "--window", "1e300"])
-        assert code == 0
-        assert strict_json(capsys.readouterr().out)["requests_in_window"] == 5e301
-
     @pytest.mark.parametrize("explain", [[], ["--explain"]])
     def test_non_finite_metric_exits_one_with_the_scalar_error(self, tmp_path,
                                                                curved_bundle_path, capsys,
@@ -781,7 +762,7 @@ class TestCompare:
 # The flags each command reads, and for each the flags it cannot run without.
 COMMAND_FLAGS = {
     "fit": ({"--trace", "--metric", "--out"}, ["--trace", "t.csv", "--out", "m.json"]),
-    "predict": ({"--model", "--config", "--arrival-rate", "--window", "--explain", "--out"},
+    "predict": ({"--model", "--config", "--arrival-rate", "--explain", "--out"},
                 ["--model", "m.json", "--config", "a.json", "--arrival-rate", "1"]),
     "sweep": ({"--model", "--spec", "--out"},
               ["--model", "m.json", "--spec", "s.json", "--out", "s.csv"]),
@@ -803,7 +784,7 @@ class TestFlags:
                    if opt not in ("-h", "--help")}
             for name, p in sub.choices.items()}
         assert declared == {name: flags for name, (flags, _) in COMMAND_FLAGS.items()}
-        assert sum(len(flags) for flags in declared.values()) == 24
+        assert sum(len(flags) for flags in declared.values()) == 23
 
     @pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
     def test_a_named_command_gets_its_subparser_alone(self, command):

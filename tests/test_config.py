@@ -276,6 +276,39 @@ class TestTraceFileFormat:
         with pytest.raises(rc.TraceParseError, match=f"line {line}: {rule}"):
             rc.parse_trace(path)
 
+    @staticmethod
+    def long_trace_file(path, rows=5400):
+        """A trace of profile-compare's size, written as fit reads it."""
+        rng = np.random.default_rng(5)
+        rc.write_trace(rc.trace_from_arrays(np.repeat(np.arange(1.0, 10.0), rows // 9),
+                                            rng.exponential(2.0, rows),
+                                            0.2 + rng.exponential(0.01, rows)), path)
+        return path.read_text(encoding="utf-8")
+
+    def test_long_round_trip_is_bit_identical(self, tmp_path):
+        path = tmp_path / "t.csv"
+        text = self.long_trace_file(path)
+        back = rc.parse_trace(path)
+        rows = [[float(x) for x in line.split(",")] for line in text.splitlines()[1:]]
+        want = np.array(rows).T
+        for k, name in enumerate(("rates", "observed", "response_times")):
+            assert getattr(back, name).tobytes() == want[k].tobytes()
+        again = tmp_path / "again.csv"
+        rc.write_trace(back, again)
+        assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("row, rule", [
+        ("1.0,0.2,abc", "mean_response_time_s is not a number: 'abc'"),
+        ("1.0,0.2", "expected 3 fields, got 2"),
+        ("", "blank row")])
+    def test_bad_row_late_in_a_long_file_names_its_line(self, tmp_path, row, rule):
+        path = tmp_path / "t.csv"
+        lines = self.long_trace_file(path).splitlines()
+        lines[4999] = row
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(rc.TraceParseError, match=f"line 5000: {rule}"):
+            rc.parse_trace(path)
+
     def test_single_distinct_rate_is_insufficient(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text(f"{TRACE_HEADER}\n1.0,0.2,0.2\n1.0,0.25,0.21\n")

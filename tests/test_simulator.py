@@ -837,6 +837,141 @@ class TestKernelOracle:
         assert results[0] == results[1]
 
 
+class TestFastForward:
+    """The edges of the infinite-server fast-forward, ``_kernels._fast_forward``.
+
+    Each run matches the reference loop, and ``steps`` records each
+    fast-forward as (first evaluation, ticks fired, next evaluation,
+    whether it changes the order), which shows what the scalar section
+    was left with.
+    """
+
+    @pytest.fixture
+    def steps(self, monkeypatch):
+        calls = []
+        fast_forward = _kernels._fast_forward
+
+        def recorded(cum, samples, t_eval, *args):
+            out = fast_forward(cum, samples, t_eval, *args)
+            calls.append((t_eval, *out))
+            return out
+
+        monkeypatch.setattr(_kernels, "_fast_forward", recorded)
+        return calls
+
+    @staticmethod
+    def blocks_of(monkeypatch, block):
+        monkeypatch.setattr(_kernels, "_BLOCK", block)
+        monkeypatch.setattr(oracles, "_BLOCK", block)
+
+    @pytest.mark.parametrize("services, ready, want_steps", [
+        ([0.1] * 3, [1] * 6, [(2.0, 2, 4.0, False), (4.0, 4, 8.0, False)]),
+        ([3.0, 3.0, 0.1], [1, 1, 2, 2, 1, 1],
+         [(2.0, 2, 2.0, True), (4.0, 2, 4.0, True), (6.0, 2, 8.0, False)])])
+    def test_evaluation_at_a_blocks_stop(self, monkeypatch, steps, services, ready, want_steps):
+        # cc, target 1, a one-second window, evaluations every 2 s and
+        # blocks of three arrivals: the third arrives at 2.0 s, the
+        # block's stop, an evaluation and a tick.  The fast-forward fires
+        # that evaluation, which keeps one container when no job is in
+        # flight at 2 s and orders two when the first two jobs are.
+        self.blocks_of(monkeypatch, 3)
+        sim_cfg = kernel_config(is_exp(1.0), duration=6.0, initial=1, t_eva_s=2.0,
+                                stable_window_s=1.0)
+        got, want = TestKernelOracle.both_loops(sim_cfg, [0.5, 0.25, 1.25], services, [0.5])
+        assert got == want
+        assert eval(got)[0] == ready
+        assert steps == want_steps
+
+    def test_order_change_at_the_first_evaluation_after_a_refill(self, monkeypatch, steps):
+        # blocks of two arrivals, at 0.5 and 1.5 s with 3 s service: the
+        # first block fires tick 1 and stops at 1.5 s, and the first
+        # evaluation after the refill, at 2 s, sees both jobs and orders
+        # a second container, ready at 2.5 s
+        self.blocks_of(monkeypatch, 2)
+        sim_cfg = kernel_config(is_exp(1.0), duration=6.0, initial=1, t_eva_s=2.0,
+                                stable_window_s=1.0)
+        got, want = TestKernelOracle.both_loops(sim_cfg, [0.5, 1.0], [3.0, 3.0], [0.5])
+        assert got == want
+        assert eval(got)[0] == [1, 1, 2, 2, 1, 1]
+        assert steps[:2] == [(2.0, 1, 2.0, False), (2.0, 1, 2.0, True)]
+
+    @pytest.mark.parametrize("n_max", [1, 4])
+    @pytest.mark.parametrize("block", [5, 64])
+    @pytest.mark.parametrize("metric", rc.METRIC_KINDS)
+    def test_evaluations_off_the_ticks_over_many_blocks(self, monkeypatch, steps, block, metric,
+                                                         n_max):
+        # evaluations every 0.3 s, three before the first tick, see
+        # floor(t) ticks; 8 req/s of 1 s service at target 3 and a 6 s
+        # window move the order around 3 within n_max 4.  With one
+        # container nothing changes and no tick is left to the scalar
+        # section.
+        self.blocks_of(monkeypatch, block)
+        sim_cfg = kernel_config(is_exp(1.0), lam=8.0, duration=60.0, warmup=10.0, initial=1,
+                                metric_kind=metric, target_value=3.0, n_max=n_max, t_eva_s=0.3,
+                                stable_window_s=6.0)
+        results = []
+        for loop in (_kernels.run_simulation, reference_run_simulation):
+            seeds = np.random.SeedSequence(13).spawn(4)
+            results.append(repr(loop(sim_cfg, *(np.random.default_rng(s) for s in seeds))))
+        assert results[0] == results[1]
+        changes = sum(changed for *_, changed in steps)
+        if n_max == 1:
+            assert changes == 0 and sum(ticks for _, ticks, _, _ in steps) == 60
+        else:
+            assert changes > 1 and len(set(eval(results[0])[0])) > 1
+        assert any(t % 1.0 for t, *_ in steps)
+
+    def test_provisioning_pending_across_a_refill(self, monkeypatch, steps):
+        # blocks of two arrivals.  Jobs at 0.5 and 0.75 s with 3 s service
+        # order a second container at 1 s, ready at 3.5 s; meanwhile the
+        # block stopping at 2 s is folded and the next loaded.  Ticks 2
+        # and 3 and the evaluations at 2 and 3 s fire in the scalar
+        # section, with one container ready, and the fast-forward resumes
+        # at 4 s, where no job is in flight and one container is ordered.
+        self.blocks_of(monkeypatch, 2)
+        sim_cfg = kernel_config(is_exp(1.0), duration=6.0, initial=1, t_eva_s=1.0,
+                                stable_window_s=1.0)
+        got, want = TestKernelOracle.both_loops(sim_cfg, [0.5, 0.25, 0.75, 0.5],
+                                                [3.0, 3.0, 0.1, 0.1], [2.5])
+        assert got == want
+        assert eval(got)[:2] == ([1, 1, 1, 2, 1, 1], [2.0, 2.0, 2.0, 0.0, 0.0, 0.0])
+        assert steps == [(1.0, 1, 1.0, True), (4.0, 1, 4.0, True), (5.0, 2, 7.0, False)]
+
+    @pytest.mark.parametrize("metric, gaps, services, want_steps", [
+        ("cc", [0.25], [3.5], [(1.0, 1, 1.0, True), (4.0, 2, 7.0, False)]),
+        ("rps", [0.25, 1.0], [0.1, 0.1], [(1.0, 1, 1.0, True), (2.0, 4, 7.0, False)])])
+    def test_scaled_down_container_counts_until_it_is_empty(self, steps, metric, gaps, services,
+                                                             want_steps):
+        # two containers, target 1, a one-second window and evaluation.
+        # A job at 0.25 s orders one container at 1 s, and position 1
+        # leaves at 1.5 s.  cc: it holds a job until 3.75 s, which ticks 2
+        # and 3 leave out, so the scalar section fires ticks up to 4.  rps:
+        # it took the arrival at 1.25 s, which tick 2 leaves out.
+        sim_cfg = kernel_config(is_exp(1.0), duration=6.0, metric_kind=metric, t_eva_s=1.0,
+                                stable_window_s=1.0, mu_dep=1.0)
+        got, want = TestKernelOracle.both_loops(sim_cfg, gaps, services, [0.5], [0.5, 0.5])
+        assert got == want
+        assert eval(got)[:2] == ([2, 1, 1, 1, 1, 1], [0.5, 0.0, 0.0, 0.0, 0.0, 0.0])
+        assert steps == want_steps
+
+    @pytest.mark.parametrize("n_max", [1, 3])
+    def test_window_longer_than_the_run_over_many_blocks(self, monkeypatch, n_max):
+        # the fast-forward bounds the window by the ticks it has, so one
+        # of 1e300 s runs as one of 51 s, also across blocks of five
+        # arrivals and with evaluations before the first tick
+        self.blocks_of(monkeypatch, 5)
+        results = []
+        for loop, window in ((_kernels.run_simulation, 1e300),
+                             (_kernels.run_simulation, 51.0),
+                             (reference_run_simulation, 51.0)):
+            sim_cfg = kernel_config(is_exp(1.0), lam=8.0, duration=50.9, warmup=10.0,
+                                    initial=1, n_max=n_max, target_value=2.0, t_eva_s=0.3,
+                                    stable_window_s=window)
+            seeds = np.random.SeedSequence(5).spawn(4)
+            results.append(repr(loop(sim_cfg, *(np.random.default_rng(s) for s in seeds))))
+        assert results[0] == results[1] == results[2]
+
+
 class TestAggregateControlLaw:
     """The evaluator orders ceil(aggregate windowed metric / target).
 
