@@ -15,8 +15,8 @@ gap.  ``np.cumsum`` adds left to right, one rounding per element, so
 each time has the same bits as the running ``t + gap`` of a scalar loop.
 
 One section runs the control events (the per-second monitor, the scale
-evaluator and the provisioning engine) for both service models, and it
-is the only code that changes the order or schedules provisioning.
+evaluator and the provisioning engine), and it is the only code that
+changes the order or schedules provisioning.
 Event kinds at equal timestamps fire in the fixed priority
 departure < monitor < evaluation < provisioning < arrival, which makes
 runs bit-reproducible for a given seed.  The ready containers form a
@@ -53,17 +53,16 @@ in departure order from the carried partial sum, so each sum has the
 bits of a scalar ``+=`` per departure, which ``np.sum`` (pairwise) and
 ``math.fsum`` (exact) would not.
 
-Most of those control events change nothing, so they are fast-forwarded:
-while no provisioning event is pending and no scaled-down container
-still counts, ``_fast_forward`` fires the block's ticks and evaluations
-in numpy, up to a, and stops at the first evaluation whose desired
-count differs from the order, which the scalar section then fires.  The
+Every tick, and every evaluation that keeps the order, fires in numpy:
+``_fast_forward`` fires them up to a or the next provisioning event,
+whichever comes first, and stops at the first evaluation whose desired
+count differs from the order, which the scalar section then fires with
+the provisioning events; its monitor serves processor sharing only.  The
 evaluation times are ``np.add.accumulate`` from the next one, with the
 bits of the scalar ``t_eval += t_eva``.  An evaluation at t sees the
 floor(t) ticks at or before it, the monitor firing first at equal times,
 and its window sum is the difference of two int64 totals, which
-``_desired_array`` turns into a count as ``_desired`` does.  At n_max 1
-the order never changes, so such a run steps no tick in Python.
+``_desired_array`` turns into a count as ``_desired`` does.
 
 No arrival is routed there: a container's jobs change a result only
 once it is scaled down, when the cc sample leaves out its jobs still in
@@ -71,8 +70,9 @@ flight and the rps sample its arrivals since the latest monitor tick.
 The container popped from position j - 1 at t, ready since t_b, holds
 the jobs that arrived in [t_b, t) with floor(u * j_a) = j - 1, j_a being
 the ready count at their arrival.  So a scale-down applies that mask to
-the recent arrivals, read with the ready-count history, and the scalar
-monitor subtracts what it finds until the container is empty.
+the recent arrivals, read with the ready-count history, and takes what
+it finds off the samples of the ticks after t: those of the block at
+once, those of later blocks as each is loaded.
 """
 
 from __future__ import annotations
@@ -186,26 +186,26 @@ def _fast_forward(cum, samples, t_eval, t_eva, stop, window_len, tv, n_max, orde
 
 
 def _second_means(sec_rt, sec_n, wl_mean):
-    """The mean response time and carried flag of each second, as lists,
-    from its sum and count: a second without completions carries the last
-    mean forward, the workload mean before the first.  Each count is
-    below 2**53, so each mean has the bits of the scalar sum / count."""
+    """The mean response time and carried flag of each second from its
+    sum and count: a second without completions carries the last mean
+    forward, the workload mean before the first.  Each count is below
+    2**53, so each mean has the bits of the scalar sum / count."""
     n = np.asarray(sec_n, dtype=np.int64)
     done = n > 0
     means = np.concatenate(([wl_mean], np.asarray(sec_rt, dtype=np.float64)[done] / n[done]))
-    return means[np.cumsum(done)].tolist(), (~done).astype(np.int64).tolist()
+    return means[np.cumsum(done)], (~done).astype(np.uint8)
 
 
 class _InfiniteServer:
     """The arrivals and departures of an infinite-server run, one arrival
     block at a time, and the stack of ready containers.
 
-    ``base`` holds a sample per monitor tick of the block, up to ``stop``,
-    the block's last arrival or the horizon if that comes first: the jobs
-    in flight (cc) or the arrivals in the second (rps), on every
-    container.  ``final`` says whether the last arrival lies past the
-    horizon.  ``scale_up`` and ``scale_down`` move the stack at a
-    provisioning event.
+    ``base`` holds a sample per monitor tick of the block, ``ticks``, up
+    to ``stop``, the block's last arrival or the horizon if that comes
+    first: the jobs in flight (cc) or the arrivals in the second (rps) on
+    the ready containers.  ``final`` says whether the last arrival lies
+    past the horizon.  ``scale_up`` and ``scale_down`` move the stack at
+    a provisioning event.
     """
 
     def __init__(self, sim_cfg, arr_rng, svc_rng, route_rng):
@@ -237,6 +237,10 @@ class _InfiniteServer:
         self.births = [-_INF] * sim_cfg.initial_replicas
         self.j_times = [-_INF]
         self.j_counts = [sim_cfg.initial_replicas]
+        # What scaled-down containers take off later blocks' samples: their
+        # departures past the stop, in order (cc), or arrivals owed (rps).
+        self.ahead = np.empty(0)
+        self.owed = 0
         self._load()
 
     def _load(self):
@@ -264,7 +268,7 @@ class _InfiniteServer:
         self.t_last = arr[-1].item()
         self.final = self.t_last > self.duration
         self.stop = min(self.t_last, self.duration)
-        ticks = np.arange(self.n_ticks + 1, math.floor(self.stop) + 1, dtype=np.float64)
+        self.ticks = ticks = np.arange(self.n_ticks + 1.0, math.floor(self.stop) + 1)
         self.n_ticks += ticks.size
         # A job departing at a tick leaves before the monitor if it arrived
         # before it (response time > 0), and such jobs head the run of
@@ -279,8 +283,13 @@ class _InfiniteServer:
             self.base = np.diff(arrived, prepend=self.seen)
             if ticks.size:
                 self.seen = arrived[-1]
+                self.base[0] -= self.owed
+                self.owed = 0
         else:
             self.base = arrived - self.done - marks
+            if self.ahead.size:
+                self.base -= self.ahead.size - self.ahead.searchsorted(ticks, "right")
+                self.ahead = self.ahead[self.ahead.searchsorted(self.stop, "right"):]
 
     def _fold_block(self):
         """Fold the departures up to the block's stop into the sums."""
@@ -318,9 +327,9 @@ class _InfiniteServer:
         self.j_counts.append(len(self.births))
 
     def scale_down(self, t):
-        """Pop the newest container at t.  Returns the departure times of
-        its jobs, of which the monitor counts those still in flight (cc),
-        or the count of its arrivals since the latest monitor tick (rps)."""
+        """Pop the newest container at t and take its jobs still in flight
+        (cc) or its arrivals since the latest tick (rps) off the samples of
+        the later ticks, those past the stop at the next ``_load``."""
         j = len(self.births)
         t_b = self.births.pop()
         lo, hi = np.searchsorted(self.w_arr, (max(t_b, math.floor(t)) if self.rps else t_b, t))
@@ -329,9 +338,19 @@ class _InfiniteServer:
         on = (self.w_u[lo:hi] * j_a).astype(np.int64) == j - 1
         self.j_times.append(t)
         self.j_counts.append(j - 1)
+        # Every tick at or before t has fired.
+        i = self.ticks.searchsorted(t, "right")
         if self.rps:
-            return int(np.count_nonzero(on))
-        return self.w_dep[lo:hi][on].tolist()
+            if i < self.base.size:
+                self.base[i] -= np.count_nonzero(on)
+            else:
+                self.owed += np.count_nonzero(on)
+        else:
+            dep = np.sort(self.w_dep[lo:hi][on])
+            self.base[i:] -= dep.size - dep.searchsorted(self.ticks[i:], "right")
+            # A stable sort merges the two sorted runs.
+            self.ahead = np.concatenate((self.ahead, dep[dep.searchsorted(self.stop, "right"):]))
+            self.ahead.sort(kind="stable")
 
     def finish(self):
         """Fold the departures up to the horizon.  Returns the per-second
@@ -408,10 +427,6 @@ def run_simulation(sim_cfg, arr_rng, svc_rng, prov_rng, route_rng):
         inf_server = _InfiniteServer(sim_cfg, arr_rng, svc_rng, route_rng)
         base, stop, final = inf_server.base, inf_server.stop, inf_server.final
         k_tick = 0
-        # Departure times of the jobs on scaled-down containers, in order
-        # (cc), and this second's arrivals at them (rps).
-        drained = []
-        removed = 0
 
     # Running totals of the per-second samples of the aggregate metric
     # over ready containers (in-flight sum for cc, arrival count for rps).
@@ -520,18 +535,17 @@ def run_simulation(sim_cfg, arr_rng, svc_rng, prov_rng, route_rng):
                     inf_server.refill()
                     base, stop, final = inf_server.base, inf_server.stop, inf_server.final
                     k_tick = 0
-                # With no provisioning event pending and no scaled-down
-                # container's jobs (cc) or arrivals (rps) to leave out,
-                # the ticks and the evaluations that keep the order fire
-                # in numpy; the scalar section fires the rest.
-                if t_prov < _INF or drained or removed or t_ctrl > stop:
+                # Every tick, and every evaluation that keeps the order, fires
+                # in numpy up to the stop or the next provisioning event.
+                t_stop = min(stop, t_prov)
+                if min(t_monitor, t_eval) > t_stop:
                     break
                 ticks, t_eval, changed = _fast_forward(cum, base[k_tick:], t_eval, t_eva,
-                                                       stop, window_len, tv, n_max, order)
+                                                       t_stop, window_len, tv, n_max, order)
                 k_tick += ticks
                 tick_ready += [j_ready] * ticks
                 t_monitor += ticks
-                t_ctrl = min(t_monitor, t_eval)
+                t_ctrl = min(t_monitor, t_eval, t_prov)
                 if changed:
                     break
 
@@ -541,28 +555,16 @@ def run_simulation(sim_cfg, arr_rng, svc_rng, prov_rng, route_rng):
             break
         t_from = -1.0
         if t_monitor <= t_ctrl:
-            # --- per-second monitor ---
-            if sharing:
-                sample = 0
-                for k in by_birth:
-                    sample += arr_count[k] if rps else conc[k]
-                    arr_count[k] = 0
-                # Close the second's response times.
-                sec_rt.append(rt_sum_sec)
-                sec_n.append(n_sec)
-                rt_sum_sec = 0.0
-                n_sec = 0
-            else:
-                # Every container's count, less the scaled-down ones':
-                # their jobs in flight (cc) or arrivals (rps).
-                sample = base.item(k_tick)
-                k_tick += 1
-                if drained:
-                    del drained[:bisect_right(drained, t_monitor)]
-                    sample -= len(drained)
-                if removed:
-                    sample -= removed
-                    removed = 0
+            # --- per-second monitor (processor sharing only) ---
+            sample = 0
+            for k in by_birth:
+                sample += arr_count[k] if rps else conc[k]
+                arr_count[k] = 0
+            # Close the second's response times.
+            sec_rt.append(rt_sum_sec)
+            sec_n.append(n_sec)
+            rt_sum_sec = 0.0
+            n_sec = 0
             cum.append(cum[-1] + sample)
             tick_ready.append(j_ready)
             t_monitor += 1.0
@@ -605,11 +607,8 @@ def run_simulation(sim_cfg, arr_rng, svc_rng, prov_rng, route_rng):
                 j_ready -= 1
                 if sharing:
                     arr_count[by_birth.pop()] = 0
-                elif rps:
-                    removed += inf_server.scale_down(t)
                 else:
-                    drained += inf_server.scale_down(t)
-                    drained.sort()
+                    inf_server.scale_down(t)
             t_from = t
 
         if t_from >= 0.0:
@@ -646,11 +645,11 @@ def run_simulation(sim_cfg, arr_rng, svc_rng, prov_rng, route_rng):
     # Reported per container: each tick's aggregate window over its ready
     # count.  The totals are below 2**53, so they convert exactly and each
     # value has the bits of the scalar window_sum / n / j_ready.
-    ticks = len(tick_ready)
-    k = np.arange(1, ticks + 1)
-    n = np.minimum(k, min(window_len, ticks))
+    tick_ready = np.array(tick_ready, dtype=np.int64)
+    k = np.arange(1, tick_ready.size + 1)
+    n = np.minimum(k, min(window_len, tick_ready.size))
     tot = np.array(cum, dtype=np.int64)
-    tick_ov = ((tot[k] - tot[k - n]) / n / np.array(tick_ready)).tolist()
+    tick_ov = (tot[k] - tot[k - n]) / n / tick_ready
 
     return (tick_ready, tick_ov, sec_rt, sec_n,
             area_replica, rt_sum_pw, completions_pw,

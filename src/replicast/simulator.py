@@ -199,13 +199,10 @@ def simulate(sim_cfg: SimulationConfig) -> SimulationReport:
      arrivals, completions, in_flight) = _kernels.run_simulation(
         sim_cfg, *(np.random.default_rng(s) for s in seeds))
 
-    times = np.arange(1, len(tick_ready) + 1, dtype=np.float64)
-    mask = times > sim_cfg.warmup_s
-    times = times[mask]
-    ready = np.array(tick_ready, dtype=np.int64)[mask]
-    ov = np.array(tick_ov, dtype=np.float64)[mask]
-    rts = np.array(tick_rt, dtype=np.float64)[mask]
-    carried = np.array(tick_carried, dtype=np.uint8)[mask]
+    times = np.arange(1, tick_ready.size + 1, dtype=np.float64)
+    k = int(np.searchsorted(times, sim_cfg.warmup_s, "right"))
+    times, ready, ov, rts, carried = (times[k:], tick_ready[k:], tick_ov[k:], tick_rt[k:],
+                                      tick_carried[k:])
 
     span = sim_cfg.duration_s - sim_cfg.warmup_s
     avg_replicas = area_replica / span
@@ -242,11 +239,12 @@ def profile_trace(workload: WorkloadModel, arrival_rates, metric_kind: str = MET
     rates = [float(r) for r in arrival_rates]
     if not rates:
         raise ValidationError("arrival_rates must be non-empty")
-    combined = ProfilingTrace()
+    traces = []
     for idx, lam in enumerate(rates):
         cfg = AutoscalerConfig(metric_kind=metric_kind, target_value=1.0, n_max=1)
         sim_cfg = SimulationConfig(
             autoscaler=cfg, workload=workload, arrival_rate=lam,
             duration_s=duration_s, warmup_s=warmup_s, seed=seed + idx)
-        combined = combined.extend(simulate(sim_cfg).trace)
-    return combined
+        traces.append(simulate(sim_cfg).trace)
+    return trace_from_arrays(*(np.concatenate([getattr(t, f.name) for t in traces])
+                               for f in fields(ProfilingTrace)))

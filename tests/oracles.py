@@ -536,6 +536,13 @@ def reference_run_simulation(sim_cfg, arr_rng, svc_rng, prov_rng, route_rng):
             arrivals, completions, in_flight)
 
 
+def result_repr(result) -> str:
+    """The repr of an event loop's result with its arrays as lists, so the
+    package's loop and the reference compare as text: repr is exact for
+    floats and tells 1 from 1.0 and 0.0 from -0.0."""
+    return repr(tuple(x.tolist() if isinstance(x, np.ndarray) else x for x in result))
+
+
 def exact_metric_law(workload, metric_kind: str, window: int) -> tuple:
     """Mean and variance of one container's stable-window metric at
     per-container rate rho under an infinite-server workload, per unit of

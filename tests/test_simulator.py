@@ -13,7 +13,7 @@ from hypothesis import given, strategies as st
 import oracles
 import replicast as rc
 from conftest import run_fresh
-from oracles import exact_metric_law, reference_run_simulation
+from oracles import exact_metric_law, reference_run_simulation, result_repr
 from replicast import _kernels
 
 
@@ -455,8 +455,7 @@ class TestKernelOracle:
             want = reference_run_simulation(sim_cfg, *streams())
         finally:
             _kernels._BLOCK, oracles._BLOCK = saved
-        # repr is exact for floats and tells 1 from 1.0 and 0.0 from -0.0
-        assert repr(got) == repr(want)
+        assert result_repr(got) == result_repr(want)
 
     @staticmethod
     def both_loops(sim_cfg, gaps, services, provisioning=(), routing=()):
@@ -467,7 +466,7 @@ class TestKernelOracle:
         for loop in (_kernels.run_simulation, reference_run_simulation):
             streams = (ScriptedStream(gaps, 1e3), ScriptedStream(services, 1.0),
                        ScriptedStream(provisioning, 1.0), ScriptedStream(routing, 0.0))
-            results.append(repr(loop(sim_cfg, *streams)))
+            results.append(result_repr(loop(sim_cfg, *streams)))
         return results
 
     @classmethod
@@ -602,7 +601,7 @@ class TestKernelOracle:
         results = []
         for loop in (_kernels.run_simulation, reference_run_simulation):
             seeds = np.random.SeedSequence(3).spawn(4)
-            results.append(repr(loop(sim_cfg, *(np.random.default_rng(s) for s in seeds))))
+            results.append(result_repr(loop(sim_cfg, *(np.random.default_rng(s) for s in seeds))))
         assert results[0] == results[1]
         assert len(set(eval(results[0])[0][20:])) > 1
 
@@ -809,7 +808,7 @@ class TestKernelOracle:
             sim_cfg = kernel_config(workload, lam=8.0, duration=50.9, warmup=10.0,
                                     n_max=n_max, t_eva_s=2.0, stable_window_s=window)
             seeds = np.random.SeedSequence(5).spawn(4)
-            results.append(repr(loop(sim_cfg, *(np.random.default_rng(s) for s in seeds))))
+            results.append(result_repr(loop(sim_cfg, *(np.random.default_rng(s) for s in seeds))))
         assert results[0] == results[1] == results[2]
 
     @pytest.mark.parametrize("n_max", [1, 12])
@@ -833,7 +832,7 @@ class TestKernelOracle:
         results = []
         for loop in (_kernels.run_simulation, reference_run_simulation):
             seeds = np.random.SeedSequence(11).spawn(4)
-            results.append(repr(loop(sim_cfg, *(np.random.default_rng(s) for s in seeds))))
+            results.append(result_repr(loop(sim_cfg, *(np.random.default_rng(s) for s in seeds))))
         assert results[0] == results[1]
 
 
@@ -912,7 +911,7 @@ class TestFastForward:
         results = []
         for loop in (_kernels.run_simulation, reference_run_simulation):
             seeds = np.random.SeedSequence(13).spawn(4)
-            results.append(repr(loop(sim_cfg, *(np.random.default_rng(s) for s in seeds))))
+            results.append(result_repr(loop(sim_cfg, *(np.random.default_rng(s) for s in seeds))))
         assert results[0] == results[1]
         changes = sum(changed for *_, changed in steps)
         if n_max == 1:
@@ -924,10 +923,11 @@ class TestFastForward:
     def test_provisioning_pending_across_a_refill(self, monkeypatch, steps):
         # blocks of two arrivals.  Jobs at 0.5 and 0.75 s with 3 s service
         # order a second container at 1 s, ready at 3.5 s; meanwhile the
-        # block stopping at 2 s is folded and the next loaded.  Ticks 2
-        # and 3 and the evaluations at 2 and 3 s fire in the scalar
-        # section, with one container ready, and the fast-forward resumes
-        # at 4 s, where no job is in flight and one container is ordered.
+        # block stopping at 2 s is folded and the next loaded.  Tick 2 and
+        # the evaluation at 2 s fire up to that block's stop, tick 3 and
+        # the evaluation at 3 s up to the provisioning event, with one
+        # container ready; at 4 s no job is in flight and one container is
+        # ordered, which leaves at 4.5 s, before ticks 5 and 6.
         self.blocks_of(monkeypatch, 2)
         sim_cfg = kernel_config(is_exp(1.0), duration=6.0, initial=1, t_eva_s=1.0,
                                 stable_window_s=1.0)
@@ -935,24 +935,78 @@ class TestFastForward:
                                                 [3.0, 3.0, 0.1, 0.1], [2.5])
         assert got == want
         assert eval(got)[:2] == ([1, 1, 1, 2, 1, 1], [2.0, 2.0, 2.0, 0.0, 0.0, 0.0])
-        assert steps == [(1.0, 1, 1.0, True), (4.0, 1, 4.0, True), (5.0, 2, 7.0, False)]
+        assert steps == [(1.0, 1, 1.0, True), (2.0, 1, 3.0, False), (3.0, 1, 4.0, False),
+                         (4.0, 1, 4.0, True), (5.0, 2, 7.0, False)]
 
     @pytest.mark.parametrize("metric, gaps, services, want_steps", [
-        ("cc", [0.25], [3.5], [(1.0, 1, 1.0, True), (4.0, 2, 7.0, False)]),
-        ("rps", [0.25, 1.0], [0.1, 0.1], [(1.0, 1, 1.0, True), (2.0, 4, 7.0, False)])])
+        ("cc", [0.25], [3.5], [(1.0, 1, 1.0, True), (2.0, 5, 7.0, False)]),
+        ("rps", [0.25, 1.0], [0.1, 0.1], [(1.0, 1, 1.0, True), (2.0, 5, 7.0, False)])])
     def test_scaled_down_container_counts_until_it_is_empty(self, steps, metric, gaps, services,
                                                              want_steps):
         # two containers, target 1, a one-second window and evaluation.
         # A job at 0.25 s orders one container at 1 s, and position 1
-        # leaves at 1.5 s.  cc: it holds a job until 3.75 s, which ticks 2
-        # and 3 leave out, so the scalar section fires ticks up to 4.  rps:
-        # it took the arrival at 1.25 s, which tick 2 leaves out.
+        # leaves at 1.5 s.  cc: it holds a job until 3.75 s, which the
+        # scale-down takes off ticks 2 and 3.  rps: it took the arrival at
+        # 1.25 s, which the scale-down takes off tick 2.  Either way ticks
+        # 2 to 6 fire in one fast-forward.
         sim_cfg = kernel_config(is_exp(1.0), duration=6.0, metric_kind=metric, t_eva_s=1.0,
                                 stable_window_s=1.0, mu_dep=1.0)
         got, want = TestKernelOracle.both_loops(sim_cfg, gaps, services, [0.5], [0.5, 0.5])
         assert got == want
         assert eval(got)[:2] == ([2, 1, 1, 1, 1, 1], [0.5, 0.0, 0.0, 0.0, 0.0, 0.0])
         assert steps == want_steps
+
+    def test_cc_scale_down_whose_job_departs_two_refills_later(self, monkeypatch, steps):
+        # cc, target 1, a one-second window and evaluation, blocks of one
+        # arrival.  A job at 0.25 s goes to position 1 and leaves at
+        # 4.25 s; later jobs go to position 0 and leave 0.0625 s after
+        # arriving.  Tick 1 orders one container, and position 1 leaves at
+        # 1.5 s in the block stopping at 2.5 s; its job is taken off tick
+        # 2 there and off ticks 3 and 4 in the blocks stopping at 3.5 and
+        # 4.5 s, two refills later.
+        self.blocks_of(monkeypatch, 1)
+        sim_cfg = kernel_config(is_exp(1.0), duration=6.0, t_eva_s=1.0, stable_window_s=1.0,
+                                mu_dep=1.0)
+        got, want = TestKernelOracle.both_loops(sim_cfg, [0.25, 1.0, 1.25, 1.0, 1.0, 1.0],
+                                                [4.0] + [0.0625] * 5, [0.5], [0.5])
+        assert got == want
+        assert eval(got)[:2] == ([2, 1, 1, 1, 1, 1], [0.5, 0.0, 0.0, 0.0, 0.0, 0.0])
+        assert sum(ticks for _, ticks, _, _ in steps) == 6
+
+    def test_rps_scale_down_owed_across_a_block_without_a_tick(self, monkeypatch, steps):
+        # rps, target 2, a one-second window and evaluation, blocks of one
+        # arrival.  Tick 1 counts one arrival and orders one container;
+        # position 1, which took the arrival at 1.25 s, leaves at 1.5 s, in
+        # the last second before the stop at 1.75 s.  Neither that block
+        # nor the next, stopping at 1.875 s, holds a tick, so the arrival
+        # is taken off tick 2 in the block after: three arrivals in the
+        # second, two on the ready container, which keep one container.
+        self.blocks_of(monkeypatch, 1)
+        sim_cfg = kernel_config(is_exp(1.0), duration=6.0, metric_kind=rc.METRIC_RPS,
+                                target_value=2.0, t_eva_s=1.0, stable_window_s=1.0, mu_dep=1.0)
+        got, want = TestKernelOracle.both_loops(sim_cfg, [0.25, 1.0, 0.5, 0.125], [0.1] * 4,
+                                                [0.5], [0.0, 0.5])
+        assert got == want
+        assert eval(got)[:2] == ([2, 1, 1, 1, 1, 1], [0.5, 2.0, 0.0, 0.0, 0.0, 0.0])
+        assert sum(ticks for _, ticks, _, _ in steps) == 6
+
+    @pytest.mark.parametrize("workload", [is_exp(1.0), is_det(1.0)], ids=DISTRIBUTIONS)
+    @pytest.mark.parametrize("metric", rc.METRIC_KINDS)
+    def test_every_tick_fires_in_the_fast_forward(self, monkeypatch, steps, metric, workload):
+        # the scaling run of test_system_that_never_empties in blocks of
+        # 64 arrivals: provisioning events pending and scaled-down
+        # containers' jobs or arrivals leave no tick to the scalar section
+        self.blocks_of(monkeypatch, 64)
+        sim_cfg = kernel_config(workload, lam=200.0, duration=120.5, warmup=60.0, initial=20,
+                                metric_kind=metric, target_value=5.5, n_max=40,
+                                stable_window_s=6.0)
+        results = []
+        for loop in (_kernels.run_simulation, reference_run_simulation):
+            seeds = np.random.SeedSequence(3).spawn(4)
+            results.append(result_repr(loop(sim_cfg, *(np.random.default_rng(s) for s in seeds))))
+        assert results[0] == results[1]
+        assert len(set(eval(results[0])[0][20:])) > 1
+        assert sum(ticks for _, ticks, _, _ in steps) == 120
 
     @pytest.mark.parametrize("n_max", [1, 3])
     def test_window_longer_than_the_run_over_many_blocks(self, monkeypatch, n_max):
@@ -968,7 +1022,7 @@ class TestFastForward:
                                     initial=1, n_max=n_max, target_value=2.0, t_eva_s=0.3,
                                     stable_window_s=window)
             seeds = np.random.SeedSequence(5).spawn(4)
-            results.append(repr(loop(sim_cfg, *(np.random.default_rng(s) for s in seeds))))
+            results.append(result_repr(loop(sim_cfg, *(np.random.default_rng(s) for s in seeds))))
         assert results[0] == results[1] == results[2]
 
 
