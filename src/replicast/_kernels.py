@@ -39,19 +39,20 @@ scale-up takes the lowest slot that is not ready and holds no jobs.
 
 Under infinite-server service a job's departure is fixed when its block
 is drawn: ``d = a + s`` (``a + mean`` for deterministic service) and its
-response time ``d - a``, one rounding each.  So are the departure order
-and the count of jobs in flight at any instant, whatever the routing.
-``_InfiniteServer`` merges the pending departures and each new block's
-into one stable time order, so equal departure times leave in arrival
-order.  Once a block's last arrival a is drawn, every later job arrives
-and departs at or after a, so the control events up to a read final
-counts: each monitor's in-flight total and arrivals in the second are
-``searchsorted`` counts, and at each refill the departed prefix is
-folded into per-second response-time sums with ``np.bincount`` and into
-the post-warmup sum with ``np.add.accumulate``.  Both add left to right
-in departure order from the carried partial sum, so each sum has the
-bits of a scalar ``+=`` per departure, which ``np.sum`` (pairwise) and
-``math.fsum`` (exact) would not.
+response time ``d - a``, one rounding each.  So is the monitor tick that
+first sees it gone, whatever the routing: ceil(d), or the next tick when
+the job arrives at that tick, since it then departs after the monitor.
+``_InfiniteServer`` keeps no departure queue: as each block is drawn,
+every job departing by the horizon adds its response time to the sum of
+the second its tick closes, with ``np.add.at``, and after warmup to the
+run's, with ``np.add.accumulate``.  Both add one value at a time in
+arrival order, so each sum has the bits of a scalar ``+=`` per job in
+arrival order, which ``np.sum`` (pairwise) and ``math.fsum`` (exact)
+would not.  Once a block's last arrival a is drawn, every later job
+arrives and departs at or after a, so the control events up to a read
+final counts: each monitor's arrivals are ``searchsorted`` counts, and
+its in-flight total is the arrivals before it less the jobs closed by
+it.
 
 Every tick, and every evaluation that keeps the order, fires in numpy:
 ``_fast_forward`` fires them up to a or the next provisioning event,
@@ -99,28 +100,6 @@ def _arrival_times(arr_rng, lam, block, t_last):
     a = arr_rng.standard_exponential(block) / lam
     a[0] += t_last
     return np.cumsum(a, out=a)
-
-
-def _fold(times, rts, qh, marks, warmup, sec_rt, sec_n, rt_sec, n_sec, rt_pw, n_pw):
-    """Fold the departed jobs, queue positions [0, qh), into the sums.
-
-    marks holds the head position at each monitor since the queue was
-    built.  The sums and counts of the seconds it closes are appended to
-    sec_rt and sec_n as arrays, the first starting from the open second's
-    rt_sec and n_sec.  Returns the new open second's sum and count and
-    the post-warmup sum and count, which start from rt_pw and n_pw.
-    """
-    bounds = np.concatenate(([0], marks, [qh]))
-    sizes = bounds[1:] - bounds[:-1]
-    ids = np.repeat(np.arange(sizes.size), sizes)
-    sums = np.bincount(np.concatenate(([0], ids)),
-                       np.concatenate(([rt_sec], rts[:qh])), sizes.size)
-    sizes[0] += n_sec
-    sec_rt.append(sums[:-1])
-    sec_n.append(sizes[:-1])
-    late = rts[np.searchsorted(times[:qh], warmup, "right"):qh]
-    rt_pw = np.add.accumulate(np.concatenate(([rt_pw], late)))[-1].item()
-    return sums[-1].item(), sizes[-1].item(), rt_pw, n_pw + late.size
 
 
 def _desired(window_sum, n, tv, n_max):
@@ -197,9 +176,12 @@ def _second_means(sec_rt, sec_n, wl_mean):
 
 
 class _InfiniteServer:
-    """The arrivals and departures of an infinite-server run, one arrival
-    block at a time, and the stack of ready containers.
+    """The arrivals of an infinite-server run, one block at a time, their
+    response times and the stack of ready containers.
 
+    Each block adds the response time of each job departing by the
+    horizon to the sum of the second its tick closes, ``sec_rt`` (count
+    ``sec_n``), and after warmup to the run's, in arrival order.
     ``base`` holds a sample per monitor tick of the block, ``ticks``, up
     to ``stop``, the block's last arrival or the horizon if that comes
     first: the jobs in flight (cc) or the arrivals in the second (rps) on
@@ -217,16 +199,16 @@ class _InfiniteServer:
                                                 sim_cfg.warmup_s)
         self.arr_rng, self.svc_rng, self.route_rng = arr_rng, svc_rng, route_rng
         self.block = _BLOCK
-        # Departures after the last fold and the current block's, in time
-        # order, with their response times; the sums they fold into.
-        self.times = self.rts = np.empty(0)
-        self.sec_rt = []
-        self.sec_n = []
-        self.rt_sec = self.rt_pw = 0.0
-        self.n_sec = self.n_pw = 0
-        # Arrivals before the block, departures folded, monitor ticks
-        # before the block and arrivals before the last of them; the last
-        # arrival drawn before the block.
+        # Response-time sum and count of the jobs each tick closes, at the
+        # tick's second, the last entry taking those closed after the last
+        # tick; after warmup; of every job closed.
+        self.sec_rt = np.zeros(math.floor(self.duration) + 2)
+        self.sec_n = np.zeros(self.sec_rt.size, dtype=np.int64)
+        self.rt_pw = 0.0
+        self.n_pw = self.completions = 0
+        # Arrivals before the block, jobs closed by monitor ticks before
+        # the block, the count of those ticks and arrivals before the last
+        # of them; the last arrival drawn before the block.
         self.arr_base = self.done = self.n_ticks = self.seen = 0
         self.t_last = 0.0
         # The arrivals a later scale-down may need, in arrival order, with
@@ -247,7 +229,7 @@ class _InfiniteServer:
         """Draw the next arrival block and count its monitor ticks."""
         arr = _arrival_times(self.arr_rng, self.lam, self.block, self.t_last)
         # a job arriving at +inf departs at +inf with a nan response time,
-        # which is never folded: it departs after any horizon
+        # which is never added: it departs after any horizon
         with np.errstate(over="ignore", invalid="ignore"):
             if self.deterministic:
                 dep = arr + self.wl_mean
@@ -258,26 +240,29 @@ class _InfiniteServer:
         self.w_dep = np.concatenate((self.w_dep, dep))
         self.w_u = np.concatenate((self.w_u, self.route_rng.random(arr.size)))
 
-        times = np.concatenate((self.times, dep))
-        # Departure times are never negative, -0.0 or nan, and +inf sorts
-        # last, so their int64 bits sort in the same stable order, faster.
-        order = np.argsort(times.view(np.int64), kind="stable")
-        self.times = times = times[order]
-        self.rts = rts = np.concatenate((self.rts, rt))[order]
+        # A job departing at d by the horizon is closed by tick ceil(d), or
+        # by the next one when it arrived at that tick, since it then
+        # departs after the monitor.  Its response time is added to that
+        # second's sum, and after warmup to the run's, in arrival order.
+        closes = dep <= self.duration
+        dep, rt = dep[closes], rt[closes]
+        sec = np.ceil(dep)
+        sec += arr[closes] == sec
+        sec = sec.astype(np.int64)
+        np.add.at(self.sec_rt, sec, rt)
+        np.add.at(self.sec_n, sec, 1)
+        self.completions += rt.size
+        late = rt[dep > self.warmup]
+        self.rt_pw = np.add.accumulate(np.concatenate(([self.rt_pw], late)))[-1].item()
+        self.n_pw += late.size
+
         self.arr = arr
         self.t_last = arr[-1].item()
         self.final = self.t_last > self.duration
         self.stop = min(self.t_last, self.duration)
-        self.ticks = ticks = np.arange(self.n_ticks + 1.0, math.floor(self.stop) + 1)
+        k = self.n_ticks
+        self.ticks = ticks = np.arange(k + 1.0, math.floor(self.stop) + 1)
         self.n_ticks += ticks.size
-        # A job departing at a tick leaves before the monitor if it arrived
-        # before it (response time > 0), and such jobs head the run of
-        # equal times.
-        marks = np.searchsorted(times, ticks)
-        ends = np.searchsorted(times, ticks, "right")
-        for i in np.flatnonzero(ends > marks):
-            marks[i] += np.count_nonzero(rts[marks[i]:ends[i]])
-        self.marks = marks
         arrived = self.arr_base + np.searchsorted(arr, ticks)
         if self.rps:
             self.base = np.diff(arrived, prepend=self.seen)
@@ -286,30 +271,25 @@ class _InfiniteServer:
                 self.base[0] -= self.owed
                 self.owed = 0
         else:
-            self.base = arrived - self.done - marks
+            # Every job closed by these ticks arrived by the block's stop.
+            closed = np.cumsum(self.sec_n[k + 1:self.n_ticks + 1])
+            closed += self.done
+            if ticks.size:
+                self.done = closed[-1]
+            self.base = arrived - closed
             if self.ahead.size:
                 self.base -= self.ahead.size - self.ahead.searchsorted(ticks, "right")
                 self.ahead = self.ahead[self.ahead.searchsorted(self.stop, "right"):]
 
-    def _fold_block(self):
-        """Fold the departures up to the block's stop into the sums."""
-        qf = int(np.searchsorted(self.times, self.stop, "right"))
-        self.rt_sec, self.n_sec, self.rt_pw, self.n_pw = _fold(
-            self.times, self.rts, qf, self.marks, self.warmup, self.sec_rt, self.sec_n,
-            self.rt_sec, self.n_sec, self.rt_pw, self.n_pw)
-        self.times, self.rts = self.times[qf:], self.rts[qf:]
-        self.done += qf
-
     def refill(self):
-        """Fold the block, drop the arrivals no later scale-down needs and
-        load the next block.
+        """Drop the arrivals no later scale-down needs and load the next
+        block.
 
         Every later scale-down comes after the stop, so under cc it needs
         the arrivals from the first one still in flight then, and under rps
         those from the latest monitor tick at or before it; the ready-count
         history is kept from the first arrival kept.
         """
-        self._fold_block()
         if self.rps:
             lo = int(np.searchsorted(self.w_arr, math.floor(self.stop)))
         else:
@@ -353,14 +333,12 @@ class _InfiniteServer:
             self.ahead.sort(kind="stable")
 
     def finish(self):
-        """Fold the departures up to the horizon.  Returns the per-second
-        mean response times and carried flags, the post-warmup sum and
-        count, and the arrivals and completions."""
-        self._fold_block()
-        sec_rt, sec_n = _second_means(np.concatenate(self.sec_rt), np.concatenate(self.sec_n),
-                                      self.wl_mean)
+        """Returns the per-second mean response times and carried flags,
+        the post-warmup sum and count, and the arrivals and completions."""
+        n = self.n_ticks
+        sec_rt, sec_n = _second_means(self.sec_rt[1:n + 1], self.sec_n[1:n + 1], self.wl_mean)
         arrivals = self.arr_base + int(np.searchsorted(self.arr, self.duration, "right"))
-        return sec_rt, sec_n, self.rt_pw, self.n_pw, arrivals, self.done
+        return sec_rt, sec_n, self.rt_pw, self.n_pw, arrivals, self.completions
 
 
 def run_simulation(sim_cfg, arr_rng, svc_rng, prov_rng, route_rng):

@@ -21,10 +21,13 @@ numpy scalar at a time (the package keeps a stack of ready containers,
 routes no arrival under infinite-server service, keeps running window
 totals and reads random blocks as Python lists).
 It keeps its heap of (departure time, arrival index, slot, arrival
-time) tuples on purpose: the package computes each arrival block's
-departures up front and merges them into a time-ordered queue, so the
-heap is the independent statement of which job leaves next, equal
-departure times included, which leave in arrival order.
+time) tuples on purpose: the package keeps no departure order and
+assigns each job, as its block is drawn, to the tick that first sees it
+gone, so the heap is the independent statement of which job leaves
+next, equal departure times included, which leave in arrival order.
+Under infinite-server service it keeps each departed job's response time
+with its arrival index and adds a second's, at its tick, and those
+after warmup, at the end, in arrival order.
 The windowed metric's exact law under infinite-server service comes
 from queueing theory (the package fits it from a trace).
 """
@@ -261,6 +264,10 @@ def reference_run_simulation(sim_cfg, arr_rng, svc_rng, prov_rng, route_rng):
     # slot, arrival time).  The sentinel never fires, so heap[0] always
     # exists.
     heap = [(_INF, -1, -1, 0.0)]
+    # (arrival index, response time) of the jobs departed in the open
+    # second and after warmup (infinite server only).
+    sec_jobs = []
+    pw_jobs = []
 
     # Stable window of per-second samples of the aggregate metric over
     # ready containers (in-flight sum for cc, arrival count for rps).
@@ -360,11 +367,19 @@ def reference_run_simulation(sim_cfg, arr_rng, svc_rng, prov_rng, route_rng):
                     birth[slot] = -1
                     arr_count[slot] = 0
             completions += 1
-            rt_sum_sec += rt
             n_sec += 1
             if t > warmup:
-                rt_sum_pw += rt
                 completions_pw += 1
+            if sharing:
+                rt_sum_sec += rt
+                if t > warmup:
+                    rt_sum_pw += rt
+            else:
+                # Infinite-server response times add in arrival order: kept
+                # with their arrival index until the tick and the end.
+                sec_jobs.append((done[1], rt))
+                if t > warmup:
+                    pw_jobs.append((done[1], rt))
 
         elif t_ctrl <= t_arrival:
             if t_ctrl > duration:
@@ -392,6 +407,9 @@ def reference_run_simulation(sim_cfg, arr_rng, svc_rng, prov_rng, route_rng):
                     w_sum += wbuf[k]
                 ov = w_sum / w_count
 
+                for _, rt in sorted(sec_jobs):
+                    rt_sum_sec += rt
+                sec_jobs = []
                 tick_ready.append(j_ready)
                 # Reported per container: the aggregate window over the
                 # current ready count.
@@ -520,6 +538,9 @@ def reference_run_simulation(sim_cfg, arr_rng, svc_rng, prov_rng, route_rng):
                 arr_i = 0
             t_arrival = t + float(arr_exp[arr_i]) / lam
             arr_i += 1
+
+    for _, rt in sorted(pw_jobs):
+        rt_sum_pw += rt
 
     # Close the replica-count integral at the horizon.
     if duration > warmup:

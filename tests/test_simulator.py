@@ -242,12 +242,12 @@ class TestBookkeeping:
         (35.0, 1, 1800.0), (35.0, 1, 14_400.0), (35.0, 10, 1800.0), (35.0, 10, 14_400.0),
         (200.0, 100, 1800.0)])
     def test_departure_queue_memory_does_not_grow_with_the_run(self, lam, n_max, duration):
-        # the departure queue holds the jobs in flight plus one arrival
-        # block, and the arrivals kept for scale-downs run from the oldest
-        # job in flight; per-job arrays kept for the whole run would pass
-        # 4 MB at 35 req/s over 14,400 s, where 504,000 jobs arrive.  At
-        # 200 req/s about 40 jobs are in flight and the system never
-        # empties: 360,000 jobs arrive in 1800 s.
+        # an infinite-server run holds one arrival block, the arrivals
+        # kept for scale-downs from the oldest job in flight on, and a
+        # response-time sum and count per second; per-job arrays kept for
+        # the whole run would pass 4 MB at 35 req/s over 14,400 s, where
+        # 504,000 jobs arrive.  At 200 req/s about 40 jobs are in flight
+        # and the system never empties: 360,000 jobs arrive in 1800 s.
         sim_cfg = rc.SimulationConfig(
             autoscaler=autoscaler(target_value=2.0, n_max=n_max), workload=is_exp(0.2),
             arrival_rate=lam, duration_s=duration, warmup_s=300.0, seed=7)
@@ -498,6 +498,26 @@ class TestKernelOracle:
         assert got == want
         assert eval(got)[2][1] == ((rt[0] + rt[1]) + rt[2]) / 3
 
+    @pytest.mark.parametrize("n_max", [1, 2])
+    def test_response_times_add_in_arrival_order(self, n_max):
+        # jobs arrive at 0.1, 0.2 and 0.3 and depart at 0.9, 0.3 and 0.7,
+        # all in the first second but in another order than they came.
+        # The second's sum and the post-warmup sum add the response times
+        # in arrival order, whose bits differ from the departure order's.
+        gaps, services = [0.1, 0.1, 0.1], [0.8, 0.1, 0.4]
+        a = np.cumsum(gaps)
+        d = a + services
+        assert d[1] < d[2] < d[0] < 1.0
+        rt = (d - a).tolist()
+        by_arrival = (rt[0] + rt[1]) + rt[2]
+        assert by_arrival != (rt[1] + rt[2]) + rt[0]
+        got, want = self.scripted_run(gaps, services, infinite_server("exponential"),
+                                      n_max=n_max, routing=[0.0, 0.5, 0.0])
+        assert got == want
+        _, _, tick_rt, carried, _, rt_sum_pw, completions_pw, *_ = eval(got)
+        assert (tick_rt[0], carried[0]) == (by_arrival / 3, 0)
+        assert (rt_sum_pw, completions_pw) == (by_arrival, 3)
+
     @given(gaps=st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=1, max_size=30),
            services=st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0]), max_size=30),
            distribution=st.sampled_from(DISTRIBUTIONS),
@@ -744,10 +764,9 @@ class TestKernelOracle:
     def test_zero_service_arrival_is_routed_before_it_leaves(self):
         # jobs at 0.25 s (position 0, leaves at 0.35 s), 0.3 s (position
         # 1, leaves at 4.3 s) and 0.6 s with zero service, which goes to
-        # position 0 and leaves at once: it heads the departure queue at
-        # its arrival.  Scaling down at 1.01 s removes position 1, the
-        # newest, with the 4.3 s job, so from 2 s on the monitor sees no
-        # job on the ready container.
+        # position 0 and leaves at its arrival.  Scaling down at 1.01 s
+        # removes position 1, the newest, with the 4.3 s job, so from 2 s
+        # on the monitor sees no job on the ready container.
         sim_cfg = kernel_config(is_exp(1.0), t_eva_s=1.0, stable_window_s=1.0)
         got, want = self.both_loops(sim_cfg, [0.25, 0.05, 0.3], [0.1, 4.0, 0.0], [0.02],
                                     [0.0, 0.5, 0.0])
