@@ -245,8 +245,90 @@ def trace_from_arrays(rates: Sequence[float], observed: Sequence[float],
     return ProfilingTrace(rates, observed, response_times)
 
 
+def _check_rows(path, rows: np.ndarray) -> None:
+    # Row k sits on line k + 2.
+    bad = _first_invalid_row(*rows.T)
+    if bad is not None:
+        raise TraceParseError(f"{path}: line {bad[0] + 2}: {bad[1]}")
+
+
+# numpy's float parser strips these ASCII separators around a number as
+# whitespace, and float refuses them, so a body holding one is scanned.
+_NUMPY_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+_READ_CHUNK = 1 << 16
+
+
+def _numpy_rows(fh):
+    """A trace's rows as an (n, 3) float64 array read by numpy's parser, or
+    None where only the line scan can decide.
+
+    numpy refuses some tokens that float reads and skips empty lines, so
+    every row must have three fields and the rows must match the lines
+    after the header one for one.
+    """
+    if fh.readline().strip() != TRACE_HEADER:
+        return None
+    body = fh.tell()
+    chars = newlines = 0
+    last = "\n"
+    for chunk in iter(lambda: fh.read(_READ_CHUNK), ""):
+        if any(c in chunk for c in _NUMPY_ONLY_SPACE):
+            return None
+        chars += len(chunk)
+        newlines += chunk.count("\n")
+        last = chunk[-1]
+    if chars == newlines:  # no rows, or only blank ones, on which loadtxt warns
+        return None
+    fh.seek(body)
+    rows = np.loadtxt(fh, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+    return rows if rows.shape == (newlines + (last != "\n"), 3) else None
+
+
+def _scan_rows(path, text: str) -> np.ndarray:
+    """A whole trace file's rows, read line by line as float reads each token.
+
+    This is the reader of last resort: it raises TraceParseError naming
+    the first bad line, where a row rule broken on an earlier line comes
+    before a malformed one.
+    """
+    lines = text.split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    if not lines:
+        raise TraceParseError(f"{path}: empty file, expected header {TRACE_HEADER!r}")
+    if lines[0].strip() != TRACE_HEADER:
+        raise TraceParseError(f"{path}: line 1: expected header {TRACE_HEADER!r}, got {lines[0]!r}")
+    values = []
+
+    def fail(lineno, message):
+        _check_rows(path, np.array(values, dtype=np.float64).reshape(-1, 3))
+        raise TraceParseError(f"{path}: line {lineno}: {message}")
+
+    for lineno, line in enumerate(lines[1:], start=2):
+        if line.strip() == "":
+            fail(lineno, "blank row")
+        parts = line.split(",")
+        if len(parts) != 3:
+            fail(lineno, f"expected 3 fields, got {len(parts)}")
+        row = []
+        for token, name in zip(parts, _TRACE_COLUMNS):
+            try:
+                row.append(float(token))
+            except ValueError:
+                fail(lineno, f"{name} is not a number: {token!r}")
+        values.append(row)
+    return np.array(values, dtype=np.float64).reshape(-1, 3)
+
+
 def parse_trace(path) -> ProfilingTrace:
     """Read a profiling trace CSV.
+
+    The file is UTF-8 with LF or CRLF line endings.  Its first line is
+    the header ``per_container_rate,observed_metric,mean_response_time_s``
+    and every later line, up to the final line ending, is one row of
+    three comma-separated numbers, each read as Python's ``float`` reads
+    it; a blank row, also at the end, is an error.  numpy's parser reads
+    the rows, and the line scan reads any file it refuses.
 
     Raises TraceParseError naming the first bad line for malformed
     content, and InsufficientDataError when fewer than two distinct
@@ -254,52 +336,17 @@ def parse_trace(path) -> ProfilingTrace:
     such a trace.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
-        raise TraceParseError(f"{path}: empty file, expected header {TRACE_HEADER!r}")
-    if lines[0].strip() != TRACE_HEADER:
-        raise TraceParseError(f"{path}: line 1: expected header {TRACE_HEADER!r}, got {lines[0]!r}")
-    rows = lines[1:]
-    values = []
-
-    def checked_columns():
-        # Row k sits on line k + 2; a rule broken on an earlier line than
-        # a format error is the first bad line.
-        columns = list(np.array(values, dtype=np.float64).reshape(-1, 3).T.copy())
-        bad = _first_invalid_row(*columns)
-        if bad is not None:
-            raise TraceParseError(f"{path}: line {bad[0] + 2}: {bad[1]}")
-        return columns
-
-    def fail(lineno, message):
-        checked_columns()
-        raise TraceParseError(f"{path}: line {lineno}: {message}")
-
-    try:
-        # Every token in one pass when each row has three fields; float
-        # parses them either way, so both accept and refuse the same rows.
-        if any(line.count(",") != 2 for line in rows):
-            raise ValueError
-        values = [float(token) for line in rows for token in line.split(",")]
-    except ValueError:
-        # The line-by-line scan names the first bad line.
-        values = []
-        for lineno, line in enumerate(rows, start=2):
-            if line.strip() == "":
-                fail(lineno, "blank row")
-            parts = line.split(",")
-            if len(parts) != 3:
-                fail(lineno, f"expected 3 fields, got {len(parts)}")
-            row = []
-            for token, name in zip(parts, _TRACE_COLUMNS):
-                try:
-                    row.append(float(token))
-                except ValueError:
-                    fail(lineno, f"{name} is not a number: {token!r}")
-            values.append(row)
-    trace = ProfilingTrace(*checked_columns())
+        rows = None
+        if fh.seekable():  # numpy reads the body after its lines are counted
+            try:
+                rows = _numpy_rows(fh)
+            except ValueError:  # a token numpy refuses, or bytes that are not UTF-8
+                pass
+            fh.seek(0)
+        if rows is None:
+            rows = _scan_rows(path, fh.read())
+    _check_rows(path, rows)
+    trace = ProfilingTrace(*rows.T)
     if trace.n_distinct_rates < 2:
         raise InsufficientDataError(
             f"{path}: trace has {trace.n_distinct_rates} distinct per-container rate(s); "
@@ -307,9 +354,14 @@ def parse_trace(path) -> ProfilingTrace:
     return trace
 
 
+_WRITE_CHUNK_ROWS = 1024
+
+
 def write_trace(trace: ProfilingTrace, path) -> None:
     """Write the canonical 3-column CSV (UTF-8, LF, 12 significant digits)."""
-    rows = zip(trace.rates.tolist(), trace.observed.tolist(), trace.response_times.tolist())
+    columns = (trace.rates, trace.observed, trace.response_times)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(TRACE_HEADER + "\n")
-        fh.writelines(_TRACE_ROW_FMT % row for row in rows)
+        for start in range(0, len(trace), _WRITE_CHUNK_ROWS):
+            chunk = np.stack([col[start:start + _WRITE_CHUNK_ROWS] for col in columns], axis=1)
+            fh.write(_TRACE_ROW_FMT * len(chunk) % tuple(chunk.ravel().tolist()))

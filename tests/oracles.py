@@ -30,6 +30,10 @@ with its arrival index and adds a second's, at its tick, and those
 after warmup, at the end, in arrival order.
 The windowed metric's exact law under infinite-server service comes
 from queueing theory (the package fits it from a trace).
+The trace reader splits the file into lines and parses every token with
+float, one line at a time, and checks the row rules one row at a time
+(the package reads the rows with numpy's parser, checks the rules in
+one array pass and scans lines only when numpy refuses the file).
 """
 
 import math
@@ -40,9 +44,9 @@ from scipy.integrate import quad
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from replicast.config import (_DIST_DETERMINISTIC, METRIC_RPS,
+from replicast.config import (_DIST_DETERMINISTIC, METRIC_RPS, TRACE_HEADER,
                               WORKLOAD_PROCESSOR_SHARING)
-from replicast.errors import ValidationError
+from replicast.errors import InsufficientDataError, TraceParseError, ValidationError
 from replicast.metric_model import GaussianDist, observed_value_distribution
 
 # The reference event loop's random block size and sentinel.
@@ -588,3 +592,71 @@ def exact_metric_law(workload, metric_kind: str, window: int) -> tuple:
         r = np.exp(-k / s)
     kappa = 1.0 + 2.0 * float(np.sum((1.0 - k / window) * r))
     return s, s * kappa / window
+
+
+_TRACE_NAMES = TRACE_HEADER.split(",")
+
+
+def reference_first_invalid_row(rows):
+    """(index, message) of the first (rate, observed, rt) row that breaks a
+    trace rule, checked one row and one rule at a time, or None."""
+    for i, (rate, obs, rt) in enumerate(rows):
+        for name, v in zip(_TRACE_NAMES, (rate, obs, rt)):
+            if not math.isfinite(v):
+                return i, f"{name} must be finite, got {v!r}"
+        if rate < 0:
+            return i, f"per_container_rate must be >= 0, got {rate!r}"
+        if obs < 0:
+            return i, f"observed_metric must be >= 0, got {obs!r}"
+        if rate > 0 and not rt > 0:
+            return i, ("mean_response_time_s must be > 0 when "
+                       f"per_container_rate > 0, got {rt!r}")
+    return None
+
+
+def reference_parse_trace(path) -> tuple:
+    """(rates, observed, response_times) of a trace CSV, read line by line.
+
+    The file is split on "\\n" (after Python's universal newlines), one
+    trailing empty line is dropped and every token is parsed with float.
+    A bad line raises TraceParseError naming it, unless a row rule is
+    broken on an earlier line, which is then named instead; a trace with
+    fewer than two distinct rates raises InsufficientDataError.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if not lines:
+        raise TraceParseError(f"{path}: empty file, expected header {TRACE_HEADER!r}")
+    if lines[0].strip() != TRACE_HEADER:
+        raise TraceParseError(f"{path}: line 1: expected header {TRACE_HEADER!r}, got {lines[0]!r}")
+    rows = []
+
+    def fail(lineno, message):
+        bad = reference_first_invalid_row(rows)
+        if bad is not None:
+            lineno, message = bad[0] + 2, bad[1]
+        raise TraceParseError(f"{path}: line {lineno}: {message}")
+
+    for lineno, line in enumerate(lines[1:], start=2):
+        if line.strip() == "":
+            fail(lineno, "blank row")
+        parts = line.split(",")
+        if len(parts) != 3:
+            fail(lineno, f"expected 3 fields, got {len(parts)}")
+        row = []
+        for token, name in zip(parts, _TRACE_NAMES):
+            try:
+                row.append(float(token))
+            except ValueError:
+                fail(lineno, f"{name} is not a number: {token!r}")
+        rows.append(row)
+    if reference_first_invalid_row(rows) is not None:
+        fail(None, None)
+    n_rates = len({rate for rate, _, _ in rows})
+    if n_rates < 2:
+        raise InsufficientDataError(
+            f"{path}: trace has {n_rates} distinct per-container rate(s); "
+            "at least 2 are required for fitting")
+    return tuple(np.array([row[k] for row in rows], dtype=np.float64) for k in range(3))

@@ -2,13 +2,18 @@
 
 import itertools
 import math
+import os
+import threading
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import replicast as rc
-from replicast.config import TRACE_HEADER, dump_json
+from oracles import reference_first_invalid_row, reference_parse_trace
+from replicast.config import _TRACE_ROW_FMT, TRACE_HEADER, dump_json
 
 
 def make_cfg(**overrides):
@@ -124,29 +129,13 @@ class TestTraceRows:
     def test_vectorised_rules_match_row_by_row_reference(self):
         # every single row over values on each side of every rule, and
         # every pair of rows over a smaller set, against a scalar check
-        names = TRACE_HEADER.split(",")
-
-        def first_invalid(rows):
-            for i, (rate, obs, rt) in enumerate(rows):
-                for name, v in zip(names, (rate, obs, rt)):
-                    if not math.isfinite(v):
-                        return i, f"{name} must be finite, got {v!r}"
-                if rate < 0:
-                    return i, f"per_container_rate must be >= 0, got {rate!r}"
-                if obs < 0:
-                    return i, f"observed_metric must be >= 0, got {obs!r}"
-                if rate > 0 and not rt > 0:
-                    return i, ("mean_response_time_s must be > 0 when "
-                               f"per_container_rate > 0, got {rt!r}")
-            return None
-
         wide = (0.0, -0.0, 0.5, -0.5, math.inf, -math.inf, math.nan)
         narrow = (0.0, 0.5, -0.5, math.nan)
         cases = [[row] for row in itertools.product(wide, repeat=3)]
         rows = list(itertools.product(narrow, repeat=3))
         cases += [list(pair) for pair in itertools.product(rows, repeat=2)]
         for case in cases:
-            want = first_invalid(case)
+            want = reference_first_invalid_row(case)
             if want is None:
                 assert len(rc.trace_from_arrays(*zip(*case))) == len(case)
                 continue
@@ -296,6 +285,10 @@ class TestTraceFileFormat:
         again = tmp_path / "again.csv"
         rc.write_trace(back, again)
         assert again.read_bytes() == path.read_bytes()
+        # the writer formats chunks of rows; each row reads as one row's format
+        one_by_one = (_TRACE_ROW_FMT % row for row in zip(
+            back.rates.tolist(), back.observed.tolist(), back.response_times.tolist()))
+        assert text == TRACE_HEADER + "\n" + "".join(one_by_one)
 
     @pytest.mark.parametrize("row, rule", [
         ("1.0,0.2,abc", "mean_response_time_s is not a number: 'abc'"),
@@ -349,3 +342,175 @@ class TestTraceFileFormat:
         for name in ("rates", "observed", "response_times"):
             for a, b in zip(getattr(trace, name), getattr(back, name)):
                 assert "%.12g" % a == "%.12g" % b
+
+
+def _translate_digits(zero: str):
+    table = str.maketrans("0123456789", "".join(chr(ord(zero) + k) for k in range(10)))
+    return lambda v: ("%.12g" % v).translate(table)
+
+
+# Ways to write a number that float reads; numpy's parser refuses the
+# underscored and non-ASCII ones, and reads the \x1c-padded one, which
+# float refuses.
+_NUMBER_FORMS = (
+    lambda v: "%.12g" % v,
+    repr,
+    lambda v: "%.3e" % v,
+    lambda v: " %.12g\t" % v,
+    lambda v: "+%.12g" % v,
+    lambda v: "0_%.12g" % v,
+    _translate_digits("٠"),
+    _translate_digits("０"),
+    lambda v: "%.12g\x1c" % v,
+)
+_MUTATIONS = ("none", "blank row", "trailing blank row", "spaces row", "crlf", "cr",
+              "two fields", "four fields", "bad token", "negative", "not finite",
+              "zero response time", "header only", "no final newline")
+
+
+@st.composite
+def trace_texts(draw):
+    """A trace CSV of valid rows in mixed number forms, mutated once."""
+    value = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
+    rows = [list(row) for row in draw(st.lists(st.tuples(value, value, value),
+                                               min_size=1, max_size=6))]
+    mutation = draw(st.sampled_from(_MUTATIONS))
+    at = draw(st.integers(0, len(rows) - 1))
+    if mutation == "negative":
+        rows[at][draw(st.integers(0, 1))] = -1.0
+    elif mutation == "not finite":
+        rows[at][draw(st.integers(0, 2))] = draw(st.sampled_from([math.nan, math.inf]))
+    elif mutation == "zero response time":
+        rows[at][0], rows[at][2] = 1.0, 0.0
+    forms = st.one_of(st.just(_NUMBER_FORMS[0]), st.sampled_from(_NUMBER_FORMS))
+    lines = [[draw(forms)(v) for v in row] for row in rows]
+    if mutation == "two fields":
+        lines[at].pop()
+    elif mutation == "four fields":
+        lines[at].append("1")
+    elif mutation == "bad token":
+        lines[at][draw(st.integers(0, 2))] = draw(st.sampled_from(["abc", "", "1e", "0x10", "1 2"]))
+    lines = [",".join(parts) for parts in lines]
+    if mutation in ("blank row", "spaces row"):
+        lines.insert(draw(st.integers(0, len(lines))), "" if mutation == "blank row" else "   ")
+    elif mutation == "trailing blank row":
+        lines.append("")
+    elif mutation == "header only":
+        lines = []
+    newline = {"crlf": "\r\n", "cr": "\r"}.get(mutation, "\n")
+    end = "" if mutation == "no final newline" else newline
+    return newline.join([TRACE_HEADER, *lines]) + end
+
+
+def _outcome(read, path):
+    """The columns' bytes a reader returns, or the type and text of its error."""
+    try:
+        return [col.tobytes() for col in read(path)]
+    except (rc.TraceParseError, rc.InsufficientDataError, UnicodeDecodeError) as exc:
+        return type(exc), str(exc)
+
+
+def _parse_columns(path):
+    trace = rc.parse_trace(path)
+    return trace.rates, trace.observed, trace.response_times
+
+
+def _traced_peak(fn, *args):
+    """fn(*args) and the peak of the memory it allocated, in MiB."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+class TestTraceReaders:
+    """parse_trace against the line-by-line reference reader."""
+
+    @given(trace_texts())
+    def test_reader_agrees_with_the_line_scan(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("trace") / "t.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert _outcome(_parse_columns, path) == _outcome(reference_parse_trace, path)
+
+    def test_trailing_blank_row_names_its_line(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text(f"{TRACE_HEADER}\n1.0,0.2,0.2\n5.0,1.0,0.2\n\n")
+        with pytest.raises(rc.TraceParseError, match="line 4: blank row"):
+            rc.parse_trace(path)
+
+    @pytest.mark.parametrize("end, error, message", [
+        ("", rc.InsufficientDataError, "0 distinct"),
+        ("\n", rc.InsufficientDataError, "0 distinct"),
+        ("\r\n", rc.InsufficientDataError, "0 distinct"),
+        ("\n\n", rc.TraceParseError, "line 2: blank row"),
+        ("\n\n\n", rc.TraceParseError, "line 2: blank row")])
+    def test_file_without_rows_is_refused_without_a_warning(self, tmp_path, end, error,
+                                                             message):
+        # numpy's parser warns on input that holds no data
+        path = tmp_path / "t.csv"
+        path.write_bytes((TRACE_HEADER + end).encode())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(error, match=message):
+                rc.parse_trace(path)
+        assert caught == []
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("body, want", [
+        ("1.0,0.2,0.2\n5.0,1.0,0.2\n", None),
+        ("1.0,0.2,0.2\n5.0,1.0\n", "line 3: expected 3 fields, got 2")])
+    def test_trace_is_read_from_a_pipe(self, tmp_path, body, want):
+        # a pipe cannot be read twice, so the line scan reads it
+        path = tmp_path / "t.csv"
+        os.mkfifo(path)
+        writer = threading.Thread(target=path.write_text, args=(f"{TRACE_HEADER}\n{body}",))
+        writer.start()
+        try:
+            if want is None:
+                assert rc.parse_trace(path).rates.tolist() == [1.0, 5.0]
+            else:
+                with pytest.raises(rc.TraceParseError, match=want):
+                    rc.parse_trace(path)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+
+    def test_separator_that_float_refuses_is_refused(self, tmp_path):
+        # numpy's parser would strip \x1c as whitespace and read 5.0
+        path = tmp_path / "t.csv"
+        path.write_text(f"{TRACE_HEADER}\n1.0,0.2,0.2\n5.0\x1c,1.0,0.2\n")
+        with pytest.raises(rc.TraceParseError,
+                           match=r"line 3: per_container_rate is not a number: '5.0\\x1c'"):
+            rc.parse_trace(path)
+
+    @pytest.mark.parametrize("tail", [b"\xff,1.0,0.2\n", b"5.0,1.0,0.2\xc3"])
+    def test_bytes_that_are_not_utf8_fail_as_in_the_line_scan(self, tmp_path, tail):
+        # past the first read chunk, so only a whole-file decode names the offset
+        path = tmp_path / "t.csv"
+        rows = "".join(f"{1 + k % 2}.0,0.2,0.2\n" for k in range(10_000))
+        path.write_bytes(f"{TRACE_HEADER}\n{rows}".encode() + tail)
+        assert _outcome(_parse_columns, path)[0] is UnicodeDecodeError
+        assert _outcome(_parse_columns, path) == _outcome(reference_parse_trace, path)
+
+    def test_long_trace_round_trips_in_bounded_memory(self, tmp_path):
+        # 20 times profile-compare's 5,400 rows: 2.5 MiB of columns and
+        # 3.4 MB of text.  The bounds leave room for one copy of the rows
+        # beside the returned columns when reading, and for a chunk of
+        # rows when writing.  A reader that keeps a str per line or a
+        # Python float per token, or a writer that turns whole columns
+        # into lists of floats, needs several times more.
+        rows = 108_000
+        rng = np.random.default_rng(11)
+        trace = rc.trace_from_arrays(np.repeat(np.arange(1.0, 10.0), rows // 9),
+                                     rng.exponential(2.0, rows),
+                                     0.2 + rng.exponential(0.01, rows))
+        path = tmp_path / "t.csv"
+        _, write_mib = _traced_peak(rc.write_trace, trace, path)
+        back, read_mib = _traced_peak(rc.parse_trace, path)
+        again = tmp_path / "again.csv"
+        rc.write_trace(back, again)
+        assert again.read_bytes() == path.read_bytes()
+        assert write_mib < 4.0, f"write_trace peak {write_mib:.1f} MiB"
+        assert read_mib < 8.0, f"parse_trace peak {read_mib:.1f} MiB"
