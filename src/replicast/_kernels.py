@@ -35,7 +35,9 @@ pass after the loop gives every tick's value.
 Under processor sharing the next departure depends on the busy count,
 so between two control events an inner loop processes each arrival and
 departure in turn.  Each container has a slot holding its jobs, and
-scale-up takes the lowest slot that is not ready and holds no jobs.
+scale-up takes the lowest slot that is not ready and holds no jobs.  The
+busy slots are kept in slot order, so a departure takes the one at its
+pick.
 
 Under infinite-server service a job's departure is fixed when its block
 is drawn: ``d = a + s`` (``a + mean`` for deterministic service) and its
@@ -50,9 +52,10 @@ arrival order, so each sum has the bits of a scalar ``+=`` per job in
 arrival order, which ``np.sum`` (pairwise) and ``math.fsum`` (exact)
 would not.  Once a block's last arrival a is drawn, every later job
 arrives and departs at or after a, so the control events up to a read
-final counts: each monitor's arrivals are ``searchsorted`` counts, and
-its in-flight total is the arrivals before it less the jobs closed by
-it.
+final counts.  Each job has an end tick, the first tick whose sample
+leaves it out: the tick that closes it under cc, floor(a) + 2 under rps.
+A tick's sample is the arrivals before it, a ``searchsorted`` count,
+less the jobs whose end tick is at most it.
 
 Every tick, and every evaluation that keeps the order, fires in numpy:
 ``_fast_forward`` fires them up to a or the next provisioning event,
@@ -66,20 +69,20 @@ and its window sum is the difference of two int64 totals, which
 ``_desired_array`` turns into a count as ``_desired`` does.
 
 No arrival is routed there: a container's jobs change a result only
-once it is scaled down, when the cc sample leaves out its jobs still in
-flight and the rps sample its arrivals since the latest monitor tick.
-The container popped from position j - 1 at t, ready since t_b, holds
-the jobs that arrived in [t_b, t) with floor(u * j_a) = j - 1, j_a being
-the ready count at their arrival.  So a scale-down applies that mask to
-the recent arrivals, read with the ready-count history, and takes what
-it finds off the samples of the ticks after t: those of the block at
-once, those of later blocks as each is loaded.
+once it is scaled down, when the ticks after that leave them out.  The
+container popped from position j - 1 at t, ready since t_b, holds the
+jobs that arrived in [t_b, t) with floor(u * j_a) = j - 1, j_a being the
+ready count at their arrival.  So a scale-down applies that mask to the
+recent arrivals, read with the ready-count history, and moves the end
+tick of each job it finds to at most floor(t) + 1, the first tick after
+t.  The moves are kept as differences per tick, which the block's
+samples take at once and later blocks' as each is loaded.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_right, insort
 
 import numpy as np
 
@@ -181,13 +184,16 @@ class _InfiniteServer:
 
     Each block adds the response time of each job departing by the
     horizon to the sum of the second its tick closes, ``sec_rt`` (count
-    ``sec_n``), and after warmup to the run's, in arrival order.
+    ``sec_n``), and after warmup to the run's, in arrival order.  Each
+    job also gets an end tick, the first monitor tick whose sample no
+    longer counts it: under cc the tick that closes it, under rps
+    floor(a) + 2 for an arrival at a.  The sample at tick k is the jobs
+    that arrived before k less those whose end tick is at most k.
     ``base`` holds a sample per monitor tick of the block, ``ticks``, up
     to ``stop``, the block's last arrival or the horizon if that comes
-    first: the jobs in flight (cc) or the arrivals in the second (rps) on
-    the ready containers.  ``final`` says whether the last arrival lies
-    past the horizon.  ``scale_up`` and ``scale_down`` move the stack at
-    a provisioning event.
+    first.  ``final`` says whether the last arrival lies past the
+    horizon.  ``scale_up`` and ``scale_down`` move the stack at a
+    provisioning event.
     """
 
     def __init__(self, sim_cfg, arr_rng, svc_rng, route_rng):
@@ -200,101 +206,102 @@ class _InfiniteServer:
         self.arr_rng, self.svc_rng, self.route_rng = arr_rng, svc_rng, route_rng
         self.block = _BLOCK
         # Response-time sum and count of the jobs each tick closes, at the
-        # tick's second, the last entry taking those closed after the last
-        # tick; after warmup; of every job closed.
-        self.sec_rt = np.zeros(math.floor(self.duration) + 2)
-        self.sec_n = np.zeros(self.sec_rt.size, dtype=np.int64)
+        # tick's second, the last entry taking those the last tick leaves
+        # in flight; after warmup; of every job closed by the horizon.
+        self.last = math.floor(self.duration) + 1
+        self.sec_rt = np.zeros(self.last + 1)
+        self.sec_n = np.zeros(self.last + 1, dtype=np.int64)
         self.rt_pw = 0.0
         self.n_pw = self.completions = 0
-        # Arrivals before the block, jobs closed by monitor ticks before
-        # the block, the count of those ticks and arrivals before the last
-        # of them; the last arrival drawn before the block.
-        self.arr_base = self.done = self.n_ticks = self.seen = 0
+        # The jobs per end tick, which under cc is the tick that closes
+        # them, and the scale-downs' moves of end ticks as differences: +1
+        # at the new end tick and -1 at the old one.
+        self.ends = np.zeros_like(self.sec_n) if self.rps else self.sec_n
+        self.moves = np.zeros_like(self.sec_n)
+        # Arrivals before the block, monitor ticks before it and the jobs
+        # ended by the last of those; the last arrival drawn before the
+        # block.
+        self.arr_base = self.n_ticks = self.gone = 0
         self.t_last = 0.0
+        self.ticks = np.empty(0)
         # The arrivals a later scale-down may need, in arrival order, with
-        # their departure times and routing uniforms.
-        self.w_arr = self.w_dep = self.w_u = np.empty(0)
+        # their end ticks and routing uniforms.
+        self.w_arr = self.w_u = np.empty(0)
+        self.w_end = np.empty(0, dtype=np.int64)
         # The time each ready container became ready, in stack order, and
         # the ready count from each of its changes on.
         self.births = [-_INF] * sim_cfg.initial_replicas
         self.j_times = [-_INF]
         self.j_counts = [sim_cfg.initial_replicas]
-        # What scaled-down containers take off later blocks' samples: their
-        # departures past the stop, in order (cc), or arrivals owed (rps).
-        self.ahead = np.empty(0)
-        self.owed = 0
         self._load()
 
     def _load(self):
         """Draw the next arrival block and count its monitor ticks."""
         arr = _arrival_times(self.arr_rng, self.lam, self.block, self.t_last)
         # a job arriving at +inf departs at +inf with a nan response time,
-        # which is never added: it departs after any horizon
+        # which only reaches the last entry
         with np.errstate(over="ignore", invalid="ignore"):
             if self.deterministic:
                 dep = arr + self.wl_mean
             else:
                 dep = arr + self.svc_rng.standard_exponential(arr.size) * self.wl_mean
             rt = dep - arr
-        self.w_arr = np.concatenate((self.w_arr, arr))
-        self.w_dep = np.concatenate((self.w_dep, dep))
-        self.w_u = np.concatenate((self.w_u, self.route_rng.random(arr.size)))
-
-        # A job departing at d by the horizon is closed by tick ceil(d), or
-        # by the next one when it arrived at that tick, since it then
-        # departs after the monitor.  Its response time is added to that
-        # second's sum, and after warmup to the run's, in arrival order.
+        # A job departing at d is closed by tick ceil(d), or by the next
+        # one when it arrived at that tick, since it then departs after the
+        # monitor.  Its response time is added to that second's sum, and
+        # after warmup to the run's, in arrival order.
+        close = np.ceil(dep)
+        np.add(close, 1, out=close, where=arr == close)
+        np.minimum(close, self.last, out=close)
+        close = close.astype(np.int64)
+        np.add.at(self.sec_rt, close, rt)
+        np.add.at(self.sec_n, close, 1)
         closes = dep <= self.duration
-        dep, rt = dep[closes], rt[closes]
-        sec = np.ceil(dep)
-        sec += arr[closes] == sec
-        sec = sec.astype(np.int64)
-        np.add.at(self.sec_rt, sec, rt)
-        np.add.at(self.sec_n, sec, 1)
-        self.completions += rt.size
-        late = rt[dep > self.warmup]
+        self.completions += int(np.count_nonzero(closes))
+        late = rt[closes & (dep > self.warmup)]
         self.rt_pw = np.add.accumulate(np.concatenate(([self.rt_pw], late)))[-1].item()
         self.n_pw += late.size
+        if self.rps:
+            # arrival times are positive, so truncation floors them
+            end = np.minimum(arr, self.last - 2).astype(np.int64)
+            end += 2
+            np.add.at(self.ends, end, 1)
+        else:
+            end = close
+        self.w_arr = np.concatenate((self.w_arr, arr))
+        self.w_end = np.concatenate((self.w_end, end))
+        self.w_u = np.concatenate((self.w_u, self.route_rng.random(arr.size)))
 
         self.arr = arr
         self.t_last = arr[-1].item()
         self.final = self.t_last > self.duration
         self.stop = min(self.t_last, self.duration)
+        # The jobs ended by the last tick so far; every job that ends by a
+        # tick of the new block has arrived by its stop.
+        if self.ticks.size:
+            self.gone = self.arrived[-1] - self.base[-1]
         k = self.n_ticks
         self.ticks = ticks = np.arange(k + 1.0, math.floor(self.stop) + 1)
         self.n_ticks += ticks.size
-        arrived = self.arr_base + np.searchsorted(arr, ticks)
-        if self.rps:
-            self.base = np.diff(arrived, prepend=self.seen)
-            if ticks.size:
-                self.seen = arrived[-1]
-                self.base[0] -= self.owed
-                self.owed = 0
-        else:
-            # Every job closed by these ticks arrived by the block's stop.
-            closed = np.cumsum(self.sec_n[k + 1:self.n_ticks + 1])
-            closed += self.done
-            if ticks.size:
-                self.done = closed[-1]
-            self.base = arrived - closed
-            if self.ahead.size:
-                self.base -= self.ahead.size - self.ahead.searchsorted(ticks, "right")
-                self.ahead = self.ahead[self.ahead.searchsorted(self.stop, "right"):]
+        self.arrived = self.arr_base + np.searchsorted(arr, ticks)
+        self._sample()
+
+    def _sample(self):
+        """Set the samples of the block's ticks: the arrivals before each
+        less the jobs ended by it."""
+        ticks = slice(self.n_ticks + 1 - self.ticks.size, self.n_ticks + 1)
+        gone = np.cumsum(self.ends[ticks] + self.moves[ticks])
+        gone += self.gone
+        self.base = self.arrived - gone
 
     def refill(self):
-        """Drop the arrivals no later scale-down needs and load the next
-        block.
-
-        Every later scale-down comes after the stop, so under cc it needs
-        the arrivals from the first one still in flight then, and under rps
-        those from the latest monitor tick at or before it; the ready-count
-        history is kept from the first arrival kept.
-        """
-        if self.rps:
-            lo = int(np.searchsorted(self.w_arr, math.floor(self.stop)))
-        else:
-            lo = int(np.argmax(np.append(self.w_dep, _INF) > self.stop))
-        self.w_arr, self.w_dep, self.w_u = self.w_arr[lo:], self.w_dep[lo:], self.w_u[lo:]
+        """Drop the leading arrivals whose end tick is at most
+        floor(stop) + 1, which no later scale-down moves, as each comes
+        after the stop; load the next block, and keep the ready-count
+        history from the first arrival kept."""
+        keep = self.w_end > math.floor(self.stop) + 1
+        lo = int(keep.argmax()) if keep.any() else keep.size
+        self.w_arr, self.w_end, self.w_u = self.w_arr[lo:], self.w_end[lo:], self.w_u[lo:]
         self.arr_base += self.block
         self._load()
         k = bisect_right(self.j_times, self.w_arr[0].item()) - 1
@@ -307,30 +314,23 @@ class _InfiniteServer:
         self.j_counts.append(len(self.births))
 
     def scale_down(self, t):
-        """Pop the newest container at t and take its jobs still in flight
-        (cc) or its arrivals since the latest tick (rps) off the samples of
-        the later ticks, those past the stop at the next ``_load``."""
+        """Pop the newest container at t and move the end tick of each of
+        its jobs to at most floor(t) + 1, the first tick after t: every
+        tick at or before t has fired."""
         j = len(self.births)
         t_b = self.births.pop()
-        lo, hi = np.searchsorted(self.w_arr, (max(t_b, math.floor(t)) if self.rps else t_b, t))
+        lo, hi = np.searchsorted(self.w_arr, (t_b, t))
         arr = self.w_arr[lo:hi]
         j_a = np.array(self.j_counts)[np.searchsorted(self.j_times, arr, "right") - 1]
         on = (self.w_u[lo:hi] * j_a).astype(np.int64) == j - 1
         self.j_times.append(t)
         self.j_counts.append(j - 1)
-        # Every tick at or before t has fired.
-        i = self.ticks.searchsorted(t, "right")
-        if self.rps:
-            if i < self.base.size:
-                self.base[i] -= np.count_nonzero(on)
-            else:
-                self.owed += np.count_nonzero(on)
-        else:
-            dep = np.sort(self.w_dep[lo:hi][on])
-            self.base[i:] -= dep.size - dep.searchsorted(self.ticks[i:], "right")
-            # A stable sort merges the two sorted runs.
-            self.ahead = np.concatenate((self.ahead, dep[dep.searchsorted(self.stop, "right"):]))
-            self.ahead.sort(kind="stable")
+        t1 = math.floor(t) + 1
+        end = self.w_end[lo:hi][on]
+        end = end[end > t1]
+        np.subtract.at(self.moves, end, 1)
+        self.moves[t1] += end.size
+        self._sample()
 
     def finish(self):
         """Returns the per-second mean response times and carried flags,
@@ -389,9 +389,10 @@ def run_simulation(sim_cfg, arr_rng, svc_rng, prov_rng, route_rng):
         svc_i = block
         uni = []
         uni_i = block
-        # Arrival times of each slot's in-flight jobs.
+        # Arrival times of each slot's in-flight jobs, and the slots that
+        # hold any, in slot order.
         ps_times = [[] for _ in range(init_replicas)]
-        busy = 0
+        busy_slots = []
         t_dep = _INF
         # Response-time sum and count of each closed second, of the open
         # second, and after warmup.
@@ -403,7 +404,6 @@ def run_simulation(sim_cfg, arr_rng, svc_rng, prov_rng, route_rng):
         completions_pw = 0
     else:
         inf_server = _InfiniteServer(sim_cfg, arr_rng, svc_rng, route_rng)
-        base, stop, final = inf_server.base, inf_server.stop, inf_server.final
         k_tick = 0
 
     # Running totals of the per-second samples of the aggregate metric
@@ -450,15 +450,11 @@ def run_simulation(sim_cfg, arr_rng, svc_rng, prov_rng, route_rng):
                     if uni_i + 2 > block:
                         uni = svc_rng.random(block).tolist()
                         uni_i = 0
-                    pick = int(uni[uni_i] * busy)
+                    pick = int(uni[uni_i] * len(busy_slots))
                     idx_u = uni[uni_i + 1]
                     uni_i += 2
-                    seen = 0
-                    for slot, c in enumerate(conc):
-                        if c > 0:
-                            if seen == pick:
-                                break
-                            seen += 1
+                    slot = busy_slots[pick]
+                    c = conc[slot]
                     jobs = ps_times[slot]
                     idx = int(idx_u * c)
                     rt = t - jobs[idx]
@@ -466,12 +462,12 @@ def run_simulation(sim_cfg, arr_rng, svc_rng, prov_rng, route_rng):
                     jobs.pop()
                     conc[slot] = c - 1
                     if c == 1:
-                        busy -= 1
-                    if busy > 0:
+                        del busy_slots[pick]
+                    if busy_slots:
                         if svc_i == block:
                             svc = (svc_rng.standard_exponential(block) * wl_mean).tolist()
                             svc_i = 0
-                        t_dep = t + svc[svc_i] / busy
+                        t_dep = t + svc[svc_i] / len(busy_slots)
                         svc_i += 1
                     else:
                         t_dep = _INF
@@ -493,11 +489,11 @@ def run_simulation(sim_cfg, arr_rng, svc_rng, prov_rng, route_rng):
                 conc[slot] = c + 1
                 ps_times[slot].append(t)
                 if c == 0:
-                    busy += 1
+                    insort(busy_slots, slot)
                     if svc_i == block:
                         svc = (svc_rng.standard_exponential(block) * wl_mean).tolist()
                         svc_i = 0
-                    t_dep = t + svc[svc_i] / busy
+                    t_dep = t + svc[svc_i] / len(busy_slots)
                     svc_i += 1
                 arr_i += 1
                 if arr_i == block:
@@ -509,17 +505,17 @@ def run_simulation(sim_cfg, arr_rng, svc_rng, prov_rng, route_rng):
         else:
             while True:
                 # The counts are final up to the block's stop.
-                while t_ctrl > stop and not final:
+                while t_ctrl > inf_server.stop and not inf_server.final:
                     inf_server.refill()
-                    base, stop, final = inf_server.base, inf_server.stop, inf_server.final
                     k_tick = 0
                 # Every tick, and every evaluation that keeps the order, fires
                 # in numpy up to the stop or the next provisioning event.
-                t_stop = min(stop, t_prov)
+                t_stop = min(inf_server.stop, t_prov)
                 if min(t_monitor, t_eval) > t_stop:
                     break
-                ticks, t_eval, changed = _fast_forward(cum, base[k_tick:], t_eval, t_eva,
-                                                       t_stop, window_len, tv, n_max, order)
+                ticks, t_eval, changed = _fast_forward(cum, inf_server.base[k_tick:], t_eval,
+                                                       t_eva, t_stop, window_len, tv, n_max,
+                                                       order)
                 k_tick += ticks
                 tick_ready += [j_ready] * ticks
                 t_monitor += ticks

@@ -344,6 +344,8 @@ def parse_trace(path) -> ProfilingTrace:
                 pass
             fh.seek(0)
         if rows is None:
+            # a byte that is not UTF-8 reads as a lone surrogate: a bad line
+            fh.reconfigure(errors="surrogateescape")
             rows = _scan_rows(path, fh.read())
     _check_rows(path, rows)
     trace = ProfilingTrace(*rows.T)

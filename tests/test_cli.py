@@ -120,6 +120,17 @@ class TestFit:
         assert code == 1
         assert str(missing) in capsys.readouterr().err
 
+    def test_trace_that_is_not_utf8_names_its_line(self, tmp_path):
+        trace = tmp_path / "bad.csv"
+        trace.write_bytes(b"per_container_rate,observed_metric,mean_response_time_s\n"
+                          b"1.0,0.2,0.2\n\xff,1.0,0.2\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "replicast.cli", "fit", "--trace", str(trace),
+             "--out", str(tmp_path / "m.json")],
+            capture_output=True, text=True, timeout=300, env=fresh_env())
+        assert proc.returncode == 1
+        assert "line 3" in proc.stderr and "Traceback" not in proc.stderr, proc.stderr
+
     def test_missing_required_flag(self, trace_path, capsys):
         code = cli.main(["fit", "--trace", trace_path])
         assert code == 1

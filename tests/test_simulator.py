@@ -607,15 +607,21 @@ class TestKernelOracle:
 
     @pytest.mark.parametrize("block", [5, 64])
     @pytest.mark.parametrize("metric", rc.METRIC_KINDS)
-    def test_system_that_never_empties(self, monkeypatch, block, metric):
+    @pytest.mark.parametrize("workload", [
+        is_exp(1.0), rc.WorkloadModel(kind=rc.WORKLOAD_PROCESSOR_SHARING, mean_s=0.15)],
+        ids=["infinite-server", "processor-sharing"])
+    def test_system_that_never_empties(self, monkeypatch, block, metric, workload):
         # 200 req/s of 1 s mean service keep about 200 jobs in flight, so
         # every scale-down drains jobs that arrived blocks ago, under a
         # ready-count history of many changes.  Target 5.5 and a 6 s
         # window put the desired count near 37 of 40, moving up and down
-        # every few seconds, from 20 containers at the start.
+        # every few seconds, from 20 containers at the start.  Under
+        # processor sharing 0.15 s of demand per job keeps about 30
+        # containers busy, so departures pick among that many busy slots
+        # while the count moves.
         monkeypatch.setattr(_kernels, "_BLOCK", block)
         monkeypatch.setattr(oracles, "_BLOCK", block)
-        sim_cfg = kernel_config(is_exp(1.0), lam=200.0, duration=120.0, warmup=60.0,
+        sim_cfg = kernel_config(workload, lam=200.0, duration=120.0, warmup=60.0,
                                 initial=20, metric_kind=metric, target_value=5.5, n_max=40,
                                 stable_window_s=6.0)
         results = []
