@@ -28,16 +28,19 @@ at the arrival: each ready container takes an independent share, as the
 chain's per-container rate lambda / j assumes.  A scaled-down container
 keeps its in-flight jobs but gets no new ones.  The stable window is
 kept as running totals of its per-second samples, which are counts, so
-each windowed value is the exact difference of two integer totals: the
-monitor appends one total, the evaluator subtracts two, and one numpy
-pass after the loop gives every tick's value.
+each windowed value is the exact difference of two integer totals: one
+int64 array per run holds the total of the first k ticks at k, the
+monitor writes the next, the evaluator subtracts two, and one numpy pass
+after the loop gives every tick's value.  The ready count is recorded
+once, as the time and count of each change, from which the same pass
+reads each tick's count and the replica integral after warmup.
 
 Under processor sharing the next departure depends on the busy count,
 so between two control events an inner loop processes each arrival and
-departure in turn.  Each container has a slot holding its jobs, and
-scale-up takes the lowest slot that is not ready and holds no jobs.  The
-busy slots are kept in slot order, so a departure takes the one at its
-pick.
+departure in turn.  Each container has a slot holding the arrival times
+of its jobs, whose length is its job count, and scale-up takes the
+lowest slot that is not ready and holds no jobs.  The busy slots are
+kept in slot order, so a departure takes the one at its pick.
 
 Under infinite-server service a job's departure is fixed when its block
 is drawn: ``d = a + s`` (``a + mean`` for deterministic service) and its
@@ -125,19 +128,20 @@ def _desired_array(window_sums, n, tv, n_max):
     return np.minimum(np.maximum(np.ceil(q), 1), n_max)
 
 
-def _fast_forward(cum, samples, t_eval, t_eva, stop, window_len, tv, n_max, order):
+def _fast_forward(cum, m0, samples, t_eval, t_eva, stop, window_len, tv, n_max, order):
     """Fire, in numpy, the monitor ticks and the evaluations up to stop
     until an evaluation changes order.
 
-    samples holds the samples of the ticks still to fire up to stop, and
-    the running totals of those fired are appended to cum.  The
-    evaluation times are ``np.add.accumulate`` from t_eval, which adds
-    left to right, so each has the bits of the scalar ``t_eval += t_eva``;
-    at most ``_BLOCK`` of them are drawn up at a time, which bounds
-    memory.  Returns the count of ticks fired, the time of the first
-    evaluation left and whether it changes the order.
+    m0 ticks have fired, and samples holds the samples of the ticks
+    after them up to stop, whose running totals are written into cum
+    after ``cum[m0]``: a total past the ticks fired is rewritten by the
+    next call before any evaluation reads it.  The evaluation times are
+    ``np.add.accumulate`` from t_eval, which adds left to right, so each
+    has the bits of the scalar ``t_eval += t_eva``; at most ``_BLOCK`` of
+    them are drawn up at a time, which bounds memory.  Returns the count
+    of ticks fired, the time of the first evaluation left and whether it
+    changes the order.
     """
-    m0 = len(cum) - 1
     k = int(min(max((stop - t_eval) / t_eva + 1.0, 0.0), _BLOCK))
     evals = np.full(k + 1, t_eva)
     evals[0] = t_eval
@@ -149,22 +153,16 @@ def _fast_forward(cum, samples, t_eval, t_eva, stop, window_len, tv, n_max, orde
     # An evaluation at t > 0 sees the ticks at or before t, as the monitor
     # fires first at equal times: floor(t) ticks, and truncation floors.
     m = evals[:k].astype(np.int64)
-    wl = min(window_len, m0 + samples.size)
-    lo = max(m0 - wl, 0)
-    totals = np.cumsum(samples)
-    totals += cum[-1]
-    # c[i] is the total of the first lo + i ticks.
-    c = np.concatenate((cum[lo:], totals))
-    n = np.minimum(m, wl)
-    m -= lo
-    changes = np.flatnonzero(_desired_array(c[m] - c[m - n], n, tv, n_max) != order)
+    totals = cum[m0:m0 + samples.size + 1]
+    totals[1:] = samples
+    np.cumsum(totals, out=totals)
+    n = np.minimum(m, window_len)
+    changes = np.flatnonzero(_desired_array(cum[m] - cum[m - n], n, tv, n_max) != order)
     if changes.size:
         k = changes[0]
     # The ticks at or before both stop and the first evaluation left fire.
     t_next = evals[k].item()
-    ticks = math.floor(min(stop, t_next)) - m0
-    cum += totals[:ticks].tolist()
-    return ticks, t_next, changes.size > 0
+    return math.floor(min(stop, t_next)) - m0, t_next, changes.size > 0
 
 
 def _second_means(sec_rt, sec_n, wl_mean):
@@ -188,15 +186,16 @@ class _InfiniteServer:
     job also gets an end tick, the first monitor tick whose sample no
     longer counts it: under cc the tick that closes it, under rps
     floor(a) + 2 for an arrival at a.  The sample at tick k is the jobs
-    that arrived before k less those whose end tick is at most k.
-    ``base`` holds a sample per monitor tick of the block, ``ticks``, up
-    to ``stop``, the block's last arrival or the horizon if that comes
-    first.  ``final`` says whether the last arrival lies past the
-    horizon.  ``scale_up`` and ``scale_down`` move the stack at a
-    provisioning event.
+    that arrived before k less those whose end tick is at most k, and
+    ``samples[k]`` holds it for each tick of the blocks loaded, the
+    ``loaded`` ticks up to ``stop``, the last block's last arrival or the
+    horizon if that comes first.  ``final`` says whether the last arrival
+    lies past the horizon.  ``scale_up`` and ``scale_down`` move the
+    stack at a provisioning event; a scale-down reads the run's
+    ready-count history, ``j_times`` and ``j_counts``, from ``j_lo`` on.
     """
 
-    def __init__(self, sim_cfg, arr_rng, svc_rng, route_rng):
+    def __init__(self, sim_cfg, arr_rng, svc_rng, route_rng, j_times, j_counts):
         workload = sim_cfg.workload
         self.rps = sim_cfg.autoscaler.metric_kind == METRIC_RPS
         self.deterministic = workload.distribution == _DIST_DETERMINISTIC
@@ -218,10 +217,11 @@ class _InfiniteServer:
         # at the new end tick and -1 at the old one.
         self.ends = np.zeros_like(self.sec_n) if self.rps else self.sec_n
         self.moves = np.zeros_like(self.sec_n)
+        self.samples = np.zeros_like(self.sec_n)
         # Arrivals before the block, monitor ticks before it and the jobs
         # ended by the last of those; the last arrival drawn before the
         # block.
-        self.arr_base = self.n_ticks = self.gone = 0
+        self.arr_base = self.loaded = self.gone = 0
         self.t_last = 0.0
         self.ticks = np.empty(0)
         # The arrivals a later scale-down may need, in arrival order, with
@@ -229,10 +229,11 @@ class _InfiniteServer:
         self.w_arr = self.w_u = np.empty(0)
         self.w_end = np.empty(0, dtype=np.int64)
         # The time each ready container became ready, in stack order, and
-        # the ready count from each of its changes on.
+        # the run's ready-count history, of which a scale-down needs the
+        # entries from the last change before the first arrival kept.
         self.births = [-_INF] * sim_cfg.initial_replicas
-        self.j_times = [-_INF]
-        self.j_counts = [sim_cfg.initial_replicas]
+        self.j_times, self.j_counts = j_times, j_counts
+        self.j_lo = 0
         self._load()
 
     def _load(self):
@@ -279,39 +280,36 @@ class _InfiniteServer:
         # The jobs ended by the last tick so far; every job that ends by a
         # tick of the new block has arrived by its stop.
         if self.ticks.size:
-            self.gone = self.arrived[-1] - self.base[-1]
-        k = self.n_ticks
+            self.gone = self.arrived[-1] - self.samples[self.loaded]
+        k = self.loaded
         self.ticks = ticks = np.arange(k + 1.0, math.floor(self.stop) + 1)
-        self.n_ticks += ticks.size
+        self.loaded += ticks.size
         self.arrived = self.arr_base + np.searchsorted(arr, ticks)
         self._sample()
 
     def _sample(self):
         """Set the samples of the block's ticks: the arrivals before each
         less the jobs ended by it."""
-        ticks = slice(self.n_ticks + 1 - self.ticks.size, self.n_ticks + 1)
+        ticks = slice(self.loaded + 1 - self.ticks.size, self.loaded + 1)
         gone = np.cumsum(self.ends[ticks] + self.moves[ticks])
         gone += self.gone
-        self.base = self.arrived - gone
+        np.subtract(self.arrived, gone, out=self.samples[ticks])
 
     def refill(self):
         """Drop the leading arrivals whose end tick is at most
         floor(stop) + 1, which no later scale-down moves, as each comes
-        after the stop; load the next block, and keep the ready-count
-        history from the first arrival kept."""
+        after the stop; load the next block, and read the ready-count
+        history from the last change before the first arrival kept."""
         keep = self.w_end > math.floor(self.stop) + 1
         lo = int(keep.argmax()) if keep.any() else keep.size
         self.w_arr, self.w_end, self.w_u = self.w_arr[lo:], self.w_end[lo:], self.w_u[lo:]
         self.arr_base += self.block
         self._load()
-        k = bisect_right(self.j_times, self.w_arr[0].item()) - 1
-        del self.j_times[:k], self.j_counts[:k]
+        self.j_lo = bisect_right(self.j_times, self.w_arr[0].item(), self.j_lo) - 1
 
     def scale_up(self, t):
         """Push a container that is ready from t."""
         self.births.append(t)
-        self.j_times.append(t)
-        self.j_counts.append(len(self.births))
 
     def scale_down(self, t):
         """Pop the newest container at t and move the end tick of each of
@@ -321,10 +319,9 @@ class _InfiniteServer:
         t_b = self.births.pop()
         lo, hi = np.searchsorted(self.w_arr, (t_b, t))
         arr = self.w_arr[lo:hi]
-        j_a = np.array(self.j_counts)[np.searchsorted(self.j_times, arr, "right") - 1]
+        times, counts = self.j_times[self.j_lo:], self.j_counts[self.j_lo:]
+        j_a = np.array(counts)[np.searchsorted(times, arr, "right") - 1]
         on = (self.w_u[lo:hi] * j_a).astype(np.int64) == j - 1
-        self.j_times.append(t)
-        self.j_counts.append(j - 1)
         t1 = math.floor(t) + 1
         end = self.w_end[lo:hi][on]
         end = end[end > t1]
@@ -335,7 +332,7 @@ class _InfiniteServer:
     def finish(self):
         """Returns the per-second mean response times and carried flags,
         the post-warmup sum and count, and the arrivals and completions."""
-        n = self.n_ticks
+        n = self.loaded
         sec_rt, sec_n = _second_means(self.sec_rt[1:n + 1], self.sec_n[1:n + 1], self.wl_mean)
         arrivals = self.arr_base + int(np.searchsorted(self.arr, self.duration, "right"))
         return sec_rt, sec_n, self.rt_pw, self.n_pw, arrivals, self.completions
@@ -352,24 +349,29 @@ def run_simulation(sim_cfg, arr_rng, svc_rng, prov_rng, route_rng):
     cfg = sim_cfg.autoscaler
     rps = cfg.metric_kind == METRIC_RPS
     tv, n_max, t_eva = cfg.target_value, cfg.n_max, cfg.t_eva_s
-    window_len, mu_pro, mu_dep = cfg.window_length, cfg.mu_pro, cfg.mu_dep
+    mu_pro, mu_dep = cfg.mu_pro, cfg.mu_dep
     workload = sim_cfg.workload
     sharing = workload.kind == WORKLOAD_PROCESSOR_SHARING
     wl_mean = workload.mean_s
     lam, duration, warmup = sim_cfg.arrival_rate, sim_cfg.duration_s, sim_cfg.warmup_s
+    # The run has floor(duration) monitor ticks, so a longer window never
+    # fills, and one clamped to them fits an int64.
+    window_len = min(cfg.window_length, math.floor(duration))
     init_replicas = sim_cfg.initial_replicas
     block = _BLOCK
     prov = []
     prov_i = block
     j_ready = init_replicas
     order = init_replicas
+    # The ready count from each of its changes on, the first from the start.
+    j_times = [-_INF]
+    j_counts = [init_replicas]
 
     if sharing:
         # Container slots.  A slot is free when it is not ready and holds
         # no jobs; a provisioned container takes the lowest free slot, or
-        # a new one at the end.  Jobs in flight and arrivals this second
-        # per slot; arr_count is zeroed when a slot stops being ready.
-        conc = [0] * init_replicas
+        # a new one at the end.  Arrivals this second per slot, zeroed when
+        # a slot stops being ready.
         arr_count = [0] * init_replicas
         # The ready slots in the order they became ready: arrivals pick a
         # position, and scale-down pops the newest.
@@ -383,7 +385,7 @@ def run_simulation(sim_cfg, arr_rng, svc_rng, prov_rng, route_rng):
         arr_i = 0
         t_arrival = arr_t[0]
         # Arrivals before the current block; every job that has not left
-        # is still counted in conc, so completions follow at the end.
+        # is still in its slot, so completions follow at the end.
         arr_base = 0
         svc = []
         svc_i = block
@@ -403,23 +405,20 @@ def run_simulation(sim_cfg, arr_rng, svc_rng, prov_rng, route_rng):
         rt_sum_pw = 0.0
         completions_pw = 0
     else:
-        inf_server = _InfiniteServer(sim_cfg, arr_rng, svc_rng, route_rng)
-        k_tick = 0
+        inf_server = _InfiniteServer(sim_cfg, arr_rng, svc_rng, route_rng, j_times, j_counts)
 
     # Running totals of the per-second samples of the aggregate metric
-    # over ready containers (in-flight sum for cc, arrival count for rps).
-    cum = [0]
-    tick_ready = []
+    # over ready containers (in-flight sum for cc, arrival count for rps):
+    # cum[k] is the total of the first k.  m ticks have fired, and the
+    # next fires at m + 1.
+    cum = np.zeros(math.floor(duration) + 1, dtype=np.int64)
+    m = 0
 
-    area_replica = 0.0
-    j_since = 0.0
-
-    t_monitor = 1.0
     t_eval = t_eva
     t_prov = _INF
     # Earliest of the three control events, kept current by the branch
     # that moves any of them.
-    t_ctrl = min(t_monitor, t_eval)
+    t_ctrl = min(1.0, t_eval)
 
     while True:
         if sharing:
@@ -454,13 +453,12 @@ def run_simulation(sim_cfg, arr_rng, svc_rng, prov_rng, route_rng):
                     idx_u = uni[uni_i + 1]
                     uni_i += 2
                     slot = busy_slots[pick]
-                    c = conc[slot]
                     jobs = ps_times[slot]
+                    c = len(jobs)
                     idx = int(idx_u * c)
                     rt = t - jobs[idx]
                     jobs[idx] = jobs[-1]
                     jobs.pop()
-                    conc[slot] = c - 1
                     if c == 1:
                         del busy_slots[pick]
                     if busy_slots:
@@ -483,18 +481,17 @@ def run_simulation(sim_cfg, arr_rng, svc_rng, prov_rng, route_rng):
                 # --- arrival: to the ready container at a uniform position ---
                 t = t_arrival
                 slot = by_birth[int(route[arr_i] * j_ready)]
-                c = conc[slot]
                 if rps:
                     arr_count[slot] += 1
-                conc[slot] = c + 1
-                ps_times[slot].append(t)
-                if c == 0:
+                jobs = ps_times[slot]
+                if not jobs:
                     insort(busy_slots, slot)
                     if svc_i == block:
                         svc = (svc_rng.standard_exponential(block) * wl_mean).tolist()
                         svc_i = 0
                     t_dep = t + svc[svc_i] / len(busy_slots)
                     svc_i += 1
+                jobs.append(t)
                 arr_i += 1
                 if arr_i == block:
                     arr_t = _arrival_times(arr_rng, lam, block, t).tolist()
@@ -507,19 +504,16 @@ def run_simulation(sim_cfg, arr_rng, svc_rng, prov_rng, route_rng):
                 # The counts are final up to the block's stop.
                 while t_ctrl > inf_server.stop and not inf_server.final:
                     inf_server.refill()
-                    k_tick = 0
                 # Every tick, and every evaluation that keeps the order, fires
                 # in numpy up to the stop or the next provisioning event.
                 t_stop = min(inf_server.stop, t_prov)
-                if min(t_monitor, t_eval) > t_stop:
+                if min(m + 1.0, t_eval) > t_stop:
                     break
-                ticks, t_eval, changed = _fast_forward(cum, inf_server.base[k_tick:], t_eval,
-                                                       t_eva, t_stop, window_len, tv, n_max,
-                                                       order)
-                k_tick += ticks
-                tick_ready += [j_ready] * ticks
-                t_monitor += ticks
-                t_ctrl = min(t_monitor, t_eval, t_prov)
+                ticks, t_eval, changed = _fast_forward(
+                    cum, m, inf_server.samples[m + 1:inf_server.loaded + 1], t_eval, t_eva,
+                    t_stop, window_len, tv, n_max, order)
+                m += ticks
+                t_ctrl = min(m + 1.0, t_eval, t_prov)
                 if changed:
                     break
 
@@ -528,27 +522,26 @@ def run_simulation(sim_cfg, arr_rng, svc_rng, prov_rng, route_rng):
         if t_ctrl > duration:
             break
         t_from = -1.0
-        if t_monitor <= t_ctrl:
+        if m + 1.0 <= t_ctrl:
             # --- per-second monitor (processor sharing only) ---
             sample = 0
             for k in by_birth:
-                sample += arr_count[k] if rps else conc[k]
+                sample += arr_count[k] if rps else len(ps_times[k])
                 arr_count[k] = 0
             # Close the second's response times.
             sec_rt.append(rt_sum_sec)
             sec_n.append(n_sec)
             rt_sum_sec = 0.0
             n_sec = 0
-            cum.append(cum[-1] + sample)
-            tick_ready.append(j_ready)
-            t_monitor += 1.0
+            cum[m + 1] = cum[m] + sample
+            m += 1
 
         elif t_eval <= t_ctrl:
             # --- scale evaluator ---
             # The window holds the last n samples, none before the first
             # tick.
-            n = min(len(cum) - 1, window_len)
-            desired = _desired(cum[-1] - cum[-1 - n], n, tv, n_max)
+            n = min(m, window_len)
+            desired = _desired((cum[m] - cum[m - n]).item(), n, tv, n_max)
             if desired != order:
                 order = desired
                 t_from = t_eval
@@ -557,19 +550,14 @@ def run_simulation(sim_cfg, arr_rng, svc_rng, prov_rng, route_rng):
         else:
             # --- provisioning engine: one container becomes ready or leaves ---
             t = t_prov
-            if t > warmup:
-                lo = j_since if j_since > warmup else warmup
-                area_replica += j_ready * (t - lo)
-            j_since = t
             if j_ready < order:
                 j_ready += 1
                 if sharing:
                     # A free slot already holds no jobs and no arrivals.
                     slot = 0
-                    while slot < len(conc) and (conc[slot] or slot in by_birth):
+                    while slot < len(ps_times) and (ps_times[slot] or slot in by_birth):
                         slot += 1
-                    if slot == len(conc):
-                        conc.append(0)
+                    if slot == len(ps_times):
                         arr_count.append(0)
                         ps_times.append([])
                     by_birth.append(slot)
@@ -583,6 +571,8 @@ def run_simulation(sim_cfg, arr_rng, svc_rng, prov_rng, route_rng):
                     arr_count[by_birth.pop()] = 0
                 else:
                     inf_server.scale_down(t)
+            j_times.append(t)
+            j_counts.append(j_ready)
             t_from = t
 
         if t_from >= 0.0:
@@ -601,29 +591,30 @@ def run_simulation(sim_cfg, arr_rng, svc_rng, prov_rng, route_rng):
                     rate = (j_ready - order) * mu_dep
                 t_prov = t_from + prov[prov_i] / rate
                 prov_i += 1
-        t_ctrl = min(t_monitor, t_eval, t_prov)
+        t_ctrl = min(m + 1.0, t_eval, t_prov)
 
     if sharing:
         sec_rt, sec_n = _second_means(sec_rt, sec_n, wl_mean)
         arrivals = arr_base + arr_i
-        completions = arrivals - sum(conc)
+        completions = arrivals - sum(map(len, ps_times))
     else:
         sec_rt, sec_n, rt_sum_pw, completions_pw, arrivals, completions = inf_server.finish()
 
-    # Close the replica-count integral at the horizon.
-    if duration > warmup:
-        lo = j_since if j_since > warmup else warmup
-        if duration > lo:
-            area_replica += j_ready * (duration - lo)
+    # Each tick sees the ready count of the last change before it, as the
+    # monitor fires first at equal times.
+    k = np.arange(1, m + 1)
+    tick_ready = np.array(j_counts)[np.searchsorted(j_times, k) - 1]
+    # The replica-count integral after warmup: each count times the part
+    # of its span in [warmup, duration], added in time order as a scalar
+    # += per change would.
+    spans = np.diff(np.clip(j_times + [duration], warmup, duration))
+    area_replica = np.add.accumulate(j_counts * spans)[-1].item()
 
     # Reported per container: each tick's aggregate window over its ready
     # count.  The totals are below 2**53, so they convert exactly and each
     # value has the bits of the scalar window_sum / n / j_ready.
-    tick_ready = np.array(tick_ready, dtype=np.int64)
-    k = np.arange(1, tick_ready.size + 1)
-    n = np.minimum(k, min(window_len, tick_ready.size))
-    tot = np.array(cum, dtype=np.int64)
-    tick_ov = (tot[k] - tot[k - n]) / n / tick_ready
+    n = np.minimum(k, window_len)
+    tick_ov = (cum[k] - cum[k - n]) / n / tick_ready
 
     return (tick_ready, tick_ov, sec_rt, sec_n,
             area_replica, rt_sum_pw, completions_pw,

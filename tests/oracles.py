@@ -621,9 +621,10 @@ def reference_parse_trace(path) -> tuple:
     trailing empty line is dropped and every token is parsed with float.
     A bad line raises TraceParseError naming it, unless a row rule is
     broken on an earlier line, which is then named instead; a trace with
-    fewer than two distinct rates raises InsufficientDataError.
+    fewer than two distinct rates raises InsufficientDataError.  A byte
+    that is not UTF-8 reads as a lone surrogate, which no number holds.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         lines = fh.read().split("\n")
     if lines[-1] == "":
         lines.pop()

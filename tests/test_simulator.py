@@ -875,8 +875,8 @@ class TestFastForward:
         calls = []
         fast_forward = _kernels._fast_forward
 
-        def recorded(cum, samples, t_eval, *args):
-            out = fast_forward(cum, samples, t_eval, *args)
+        def recorded(cum, m0, samples, t_eval, *args):
+            out = fast_forward(cum, m0, samples, t_eval, *args)
             calls.append((t_eval, *out))
             return out
 
@@ -888,22 +888,33 @@ class TestFastForward:
         monkeypatch.setattr(_kernels, "_BLOCK", block)
         monkeypatch.setattr(oracles, "_BLOCK", block)
 
-    @pytest.mark.parametrize("services, ready, want_steps", [
-        ([0.1] * 3, [1] * 6, [(2.0, 2, 4.0, False), (4.0, 4, 8.0, False)]),
-        ([3.0, 3.0, 0.1], [1, 1, 2, 2, 1, 1],
-         [(2.0, 2, 2.0, True), (4.0, 2, 4.0, True), (6.0, 2, 8.0, False)])])
-    def test_evaluation_at_a_blocks_stop(self, monkeypatch, steps, services, ready, want_steps):
+    @pytest.mark.parametrize("services, provisioning, warmup, ready, area, want_steps", [
+        ([0.1] * 3, [0.5], 0.0, [1] * 6, 6.0, [(2.0, 2, 4.0, False), (4.0, 4, 8.0, False)]),
+        ([3.0, 3.0, 0.1], [0.5], 0.0, [1, 1, 2, 2, 1, 1], 8.0,
+         [(2.0, 2, 2.0, True), (4.0, 2, 4.0, True), (6.0, 2, 8.0, False)]),
+        ([3.0, 3.0, 0.1], [1.0, 1.0], 4.5, [1, 1, 1, 2, 1, 1], 1.5,
+         [(2.0, 2, 2.0, True), (4.0, 1, 4.0, False), (4.0, 1, 4.0, True),
+          (6.0, 2, 8.0, False)])])
+    def test_evaluation_at_a_blocks_stop(self, monkeypatch, steps, services, provisioning, warmup,
+                                         ready, area, want_steps):
         # cc, target 1, a one-second window, evaluations every 2 s and
         # blocks of three arrivals: the third arrives at 2.0 s, the
         # block's stop, an evaluation and a tick.  The fast-forward fires
         # that evaluation, which keeps one container when no job is in
-        # flight at 2 s and orders two when the first two jobs are.
+        # flight at 2 s and orders two when the first two jobs are.  In
+        # the last case the second container is ready at 3.0 s, on a
+        # tick, which the monitor sees first with one container ready.
+        # It leaves at 4.5 s, exactly the warmup, so the span that ends
+        # there adds nothing to the replica integral: one container from
+        # 4.5 to 6 s.
         self.blocks_of(monkeypatch, 3)
-        sim_cfg = kernel_config(is_exp(1.0), duration=6.0, initial=1, t_eva_s=2.0,
-                                stable_window_s=1.0)
-        got, want = TestKernelOracle.both_loops(sim_cfg, [0.5, 0.25, 1.25], services, [0.5])
+        sim_cfg = kernel_config(is_exp(1.0), duration=6.0, warmup=warmup, initial=1,
+                                t_eva_s=2.0, stable_window_s=1.0)
+        got, want = TestKernelOracle.both_loops(sim_cfg, [0.5, 0.25, 1.25], services,
+                                                provisioning)
         assert got == want
         assert eval(got)[0] == ready
+        assert eval(got)[4] == area
         assert steps == want_steps
 
     def test_order_change_at_the_first_evaluation_after_a_refill(self, monkeypatch, steps):
