@@ -39,8 +39,10 @@ Under processor sharing the next departure depends on the busy count,
 so between two control events an inner loop processes each arrival and
 departure in turn.  Each container has a slot holding the arrival times
 of its jobs, whose length is its job count, and scale-up takes the
-lowest slot that is not ready and holds no jobs.  The busy slots are
-kept in slot order, so a departure takes the one at its pick.
+lowest slot that is not ready and holds no jobs; a slot's arrival count
+is None while it is not ready, so each slot tested costs two lookups.
+The busy slots are kept in slot order, so a departure takes the one at
+its pick.
 
 Under infinite-server service a job's departure is fixed when its block
 is drawn: ``d = a + s`` (``a + mean`` for deterministic service) and its
@@ -370,8 +372,8 @@ def run_simulation(sim_cfg, arr_rng, svc_rng, prov_rng, route_rng):
     if sharing:
         # Container slots.  A slot is free when it is not ready and holds
         # no jobs; a provisioned container takes the lowest free slot, or
-        # a new one at the end.  Arrivals this second per slot, zeroed when
-        # a slot stops being ready.
+        # a new one at the end.  Arrivals this second per slot, None while
+        # the slot is not ready.
         arr_count = [0] * init_replicas
         # The ready slots in the order they became ready: arrivals pick a
         # position, and scale-down pops the newest.
@@ -553,13 +555,16 @@ def run_simulation(sim_cfg, arr_rng, svc_rng, prov_rng, route_rng):
             if j_ready < order:
                 j_ready += 1
                 if sharing:
-                    # A free slot already holds no jobs and no arrivals.
+                    # A free slot holds no jobs, and its arrival count
+                    # starts at 0.
                     slot = 0
-                    while slot < len(ps_times) and (ps_times[slot] or slot in by_birth):
+                    while slot < len(ps_times) and (ps_times[slot] or arr_count[slot] is not None):
                         slot += 1
                     if slot == len(ps_times):
                         arr_count.append(0)
                         ps_times.append([])
+                    else:
+                        arr_count[slot] = 0
                     by_birth.append(slot)
                 else:
                     inf_server.scale_up(t)
@@ -568,7 +573,7 @@ def run_simulation(sim_cfg, arr_rng, svc_rng, prov_rng, route_rng):
                 # finishes in-flight requests but gets no new ones.
                 j_ready -= 1
                 if sharing:
-                    arr_count[by_birth.pop()] = 0
+                    arr_count[by_birth.pop()] = None
                 else:
                     inf_server.scale_down(t)
             j_times.append(t)

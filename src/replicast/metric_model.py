@@ -7,7 +7,9 @@ by a normal distribution.  Its mean and its variance are each a
 quadratic through the origin in the per-container rate rho (no traffic,
 no metric, no spread), and one least-squares fit (fit_law) finds both
 from a profiling trace: the mean from the observed values, the variance
-from their squared residuals around the fitted mean.
+from their squared residuals around the fitted mean.  fit_law keeps the
+terms of nested prefixes while each clears a t-test, and one tolerance
+serves all of its rounding checks.
 """
 
 from __future__ import annotations
@@ -153,67 +155,10 @@ def observed_value_distribution(model: MetricModel, rho: float) -> GaussianDist:
     return GaussianDist(model.mean_at(rho), float(model.std_at(rho)))
 
 
-def _solve_normal_equations(design: np.ndarray, y: np.ndarray) -> np.ndarray:
-    gram = design.T @ design
-    rhs = design.T @ y
-    # Relative determinant guard: a rank-deficient design (e.g. only one
-    # informative abscissa) must raise, not return garbage.
-    scale = float(np.sqrt(np.prod(np.diag(gram)))) if np.all(np.diag(gram) > 0) else 0.0
-    det = float(np.linalg.det(gram))
-    if scale == 0.0 or abs(det) < 1e-10 * scale:
-        raise InsufficientDataError(
-            "design matrix is rank deficient; trace needs more distinct positive rates")
-    return np.linalg.solve(gram, rhs)
-
-
 # A fitted term survives only if its t-statistic clears this bar.  High
 # enough that pure noise is kept ~never (p < 1e-4), low enough that any
 # real trend in a few hundred rows sails through.
 _T_KEEP = 4.0
-
-
-def fit_polynomial_terms(design: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Least squares over nested prefixes of the design columns.
-
-    Columns are added left to right; the first always stays, and each
-    further column is kept only while statistically significant.
-    Predictions made beyond the fitted range are linear in the trailing
-    coefficients, so a noise-only term that is harmless inside the range
-    can dominate an extrapolated value; pruning it keeps what-if queries
-    at unprofiled rates sane.  Returns the full-length coefficient vector
-    with dropped terms at exactly 0.
-    """
-    n, k = design.shape
-    y_scale = max(1.0, float(np.max(np.abs(y)))) if n else 1.0
-    coef_out = np.zeros(k)
-
-    def fit_prefix(p):
-        sub = design[:, :p]
-        coef = _solve_normal_equations(sub, y)
-        resid = y - sub @ coef
-        return coef, float(resid @ resid)
-
-    coef, ssr = fit_prefix(1)
-    kept = 1
-    for p in range(2, k + 1):
-        cand, cand_ssr = fit_prefix(p)
-        dof = n - p
-        if dof > 0:
-            sigma2 = cand_ssr / dof
-            sub = design[:, :p]
-            cov_last = float(np.linalg.inv(sub.T @ sub)[p - 1, p - 1])
-            se = math.sqrt(max(sigma2 * cov_last, 0.0))
-            significant = abs(cand[p - 1]) > _T_KEEP * se + 1e-12 * y_scale
-        else:
-            # Exact-fit regime: the term is kept only if the smaller
-            # model demonstrably cannot explain the data.
-            significant = ssr > n * (1e-12 * y_scale) ** 2
-        if not significant:
-            break
-        coef, ssr = cand, cand_ssr
-        kept = p
-    coef_out[:kept] = coef
-    return coef_out
 
 
 class LawFit(NamedTuple):
@@ -233,24 +178,63 @@ class LawFit(NamedTuple):
 def fit_law(rates: np.ndarray, y: np.ndarray, powers: tuple) -> LawFit:
     """Least-squares fit of y to the terms rho**p, p in powers (0 to 2).
 
-    Rates are scaled by rho_max into [0, 1] for conditioning; the first
-    term always stays and each further one is kept while significant
-    (fit_polynomial_terms).  With constant y, r2 is 1 for an exact fit,
-    else 0.  The minimum of a law of degree 2 or less sits at an end of
-    [0, rho_max] or, for an upward parabola, at the interior vertex.
+    Rates are scaled by rho_max into [0, 1] for conditioning, and the
+    normal equations are solved over nested prefixes of the terms: the
+    first always stays, and each further one is kept only while its
+    t-statistic clears _T_KEEP.  Predictions beyond the fitted range are
+    linear in the trailing coefficients, so a noise-only term that is
+    harmless inside the range can dominate an extrapolated value;
+    pruning it keeps what-if queries at unprofiled rates sane.  Dropped
+    terms read exactly 0.
+
+    One tolerance, tol = 1e-12 * max(1, max|y|), serves every rounding
+    check: it is a term's margin over the t bar, and n * tol**2 is a sum
+    of n squared residuals that counts as 0.  y whose squared spread
+    about its mean sums to no more counts as constant, with r2 1 for a
+    fit as exact, else 0.  The minimum of a law of degree 2 or less sits
+    at an end of [0, rho_max] or, for an upward parabola, at the
+    interior vertex.
     """
     rho_max = float(rates.max())  # > 0: the rates are >= 0 and not all equal
     u = rates / rho_max
     design = np.column_stack([u ** p for p in powers])
-    coef = fit_polynomial_terms(design, y)
+    n, k = design.shape
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(y))))
+    zero_ssr = n * tol ** 2
+    coef = np.zeros(k)
+    for p in range(1, k + 1):
+        sub = design[:, :p]
+        gram = sub.T @ sub
+        # Relative determinant guard: a rank-deficient design (e.g. only
+        # one informative abscissa) must raise, not return garbage.
+        scale = float(np.sqrt(np.prod(np.diag(gram)))) if np.all(np.diag(gram) > 0) else 0.0
+        if scale == 0.0 or abs(float(np.linalg.det(gram))) < 1e-10 * scale:
+            raise InsufficientDataError(
+                "design matrix is rank deficient; trace needs more distinct positive rates")
+        cand = np.linalg.solve(gram, sub.T @ y)
+        resid = y - sub @ cand
+        cand_ssr = float(resid @ resid)
+        if p > 1:
+            if n > p:
+                sigma2 = cand_ssr / (n - p)
+                se = math.sqrt(max(sigma2 * float(np.linalg.inv(gram)[p - 1, p - 1]), 0.0))
+                significant = abs(cand[p - 1]) > _T_KEEP * se + tol
+            else:
+                # Exact-fit regime: the term is kept only if the smaller
+                # model demonstrably cannot explain the data.
+                significant = ssr > zero_ssr
+            if not significant:
+                break
+        coef[:p], ssr = cand, cand_ssr
+    del resid  # not held beside the final residuals
     residuals = y - design @ coef
     mse = float(np.mean(residuals ** 2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     ss_res = float(np.sum(residuals ** 2))
-    if ss_tot > 0:
+    if ss_tot > zero_ssr:
         r2 = 1.0 - ss_res / ss_tot
     else:
-        r2 = 1.0 if ss_res <= 1e-12 * max(1.0, float(np.sum(y ** 2))) else 0.0
+        r2 = 1.0 if ss_res <= zero_ssr else 0.0
     # rho_max**p as a product: pow(x, 2) is not always x * x to the bit
     coefficients = tuple(float(c) / math.prod([rho_max] * p) for p, c in zip(powers, coef))
     by_power = dict(zip(powers, coefficients))
@@ -261,7 +245,6 @@ def fit_law(rates: np.ndarray, y: np.ndarray, powers: tuple) -> LawFit:
         if 0.0 < vertex < rho_max:
             candidates.append((vertex, c0 + c1 * vertex + c2 * vertex * vertex))
     min_rho, min_value = min(candidates, key=lambda c: c[1])
-    tol = 1e-12 * max(1.0, float(np.max(np.abs(y))))
     return LawFit(coefficients, rho_max, mse, r2, min_rho, min_value, tol)
 
 

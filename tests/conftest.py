@@ -29,7 +29,8 @@ def record_criterion(num: int, passed: bool, detail: str) -> None:
 
 
 def record_note(num: int, detail: str) -> None:
-    _ACCEPTANCE_LINES[num, 1] = f"  beside criterion {num}: {detail}"
+    notes = sum(1 for n, rank in _ACCEPTANCE_LINES if n == num and rank)
+    _ACCEPTANCE_LINES[num, notes + 1] = f"  beside criterion {num}: {detail}"
 
 
 @pytest.fixture(scope="session")
@@ -41,7 +42,8 @@ def criterion():
 @pytest.fixture(scope="session")
 def criterion_note():
     """Callable(num, detail) recording a diagnostic line printed after
-    criterion num's verdict; it is not a criterion of its own."""
+    criterion num's verdict, and after its earlier notes; it is not a
+    criterion of its own."""
     return record_note
 
 

@@ -30,6 +30,10 @@ with its arrival index and adds a second's, at its tick, and those
 after warmup, at the end, in arrival order.
 The windowed metric's exact law under infinite-server service comes
 from queueing theory (the package fits it from a trace).
+The fit oracle is the fit as first written, in three functions with
+each prefix's Gram matrix formed twice (the package folds them into one
+loop that forms it once); it is not independent, so it pins the
+package's fit to the bit.
 The trace reader splits the file into lines and parses every token with
 float, one line at a time, and checks the row rules one row at a time
 (the package reads the rows with numpy's parser, checks the rules in
@@ -47,7 +51,7 @@ from scipy.sparse.csgraph import connected_components
 from replicast.config import (_DIST_DETERMINISTIC, METRIC_RPS, TRACE_HEADER,
                               WORKLOAD_PROCESSOR_SHARING)
 from replicast.errors import InsufficientDataError, TraceParseError, ValidationError
-from replicast.metric_model import GaussianDist, observed_value_distribution
+from replicast.metric_model import GaussianDist, LawFit, observed_value_distribution
 
 # The reference event loop's random block size and sentinel.
 _BLOCK = 4096
@@ -592,6 +596,79 @@ def exact_metric_law(workload, metric_kind: str, window: int) -> tuple:
         r = np.exp(-k / s)
     kappa = 1.0 + 2.0 * float(np.sum((1.0 - k / window) * r))
     return s, s * kappa / window
+
+
+def _reference_solve_normal_equations(design, y):
+    gram = design.T @ design
+    rhs = design.T @ y
+    scale = float(np.sqrt(np.prod(np.diag(gram)))) if np.all(np.diag(gram) > 0) else 0.0
+    det = float(np.linalg.det(gram))
+    if scale == 0.0 or abs(det) < 1e-10 * scale:
+        raise InsufficientDataError(
+            "design matrix is rank deficient; trace needs more distinct positive rates")
+    return np.linalg.solve(gram, rhs)
+
+
+def _reference_fit_polynomial_terms(design, y):
+    n, k = design.shape
+    y_scale = max(1.0, float(np.max(np.abs(y)))) if n else 1.0
+    coef_out = np.zeros(k)
+
+    def fit_prefix(p):
+        sub = design[:, :p]
+        coef = _reference_solve_normal_equations(sub, y)
+        resid = y - sub @ coef
+        return coef, float(resid @ resid)
+
+    coef, ssr = fit_prefix(1)
+    kept = 1
+    for p in range(2, k + 1):
+        cand, cand_ssr = fit_prefix(p)
+        dof = n - p
+        if dof > 0:
+            sigma2 = cand_ssr / dof
+            sub = design[:, :p]
+            cov_last = float(np.linalg.inv(sub.T @ sub)[p - 1, p - 1])
+            se = math.sqrt(max(sigma2 * cov_last, 0.0))
+            significant = abs(cand[p - 1]) > 4.0 * se + 1e-12 * y_scale
+        else:
+            significant = ssr > n * (1e-12 * y_scale) ** 2
+        if not significant:
+            break
+        coef, ssr = cand, cand_ssr
+        kept = p
+    coef_out[:kept] = coef
+    return coef_out
+
+
+def reference_fit_law(rates, y, powers) -> LawFit:
+    """fit_law as first written: the normal equations of each nested
+    prefix solved by one helper, the prefixes pruned by another, which
+    forms each Gram matrix twice and rounds with a tolerance of its own.
+    Its r2 of an exactly or nearly constant y follows an older rule."""
+    rho_max = float(rates.max())
+    u = rates / rho_max
+    design = np.column_stack([u ** p for p in powers])
+    coef = _reference_fit_polynomial_terms(design, y)
+    residuals = y - design @ coef
+    mse = float(np.mean(residuals ** 2))
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    ss_res = float(np.sum(residuals ** 2))
+    if ss_tot > 0:
+        r2 = 1.0 - ss_res / ss_tot
+    else:
+        r2 = 1.0 if ss_res <= 1e-12 * max(1.0, float(np.sum(y ** 2))) else 0.0
+    coefficients = tuple(float(c) / math.prod([rho_max] * p) for p, c in zip(powers, coef))
+    by_power = dict(zip(powers, coefficients))
+    c0, c1, c2 = (by_power.get(p, 0.0) for p in range(3))
+    candidates = [(0.0, c0), (rho_max, c0 + c1 * rho_max + c2 * rho_max * rho_max)]
+    if c2 > 0:
+        vertex = -c1 / (2.0 * c2)
+        if 0.0 < vertex < rho_max:
+            candidates.append((vertex, c0 + c1 * vertex + c2 * vertex * vertex))
+    min_rho, min_value = min(candidates, key=lambda c: c[1])
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(y))))
+    return LawFit(coefficients, rho_max, mse, r2, min_rho, min_value, tol)
 
 
 _TRACE_NAMES = TRACE_HEADER.split(",")

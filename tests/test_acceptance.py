@@ -16,7 +16,7 @@ import pytest
 
 import replicast as rc
 from replicast import cli
-from conftest import REF_MEAN_SERVICE_S
+from conftest import REF_MEAN_SERVICE_S, REF_PROFILE_RATES
 from oracles import (build_rate_matrix, dense_block, exact_metric_law, power_iteration_pi,
                      random_stochastic_matrix, taylor_expm)
 
@@ -213,6 +213,62 @@ def test_chain_under_the_exact_law_matches_the_grid(ref_bundle, ref_workload, gr
                       f"{sum(abs(e[1]) <= e[2] for e in errors)}/9 points, worst replica "
                       f"error {err / sim:+.2%} at {where} (bound {bound / sim:.2%})")
     assert all(abs(e[1]) <= e[2] for e in errors), errors
+
+
+# Profile seeds for the spread of the fitted law: criterion 4's, and 19
+# more a hundred apart.
+PROFILE_SEEDS = (1000, *range(40000, 41801, 100))
+
+
+@pytest.fixture(scope="session")
+def profile_seed_errors(ref_bundle, ref_workload):
+    """Each profile seed's worst relative replica error over criterion
+    4's nine points, of the chain from the law it fits against the chain
+    from the exact law, keyed by seconds profiled per rate."""
+    m, v = exact_metric_law(ref_workload, rc.METRIC_CONCURRENCY, 60)
+    exact = dataclasses.replace(ref_bundle.metric, mean_linear=m, mean_quadratic=0.0,
+                                var_linear=v, var_quadratic=0.0)
+    rtf = ref_bundle.response_time
+
+    def replicas(law):
+        out = []
+        for lam in GRID_LAMBDAS:
+            for tv in GRID_TARGETS:
+                chain = rc.build_chain(lam, law, grid_autoscaler(tv))
+                rep = rc.steady_state_report(rc.stationary_distribution(chain), chain, law, rtf)
+                out.append(rep.avg_replica_count)
+        return np.array(out)
+
+    want = replicas(exact)
+    errors = {}
+    for duration in (2700.0, 900.0):
+        errors[duration] = [
+            float(np.max(np.abs(replicas(rc.fit_metric_model(trace, rc.METRIC_CONCURRENCY))
+                                - want) / want))
+            for trace in (rc.profile_trace(ref_workload, REF_PROFILE_RATES,
+                                           metric_kind=rc.METRIC_CONCURRENCY,
+                                           duration_s=duration, warmup_s=300.0, seed=seed)
+                          for seed in PROFILE_SEEDS)]
+    return errors
+
+
+def test_profile_seed_spread_beside_criterion_4(profile_seed_errors, criterion_note):
+    # criterion 4 fits one profile seed; over 20, how far does the chain
+    # from each fitted law sit from the chain from the exact law at its
+    # worst grid point?  A diagnostic: the bound is the strict xfail below.
+    parts = []
+    for duration, errors in profile_seed_errors.items():
+        parts.append(f"median {np.median(errors):.1%} and max {max(errors):.1%}, "
+                     f"{sum(e > 0.10 for e in errors)} over 10% at {duration:g} s per rate")
+    criterion_note(4, f"over {len(PROFILE_SEEDS)} profile seeds the worst-point replica error "
+                      "against the exact-law chain is " + "; ".join(parts))
+    assert all(math.isfinite(e) for errors in profile_seed_errors.values() for e in errors)
+
+
+@pytest.mark.xfail(strict=True, reason="the fitted law depends on the profile seed: the "
+                                       "worst of 20 seeds is 31.5% off the exact-law chain")
+def test_every_profile_seed_within_criterion_4s_bound(profile_seed_errors):
+    assert max(profile_seed_errors[2700.0]) <= REL_TOL
 
 
 def test_criterion_5_noiseless_quadratic_recovery(criterion):

@@ -9,8 +9,9 @@ from hypothesis import example, given, strategies as st
 from scipy.stats import norm
 
 import replicast as rc
-from oracles import exact_metric_law, quad_positive_mean, scalar_positive_mean
-from replicast.metric_model import positive_part_means
+from oracles import (exact_metric_law, quad_positive_mean, reference_fit_law,
+                     scalar_positive_mean)
+from replicast.metric_model import fit_law, positive_part_means
 
 from conftest import REF_MEAN_SERVICE_S, REF_PROFILE_RATES
 
@@ -250,3 +251,43 @@ class TestFitMetricModel:
         for rho in REF_PROFILE_RATES:
             expected = REF_MEAN_SERVICE_S * rho
             assert mm.mean_at(rho) == pytest.approx(expected, rel=0.05)
+
+
+class TestFitOracle:
+    """fit_law returns what the fit as first written returns
+    (oracles.reference_fit_law), bit for bit, or raises what it does.
+
+    Only r2 of a y that is constant within the fit's tolerance may
+    differ: the reference decides that case by rounding alone.
+    """
+
+    @given(data=st.data(),
+           rates=st.lists(st.floats(min_value=0.0, max_value=50.0, exclude_min=True),
+                          min_size=2, max_size=12, unique=True),
+           powers=st.sampled_from([(1, 2), (0, 1, 2)]),
+           shape=st.sampled_from(["law", "constant", "close rates"]),
+           law=st.tuples(*[st.floats(min_value=-2.0, max_value=2.0)] * 3),
+           noise=st.floats(min_value=0.0, max_value=1.0),
+           seed=st.integers(min_value=0, max_value=2**32))
+    def test_same_fit_as_reference(self, data, rates, powers, shape, law, noise, seed):
+        if shape == "close rates" and rates[0] + 1e-12 not in rates:
+            rates[1] = rates[0] + 1e-12
+        rows = data.draw(st.lists(st.integers(min_value=1, max_value=40),
+                                  min_size=len(rates), max_size=len(rates)), label="rows")
+        rho = np.repeat(rates, rows)
+        if shape == "constant":
+            y = np.full(rho.size, law[0])
+        else:
+            y = (law[0] + law[1] * rho + law[2] * rho * rho
+                 + noise * np.random.default_rng(seed).standard_normal(rho.size))
+        try:
+            want = reference_fit_law(rho, y, powers)
+        except (rc.InsufficientDataError, ZeroDivisionError) as exc:
+            # rates so small that rho_max**2 underflows divide by zero
+            with pytest.raises(type(exc)):
+                fit_law(rho, y, powers)
+            return
+        got = fit_law(rho, y, powers)
+        if not float(np.sum((y - y.mean()) ** 2)) > y.size * want.tol ** 2:
+            got, want = got._replace(r2=None), want._replace(r2=None)
+        assert repr(got) == repr(want)

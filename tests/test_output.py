@@ -48,6 +48,15 @@ class TestFitRtf:
         assert rtf.linear == 0.0
         assert rtf.quadratic == 0.0
 
+    @pytest.mark.parametrize("rows", [10, 12, 20])
+    def test_constant_response_time_reads_an_exact_fit(self, rows):
+        # twelve 0.2s average to 0.20000000000000004, so their spread
+        # about the mean is rounding, not a trend: within the fit's
+        # tolerance y is constant and fitted exactly, which reads r2 1
+        rates = np.arange(1.0, rows + 1.0)
+        rtf = rc.fit_rtf(trace_of(rates, np.full(rows, 0.2)))
+        assert rtf.fit_r2 == 1.0
+
     def test_noisy_flat_trace_keeps_positive_curve(self):
         rng = np.random.default_rng(3)
         rates = np.repeat(np.arange(1.0, 11.0), 30)

@@ -725,6 +725,35 @@ class TestKernelOracle:
         ready = [3, 3, 1, 2, 3, 2, 2 if last_departure > 5 else 1, 1]
         assert eval(got)[0] == ready
 
+    def test_sharing_scale_up_skips_a_draining_slot(self, monkeypatch):
+        # processor sharing, cc, target 1, a one-second window and
+        # evaluation, two of four containers ready, blocks of 8.  A job at
+        # 0.1 s goes to slot 1, so tick 1 orders one container and slot 1,
+        # the newest, leaves at 1.1 s holding it.  Three jobs on slot 0
+        # order three containers at 2 s.  The scale-up at 2.1 s skips slot
+        # 1, whose job is still in flight, and takes a new slot 2, where a
+        # job arrives at 2.2 s (position 1).  Slot 1's job leaves at 2.3 s
+        # (pick 1 of busy slots 0-2), so the scale-up at 2.5 s takes slot
+        # 1.  A job at 2.6 s goes to the newest, at position 2: slot 1,
+        # again pick 1 of the busy slots 0-2, so it leaves at 2.8 s.  Had
+        # slot 2 or a new slot 3 taken its place, the departures at 2.3 or
+        # 2.8 s would pick another slot's job.
+        monkeypatch.setattr(_kernels, "_BLOCK", 8)
+        monkeypatch.setattr(oracles, "_BLOCK", 8)
+        gaps = [0.1, 1.1, 0.1, 0.1, 0.8, 0.4]
+        # a block of exponentials, then one of (pick, job) uniforms
+        services = [10.0, 4.0, 0.3, 4.0, 0.6, 10.0, 1.0, 1.0, 0.5, 0.0, 0.5, 0.0]
+        sim_cfg = kernel_config(rc.WorkloadModel(kind=rc.WORKLOAD_PROCESSOR_SHARING,
+                                                 mean_s=1.0),
+                                initial=2, n_max=4, t_eva_s=1.0, stable_window_s=1.0,
+                                mu_pro=1.0, mu_dep=1.0)
+        got, want = self.both_loops(sim_cfg, gaps, services, [0.1, 0.2, 0.4, 0.5],
+                                    [0.5, 0.0, 0.0, 0.0, 0.5, 0.9])
+        assert got == want
+        tick_ready, _, _, _, _, rt_sum_pw, completions_pw, *_ = eval(got)
+        assert tick_ready == [2, 1, 3, 4, 4]
+        assert (rt_sum_pw, completions_pw) == (2.2 + 0.2, 2)
+
     @pytest.mark.parametrize("n_max", [1, 2])
     @pytest.mark.parametrize("distribution", DISTRIBUTIONS)
     def test_departures_at_warmup_and_at_a_monitor_tick(self, distribution, n_max):
@@ -916,6 +945,20 @@ class TestFastForward:
         assert eval(got)[0] == ready
         assert eval(got)[4] == area
         assert steps == want_steps
+
+    def test_evaluation_rounded_past_a_blocks_stop(self, monkeypatch, steps):
+        # one container, evaluations every 0.1 s and blocks of three
+        # arrivals, at 0, 0 and 0.3 s, the block's stop.  The first
+        # fast-forward estimates three evaluations up to it, but the third
+        # accumulates to 0.30000000000000004, past the stop, so it is left
+        # to the next call
+        self.blocks_of(monkeypatch, 3)
+        sim_cfg = kernel_config(is_exp(1.0), n_max=1, t_eva_s=0.1)
+        got, want = TestKernelOracle.both_loops(sim_cfg, [0.0, 0.0, 0.3], [0.1] * 3)
+        assert got == want
+        assert steps[:2] == [(0.1, 0, 0.30000000000000004, False),
+                             (0.30000000000000004, 0, 0.6, False)]
+        assert sum(ticks for _, ticks, _, _ in steps) == 5
 
     def test_order_change_at_the_first_evaluation_after_a_refill(self, monkeypatch, steps):
         # blocks of two arrivals, at 0.5 and 1.5 s with 3 s service: the
