@@ -2,12 +2,16 @@
 
 The loop is plain CPython.  Random numbers come in fixed-size float64
 blocks from four numpy Generators (arrivals, service, provisioning,
-routing) and are read as Python lists.  Arrival gaps are divided by the
-rate and exponential service times multiplied by their mean in numpy,
-one correctly rounded operation each, so every value has the same bits
-as the scalar expression.  A block draw yields the same values as the
-same number of scalar draws, and each stream refills at the same points
-as it would one draw at a time, so the block size only bounds memory.
+routing).  Arrival gaps are divided by the rate and exponential service
+times multiplied by their mean in numpy, one correctly rounded operation
+each, so every value has the same bits as the scalar expression.  One
+source, ``_arrival_blocks``, gives both service models each block of
+arrival times with its routing uniforms.  Every other stream is read one
+value at a time from ``_draws``, an iterator over its blocks that steps
+in C.  A block draw yields the same values as the same number of scalar
+draws, and each stream draws its next block only when a value is needed
+after the last one is used, as it would one draw at a time, so the block
+size only bounds memory.
 
 Arrival times are computed a block at a time: the gaps' cumulative sum,
 with the last arrival time of the previous block added to the first
@@ -88,6 +92,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right, insort
+from itertools import chain
 
 import numpy as np
 
@@ -99,15 +104,25 @@ _BLOCK = 4096
 _INF = math.inf
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _arrival_times(arr_rng, lam, block, t_last):
-    """The next block of arrival times after t_last.
+def _arrival_blocks(arr_rng, route_rng, lam):
+    """Each block of arrival times with the routing uniform of each
+    arrival, the times starting from the last arrival of the block
+    before.  A gap that overflows is +inf: an arrival after any horizon."""
+    t_last = 0.0
+    while True:
+        # A decorator on a generator function would not cover its body.
+        with np.errstate(over="ignore", invalid="ignore"):
+            arr = arr_rng.standard_exponential(_BLOCK) / lam
+            arr[0] += t_last
+            np.cumsum(arr, out=arr)
+        t_last = arr[-1].item()
+        yield arr, route_rng.random(_BLOCK)
 
-    A gap that overflows is +inf: an arrival after any horizon.
-    """
-    a = arr_rng.standard_exponential(block) / lam
-    a[0] += t_last
-    return np.cumsum(a, out=a)
+
+def _draws(draw):
+    """The items of the iterables that draw() returns, one at a time:
+    draw is called when an item is needed after the last one is used."""
+    return chain.from_iterable(iter(draw, None))
 
 
 def _desired(window_sum, n, tv, n_max):
@@ -197,15 +212,13 @@ class _InfiniteServer:
     ready-count history, ``j_times`` and ``j_counts``, from ``j_lo`` on.
     """
 
-    def __init__(self, sim_cfg, arr_rng, svc_rng, route_rng, j_times, j_counts):
+    def __init__(self, sim_cfg, blocks, svc_rng, j_times, j_counts):
         workload = sim_cfg.workload
         self.rps = sim_cfg.autoscaler.metric_kind == METRIC_RPS
         self.deterministic = workload.distribution == _DIST_DETERMINISTIC
         self.wl_mean = workload.mean_s
-        self.lam, self.duration, self.warmup = (sim_cfg.arrival_rate, sim_cfg.duration_s,
-                                                sim_cfg.warmup_s)
-        self.arr_rng, self.svc_rng, self.route_rng = arr_rng, svc_rng, route_rng
-        self.block = _BLOCK
+        self.duration, self.warmup = sim_cfg.duration_s, sim_cfg.warmup_s
+        self.blocks, self.svc_rng = blocks, svc_rng
         # Response-time sum and count of the jobs each tick closes, at the
         # tick's second, the last entry taking those the last tick leaves
         # in flight; after warmup; of every job closed by the horizon.
@@ -221,10 +234,8 @@ class _InfiniteServer:
         self.moves = np.zeros_like(self.sec_n)
         self.samples = np.zeros_like(self.sec_n)
         # Arrivals before the block, monitor ticks before it and the jobs
-        # ended by the last of those; the last arrival drawn before the
-        # block.
+        # ended by the last of those.
         self.arr_base = self.loaded = self.gone = 0
-        self.t_last = 0.0
         self.ticks = np.empty(0)
         # The arrivals a later scale-down may need, in arrival order, with
         # their end ticks and routing uniforms.
@@ -240,7 +251,7 @@ class _InfiniteServer:
 
     def _load(self):
         """Draw the next arrival block and count its monitor ticks."""
-        arr = _arrival_times(self.arr_rng, self.lam, self.block, self.t_last)
+        arr, route = next(self.blocks)
         # a job arriving at +inf departs at +inf with a nan response time,
         # which only reaches the last entry
         with np.errstate(over="ignore", invalid="ignore"):
@@ -273,12 +284,12 @@ class _InfiniteServer:
             end = close
         self.w_arr = np.concatenate((self.w_arr, arr))
         self.w_end = np.concatenate((self.w_end, end))
-        self.w_u = np.concatenate((self.w_u, self.route_rng.random(arr.size)))
+        self.w_u = np.concatenate((self.w_u, route))
 
         self.arr = arr
-        self.t_last = arr[-1].item()
-        self.final = self.t_last > self.duration
-        self.stop = min(self.t_last, self.duration)
+        t_last = arr[-1].item()
+        self.final = t_last > self.duration
+        self.stop = min(t_last, self.duration)
         # The jobs ended by the last tick so far; every job that ends by a
         # tick of the new block has arrived by its stop.
         if self.ticks.size:
@@ -305,7 +316,7 @@ class _InfiniteServer:
         keep = self.w_end > math.floor(self.stop) + 1
         lo = int(keep.argmax()) if keep.any() else keep.size
         self.w_arr, self.w_end, self.w_u = self.w_arr[lo:], self.w_end[lo:], self.w_u[lo:]
-        self.arr_base += self.block
+        self.arr_base += self.arr.size
         self._load()
         self.j_lo = bisect_right(self.j_times, self.w_arr[0].item(), self.j_lo) - 1
 
@@ -360,9 +371,8 @@ def run_simulation(sim_cfg, arr_rng, svc_rng, prov_rng, route_rng):
     # fills, and one clamped to them fits an int64.
     window_len = min(cfg.window_length, math.floor(duration))
     init_replicas = sim_cfg.initial_replicas
-    block = _BLOCK
-    prov = []
-    prov_i = block
+    blocks = _arrival_blocks(arr_rng, route_rng, lam)
+    prov = _draws(lambda: prov_rng.standard_exponential(_BLOCK).tolist())
     j_ready = init_replicas
     order = init_replicas
     # The ready count from each of its changes on, the first from the start.
@@ -378,21 +388,23 @@ def run_simulation(sim_cfg, arr_rng, svc_rng, prov_rng, route_rng):
         # The ready slots in the order they became ready: arrivals pick a
         # position, and scale-down pops the newest.
         by_birth = list(range(init_replicas))
-        # Random blocks: a stream refills when its index reaches the
-        # block size, so the service stream draws nothing until first
-        # used.  Service times are pre-multiplied by the mean.  The
-        # routing uniforms come with the arrivals, one each.
-        arr_t = _arrival_times(arr_rng, lam, block, 0.0).tolist()
-        route = route_rng.random(block).tolist()
-        arr_i = 0
-        t_arrival = arr_t[0]
-        # Arrivals before the current block; every job that has not left
-        # is still in its slot, so completions follow at the end.
-        arr_base = 0
-        svc = []
-        svc_i = block
-        uni = []
-        uni_i = block
+        # Each arrival time with its routing uniform.  Every job that has
+        # not left is still in its slot, so completions follow from the
+        # arrival count at the end.
+        arrival_draws = chain.from_iterable(zip(a.tolist(), u.tolist()) for a, u in blocks)
+        t_arrival, u_route = next(arrival_draws)
+        arrivals = 0
+
+        def uniform_pairs():
+            # A block's odd last uniform is left unused.
+            u = svc_rng.random(_BLOCK).tolist()
+            return zip(u[::2], u[1::2])
+
+        # Service times, pre-multiplied by the mean, and the departures'
+        # uniform pairs share the service stream, whose blocks are drawn
+        # in the order the two use them up.
+        svc = _draws(lambda: (svc_rng.standard_exponential(_BLOCK) * wl_mean).tolist())
+        uni = _draws(uniform_pairs)
         # Arrival times of each slot's in-flight jobs, and the slots that
         # hold any, in slot order.
         ps_times = [[] for _ in range(init_replicas)]
@@ -407,7 +419,7 @@ def run_simulation(sim_cfg, arr_rng, svc_rng, prov_rng, route_rng):
         rt_sum_pw = 0.0
         completions_pw = 0
     else:
-        inf_server = _InfiniteServer(sim_cfg, arr_rng, svc_rng, route_rng, j_times, j_counts)
+        inf_server = _InfiniteServer(sim_cfg, blocks, svc_rng, j_times, j_counts)
 
     # Running totals of the per-second samples of the aggregate metric
     # over ready containers (in-flight sum for cc, arrival count for rps):
@@ -448,12 +460,8 @@ def run_simulation(sim_cfg, arr_rng, svc_rng, prov_rng, route_rng):
                     # regardless of its job count.  A uniform u is below
                     # 1, and so is the rounded u * n for any count n < 2**53.
                     t = t_dep
-                    if uni_i + 2 > block:
-                        uni = svc_rng.random(block).tolist()
-                        uni_i = 0
-                    pick = int(uni[uni_i] * len(busy_slots))
-                    idx_u = uni[uni_i + 1]
-                    uni_i += 2
+                    pick_u, idx_u = next(uni)
+                    pick = int(pick_u * len(busy_slots))
                     slot = busy_slots[pick]
                     jobs = ps_times[slot]
                     c = len(jobs)
@@ -464,11 +472,7 @@ def run_simulation(sim_cfg, arr_rng, svc_rng, prov_rng, route_rng):
                     if c == 1:
                         del busy_slots[pick]
                     if busy_slots:
-                        if svc_i == block:
-                            svc = (svc_rng.standard_exponential(block) * wl_mean).tolist()
-                            svc_i = 0
-                        t_dep = t + svc[svc_i] / len(busy_slots)
-                        svc_i += 1
+                        t_dep = t + next(svc) / len(busy_slots)
                     else:
                         t_dep = _INF
                     rt_sum_sec += rt
@@ -482,25 +486,16 @@ def run_simulation(sim_cfg, arr_rng, svc_rng, prov_rng, route_rng):
 
                 # --- arrival: to the ready container at a uniform position ---
                 t = t_arrival
-                slot = by_birth[int(route[arr_i] * j_ready)]
+                slot = by_birth[int(u_route * j_ready)]
                 if rps:
                     arr_count[slot] += 1
                 jobs = ps_times[slot]
                 if not jobs:
                     insort(busy_slots, slot)
-                    if svc_i == block:
-                        svc = (svc_rng.standard_exponential(block) * wl_mean).tolist()
-                        svc_i = 0
-                    t_dep = t + svc[svc_i] / len(busy_slots)
-                    svc_i += 1
+                    t_dep = t + next(svc) / len(busy_slots)
                 jobs.append(t)
-                arr_i += 1
-                if arr_i == block:
-                    arr_t = _arrival_times(arr_rng, lam, block, t).tolist()
-                    route = route_rng.random(block).tolist()
-                    arr_base += block
-                    arr_i = 0
-                t_arrival = arr_t[arr_i]
+                arrivals += 1
+                t_arrival, u_route = next(arrival_draws)
         else:
             while True:
                 # The counts are final up to the block's stop.
@@ -587,20 +582,15 @@ def run_simulation(sim_cfg, arr_rng, svc_rng, prov_rng, route_rng):
             if j_ready == order:
                 t_prov = _INF
             else:
-                if prov_i == block:
-                    prov = prov_rng.standard_exponential(block).tolist()
-                    prov_i = 0
                 if j_ready < order:
                     rate = (order - j_ready) * mu_pro
                 else:
                     rate = (j_ready - order) * mu_dep
-                t_prov = t_from + prov[prov_i] / rate
-                prov_i += 1
+                t_prov = t_from + next(prov) / rate
         t_ctrl = min(m + 1.0, t_eval, t_prov)
 
     if sharing:
         sec_rt, sec_n = _second_means(sec_rt, sec_n, wl_mean)
-        arrivals = arr_base + arr_i
         completions = arrivals - sum(map(len, ps_times))
     else:
         sec_rt, sec_n, rt_sum_pw, completions_pw, arrivals, completions = inf_server.finish()

@@ -196,6 +196,11 @@ def fit_law(rates: np.ndarray, y: np.ndarray, powers: tuple) -> LawFit:
     interior vertex.
     """
     rho_max = float(rates.max())  # > 0: the rates are >= 0 and not all equal
+    # The coefficients are divided by rho_max**p, which must not underflow.
+    p_top = max(powers)
+    if math.prod([rho_max] * p_top) == 0.0:
+        raise InsufficientDataError(
+            f"largest rate {rho_max!r} is too small to fit: its power {p_top} underflows to 0")
     u = rates / rho_max
     design = np.column_stack([u ** p for p in powers])
     n, k = design.shape

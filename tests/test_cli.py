@@ -131,6 +131,19 @@ class TestFit:
         assert proc.returncode == 1
         assert "line 3" in proc.stderr and "Traceback" not in proc.stderr, proc.stderr
 
+    def test_rates_too_small_to_fit_are_an_input_error(self, tmp_path):
+        # the largest rate's square underflows to 0, which the fit divides by
+        trace = tmp_path / "tiny.csv"
+        trace.write_text("per_container_rate,observed_metric,mean_response_time_s\n"
+                         "1e-200,0.2,0.2\n2e-200,0.4,0.2\n3e-200,0.6,0.2\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "replicast.cli", "fit", "--trace", str(trace),
+             "--out", str(tmp_path / "m.json")],
+            capture_output=True, text=True, timeout=300, env=fresh_env())
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr, proc.stderr
+        assert "3e-200" in proc.stderr
+
     def test_missing_required_flag(self, trace_path, capsys):
         code = cli.main(["fit", "--trace", trace_path])
         assert code == 1
