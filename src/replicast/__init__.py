@@ -29,10 +29,9 @@ from .errors import (ConfigMismatchError, FitRejectedError,
                      InsufficientDataError, NonErgodicError, NumericalError,
                      ReplicastError, TraceParseError, ValidationError)
 from .evaluator import order_probabilities
-from .metric_model import (STD_FLOOR, GaussianDist, MetricModel,
-                           fit_metric_model, observed_value_distribution)
-from .output import (ResponseTimeFunction, SteadyStateReport, fit_rtf,
-                     steady_state_report)
+from .metric_model import (STD_FLOOR, GaussianDist, Law, MetricModel,
+                           fit_metric_model, fit_rtf, observed_value_distribution)
+from .output import SteadyStateReport, steady_state_report
 from .simulator import (WORKLOAD_INFINITE_SERVER, WORKLOAD_PROCESSOR_SHARING,
                         SimulationConfig, SimulationReport, WorkloadModel,
                         profile_trace, simulate)
@@ -56,10 +55,9 @@ __all__ = [
     "InsufficientDataError", "NonErgodicError", "NumericalError",
     "ReplicastError", "TraceParseError", "ValidationError",
     "order_probabilities",
-    "STD_FLOOR", "GaussianDist", "MetricModel", "fit_metric_model",
-    "observed_value_distribution",
-    "ResponseTimeFunction", "SteadyStateReport",
-    "fit_rtf", "steady_state_report",
+    "STD_FLOOR", "GaussianDist", "Law", "MetricModel", "fit_metric_model",
+    "fit_rtf", "observed_value_distribution",
+    "SteadyStateReport", "steady_state_report",
     "WORKLOAD_INFINITE_SERVER", "WORKLOAD_PROCESSOR_SHARING",
     "SimulationConfig", "SimulationReport", "WorkloadModel",
     "profile_trace", "simulate",

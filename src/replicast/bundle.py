@@ -1,26 +1,30 @@
-"""Serialized pairing of the two fitted models.
+"""Serialized pairing of the metric model and the response-time law.
 
-`fit` writes one JSON bundle holding the metric model and the
-response-time function so `predict`, `sweep` and `compare` can run in
-separate processes without refitting.
+`fit` writes one JSON bundle holding the three fitted laws (the metric's
+mean and variance, and the response time) so `predict`, `sweep` and
+`compare` can run in separate processes without refitting.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import ProfilingTrace, _check_keys, dump_json, load_json
+from .config import ProfilingTrace, _check_keys, _require, dump_json, load_json
 from .errors import ValidationError
-from .metric_model import MetricModel, fit_metric_model
-from .output import ResponseTimeFunction, fit_rtf
+from .metric_model import Law, MetricModel, fit_metric_model, fit_rtf
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 @dataclass(frozen=True)
 class ModelBundle:
     metric: MetricModel
-    response_time: ResponseTimeFunction
+    response_time: Law
+
+    def __post_init__(self):
+        c0 = self.response_time.coefficients[0]
+        _require(c0 > 0, "response_time coefficients[0] must be > 0 (base service time), "
+                         f"got {c0!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -38,7 +42,7 @@ class ModelBundle:
                                   f"{data['schema_version']!r}, expected {SCHEMA_VERSION}; "
                                   "re-run `replicast fit` on the trace")
         return cls(metric=MetricModel.from_dict(data["metric_model"]),
-                   response_time=ResponseTimeFunction.from_dict(data["response_time"]))
+                   response_time=Law.from_dict(data["response_time"], "response_time"))
 
 
 def fit_bundle(trace: ProfilingTrace, metric_kind: str) -> ModelBundle:

@@ -44,9 +44,9 @@ def _analytic_report(bundle: ModelBundle, cfg: AutoscalerConfig, arrival_rate: f
 def cmd_fit(args) -> int:
     bundle = fit_bundle(parse_trace(args.trace), args.metric)
     save_bundle(bundle, args.out)
-    m, r = bundle.metric, bundle.response_time
-    print(f"metric fit ({m.metric_kind}): mse={m.fit_mse:.6g} r2={m.fit_r2:.6f}")
-    print(f"response-time fit: mse={r.fit_mse:.6g} r2={r.fit_r2:.6f}")
+    m, r = bundle.metric.mean, bundle.response_time
+    print(f"metric fit ({bundle.metric.metric_kind}): mse={m.mse:.6g} r2={m.r2:.6f}")
+    print(f"response-time fit: mse={r.mse:.6g} r2={r.r2:.6f}")
     print(f"wrote model bundle to {args.out}")
     return EXIT_OK
 

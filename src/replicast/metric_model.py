@@ -7,20 +7,23 @@ by a normal distribution.  Its mean and its variance are each a
 quadratic through the origin in the per-container rate rho (no traffic,
 no metric, no spread), and one least-squares fit (fit_law) finds both
 from a profiling trace: the mean from the observed values, the variance
-from their squared residuals around the fitted mean.  fit_law keeps the
-terms of nested prefixes while each clears a t-test, and one tolerance
-serves all of its rounding checks.
+from their squared residuals around the fitted mean.  The same fit
+gives the mean response time, a quadratic with an intercept (fit_rtf).
+fit_law keeps the terms of nested prefixes while each clears a t-test,
+and one tolerance serves all of its rounding checks.  Each fitted law is
+one Law: c0 + c1*rho + c2*rho*rho on [0, rho_max].
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .config import ProfilingTrace, _check_keys, _check_metric_kind, _finite_number
+from .config import (ProfilingTrace, _check_keys, _check_metric_kind, _finite_number,
+                     _require)
 from .errors import FitRejectedError, InsufficientDataError, ValidationError
 
 # Degenerate (noise-free) traces would otherwise produce a zero-width
@@ -70,84 +73,92 @@ def _each(fn, x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, x.tolist()), dtype=np.float64, count=x.size)
 
 
-class FittedLaw:
-    """Base of a fitted law in rho: its block layout drives its JSON
-    codec and its number check.
-
-    A subclass is a frozen dataclass that names its top-level JSON keys
-    (each a field of the same name) in _SCALARS and its nested objects in
-    _BLOCKS, block -> {key: field}.  rho_max and every field in a block
-    must be a finite number, stored as a float; rho_max must be > 0.
-    """
-
-    _WHAT = ""
-    _SCALARS = ()
-    _BLOCKS = {}
-
-    def __post_init__(self):
-        numbers = {"rho_max", *(f for block in self._BLOCKS.values() for f in block.values())}
-        for f in fields(self):
-            if f.name in numbers:
-                value = _finite_number(getattr(self, f.name), f"{self._WHAT} {f.name}")
-                object.__setattr__(self, f.name, value)
-        if not self.rho_max > 0:
-            raise ValidationError(f"{self._WHAT} rho_max must be > 0, got {self.rho_max!r}")
-
-    def to_dict(self) -> dict:
-        out = {key: getattr(self, key) for key in self._SCALARS}
-        for name, block in self._BLOCKS.items():
-            out[name] = {key: getattr(self, f) for key, f in block.items()}
-        return out
-
-    @classmethod
-    def from_dict(cls, data):
-        """Require exactly the layout's keys, each block an object with
-        exactly its own keys."""
-        keys = (*cls._SCALARS, *cls._BLOCKS)
-        _check_keys(data, cls._WHAT, keys, keys)
-        kwargs = {key: data[key] for key in cls._SCALARS}
-        for name, block in cls._BLOCKS.items():
-            _check_keys(data[name], f"{cls._WHAT} {name}", block, block)
-            kwargs.update({f: data[name][key] for key, f in block.items()})
-        return cls(**kwargs)
+_LAW_KEYS = ("coefficients", "rho_max", "mse", "r2")
 
 
 @dataclass(frozen=True)
-class MetricModel(FittedLaw):
-    """Fitted map from per-container rate to the observed-metric Gaussian."""
+class Law:
+    """A fitted law c0 + c1*rho + c2*rho*rho on [0, rho_max], with the
+    mean squared error and r2 of its fit.
+
+    Every coefficient, rho_max, mse and r2 is a finite number, stored as
+    a float, and rho_max is > 0.
+    """
+
+    coefficients: tuple
+    rho_max: float
+    mse: float
+    r2: float
+
+    def __post_init__(self):
+        c = self.coefficients
+        _require(isinstance(c, (list, tuple)) and len(c) == 3,
+                 f"coefficients must be a list of 3 numbers, got {c!r}")
+        object.__setattr__(self, "coefficients",
+                           tuple(_finite_number(v, f"coefficients[{i}]") for i, v in enumerate(c)))
+        for name in _LAW_KEYS[1:]:
+            object.__setattr__(self, name, _finite_number(getattr(self, name), name))
+        _require(self.rho_max > 0, f"rho_max must be > 0, got {self.rho_max!r}")
+
+    def at(self, rho):
+        # left to right, so that with c0 = 0.0 each value is exactly
+        # c1*rho + c2*rho*rho (0.0 + x is x; a -0.0 reads 0.0)
+        c0, c1, c2 = self.coefficients
+        return c0 + c1 * rho + c2 * rho * rho
+
+    def to_dict(self) -> dict:
+        return {"coefficients": list(self.coefficients), "rho_max": self.rho_max,
+                "mse": self.mse, "r2": self.r2}
+
+    @classmethod
+    def from_dict(cls, data, what: str) -> "Law":
+        """Require exactly the law's keys; an error names ``what``."""
+        _check_keys(data, what, _LAW_KEYS, _LAW_KEYS)
+        try:
+            return cls(**data)
+        except ValidationError as exc:
+            raise ValidationError(f"{what} {exc}") from None
+
+
+@dataclass(frozen=True)
+class MetricModel:
+    """Fitted map from per-container rate to the observed-metric Gaussian:
+    a law for its mean and one for its variance, each with c0 = 0 (no
+    traffic, no metric, no spread)."""
 
     metric_kind: str
-    mean_linear: float
-    mean_quadratic: float
-    var_linear: float
-    var_quadratic: float
-    rho_max: float
-    fit_mse: float
-    fit_r2: float
-
-    _WHAT = "metric model"
-    _SCALARS = ("metric_kind", "rho_max")
-    _BLOCKS = {"mean_coefficients": {"linear": "mean_linear", "quadratic": "mean_quadratic"},
-               "variance_coefficients": {"linear": "var_linear", "quadratic": "var_quadratic"},
-               "diagnostics": {"mse": "fit_mse", "r2": "fit_r2"}}
+    mean: Law
+    variance: Law
 
     def __post_init__(self):
         _check_metric_kind(self.metric_kind)
-        super().__post_init__()
+        for name in ("mean", "variance"):
+            c0 = getattr(self, name).coefficients[0]
+            _require(c0 == 0.0, f"metric_model.{name} coefficients[0] must be 0, got {c0!r}")
 
     def mean_at(self, rho):
-        return self.mean_linear * rho + self.mean_quadratic * rho * rho
+        return self.mean.at(rho)
 
     def std_at(self, rho):
         # a variance that dips below 0 is none; at rho = 0 the floor
-        variance = self.var_linear * rho + self.var_quadratic * rho * rho
-        return np.maximum(np.sqrt(np.maximum(variance, 0.0)), STD_FLOOR)
+        return np.maximum(np.sqrt(np.maximum(self.variance.at(rho), 0.0)), STD_FLOOR)
+
+    def to_dict(self) -> dict:
+        return {"metric_kind": self.metric_kind, "mean": self.mean.to_dict(),
+                "variance": self.variance.to_dict()}
+
+    @classmethod
+    def from_dict(cls, data) -> "MetricModel":
+        keys = ("metric_kind", "mean", "variance")
+        _check_keys(data, "metric_model", keys, keys)
+        return cls(data["metric_kind"], Law.from_dict(data["mean"], "metric_model.mean"),
+                   Law.from_dict(data["variance"], "metric_model.variance"))
 
 
 def observed_value_distribution(model: MetricModel, rho: float) -> GaussianDist:
     """Distribution of the windowed metric at per-container rate rho.
 
-    rho beyond model.rho_max is evaluated anyway (the map is smooth);
+    rho beyond the fitted rho_max is evaluated anyway (the map is smooth);
     callers that care flag extrapolation in their own diagnostics.
     """
     if not (math.isfinite(rho) and rho >= 0):
@@ -271,10 +282,32 @@ def fit_metric_model(trace: ProfilingTrace, metric_kind: str) -> MetricModel:
         raise FitRejectedError(
             f"fitted mean is negative at rho={law.min_rho:.6g} "
             f"(value {law.min_value:.6g}); trace does not support a physical fit")
-    a1, a2 = law.coefficients
-    rates = trace.rates
-    resid = trace.observed - (a1 * rates + a2 * rates * rates)
-    v1, v2 = fit_law(rates, resid * resid, (1, 2)).coefficients
-    return MetricModel(metric_kind=metric_kind, mean_linear=a1, mean_quadratic=a2,
-                       var_linear=v1, var_quadratic=v2, rho_max=law.rho_max,
-                       fit_mse=law.mse, fit_r2=law.r2)
+    mean = _law_of(law)
+    resid = trace.observed - mean.at(trace.rates)
+    return MetricModel(metric_kind, mean, _law_of(fit_law(trace.rates, resid * resid, (1, 2))))
+
+
+def fit_rtf(trace: ProfilingTrace) -> Law:
+    """Least-squares quadratic (with intercept) for mean response time.
+
+    Needs three distinct per-container rates to identify three
+    coefficients.  A fit that dips to zero or below anywhere on
+    [0, rho_max] is rejected: response times are positive quantities and
+    such a fit would poison every downstream average.
+    """
+    if trace.n_distinct_rates < 3:
+        raise InsufficientDataError(
+            f"trace has {trace.n_distinct_rates} distinct per-container rate(s); "
+            "need >= 3 for a quadratic with intercept")
+    law = fit_law(trace.rates, trace.response_times, (0, 1, 2))
+    if law.min_value <= law.tol:
+        raise FitRejectedError(
+            f"fitted response time is non-positive at rho={law.min_rho:.6g} "
+            f"(value {law.min_value:.6g}); trace does not support a physical fit")
+    return _law_of(law)
+
+
+def _law_of(fit: LawFit) -> Law:
+    # a law through the origin fits the powers (1, 2) and reads c0 = 0.0
+    return Law((0.0,) * (3 - len(fit.coefficients)) + fit.coefficients, fit.rho_max,
+               fit.mse, fit.r2)

@@ -13,60 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ProfilingTrace, _require
+from .config import _require
 from .cluster import ClusterChain, StationaryDistribution
-from .errors import FitRejectedError, InsufficientDataError, ValidationError
-from .metric_model import (FittedLaw, GaussianDist, MetricModel, fit_law,
-                           positive_part_means)
-
-
-@dataclass(frozen=True)
-class ResponseTimeFunction(FittedLaw):
-    """Quadratic map from per-container rate to mean response time."""
-
-    intercept: float
-    linear: float
-    quadratic: float
-    rho_max: float
-    fit_mse: float
-    fit_r2: float
-
-    _WHAT = "response-time function"
-    _SCALARS = ("rho_max",)
-    _BLOCKS = {"coefficients": {"intercept": "intercept", "linear": "linear",
-                                "quadratic": "quadratic"},
-               "diagnostics": {"mse": "fit_mse", "r2": "fit_r2"}}
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not self.intercept > 0:
-            raise ValidationError(
-                f"response-time intercept must be > 0 (base service time), got {self.intercept!r}")
-
-    def at(self, rho: float) -> float:
-        return self.intercept + self.linear * rho + self.quadratic * rho * rho
-
-
-def fit_rtf(trace: ProfilingTrace) -> ResponseTimeFunction:
-    """Least-squares quadratic (with intercept) for mean response time.
-
-    Needs three distinct per-container rates to identify three
-    coefficients.  A fit that dips to zero or below anywhere on
-    [0, rho_max] is rejected: response times are positive quantities and
-    such a fit would poison every downstream average.
-    """
-    if trace.n_distinct_rates < 3:
-        raise InsufficientDataError(
-            f"trace has {trace.n_distinct_rates} distinct per-container rate(s); "
-            "need >= 3 for a quadratic with intercept")
-    law = fit_law(trace.rates, trace.response_times, (0, 1, 2))
-    if law.min_value <= law.tol:
-        raise FitRejectedError(
-            f"fitted response time is non-positive at rho={law.min_rho:.6g} "
-            f"(value {law.min_value:.6g}); trace does not support a physical fit")
-    c0, c1, c2 = law.coefficients
-    return ResponseTimeFunction(intercept=c0, linear=c1, quadratic=c2, rho_max=law.rho_max,
-                                fit_mse=law.mse, fit_r2=law.r2)
+from .metric_model import GaussianDist, Law, MetricModel, positive_part_means
+from .metric_model import fit_rtf  # noqa: F401 (perfbench looks it up here)
 
 
 @dataclass(frozen=True)
@@ -116,19 +66,19 @@ class SteadyStateReport:
 
 
 def steady_state_report(stationary: StationaryDistribution, chain: ClusterChain,
-                        model: MetricModel, rtf: ResponseTimeFunction) -> SteadyStateReport:
+                        model: MetricModel, rtf: Law) -> SteadyStateReport:
     """Weight the per-ready-count table by the ready-count marginal.
 
     With j containers ready each sees rate lambda/j, whatever the order,
     so the response time, concurrency and extrapolation flag are
     evaluated once per j.  Ready counts whose per-container rate exceeds
-    either fitted range are still evaluated (the fitted maps are smooth)
+    any fitted range are still evaluated (the fitted laws are smooth)
     but their combined stationary mass is reported so callers can judge
     how far the prediction leans on extrapolation.
     """
     lam = chain.arrival_rate
     _require(math.isfinite(lam) and lam >= 0, f"arrival_rate must be finite and >= 0, got {lam!r}")
-    fitted_reach = min(model.rho_max, rtf.rho_max)
+    fitted_reach = min(law.rho_max for law in (model.mean, model.variance, rtf))
     rho = lam / np.arange(1, chain.n_max + 1)
     rt = rtf.at(rho)
     with np.errstate(over="ignore", invalid="ignore"):

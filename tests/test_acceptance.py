@@ -30,6 +30,15 @@ def grid_autoscaler(tv):
     return rc.AutoscalerConfig(metric_kind="cc", target_value=tv, n_max=GRID_N_MAX)
 
 
+def exact_model(metric, workload):
+    """``metric`` with the windowed metric's exact law (mean 0.2 rho,
+    variance rho S kappa / W for the 60 s window) in place of its fit."""
+    m, v = exact_metric_law(workload, rc.METRIC_CONCURRENCY, 60)
+    return dataclasses.replace(
+        metric, mean=dataclasses.replace(metric.mean, coefficients=(0.0, m, 0.0)),
+        variance=dataclasses.replace(metric.variance, coefficients=(0.0, v, 0.0)))
+
+
 @pytest.fixture(scope="session")
 def grid_compare(ref_bundle, ref_workload, tmp_path_factory):
     """Run `compare --seeds 10` for all nine rate/target points.
@@ -195,9 +204,7 @@ def test_chain_under_the_exact_law_matches_the_grid(ref_bundle, ref_workload, gr
     # whichever is wider.  So the chain's fresh draw at each evaluation,
     # where the simulator's window spans 30 of them, costs little, and
     # criterion 4's errors come from the fitted law.  No new simulation.
-    m, v = exact_metric_law(ref_workload, rc.METRIC_CONCURRENCY, 60)
-    law = dataclasses.replace(ref_bundle.metric, mean_linear=m, mean_quadratic=0.0,
-                              var_linear=v, var_quadratic=0.0)
+    law = exact_model(ref_bundle.metric, ref_workload)
     points, _ = grid_compare
     errors = []
     for pt in points:
@@ -225,9 +232,7 @@ def profile_seed_errors(ref_bundle, ref_workload):
     """Each profile seed's worst relative replica error over criterion
     4's nine points, of the chain from the law it fits against the chain
     from the exact law, keyed by seconds profiled per rate."""
-    m, v = exact_metric_law(ref_workload, rc.METRIC_CONCURRENCY, 60)
-    exact = dataclasses.replace(ref_bundle.metric, mean_linear=m, mean_quadratic=0.0,
-                                var_linear=v, var_quadratic=0.0)
+    exact = exact_model(ref_bundle.metric, ref_workload)
     rtf = ref_bundle.response_time
 
     def replicas(law):
@@ -281,16 +286,18 @@ def test_criterion_5_noiseless_quadratic_recovery(criterion):
 
     mm = rc.fit_metric_model(trace, "cc")
     rtf = rc.fit_rtf(trace)
+    _, a1, a2 = mm.mean.coefficients
+    c0, c1, c2 = rtf.coefficients
     errs = {
-        "metric linear": abs(mm.mean_linear - 0.3),
-        "metric quadratic": abs(mm.mean_quadratic - 0.01),
-        "rt intercept": abs(rtf.intercept - 0.2),
-        "rt linear": abs(rtf.linear - 0.01),
-        "rt quadratic": abs(rtf.quadratic - 0.001),
+        "metric linear": abs(a1 - 0.3),
+        "metric quadratic": abs(a2 - 0.01),
+        "rt intercept": abs(c0 - 0.2),
+        "rt linear": abs(c1 - 0.01),
+        "rt quadratic": abs(c2 - 0.001),
     }
     worst_name = max(errs, key=errs.get)
     worst = errs[worst_name]
-    r2_min = min(mm.fit_r2, rtf.fit_r2)
+    r2_min = min(mm.mean.r2, rtf.r2)
 
     ok = worst <= 1e-6 and r2_min >= 0.999
     criterion(5, ok, f"worst coefficient error {worst:.2e} ({worst_name}, tol 1e-6), "

@@ -33,7 +33,7 @@ def curved_bundle_path(tmp_path_factory, ref_bundle):
     """The reference bundle with the README model's negative quadratic,
     whose mean overflows to -inf at 1e300 req/s."""
     data = ref_bundle.to_dict()
-    data["metric_model"]["mean_coefficients"]["quadratic"] = -0.000318799996863102
+    data["metric_model"]["mean"]["coefficients"][2] = -0.000318799996863102
     path = tmp_path_factory.mktemp("curved") / "model.json"
     path.write_text(json.dumps(data), encoding="utf-8")
     return str(path)
@@ -358,28 +358,31 @@ class TestPredict:
         assert code == 2
         assert "forced structural failure" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("section,keys", [
-        ("metric_model", ("rho_max",)),
-        ("response_time", ("coefficients", "linear")),
+    @pytest.mark.parametrize("path,key,where", [
+        (("metric_model", "mean"), "rho_max", "metric_model.mean rho_max"),
+        (("metric_model", "variance", "coefficients"), 2,
+         "metric_model.variance coefficients[2]"),
+        (("response_time",), "mse", "response_time mse"),
+        (("response_time", "coefficients"), 1, "response_time coefficients[1]"),
     ])
-    def test_non_finite_bundle_exits_one(self, tmp_path, ref_bundle, capsys,
-                                         section, keys):
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_bundle_exits_one(self, tmp_path, ref_bundle, capsys, path, key,
+                                         where, value):
         data = ref_bundle.to_dict()
-        holder = data[section]
-        for key in keys[:-1]:
-            holder = holder[key]
-        holder[keys[-1]] = math.nan
-        assert f"{keys[-1]} must be finite" in predict_error(tmp_path, capsys, data)
+        holder = data
+        for name in path:
+            holder = holder[name]
+        holder[key] = value
+        assert f"{where} must be finite, got {value!r}" in predict_error(tmp_path, capsys, data)
 
     @pytest.mark.parametrize("path,key,where", [
-        (("response_time", "coefficients"), "cubic", "response-time function coefficients"),
-        (("response_time", "diagnostics"), "aic", "response-time function diagnostics"),
-        (("response_time",), "rho_min", "response-time function"),
-        (("metric_model", "mean_coefficients"), "cubic", "metric model mean_coefficients"),
-        (("metric_model", "variance_coefficients"), "intercept",
-         "metric model variance_coefficients"),
-        (("metric_model", "diagnostics"), "aic", "metric model diagnostics"),
-        (("metric_model",), "window_s", "metric model"),
+        ((), "diagnostics", "model bundle"),
+        (("response_time",), "rho_min", "response_time"),
+        (("response_time",), "diagnostics", "response_time"),
+        (("metric_model", "mean"), "intercept", "metric_model.mean"),
+        (("metric_model", "variance"), "aic", "metric_model.variance"),
+        (("metric_model",), "rho_max", "metric_model"),
+        (("metric_model",), "window_s", "metric_model"),
     ])
     def test_unknown_bundle_key_exits_one(self, tmp_path, ref_bundle, capsys, path, key,
                                           where):
@@ -391,14 +394,14 @@ class TestPredict:
         assert f"{where}: unknown keys: {key}" in predict_error(tmp_path, capsys, data)
 
     @pytest.mark.parametrize("path,key,where", [
-        (("response_time", "coefficients"), "intercept", "response-time function coefficients"),
-        (("response_time", "diagnostics"), "r2", "response-time function diagnostics"),
-        (("response_time",), "rho_max", "response-time function"),
-        (("metric_model", "mean_coefficients"), "linear", "metric model mean_coefficients"),
-        (("metric_model", "variance_coefficients"), "linear",
-         "metric model variance_coefficients"),
-        (("metric_model", "diagnostics"), "mse", "metric model diagnostics"),
-        (("metric_model",), "metric_kind", "metric model"),
+        ((), "response_time", "model bundle"),
+        (("response_time",), "coefficients", "response_time"),
+        (("response_time",), "r2", "response_time"),
+        (("response_time",), "rho_max", "response_time"),
+        (("metric_model", "mean"), "mse", "metric_model.mean"),
+        (("metric_model", "variance"), "coefficients", "metric_model.variance"),
+        (("metric_model",), "variance", "metric_model"),
+        (("metric_model",), "metric_kind", "metric_model"),
     ])
     def test_missing_bundle_key_exits_one(self, tmp_path, ref_bundle, capsys, path, key,
                                           where):
@@ -410,8 +413,26 @@ class TestPredict:
         assert f"{where}: missing required keys: {key}" in predict_error(tmp_path, capsys, data)
 
     @pytest.mark.parametrize("path,key,value,message", [
-        ((), "schema_version", 3, "unsupported bundle schema_version 3, expected 2"),
-        (("metric_model",), "rho_max", 0.0, "metric model rho_max must be > 0, got 0.0"),
+        ((), "schema_version", 4, "unsupported bundle schema_version 4, expected 3"),
+        (("metric_model", "mean"), "rho_max", 0.0,
+         "metric_model.mean rho_max must be > 0, got 0.0"),
+        (("metric_model", "mean", "coefficients"), 0, 0.1,
+         "metric_model.mean coefficients[0] must be 0, got 0.1"),
+        (("metric_model", "variance", "coefficients"), 0, -1e-3,
+         "metric_model.variance coefficients[0] must be 0, got -0.001"),
+        (("response_time", "coefficients"), 0, 0.0,
+         "response_time coefficients[0] must be > 0 (base service time), got 0.0"),
+        (("response_time", "coefficients"), 0, -0.2,
+         "response_time coefficients[0] must be > 0 (base service time), got -0.2"),
+        (("response_time",), "coefficients", [0.2, 0.01],
+         "response_time coefficients must be a list of 3 numbers, got [0.2, 0.01]"),
+        (("metric_model", "mean"), "coefficients", [0.0, 0.2, 0.0, 0.0],
+         "metric_model.mean coefficients must be a list of 3 numbers, got [0.0, 0.2, 0.0, 0.0]"),
+        (("metric_model", "variance"), "coefficients", {"linear": 0.1, "quadratic": 0.0},
+         "metric_model.variance coefficients must be a list of 3 numbers, got {'linear'"),
+        (("response_time", "coefficients"), 2, "0.1",
+         "response_time coefficients[2] must be a number, got '0.1'"),
+        (("response_time",), "r2", True, "response_time r2 must be a number, got True"),
     ])
     def test_unsupported_bundle_value_exits_one(self, tmp_path, ref_bundle, capsys, path,
                                                 key, value, message):
@@ -422,14 +443,28 @@ class TestPredict:
         holder[key] = value
         assert message in predict_error(tmp_path, capsys, data)
 
-    def test_version_one_bundle_asks_for_a_refit(self, tmp_path, ref_bundle, capsys):
-        # the layout before the variance law: a line in the spread
-        data = ref_bundle.to_dict()
-        data["schema_version"] = 1
-        data["metric_model"]["std_coefficients"] = {"intercept": 0.26, "slope": 0.006}
-        del data["metric_model"]["variance_coefficients"]
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_older_bundle_asks_for_a_refit(self, tmp_path, ref_bundle, capsys, version):
+        # the layout before the three laws: named coefficients in blocks,
+        # one rho_max and one diagnostics block per model; version 1 held
+        # a line in the spread where version 2 holds the variance law
+        m, r = ref_bundle.metric, ref_bundle.response_time
+        metric = {"metric_kind": m.metric_kind, "rho_max": m.mean.rho_max,
+                  "mean_coefficients": dict(zip(("linear", "quadratic"),
+                                                m.mean.coefficients[1:])),
+                  "variance_coefficients": dict(zip(("linear", "quadratic"),
+                                                    m.variance.coefficients[1:])),
+                  "diagnostics": {"mse": m.mean.mse, "r2": m.mean.r2}}
+        if version == 1:
+            metric["std_coefficients"] = {"intercept": 0.26, "slope": 0.006}
+            del metric["variance_coefficients"]
+        data = {"schema_version": version, "metric_model": metric,
+                "response_time": {"rho_max": r.rho_max,
+                                  "coefficients": dict(zip(("intercept", "linear", "quadratic"),
+                                                           r.coefficients)),
+                                  "diagnostics": {"mse": r.mse, "r2": r.r2}}}
         err = predict_error(tmp_path, capsys, data)
-        assert "unsupported bundle schema_version 1, expected 2" in err
+        assert f"unsupported bundle schema_version {version}, expected 3" in err
         assert "re-run `replicast fit`" in err
 
     def test_unknown_command_exits_one(self, capsys):
@@ -844,40 +879,60 @@ class TestFlags:
         assert f"required: {required[0]}" in capsys.readouterr().err
 
 
+def run_commands_fresh(commands, *prefixes):
+    """Exit codes of commands run through cli.main by one fresh
+    interpreter, and the modules it then holds named by a prefix (a
+    module itself or its submodules)."""
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from replicast import cli\n"
+        "codes = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        codes.append(cli.main(argv))\n"
+        "prefixes = json.loads(sys.argv[2])\n"
+        "print(json.dumps([codes, sorted(m for m in sys.modules for p in prefixes\n"
+        "                                if m == p or m.startswith(p + '.'))]))\n"
+    )
+    return json.loads(run_fresh(script, json.dumps(commands), json.dumps(prefixes)))
+
+
 class TestRuntimeImports:
-    def test_commands_load_no_scipy(self, tmp_path, trace_path, bundle_path):
-        # scipy serves the tests' oracles only: a fresh interpreter that
-        # runs every command through cli.main must never import it, nor
-        # numpy.ma, which np.unique imports on numpy 2.4
+    @pytest.fixture
+    def chain_commands(self, tmp_path, trace_path, bundle_path):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"lambdas": [5.0, 20.0], "target_values": [2.0],
                                     "fixed": {"metric_kind": "cc", "n_max": 10}}),
                         encoding="utf-8")
-        sim = sim_config_file(tmp_path, arrival_rate=5.0, target_value=2.0, n_max=4,
-                              duration_s=400.0, warmup_s=100.0)
-        commands = [
+        return [
             ["fit", "--trace", trace_path, "--out", str(tmp_path / "fitted.json")],
             ["predict", "--model", bundle_path, "--arrival-rate", "20",
              "--config", autoscaler_file(tmp_path, target_value=2.0, n_max=10)],
             ["sweep", "--model", bundle_path, "--spec", str(spec),
              "--out", str(tmp_path / "sweep.csv")],
+        ]
+
+    def test_commands_load_no_scipy(self, tmp_path, bundle_path, chain_commands):
+        # scipy serves the tests' oracles only: a fresh interpreter that
+        # runs every command through cli.main must never import it, nor
+        # numpy.ma, which np.unique imports on numpy 2.4
+        sim = sim_config_file(tmp_path, arrival_rate=5.0, target_value=2.0, n_max=4,
+                              duration_s=400.0, warmup_s=100.0)
+        commands = [
+            *chain_commands,
             ["simulate", "--config", sim],
             ["compare", "--model", bundle_path, "--sim-config", sim, "--seeds", "2"],
         ]
-        script = (
-            "import contextlib, io, json, sys\n"
-            "from replicast import cli\n"
-            "codes = []\n"
-            "for argv in json.loads(sys.argv[1]):\n"
-            "    with contextlib.redirect_stdout(io.StringIO()):\n"
-            "        codes.append(cli.main(argv))\n"
-            "print(json.dumps([codes, sorted(m for m in sys.modules\n"
-            "                                if m == 'scipy' or m.startswith('scipy.')\n"
-            "                                or m == 'numpy.ma')]))\n"
-        )
-        codes, loaded = json.loads(run_fresh(script, json.dumps(commands)))
+        codes, loaded = run_commands_fresh(commands, "scipy", "numpy.ma")
         # compare's exit code 3 is a verdict (beyond tolerance), not a failure
         assert codes[:4] == [0, 0, 0, 0] and codes[4] in (0, 3)
+        assert loaded == []
+
+    def test_chain_commands_load_no_numpy_random(self, chain_commands):
+        # only the simulator draws random numbers; numpy.random and the
+        # OpenSSL that it loads through secrets cost a command about 6 MiB
+        codes, loaded = run_commands_fresh(chain_commands, "numpy.random", "secrets")
+        assert codes == [0, 0, 0]
         assert loaded == []
 
     @pytest.mark.parametrize("preset, numpy_first, expected", [

@@ -24,10 +24,8 @@ def make_cfg(n_max=3, target_value=1.0, **overrides):
 
 def make_mm(mean_linear=0.2, mean_quadratic=0.0, var_linear=0.0,
             var_quadratic=0.0, rho_max=100.0):
-    return rc.MetricModel(
-        metric_kind="cc", mean_linear=mean_linear, mean_quadratic=mean_quadratic,
-        var_linear=var_linear, var_quadratic=var_quadratic, rho_max=rho_max,
-        fit_mse=0.0, fit_r2=1.0)
+    return rc.MetricModel("cc", rc.Law((0.0, mean_linear, mean_quadratic), rho_max, 0.0, 1.0),
+                          rc.Law((0.0, var_linear, var_quadratic), rho_max, 0.0, 1.0))
 
 
 def full_vertical(cfg):

@@ -1,5 +1,6 @@
 """Gaussian metric map: distribution math and trace fitting."""
 
+import json
 import math
 import warnings
 
@@ -18,16 +19,8 @@ from conftest import REF_MEAN_SERVICE_S, REF_PROFILE_RATES
 
 def make_mm(mean_linear=0.2, mean_quadratic=0.0, var_linear=0.1,
             var_quadratic=0.0, rho_max=50.0):
-    return rc.MetricModel(
-        metric_kind="cc",
-        mean_linear=mean_linear,
-        mean_quadratic=mean_quadratic,
-        var_linear=var_linear,
-        var_quadratic=var_quadratic,
-        rho_max=rho_max,
-        fit_mse=0.0,
-        fit_r2=1.0,
-    )
+    return rc.MetricModel("cc", rc.Law((0.0, mean_linear, mean_quadratic), rho_max, 0.0, 1.0),
+                          rc.Law((0.0, var_linear, var_quadratic), rho_max, 0.0, 1.0))
 
 
 class TestGaussianDist:
@@ -97,6 +90,43 @@ class TestPositivePartMean:
         assert val >= max(0.0, mean) - 1e-12
 
 
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestLaw:
+    @given(coefficients=st.tuples(FINITE, FINITE, FINITE),
+           rho_max=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+           mse=FINITE, r2=FINITE)
+    def test_dict_round_trip(self, coefficients, rho_max, mse, r2):
+        # through JSON text, with every bit (a -0.0 coefficient included)
+        law = rc.Law(coefficients, rho_max, mse, r2)
+        back = rc.Law.from_dict(json.loads(json.dumps(law.to_dict())), "law")
+        assert back == law and repr(back) == repr(law)
+        assert rc.Law(list(coefficients), rho_max, mse, r2) == law
+
+    @given(a1=FINITE, a2=FINITE, rho=st.floats(min_value=0.0, max_value=1e6))
+    def test_law_through_the_origin_is_its_two_terms(self, a1, a2, rho):
+        # c0 = 0.0 adds exactly nothing (a -0.0 term reads 0.0), on floats
+        # and element for element on arrays
+        law = rc.Law((0.0, a1, a2), 1.0, 0.0, 1.0)
+        rates = [rho, 0.0, rho / 3]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # overflow to inf or nan
+            want = [a1 * r + a2 * r * r for r in rates]
+            got = law.at(np.array(rates))
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal([law.at(r) for r in rates], want, equal_nan=True)
+
+    def test_key_errors_name_the_law(self):
+        good = rc.Law((0.0, 0.2, 0.0), 1.0, 0.0, 1.0).to_dict()
+        with pytest.raises(rc.ValidationError, match="^m: unknown keys: c0$"):
+            rc.Law.from_dict({**good, "c0": 0.0}, "m")
+        with pytest.raises(rc.ValidationError, match="^m: missing required keys: mse$"):
+            rc.Law.from_dict({k: v for k, v in good.items() if k != "mse"}, "m")
+        with pytest.raises(rc.ValidationError, match=r"^m rho_max must be > 0, got -1\.0$"):
+            rc.Law.from_dict({**good, "rho_max": -1.0}, "m")
+
+
 class TestObservedValueDistribution:
     def test_origin_forced(self):
         d = rc.observed_value_distribution(make_mm(), 0.0)
@@ -137,25 +167,22 @@ class TestFitMetricModel:
         rates = np.arange(1.0, 11.0)
         trace = rc.trace_from_arrays(rates, 0.2 * rates, np.full(10, 0.2))
         mm = rc.fit_metric_model(trace, "cc")
-        assert mm.mean_linear == pytest.approx(0.2, abs=1e-6)
-        assert mm.mean_quadratic == pytest.approx(0.0, abs=1e-6)
-        assert mm.fit_r2 >= 0.999
+        assert mm.mean.coefficients == pytest.approx((0.0, 0.2, 0.0), abs=1e-6)
+        assert mm.mean.r2 >= 0.999
 
     def test_noiseless_quadratic_recovery(self):
         rates = np.arange(1.0, 13.0)
         y = 0.3 * rates + 0.01 * rates ** 2
         trace = rc.trace_from_arrays(rates, y, np.full(len(rates), 0.2))
         mm = rc.fit_metric_model(trace, "cc")
-        assert mm.mean_linear == pytest.approx(0.3, abs=1e-6)
-        assert mm.mean_quadratic == pytest.approx(0.01, abs=1e-6)
-        assert mm.fit_r2 >= 0.999
+        assert mm.mean.coefficients == pytest.approx((0.0, 0.3, 0.01), abs=1e-6)
+        assert mm.mean.r2 >= 0.999
 
     def test_all_zero_observed(self):
         rates = np.tile(np.arange(1.0, 6.0), 4)
         trace = rc.trace_from_arrays(rates, np.zeros(20), np.full(20, 0.2))
         mm = rc.fit_metric_model(trace, "cc")
-        assert mm.mean_linear == 0.0
-        assert mm.mean_quadratic == 0.0
+        assert mm.mean.coefficients == (0.0, 0.0, 0.0)
         assert mm.std_at(3.0) == rc.STD_FLOOR
 
     def test_negative_dipping_mean_rejected(self):
@@ -200,12 +227,11 @@ class TestFitMetricModel:
         rts = np.full(rates.size, 0.2)
         base = rc.fit_metric_model(rc.trace_from_arrays(rates, y, rts), "cc")
         scaled = rc.fit_metric_model(rc.trace_from_arrays(rates, c * y, rts), "cc")
-        assert scaled.mean_linear == pytest.approx(c * base.mean_linear, rel=1e-9, abs=1e-12)
-        assert scaled.mean_quadratic == pytest.approx(c * base.mean_quadratic, rel=1e-9, abs=1e-12)
+        assert scaled.mean.coefficients == pytest.approx(
+            [c * b for b in base.mean.coefficients], rel=1e-9, abs=1e-12)
         # the variance scales as c^2
-        c2 = c * c
-        assert scaled.var_linear == pytest.approx(c2 * base.var_linear, rel=1e-9, abs=1e-12)
-        assert scaled.var_quadratic == pytest.approx(c2 * base.var_quadratic, rel=1e-9, abs=1e-12)
+        assert scaled.variance.coefficients == pytest.approx(
+            [c * c * b for b in base.variance.coefficients], rel=1e-9, abs=1e-12)
 
     def test_noiseless_variance_recovery(self):
         # each rate holds mean +- sqrt(v1 rho + v2 rho^2): the mean fit is
@@ -216,10 +242,8 @@ class TestFitMetricModel:
         rates = np.repeat(rho, 2)
         y = a1 * rates + a2 * rates * rates + np.ravel(np.column_stack((half, -half)))
         mm = rc.fit_metric_model(rc.trace_from_arrays(rates, y, np.full(rates.size, 0.2)), "cc")
-        assert mm.mean_linear == pytest.approx(a1, abs=1e-9)
-        assert mm.mean_quadratic == pytest.approx(a2, abs=1e-9)
-        assert mm.var_linear == pytest.approx(v1, abs=1e-9)
-        assert mm.var_quadratic == pytest.approx(v2, abs=1e-9)
+        assert mm.mean.coefficients == pytest.approx((0.0, a1, a2), abs=1e-9)
+        assert mm.variance.coefficients == pytest.approx((0.0, v1, v2), abs=1e-9)
 
     @pytest.mark.parametrize("metric_kind, distribution", [
         ("cc", "exponential"),
@@ -247,7 +271,7 @@ class TestFitMetricModel:
 
     def test_simulator_trace_fit_obeys_littles_law(self, ref_bundle):
         mm = ref_bundle.metric
-        assert mm.fit_r2 >= 0.9
+        assert mm.mean.r2 >= 0.9
         for rho in REF_PROFILE_RATES:
             expected = REF_MEAN_SERVICE_S * rho
             assert mm.mean_at(rho) == pytest.approx(expected, rel=0.05)

@@ -14,16 +14,12 @@ from replicast.metric_model import fit_law, positive_part_means
 
 def make_mm(mean_linear=0.2, mean_quadratic=0.0, var_linear=0.1,
             var_quadratic=0.0, rho_max=100.0):
-    return rc.MetricModel(
-        metric_kind="cc", mean_linear=mean_linear, mean_quadratic=mean_quadratic,
-        var_linear=var_linear, var_quadratic=var_quadratic, rho_max=rho_max,
-        fit_mse=0.0, fit_r2=1.0)
+    return rc.MetricModel("cc", rc.Law((0.0, mean_linear, mean_quadratic), rho_max, 0.0, 1.0),
+                          rc.Law((0.0, var_linear, var_quadratic), rho_max, 0.0, 1.0))
 
 
 def make_rtf(intercept=0.2, linear=0.0, quadratic=0.0, rho_max=100.0):
-    return rc.ResponseTimeFunction(intercept=intercept, linear=linear,
-                                   quadratic=quadratic, rho_max=rho_max,
-                                   fit_mse=0.0, fit_r2=1.0)
+    return rc.Law((intercept, linear, quadratic), rho_max, 0.0, 1.0)
 
 
 def trace_of(rates, rts):
@@ -36,17 +32,14 @@ class TestFitRtf:
         rates = np.arange(1.0, 11.0)
         y = 0.2 + 0.01 * rates + 0.001 * rates ** 2
         rtf = rc.fit_rtf(trace_of(rates, y))
-        assert rtf.intercept == pytest.approx(0.2, abs=1e-6)
-        assert rtf.linear == pytest.approx(0.01, abs=1e-6)
-        assert rtf.quadratic == pytest.approx(0.001, abs=1e-6)
-        assert rtf.fit_r2 >= 0.999
+        assert rtf.coefficients == pytest.approx((0.2, 0.01, 0.001), abs=1e-6)
+        assert rtf.r2 >= 0.999
 
     def test_constant_response_time_drops_rate_terms(self):
         rates = np.arange(1.0, 9.0)
         rtf = rc.fit_rtf(trace_of(rates, np.full(8, 0.25)))
-        assert rtf.intercept == pytest.approx(0.25, abs=1e-12)
-        assert rtf.linear == 0.0
-        assert rtf.quadratic == 0.0
+        assert rtf.coefficients[0] == pytest.approx(0.25, abs=1e-12)
+        assert rtf.coefficients[1:] == (0.0, 0.0)
 
     @pytest.mark.parametrize("rows", [10, 12, 20])
     def test_constant_response_time_reads_an_exact_fit(self, rows):
@@ -55,7 +48,7 @@ class TestFitRtf:
         # tolerance y is constant and fitted exactly, which reads r2 1
         rates = np.arange(1.0, rows + 1.0)
         rtf = rc.fit_rtf(trace_of(rates, np.full(rows, 0.2)))
-        assert rtf.fit_r2 == 1.0
+        assert rtf.r2 == 1.0
 
     def test_noisy_flat_trace_keeps_positive_curve(self):
         rng = np.random.default_rng(3)
@@ -90,12 +83,13 @@ class TestFitRtf:
 
     def test_dict_round_trip(self):
         rtf = make_rtf(0.21, 0.003, 0.0005, rho_max=12.0)
-        again = rc.ResponseTimeFunction.from_dict(json.loads(json.dumps(rtf.to_dict())))
+        again = rc.Law.from_dict(json.loads(json.dumps(rtf.to_dict())), "response_time")
         assert again == rtf
 
     def test_nonpositive_intercept_rejected(self):
-        with pytest.raises(rc.ValidationError):
-            make_rtf(intercept=0.0)
+        with pytest.raises(rc.ValidationError,
+                           match=r"response_time coefficients\[0\] must be > 0"):
+            rc.ModelBundle(make_mm(), make_rtf(intercept=0.0))
 
     def test_reference_trace_fit(self, ref_bundle):
         # infinite-server ground truth: mean response time is flat, so the
@@ -187,7 +181,7 @@ class TestSteadyStateReport:
         chain = rc.build_chain(60.0, mm, cfg)
         st = rc.stationary_distribution(chain)
         rep = rc.steady_state_report(st, chain, mm, rtf)
-        reach = min(mm.rho_max, rtf.rho_max)
+        reach = min(mm.mean.rho_max, mm.variance.rho_max, rtf.rho_max)
         want = []
         for s in range(chain.n_states):
             _, j = chain.state_of(s)
